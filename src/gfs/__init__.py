@@ -17,11 +17,10 @@ Layers (bottom to top):
 """
 
 from .errors import (AngleOutOfRange, DomainError, EvenFactorCount, EvenK,
-                     GaugeDegenerate, GfsError, MidpointSolveFailed,
-                     NoConvergence, NonFreeStratum, NonMonotoneProfile,
-                     NonPrimeK, NotFibreCritical, NotNormalized,
-                     OrbitRelationViolated, SearchBoundExceeded,
-                     ThresholdOnSpectrum)
+                     GaugeDegenerate, GfsError, NoConvergence, NonFreeStratum,
+                     NonMonotoneProfile, NonPrimeK, NotFibreCritical,
+                     NotNormalized, OrbitRelationViolated,
+                     SearchBoundExceeded, ThresholdOnSpectrum)
 from .sympl import (Ambient, ContactLift, ContactPoint, LinearRotation,
                     RadialMap, RadialProfile, ShellDatum, TranslatedChain,
                     action_density, flow, lift_contact, phi_m, ref_profile,
@@ -33,10 +32,10 @@ from .genfun import (GenFn, GraphPoint, contact_lift_gf, contact_p,
 from .crit import (CriticalManifold, chain_scan, check_value, maslov,
                    newton_critical, reconstruct, seed_from_chain,
                    sharp_critical_seed, to_csv)
-from .equivar import (Bar, Barcode, FilteredComplex, Generator, GroupRing,
-                      GroupRingComplex, ball_complex, barcode, circle_complex,
-                      inclusion_map, is_prime, lens_complex, limit_barcode,
-                      rank_mod_p, tensor_circle, thom_shift)
+from .equivar import (Bar, Barcode, Generator, GroupRing, GroupRingComplex,
+                      ball_complex, barcode, circle_complex, inclusion_map,
+                      is_prime, lens_complex, limit_barcode, rank_mod_p,
+                      tensor_circle, thom_shift)
 from .squeeze import (SqueezeCertificate, SqueezeQuery, certificate_json,
                       evidence, find_obstruction, room_obstruction,
                       room_transform, validate_certificate)

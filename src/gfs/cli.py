@@ -4,9 +4,9 @@ non-squeezing certificates.
 Exit codes: 0 success (for nonsqueeze: certificate found), 1 verification
 failure / no certificate, 2 flag validation, 3 computation error, 4 search
 bound exceeded.  All JSON output carries schema "gfs/1" with fixed key
-order; outputs are bit-identical for fixed flags and seed.  The environment
-variable GFS_WORKERS overrides --workers; config files are line-based
-key=value with precedence flags > config > defaults.
+order; outputs are bit-identical for fixed flags and seed.  GFS_WORKERS
+overrides --workers, which is validated (>= 1); computing is single-threaded.
+Config files are line-based key=value; precedence flags > config > defaults.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -138,14 +137,19 @@ def cmd_barcode(args):
     if opts["workers"] < 1:
         print("error: workers must be >= 1", file=sys.stderr)
         return 2
+    try:   # a REF literal is a flag value; a profile file is read below
+        rho = (parse_profile(opts["profile"])
+               if opts["profile"].startswith("REF:") else None)
+    except (GfsError, ValueError) as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        return 2
 
     try:
         amb = Ambient(n=opts["n"], R=opts["R"])
         if opts["limit"]:
             bc = limit_barcode(amb, k, opts["mode"], lmax=opts["lmax"])
         else:
-            rho = parse_profile(opts["profile"])
-            cx = ball_complex(amb, rho, k)
+            cx = ball_complex(amb, rho or parse_profile(opts["profile"]), k)
             bc = barcode(cx, opts["mode"])
     except (GfsError, OSError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
@@ -360,17 +364,11 @@ def cmd_verify(args):
         print("error: unknown suite %r (choose from %s)"
               % (suite, ", ".join(sorted(SUITES))), file=sys.stderr)
         return 2
-    workers = opts["workers"]
-    if workers < 1:
+    if opts["workers"] < 1:
         print("error: workers must be >= 1", file=sys.stderr)
         return 2
     try:
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                future = pool.submit(SUITES[suite], opts["seed"])
-                checks = future.result()
-        else:
-            checks = SUITES[suite](opts["seed"])
+        checks = SUITES[suite](opts["seed"])
     except GfsError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 3

@@ -262,11 +262,6 @@ class GroupRingComplex:
                    if alive is None or alive[i])
 
 
-# FilteredComplex is the same machine with critical values attached; the
-# alias keeps call sites honest about which role the object plays.
-FilteredComplex = GroupRingComplex
-
-
 def circle_complex(k):
     """Morse complex of the k-maxima circle function:
     0 -> R --(T-1)--> R -> 0 in degrees 1, 0."""

@@ -13,10 +13,6 @@ class NonMonotoneProfile(GfsError):
     """The profile derivative cannot be bracketed/bisected for level solving."""
 
 
-class MidpointSolveFailed(GfsError):
-    """Damped Newton failed to invert the midpoint map (id + phi)/2."""
-
-
 class AngleOutOfRange(GfsError):
     """A rotation angle reached pi, where the twisted graph is not a section."""
 

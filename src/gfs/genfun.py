@@ -17,9 +17,9 @@ Variable layouts (fixed here, relied on by `crit`):
       F^#k(w) = sum_j [ e^{r_j} F(e^{-r_j/2}(z_j + z_{j+1})/2, theta_{j+1}, zeta_j)
                         + 0.5 <z_j, J0 z_{j+1}> + e^{r_{j-1}}(theta_j - theta_{j+1}) ].
 
-All derivatives are exact (implicit differentiation for the midpoint solve,
-explicit chain rule for the compositions); finite differences are only used
-in the test suite to validate them.
+All derivatives are exact (the small-map midpoint is inverted in closed form
+and differentiated implicitly; compositions use the explicit chain rule);
+finite differences are only used in the test suite to validate them.
 """
 
 import math
@@ -27,7 +27,7 @@ import math
 import numpy as np
 
 from .errors import (AngleOutOfRange, DomainError, EvenFactorCount, EvenK,
-                     MidpointSolveFailed, NotNormalized)
+                     NotNormalized)
 from .sympl import ComposedMap, LinearRotation, RadialMap, j0_apply, j0_matrix
 
 FAR_FIELD_RADIUS = 1e3
@@ -213,70 +213,35 @@ def gf_linear_rotation(amb, angles):
     return GenFn(base_dim=amb.dim, fibre_dim=0, value=value, grad=grad,
                  hess=hess, quad_part=np.zeros((0, 0)), norm_shift=0.0,
                  normalized=True, map_handle=mp,
-                 domain_point=lambda w: _midpoint_solve(mp, w),
+                 domain_point=mp.midpoint_inverse,
                  meta={"kind": "linearRotation"})
 
 
-def _midpoint_solve(mp, q, tol=1e-12, max_iter=50):
-    """Solve (z + phi(z))/2 = q by damped Newton; exact Jacobian from the map.
-
-    Iterates to stagnation (typically ~1e-16 residual); raises
-    MidpointSolveFailed if the residual is still above `tol` afterwards."""
-    q = np.asarray(q, dtype=float)
-    z = q.copy()
-    res = 0.5 * (z + mp(z)) - q
-    rnorm = float(np.max(np.abs(res)))
-    for _ in range(max_iter):
-        if rnorm == 0.0:
-            return z
-        A = 0.5 * (np.eye(len(q)) + mp.jacobian(z))
-        try:
-            step = np.linalg.solve(A, res)
-        except np.linalg.LinAlgError:
-            step = np.linalg.lstsq(A, res, rcond=None)[0]
-        alpha = 1.0
-        for _ in range(30):
-            z_new = z - alpha * step
-            res_new = 0.5 * (z_new + mp(z_new)) - q
-            rnew = float(np.max(np.abs(res_new)))
-            if rnew < rnorm:
-                break
-            alpha *= 0.5
-        else:
-            break
-        z, res, rnorm = z_new, res_new, rnew
-        if rnorm < 1e-15 * max(1.0, float(np.max(np.abs(q)))):
-            return z
-    if rnorm > tol:
-        raise MidpointSolveFailed(
-            "midpoint residual %g above tolerance %g" % (rnorm, tol))
-    return z
-
-
-def gf_small_map(amb, mp, S=None):
-    """Fibreless generating function of a map with (id + phi)/2 invertible:
+def gf_small_map(amb, mp):
+    """Fibreless generating function of a radial map rotating by less than pi:
 
         F(q) = S(zbar) + 0.5 sum_j (xbar_j phi_y_j - ybar_j phi_x_j),
 
-    zbar the midpoint solution of (z + phi(z))/2 = q.  S must be the map's
-    calibrated primitive (the library's map handles expose it as `.S`); then
-    grad F is the graph covector of phi at zbar and
+    zbar = mp.midpoint_inverse(q) solves (z + phi(z))/2 = q in closed form
+    and S = mp.S is the calibrated primitive; then grad F is the graph
+    covector of phi at zbar and
 
         hess F = sym( 2 J0 (I - Dphi) (I + Dphi)^{-1} ),
 
-    both exact by implicit differentiation."""
-    if S is None:
-        S = getattr(mp, "S", None) or (lambda z: 0.0)
+    both exact by implicit differentiation of the midpoint relation."""
+    if mp.max_rotation() >= math.pi:
+        raise AngleOutOfRange("the map rotates by pi or more; its midpoint "
+                              "map (id + phi)/2 is not invertible")
     n2 = amb.dim
 
     def value(q):
-        z = _midpoint_solve(mp, q)
+        z = mp.midpoint_inverse(q)
         X = mp(z)
         w = 0.5 * float(np.dot(z[0::2], X[1::2]) - np.dot(z[1::2], X[0::2]))
-        return S(z) + w
+        return mp.S(z) + w
 
     def grad(q):
-        z = _midpoint_solve(mp, q)
+        z = mp.midpoint_inverse(q)
         X = mp(z)
         cov = np.empty(n2)
         cov[0::2] = X[1::2] - z[1::2]
@@ -284,7 +249,7 @@ def gf_small_map(amb, mp, S=None):
         return cov
 
     def hess(q):
-        z = _midpoint_solve(mp, q)
+        z = mp.midpoint_inverse(q)
         D = mp.jacobian(z)
         A = np.linalg.solve((np.eye(n2) + D).T, (np.eye(n2) - D).T).T
         H = 2.0 * j0_matrix(n2) @ A
@@ -294,7 +259,7 @@ def gf_small_map(amb, mp, S=None):
     gf = GenFn(base_dim=n2, fibre_dim=0, value=value, grad=grad, hess=hess,
                quad_part=np.zeros((0, 0)), norm_shift=norm_shift,
                normalized=True, map_handle=mp,
-               domain_point=lambda q: _midpoint_solve(mp, q),
+               domain_point=mp.midpoint_inverse,
                meta={"kind": "smallMap"})
     return gf
 
@@ -461,7 +426,6 @@ def gf_time_one(amb, rho, max_angle=math.pi / 2):
     slices = [gf_small_map(amb, RadialMap(amb, rho, 1.0 / K)) for _ in range(K)]
     gf = gf_compose_chain(slices)
     gf.meta["slices"] = K
-    gf.map_handle = ComposedMap([RadialMap(amb, rho, 1.0 / K) for _ in range(K)])
     return gf
 
 

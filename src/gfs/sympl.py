@@ -25,17 +25,14 @@ Conventions fixed here and used by every other module:
   The Reeb flow is translation in theta.
 """
 
+import bisect
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import PPoly
 
 from .errors import DomainError, EvenK, NonMonotoneProfile
-
-TWO_PI = 2.0 * math.pi
-
 
 # ---------------------------------------------------------------------------
 # ambient space
@@ -98,12 +95,6 @@ def j0_apply(v):
     return out
 
 
-def omega_cross(u, v):
-    """Cyclic twist summand 0.5 * <u, J0 v> = 0.5 * sum_j (x_v y_u - x_u y_v),
-    i.e. half the symplectic area spanned by u and v (in that order)."""
-    return 0.5 * float(np.dot(u, j0_apply(v)))
-
-
 # ---------------------------------------------------------------------------
 # radial profiles
 # ---------------------------------------------------------------------------
@@ -111,42 +102,80 @@ def omega_cross(u, v):
 BLEND_WIDTH = 1e-3
 
 
+def _derivative(coeffs):
+    """Derivative of every piece (rows of descending-power coefficients; an
+    empty row is the zero polynomial)."""
+    return coeffs[:, :-1] * np.arange(coeffs.shape[1] - 1, 0, -1.0)
+
+
+def _poly_value(ascending, s):
+    """sum_p a_p s^p for ascending a_p, summed with a running power of s."""
+    res, z = 0.0, 1.0
+    for a in ascending:
+        res = res + a * z
+        z = z * s
+    return res
+
+
 class RadialProfile:
     """Convex, non-increasing profile rho supported in [0, 1].
 
-    rho is a piecewise polynomial (scipy PPoly) on [0, 1]; rho, rho', rho''
-    all return exact 0.0 for m >= 1.  Invariants (checked by `validate`):
-    rho >= 0, rho' <= 0, rho'' >= 0, rho' constant = c on [0, delta].
+    rho is piecewise polynomial: row i of `coeffs` lists its coefficients on
+    [knots[i], knots[i+1]] in descending powers of (m - knots[i]); rho' and
+    rho'' are held the same way.  The first and last pieces extend past the
+    end knots; rho, rho', rho'' return exact 0.0 for m >= 1.  Invariants
+    (checked by `validate`): rho >= 0, rho' <= 0, rho'' >= 0, rho' constant
+    = c on [0, delta].
     """
 
-    def __init__(self, poly, c=None, delta=None):
-        self._rho = poly
-        self._drho = poly.derivative()
-        self._d2rho = self._drho.derivative()
+    def __init__(self, knots, coeffs, c=None, delta=None):
+        knots = np.asarray(knots, dtype=float)
+        coeffs = np.asarray(coeffs, dtype=float)
+        if not (knots.ndim == 1 and len(knots) >= 2
+                and np.all(np.isfinite(knots)) and np.all(np.diff(knots) > 0)):
+            raise DomainError("profile knots must be at least two finite, "
+                              "strictly increasing values")
+        if not (coeffs.ndim == 2 and coeffs.shape[1] > 0
+                and len(coeffs) == len(knots) - 1
+                and np.all(np.isfinite(coeffs))):
+            raise DomainError("a profile needs one piece per knot interval, "
+                              "all pieces finite and of one nonzero length")
+        self.knots = knots
+        self.coeffs = coeffs
         self.c = c
         self.delta = delta
-        self.knots = np.asarray(poly.x, dtype=float)
+        d1 = _derivative(coeffs)
+        self._tables = {name: (t, t[:, ::-1].tolist()) for name, t in (
+            ("rho", coeffs), ("drho", d1), ("d2rho", _derivative(d1)))}
+        self._knot_list = knots.tolist()
+        self._inner = self._knot_list[1:-1]     # piece i holds m < knots[i+1]
 
     # -- evaluation -------------------------------------------------------
 
-    def _eval(self, poly, m):
-        m_arr = np.asarray(m, dtype=float)
-        scalar = m_arr.ndim == 0
-        m_arr = np.atleast_1d(m_arr)
-        out = np.zeros_like(m_arr)
-        inside = m_arr < 1.0
-        if np.any(inside):
-            out[inside] = poly(np.clip(m_arr[inside], 0.0, 1.0))
-        return float(out[0]) if scalar else out
+    def _eval(self, name, m):
+        table, ascending = self._tables[name]
+        if isinstance(m, float) or np.ndim(m) == 0:
+            m = max(float(m), 0.0)
+            if not m < 1.0:
+                return 0.0
+            i = bisect.bisect_right(self._inner, m)
+            return _poly_value(ascending[i], m - self._knot_list[i])
+        m = np.asarray(m, dtype=float)
+        out = np.zeros_like(m)
+        inside = m < 1.0
+        x = np.clip(m[inside], 0.0, 1.0)
+        i = np.searchsorted(self.knots[1:-1], x, side="right")
+        out[inside] = _poly_value(table[i].T[::-1], x - self.knots[i])
+        return out
 
     def rho(self, m):
-        return self._eval(self._rho, m)
+        return self._eval("rho", m)
 
     def drho(self, m):
-        return self._eval(self._drho, m)
+        return self._eval("drho", m)
 
     def d2rho(self, m):
-        return self._eval(self._d2rho, m)
+        return self._eval("d2rho", m)
 
     # -- serialization ----------------------------------------------------
 
@@ -157,19 +186,22 @@ class RadialProfile:
         return {
             "c": self.c,
             "delta": self.delta,
-            "knots": [float(x) for x in self._rho.x],
-            "pieces": [[float(v) for v in self._rho.c[:, i]]
-                       for i in range(self._rho.c.shape[1])],
+            "knots": [float(x) for x in self.knots],
+            "pieces": [[float(v) for v in row] for row in self.coeffs],
         }
 
     @classmethod
     def from_json(cls, obj):
         if isinstance(obj, str):
             obj = json.loads(obj)
-        knots = np.asarray(obj["knots"], dtype=float)
-        pieces = np.asarray(obj["pieces"], dtype=float).T
-        poly = PPoly(pieces, knots)
-        prof = cls(poly, c=obj.get("c"), delta=obj.get("delta"))
+        try:
+            knots = np.asarray(obj["knots"], dtype=float)
+            coeffs = np.asarray(obj["pieces"], dtype=float)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise DomainError("invalid profile: knots and pieces must be "
+                              "numeric lists, pieces all of one length "
+                              "(%s)" % exc)
+        prof = cls(knots, coeffs, c=obj.get("c"), delta=obj.get("delta"))
         problems = prof.validate()
         if problems:
             raise DomainError("invalid profile: " + "; ".join(problems))
@@ -222,11 +254,16 @@ def ref_profile(c, delta, blend=BLEND_WIDTH):
         [-s / w**2,  2 * s / w, 0.0, c],            # blend up to the chord
         [0.0,        0.0,      s,    c + s * w],    # chord
         [-s / w**2,  s / w,    s,    -s * w],       # blend down to 0 with slope 0
-    ]).T
-    dpoly = PPoly(dcoeffs, knots)
-    poly = dpoly.antiderivative()
-    poly.c[-1, :] -= poly(1.0)      # normalize rho(1) = 0 exactly
-    return RadialProfile(poly, c=c, delta=delta)
+    ])
+    # rho: antiderivative of rho', continuous at the knots, then shifted so
+    # that rho(1) = 0 exactly
+    coeffs = np.zeros((4, 5))
+    coeffs[:, :-1] = dcoeffs / np.arange(4, 0, -1.0)
+    for i in range(1, 4):
+        coeffs[i, -1] = _poly_value(coeffs[i - 1, ::-1],
+                                    knots[i] - knots[i - 1])
+    coeffs[:, -1] -= _poly_value(coeffs[-1, ::-1], 1.0 - knots[-2])
+    return RadialProfile(knots, coeffs, c=c, delta=delta)
 
 
 # ---------------------------------------------------------------------------
@@ -238,14 +275,8 @@ def flow(amb, rho, t, z):
 
     Total on R^{2n}; conserves H to round-off; fixes every z with H >= 1
     exactly (rho' is exactly zero there)."""
-    z = np.asarray(z, dtype=float)
-    m = amb.H(z)
-    ang = 2.0 * t * rho.drho(m) / amb.R**2
-    zc = (z[0::2] + 1j * z[1::2]) * np.exp(1j * ang)
-    out = np.empty_like(z)
-    out[0::2] = zc.real
-    out[1::2] = zc.imag
-    return out
+    ang = 2.0 * t * rho.drho(amb.H(z)) / amb.R**2
+    return amb.interleave(amb.complex_view(z) * np.exp(1j * ang))
 
 
 def action_density(rho, m):
@@ -296,6 +327,38 @@ class RadialMap:
         coeff = self.amb.orientation_sign * self.t * m * self.rho.d2rho(m)
         return coeff * (2.0 / self.amb.R**2) * z
 
+    def midpoint_inverse(self, q):
+        """The z with (z + phi(z))/2 = q.
+
+        phi(z) = e^{i beta(m)} z with beta(m) = 2 t rho'(m) / R^2, m = H(z),
+        so H(q) = m cos^2(beta(m)/2), strictly increasing in m on [H(q), 1]
+        while |beta| < pi (rho'' >= 0): a bracketed Newton iteration finds m,
+        then z = q - tan(beta/2) J0 q.  For H(q) >= 1, z = q exactly."""
+        q = np.asarray(q, dtype=float)
+        h = self.amb.H(q)
+        if not h < 1.0:
+            return q.copy()
+        scale = 2.0 * self.t / self.amb.R**2
+        lo, hi = h, 1.0
+        m = min(h / math.cos(0.5 * scale * self.rho.drho(h)) ** 2, hi)
+        for _ in range(100):
+            half = 0.5 * scale * self.rho.drho(m)
+            cos2 = math.cos(half) ** 2
+            f = m * cos2 - h
+            if f == 0.0:
+                break
+            lo, hi = (m, hi) if f < 0.0 else (lo, m)
+            slope = cos2 - (0.5 * m * math.sin(2.0 * half) * scale
+                            * self.rho.d2rho(m))
+            m_new = m - f / slope
+            if not lo < m_new < hi:
+                m_new = 0.5 * (lo + hi)
+            m, m_old = m_new, m
+            if abs(m - m_old) <= 1e-16 * m_old or m in (lo, hi):
+                break
+        beta = scale * self.rho.drho(m)
+        return q - math.tan(0.5 * beta) * j0_apply(q)
+
     def max_rotation(self):
         """Upper bound for the rotation angle |2 t rho'(m) / R^2| over all m."""
         m = np.linspace(0.0, 1.0, 512)
@@ -313,23 +376,15 @@ class LinearRotation:
             raise DomainError("need one rotation angle per complex coordinate")
 
     def __call__(self, z):
-        z = np.asarray(z, dtype=float)
-        zc = (z[0::2] + 1j * z[1::2]) * np.exp(1j * self.angles)
-        out = np.empty_like(z)
-        out[0::2] = zc.real
-        out[1::2] = zc.imag
-        return out
+        return self.amb.interleave(
+            self.amb.complex_view(z) * np.exp(1j * self.angles))
 
-    def jacobian(self, z):
-        n2 = self.amb.dim
-        Rb = np.zeros((n2, n2))
-        for j, a in enumerate(self.angles):
-            i = 2 * j
-            Rb[i, i] = math.cos(a)
-            Rb[i, i + 1] = -math.sin(a)
-            Rb[i + 1, i] = math.sin(a)
-            Rb[i + 1, i + 1] = math.cos(a)
-        return Rb
+    def midpoint_inverse(self, q):
+        """The z with (z + phi(z))/2 = q: per coordinate plane
+        q = e^{i alpha/2} cos(alpha/2) z, so z = q - tan(alpha/2) J0 q
+        (|alpha| < pi)."""
+        q = np.asarray(q, dtype=float)
+        return q - np.repeat(np.tan(0.5 * self.angles), 2) * j0_apply(q)
 
     def S(self, z):
         return 0.0
@@ -339,8 +394,8 @@ class LinearRotation:
 
 
 class ComposedMap:
-    """Composition map_K o ... o map_1 with chained Jacobian and additive
-    primitive S (sum of factor primitives along the orbit)."""
+    """Composition map_K o ... o map_1 with additive primitive S (sum of
+    factor primitives along the orbit)."""
 
     def __init__(self, maps):
         self.maps = list(maps)
@@ -350,14 +405,6 @@ class ComposedMap:
         for mp in self.maps:
             z = mp(z)
         return z
-
-    def jacobian(self, z):
-        n2 = len(np.asarray(z, dtype=float))
-        J = np.eye(n2)
-        for mp in self.maps:
-            J = mp.jacobian(z) @ J
-            z = mp(z)
-        return J
 
     def S(self, z):
         total = 0.0

@@ -153,6 +153,21 @@ def test_shell_indices_nullities_gaps(sharp_cases):
             assert gap >= 1e-4
 
 
+def test_shell_values_match_shells_exactly(sharp_cases):
+    # Companion to the 1e-6 gates on 5pi/6: F^{#k} at the analytic seed must
+    # reproduce the shell value l m pi R^2 + k rho(m) to round-off, so a
+    # regression cannot hide under the corner-blend offset of those gates.
+    for (n, k), (amb, rho, fac, Fk) in sharp_cases.items():
+        for s in shells(amb, rho, k):
+            if s.kind != "sphereShell" or s.l >= k:
+                continue
+            z = np.zeros(2 * n)
+            z[0] = math.sqrt(s.m) * amb.R
+            v = Fk.value(sharp_critical_seed(fac, k, z))
+            assert abs(v - s.value) <= 1e-12, "(n,k,l) = (%d,%d,%d)" % (
+                n, k, s.l)
+
+
 # ---------------------------------------------------------------------------
 # 7. translated-chain scan
 

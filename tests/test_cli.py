@@ -2,9 +2,13 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import gfs
 from gfs.cli import main, parse_profile, parse_scalar
 
 
@@ -58,6 +62,32 @@ def test_barcode_computation_error(tmp_path):
     missing = tmp_path / "nope.json"
     assert main(["barcode", "--k", "3", "--profile", str(missing),
                  "--out", str(tmp_path)]) == 3
+
+
+@pytest.mark.parametrize("literal", [
+    "REF:xpi,0.1",            # not a number
+    "REF:-0.9pi",             # one part
+    "REF:-0.9pi,0.1,0.2",     # three parts
+    "REF:0.9pi,0.1",          # ref_profile needs c < 0
+    "REF:-0.9pi,1.5",         # ... and delta in (0, 1 - 2 blend)
+])
+def test_barcode_malformed_ref_profile(tmp_path, capsys, literal):
+    # a REF literal is a flag value: exit 2, not a computation error
+    assert main(["barcode", "--k", "3", "--profile", literal,
+                 "--out", str(tmp_path)]) == 2
+    assert "error" in capsys.readouterr().err
+
+
+def test_import_loads_no_scipy():
+    src = os.path.dirname(os.path.dirname(gfs.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    code = ("import gfs, gfs.cli, sys; "
+            "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_verify_exit_codes(capsys):

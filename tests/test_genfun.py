@@ -45,6 +45,14 @@ def test_small_map_generates_its_graph(amb1, rho_ref):
     assert np.allclose(gf.hess(q), fd_hess(gf.grad, q), atol=1e-6)
 
 
+def test_small_map_rejects_rotation_of_pi(amb1, rho_ref):
+    # rho'(0) = -0.9 pi: t = 1 rotates by 1.8 pi, t = 0.6 by 1.08 pi; a
+    # rotation by pi makes (id + phi)/2 singular
+    for t in (1.0, 0.6):
+        with pytest.raises(AngleOutOfRange):
+            gf_small_map(amb1, RadialMap(amb1, rho_ref, t))
+
+
 def test_compose_chain_parity_guard(amb1, rho_ref):
     phi = RadialMap(amb1, rho_ref, 0.5)
     g = gf_small_map(amb1, phi)

@@ -1,14 +1,17 @@
 """Flows, profiles, shells, contact lifts, translated chains."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 
-from gfs import (Ambient, ContactPoint, DomainError, EvenK, RadialMap,
-                 RadialProfile, flow, lift_contact, phi_m, shells, sqz_radius,
-                 translated_chains, verify_chain)
-from gfs.sympl import ComposedMap, action_density, reeb_translate
+from gfs import (Ambient, ContactPoint, DomainError, EvenK, LinearRotation,
+                 RadialMap, RadialProfile, flow, lift_contact, phi_m,
+                 ref_profile, shells, sqz_radius, translated_chains,
+                 verify_chain)
+from gfs.sympl import (BLEND_WIDTH, ComposedMap, action_density,
+                       reeb_translate)
 
 
 def test_ambient_basics():
@@ -53,6 +56,82 @@ def test_invalid_profile_rejected(rho_ref):
         RadialProfile.from_json(obj)
 
 
+def _ppoly_profile(PPoly, c, delta):
+    """REF(c, delta) built directly on scipy's PPoly, the construction the
+    library's own piecewise polynomial has to reproduce bit for bit."""
+    s = -c / (1.0 - delta)
+    w = BLEND_WIDTH
+    knots = np.array([0.0, delta, delta + w, 1.0 - w, 1.0])
+    dcoeffs = np.array([
+        [0.0, 0.0, 0.0, c],
+        [-s / w**2, 2 * s / w, 0.0, c],
+        [0.0, 0.0, s, c + s * w],
+        [-s / w**2, s / w, s, -s * w],
+    ]).T
+    poly = PPoly(dcoeffs, knots).antiderivative()
+    poly.c[-1, :] -= poly(1.0)
+    return poly
+
+
+def _ppoly_eval(poly, m):
+    m = np.atleast_1d(np.asarray(m, dtype=float))
+    out = np.zeros_like(m)
+    inside = m < 1.0
+    if np.any(inside):
+        out[inside] = poly(np.clip(m[inside], 0.0, 1.0))
+    return out
+
+
+def test_profile_matches_ppoly_oracle():
+    PPoly = pytest.importorskip("scipy.interpolate").PPoly
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        c = -rng.uniform(0.05, 60.0) * math.pi
+        delta = rng.uniform(0.01, 0.9)
+        prof = ref_profile(c, delta)
+        poly = _ppoly_profile(PPoly, c, delta)
+        assert np.array_equal(prof.knots, poly.x)
+        assert np.array_equal(prof.coeffs, poly.c.T)
+        expected_json = {
+            "c": c, "delta": delta,
+            "knots": [float(x) for x in poly.x],
+            "pieces": [[float(v) for v in poly.c[:, i]]
+                       for i in range(poly.c.shape[1])],
+        }
+        assert json.dumps(prof.to_json()) == json.dumps(expected_json)
+        m = np.concatenate([poly.x, rng.uniform(-0.1, 1.1, 40),
+                            [0.5 * delta, 1.0 - 1e-12]])
+        for oracle, fn in ((poly, prof.rho),
+                           (poly.derivative(), prof.drho),
+                           (poly.derivative(2), prof.d2rho)):
+            want = _ppoly_eval(oracle, m)
+            assert np.array_equal(fn(m), want)
+            assert [fn(float(x)) for x in m] == [float(v) for v in want]
+
+
+@pytest.mark.parametrize("knots, pieces", [
+    ([0.0, 0.5, 0.5, 1.0], [[0.0]] * 3),          # repeated knot
+    ([0.0, 0.6, 0.4, 1.0], [[0.0]] * 3),          # decreasing knots
+    ([0.0, float("nan"), 1.0], [[0.0]] * 2),      # non-finite knot
+    ([0.0, 0.5, float("inf")], [[0.0]] * 2),
+    ([0.0], []),                                  # no interval
+    ([0.0, 0.5, 1.0], [[0.0]]),                   # one piece too few
+    ([0.0, 0.5, 1.0], [[0.0]] * 3),               # one piece too many
+    ([0.0, 0.5, 1.0], [[0.0, 1.0], [0.0]]),       # ragged pieces
+    ([0.0, 0.5, 1.0], [[], []]),                  # empty pieces
+    ([0.0, 0.5, 1.0], [0.0, 0.0]),                # pieces not lists
+    ([0.0, 0.5, 1.0], [["a"], ["b"]]),            # non-numeric
+])
+def test_malformed_profile_shape_rejected(knots, pieces):
+    with pytest.raises(DomainError):
+        RadialProfile.from_json({"knots": knots, "pieces": pieces})
+
+
+def test_profile_without_knots_rejected():
+    with pytest.raises(DomainError):
+        RadialProfile.from_json({"pieces": [[0.0]]})
+
+
 def test_flow_conserves_h_and_composes(amb1, rho_ref):
     rng = np.random.default_rng(7)
     for _ in range(20):
@@ -79,6 +158,49 @@ def test_radial_map_jacobian_is_symplectic(amb1, rho_ref):
             (phi(z + h * e) - phi(z - h * e)) / (2 * h)
             for e in np.eye(2)])
         assert np.allclose(Dz, fd, atol=1e-6)
+
+
+def _midpoint_residual(mp, z, q):
+    return float(np.max(np.abs(0.5 * (z + mp(z)) - q)))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("R", [1.0, 1.3])
+def test_radial_midpoint_inverse(n, R):
+    amb = Ambient(n=n, R=R)
+    rho = ref_profile(-0.9 * math.pi, 0.1)
+    # a time-1/5 slice and a steep slice rotating by up to 3pi/4
+    steep_t = 0.75 * math.pi * R**2 / (2.0 * 0.9 * math.pi)
+    rng = np.random.default_rng(17 + n)
+    for t in (0.2, steep_t):
+        mp = RadialMap(amb, rho, t)
+        assert mp.max_rotation() < math.pi
+        for _ in range(400):
+            q = rng.normal(0.0, 0.6 * R, 2 * n)
+            z = mp.midpoint_inverse(q)
+            bound = 4e-15 * max(1.0, float(np.max(np.abs(q))))
+            assert _midpoint_residual(mp, z, q) <= bound
+            if amb.H(q) >= 1.0:
+                assert np.array_equal(z, q)
+        # outside the support (H >= 1, including the boundary) the inverse
+        # returns q itself
+        for scale in (1.0, 1.0 + 1e-12, 1.7):
+            q = rng.normal(size=2 * n)
+            q *= scale * R / np.linalg.norm(q)
+            if amb.H(q) >= 1.0:
+                assert np.array_equal(mp.midpoint_inverse(q), q)
+
+
+def test_linear_rotation_midpoint_inverse():
+    rng = np.random.default_rng(23)
+    for n in (1, 2):
+        amb = Ambient(n=n, R=1.0)
+        for _ in range(50):
+            mp = LinearRotation(amb, rng.uniform(-0.75, 0.75, n) * math.pi)
+            q = rng.normal(0.0, 1.5, 2 * n)
+            z = mp.midpoint_inverse(q)
+            bound = 4e-15 * max(1.0, float(np.max(np.abs(q))))
+            assert _midpoint_residual(mp, z, q) <= bound
 
 
 def test_primitive_matches_action_density(amb1, rho_ref):
