@@ -25,7 +25,8 @@ from .sympl import (Ambient, RadialMap, RadialProfile, lift_contact,
                     ref_profile, shells, translated_chains, verify_chain)
 from .genfun import (contact_lift_gf, contact_p, fibre_critical_config,
                      gf_time_one, graph_of, sharp_k)
-from .crit import chain_scan, seed_from_chain, sharp_critical_seed
+from .crit import (chain_scan, classify_hessian, maslov, seed_from_chain,
+                   sharp_critical_seed)
 from .equivar import (GroupRing, ball_complex, barcode, circle_complex,
                       is_prime, lens_complex, limit_barcode, rank_mod_p)
 from .squeeze import (SqueezeQuery, certificate_json, evidence,
@@ -137,7 +138,8 @@ def cmd_barcode(args):
     if opts["workers"] < 1:
         print("error: workers must be >= 1", file=sys.stderr)
         return 2
-    try:   # a REF literal is a flag value; a profile file is read below
+    try:   # the ball and a REF literal are flag values; a file is read below
+        amb = Ambient(n=opts["n"], R=opts["R"])
         rho = (parse_profile(opts["profile"])
                if opts["profile"].startswith("REF:") else None)
     except (GfsError, ValueError) as exc:
@@ -145,7 +147,6 @@ def cmd_barcode(args):
         return 2
 
     try:
-        amb = Ambient(n=opts["n"], R=opts["R"])
         if opts["limit"]:
             bc = limit_barcode(amb, k, opts["mode"], lmax=opts["lmax"])
         else:
@@ -222,7 +223,6 @@ def _index_case(n, k):
     rho = ref_profile(-0.9 * math.pi, 0.1)
     F = gf_time_one(amb, rho)
     Fk = sharp_k(F, k)
-    iota = F.quad_index
     checks = []
     for s in shells(amb, rho, k):
         if s.kind != "sphereShell" or s.l >= k:
@@ -230,15 +230,10 @@ def _index_case(n, k):
         z = np.zeros(2 * n)
         z[0] = math.sqrt(s.m) * amb.R
         w = sharp_critical_seed(F, k, z)
-        evals = np.linalg.eigvalsh(Fk.hess(w))
-        radius = float(np.max(np.abs(evals)))
-        ztol = 1e-8 * radius
-        index = int(np.sum(evals < -ztol))
-        nullity = int(np.sum(np.abs(evals) <= ztol))
-        nonzero = np.abs(evals)[np.abs(evals) > ztol]
-        gap = float(np.min(nonzero) / radius)
-        nu = index - k * iota - n * (k - 1)
-        ok = (nu == 2 * n * s.l and nullity == 2 * n - 1 and gap >= 1e-4)
+        index, nullity, gap, morse_bott = classify_hessian(
+            np.linalg.eigvalsh(Fk.hess(w)))
+        nu = maslov(index, k, F.quad_index, n)
+        ok = nu == 2 * n * s.l and nullity == 2 * n - 1 and morse_bott
         checks.append(("index (n=%d,k=%d,l=%d): maslov %d nullity %d gap %.2g"
                        % (n, k, s.l, nu, nullity, gap), ok,
                        abs(nu - 2 * n * s.l)))
@@ -402,6 +397,7 @@ def cmd_nonsqueeze(args):
     try:
         q = SqueezeQuery(opts["A1"], opts["A2"], opts["A3"],
                          max_prime=opts["max_prime"])
+        amb = Ambient(n=opts["n"], R=1.0)
     except GfsError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
@@ -409,7 +405,7 @@ def cmd_nonsqueeze(args):
         cert = find_obstruction(q)
         report = None
         if opts["evidence"] and cert.found():
-            report = evidence(cert, Ambient(n=opts["n"], R=1.0))
+            report = evidence(cert, amb)
         text = certificate_json(cert, report)
     except SearchBoundExceeded as exc:
         print("error: %s" % exc, file=sys.stderr)

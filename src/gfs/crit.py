@@ -111,25 +111,28 @@ def newton_critical(G, seed, tol=1e-10, max_iter=100):
     Steps solve (H + lam*I) s = -g in the least-squares sense, so singular
     Hessian directions (critical manifolds) are handled by the minimum-norm
     step; lam grows when a step fails to shrink the gradient and shrinks on
-    success.  Raises NoConvergence after max_iter iterations.
+    success.  Each iterate is evaluated once (`G.jet(w, 2)`), each trial step
+    once at order 1.  Raises NoConvergence after max_iter iterations.
     """
     w = np.asarray(seed, dtype=float).copy()
     if not np.all(np.isfinite(w)):
         raise DomainError("newton_critical needs a finite seed")
     lam = 0.0
-    gnorm = float(np.max(np.abs(G.grad(w)))) if len(w) else 0.0
-    converged = gnorm < tol
+    value, g, H = G.jet(w, 2)
+    gnorm = float(np.max(np.abs(g))) if len(w) else 0.0
     it = 0
-    while not converged and it < max_iter:
+    while not gnorm < tol:
+        if it == max_iter:
+            raise NoConvergence(
+                "newton_critical: |grad| = %.3e after %d iterations"
+                % (gnorm, max_iter))
         it += 1
-        g = G.grad(w)
-        H = G.hess(w)
         accepted = False
         for _ in range(12):
             M = H + lam * np.eye(len(w))
             step = np.linalg.lstsq(M, -g, rcond=None)[0]
             trial = w + step
-            tnorm = float(np.max(np.abs(G.grad(trial))))
+            tnorm = float(np.max(np.abs(G.jet(trial, 1)[1])))
             if np.isfinite(tnorm) and (tnorm < gnorm or tnorm < tol):
                 w, gnorm = trial, tnorm
                 lam = lam / 3.0 if lam > 1e-12 else 0.0
@@ -139,19 +142,14 @@ def newton_critical(G, seed, tol=1e-10, max_iter=100):
         if not accepted:
             raise NoConvergence(
                 "newton_critical stalled at |grad| = %.3e" % gnorm)
-        if gnorm < tol:
-            converged = True
-    if not converged:
-        raise NoConvergence(
-            "newton_critical: |grad| = %.3e after %d iterations"
-            % (gnorm, max_iter))
+        value, g, H = G.jet(w, 2)
 
-    evals = np.linalg.eigvalsh(G.hess(w))
+    evals = np.linalg.eigvalsh(H)
     index, nullity, gap, morse_bott = classify_hessian(evals)
     nu, l = _auto_maslov(G, index, nullity)
     return CriticalManifold(
         kind="isolated" if nullity == 0 else "sphereShell",
-        representative=w, value=float(G.value(w)), index=index,
+        representative=w, value=value, index=index,
         nullity=nullity, zk_orbit=_zk_orbit(G, w), maslov=nu, l=l,
         gap=gap, morse_bott=morse_bott,
         diagnostics={"grad_norm": gnorm, "iterations": it})
@@ -259,7 +257,8 @@ def chain_scan(P, k, seeds, chains=None, tol=1e-9, max_iter=100):
     plain Newton has a rank-deficient Hessian everywhere on a family.  The
     scan fixes the first two with the linear gauges sum_j r_j = 0 and
     theta_1 = 0 and solves the bordered system by least squares, which leaves
-    motion along the remaining family directions free but convergent.
+    motion along the remaining family directions free but convergent.  As in
+    `newton_critical`, one order-2 jet per iterate, one order-1 per trial.
 
     Families are merged by critical value (distance 1e-6); each manifold
     records value = t*k, the measured full-Hessian nullity (the gauge
@@ -283,46 +282,42 @@ def chain_scan(P, k, seeds, chains=None, tol=1e-9, max_iter=100):
     found = []
     for seed in seeds:
         w = np.asarray(seed, dtype=float).copy()
-        converged = False
+        converged, gnorm = False, np.inf
         for _ in range(max_iter):
-            g = P.grad(w)
+            value, g, H = P.jet(w, 2)
+            gnorm = float(np.max(np.abs(g)))
             c = A @ w
-            if max(np.max(np.abs(g)), np.max(np.abs(c))) < tol:
+            if max(gnorm, np.max(np.abs(c))) < tol:
                 converged = True
                 break
-            H = P.hess(w)
             M = np.block([[H, A.T], [A, np.zeros((2, 2))]])
             rhs = -np.concatenate([g, c])
             sol = np.linalg.lstsq(M, rhs, rcond=None)[0]
             step = sol[:dim]
             # Backtrack if the full step overshoots the gradient norm.
-            base = float(np.max(np.abs(g)))
             scale = 1.0
             for _ in range(8):
                 trial = w + scale * step
-                tn = float(np.max(np.abs(P.grad(trial))))
-                if np.isfinite(tn) and (tn < base or tn < tol):
-                    w = trial
+                tn = float(np.max(np.abs(P.jet(trial, 1)[1])))
+                if np.isfinite(tn) and (tn < gnorm or tn < tol):
+                    w, gnorm = trial, tn
                     break
                 scale *= 0.5
             else:
                 break
         if not converged:
             raise NoConvergence(
-                "chain_scan seed failed: |grad| = %.3e"
-                % float(np.max(np.abs(P.grad(w)))))
+                "chain_scan seed failed: |grad| = %.3e" % gnorm)
 
-        value = float(P.value(w))
         if any(abs(value - m.value) < 1e-6 for m in found):
             continue
-        evals = np.linalg.eigvalsh(P.hess(w))
+        evals = np.linalg.eigvalsh(H)
         index, nullity, gap, morse_bott = classify_hessian(evals)
         mani = CriticalManifold(
             kind="chainFamily", representative=w, value=value, index=index,
             nullity=nullity, zk_orbit=_zk_orbit(P, w), gap=gap,
             morse_bott=morse_bott,
-            diagnostics={"t": value / k,
-                         "grad_norm": float(np.max(np.abs(P.grad(w))))})
+            diagnostics={"t": value / k, "grad_norm": gnorm})
         if chains is not None:
             for ch in chains:
                 if abs(ch.action - value) < 1e-6:

@@ -1,9 +1,11 @@
 """Generating functions quadratic at infinity, cyclic compositions, contact sharps.
 
-The objects here are `GenFn` handles: explicit value / gradient / Hessian
-callables on base x fibre variables, together with the quadratic fibre part,
-normalization data, symmetry actions, and a recursive `domain_point` map that
-recovers the domain point of the generated map from a fibre-critical point.
+The objects here are `GenFn` handles: one exact `jet(w, order)` callable on
+base x fibre variables that returns the value, gradient and Hessian (up to
+`order`) from a single pass over the composition's slots, together with the
+quadratic fibre part, normalization data, symmetry actions, and a recursive
+`domain_point` map that recovers the domain point of the generated map from a
+fibre-critical point.
 
 Variable layouts (fixed here, relied on by `crit`):
 
@@ -41,7 +43,10 @@ _FAR_SAFETY = 1.5
 class GenFn:
     """Generating function handle.
 
-    value/grad/hess take the full variable vector w = [base | fibre].
+    `jet(w, order)` returns (value, grad, hess) at the full variable vector
+    w = [base | fibre], from one evaluation of the underlying formula; the
+    entries above `order` (0, 1 or 2) are None.  value/grad/hess read one
+    entry of the jet of the matching order.
     `quad_part` is the symmetric matrix Q of the fibre quadratic form
     (value zeta^T Q zeta); `quad_index` counts its negative eigenvalues.
     `norm_shift` is the constant already subtracted so that the far critical
@@ -50,7 +55,7 @@ class GenFn:
     fibre-critical w.  `sym_ops` maps symmetry names to variable actions.
     """
 
-    def __init__(self, base_dim, fibre_dim, value, grad, hess, quad_part,
+    def __init__(self, base_dim, fibre_dim, jet, quad_part,
                  norm_shift=0.0, normalized=False, symmetry=None,
                  map_handle=None, domain_point=None, contact=False,
                  sym_ops=None, meta=None, quad_indices=None):
@@ -61,9 +66,7 @@ class GenFn:
         if quad_indices is None:
             quad_indices = np.arange(base_dim, base_dim + fibre_dim)
         self.quad_indices = np.asarray(quad_indices, dtype=int)
-        self._value = value
-        self._grad = grad
-        self._hess = hess
+        self._jet = jet
         self.quad_part = np.asarray(quad_part, dtype=float)
         self.norm_shift = float(norm_shift)
         self.normalized = bool(normalized)
@@ -89,14 +92,20 @@ class GenFn:
     def total_dim(self):
         return self.base_dim + self.fibre_dim
 
+    def jet(self, w, order):
+        value, grad, hess = self._jet(np.asarray(w, dtype=float), order)
+        return (float(value),
+                np.asarray(grad, dtype=float) if order >= 1 else None,
+                np.asarray(hess, dtype=float) if order >= 2 else None)
+
     def value(self, w):
-        return float(self._value(np.asarray(w, dtype=float)))
+        return self.jet(w, 0)[0]
 
     def grad(self, w):
-        return np.asarray(self._grad(np.asarray(w, dtype=float)), dtype=float)
+        return self.jet(w, 1)[1]
 
     def hess(self, w):
-        return np.asarray(self._hess(np.asarray(w, dtype=float)), dtype=float)
+        return self.jet(w, 2)[2]
 
     def domain_point(self, w):
         if self._domain_point is None:
@@ -200,18 +209,12 @@ def gf_linear_rotation(amb, angles):
     coeffs = np.tan(angles / 2.0)
     diag = np.repeat(coeffs, 2)
 
-    def value(w):
-        return float(np.dot(diag * w, w))
-
-    def grad(w):
-        return 2.0 * diag * w
-
-    def hess(w):
-        return np.diag(2.0 * diag)
+    def jet(w, order):
+        return float(np.dot(diag * w, w)), 2.0 * diag * w, np.diag(2.0 * diag)
 
     mp = LinearRotation(amb, angles)
-    return GenFn(base_dim=amb.dim, fibre_dim=0, value=value, grad=grad,
-                 hess=hess, quad_part=np.zeros((0, 0)), norm_shift=0.0,
+    return GenFn(base_dim=amb.dim, fibre_dim=0, jet=jet,
+                 quad_part=np.zeros((0, 0)), norm_shift=0.0,
                  normalized=True, map_handle=mp,
                  domain_point=mp.midpoint_inverse,
                  meta={"kind": "linearRotation"})
@@ -234,29 +237,25 @@ def gf_small_map(amb, mp):
                               "map (id + phi)/2 is not invertible")
     n2 = amb.dim
 
-    def value(q):
+    def jet(q, order):
         z = mp.midpoint_inverse(q)
         X = mp(z)
-        w = 0.5 * float(np.dot(z[0::2], X[1::2]) - np.dot(z[1::2], X[0::2]))
-        return mp.S(z) + w
-
-    def grad(q):
-        z = mp.midpoint_inverse(q)
-        X = mp(z)
-        cov = np.empty(n2)
-        cov[0::2] = X[1::2] - z[1::2]
-        cov[1::2] = z[0::2] - X[0::2]
-        return cov
-
-    def hess(q):
-        z = mp.midpoint_inverse(q)
-        D = mp.jacobian(z)
-        A = np.linalg.solve((np.eye(n2) + D).T, (np.eye(n2) - D).T).T
-        H = 2.0 * j0_matrix(n2) @ A
-        return 0.5 * (H + H.T)
+        value = mp.S(z) + 0.5 * float(np.dot(z[0::2], X[1::2])
+                                      - np.dot(z[1::2], X[0::2]))
+        cov = H = None
+        if order >= 1:
+            cov = np.empty(n2)
+            cov[0::2] = X[1::2] - z[1::2]
+            cov[1::2] = z[0::2] - X[0::2]
+        if order >= 2:
+            D = mp.jacobian(z)
+            A = np.linalg.solve((np.eye(n2) + D).T, (np.eye(n2) - D).T).T
+            H = 2.0 * j0_matrix(n2) @ A
+            H = 0.5 * (H + H.T)
+        return value, cov, H
 
     norm_shift = 0.0  # far from the support phi = id: S = 0 and the cross term is 0
-    gf = GenFn(base_dim=n2, fibre_dim=0, value=value, grad=grad, hess=hess,
+    gf = GenFn(base_dim=n2, fibre_dim=0, jet=jet,
                quad_part=np.zeros((0, 0)), norm_shift=norm_shift,
                normalized=True, map_handle=mp,
                domain_point=mp.midpoint_inverse,
@@ -300,46 +299,36 @@ def _cyclic_compose(factors):
     lay = _CyclicLayout(n2, [f.fibre_dim for f in factors])
     J0 = j0_matrix(n2)
 
-    def value(w):
-        total = 0.0
+    def jet(w, order):
+        value = 0.0
+        g = np.zeros(lay.total) if order >= 1 else None
+        H = np.zeros((lay.total, lay.total)) if order >= 2 else None
         for j in range(K):
-            jn = (j + 1) % K
-            total += factors[j].value(lay.factor_args(w, j))
-            total += 0.5 * float(np.dot(w[lay.z_slices[j]],
-                                        j0_apply(w[lay.z_slices[jn]])))
-        return total
-
-    def grad(w):
-        g = np.zeros(lay.total)
-        for j in range(K):
-            jn = (j + 1) % K
-            gj = factors[j].grad(lay.factor_args(w, j))
-            gu, gf = gj[:n2], gj[n2:]
-            g[lay.z_slices[j]] += 0.5 * gu
-            g[lay.z_slices[jn]] += 0.5 * gu
-            g[lay.f_slices[j]] += gf
-            g[lay.z_slices[j]] += 0.5 * j0_apply(w[lay.z_slices[jn]])
-            g[lay.z_slices[jn]] -= 0.5 * j0_apply(w[lay.z_slices[j]])
-        return g
-
-    def hess(w):
-        H = np.zeros((lay.total, lay.total))
-        for j in range(K):
-            jn = (j + 1) % K
-            Hj = factors[j].hess(lay.factor_args(w, j))
-            Huu = Hj[:n2, :n2]
-            Huf = Hj[:n2, n2:]
-            Hff = Hj[n2:, n2:]
-            zs = (lay.z_slices[j], lay.z_slices[jn])
-            for a in zs:
-                for b in zs:
-                    H[a, b] += 0.25 * Huu
-                H[a, lay.f_slices[j]] += 0.5 * Huf
-                H[lay.f_slices[j], a] += 0.5 * Huf.T
-            H[lay.f_slices[j], lay.f_slices[j]] += Hff
-            H[lay.z_slices[j], lay.z_slices[jn]] += 0.5 * J0
-            H[lay.z_slices[jn], lay.z_slices[j]] += 0.5 * J0.T
-        return H
+            zj, zn = lay.z_slices[j], lay.z_slices[(j + 1) % K]
+            fj = lay.f_slices[j]
+            vj, gj, Hj = factors[j].jet(lay.factor_args(w, j), order)
+            twist = j0_apply(w[zn])
+            value += vj
+            value += 0.5 * float(np.dot(w[zj], twist))
+            if order >= 1:
+                gu = gj[:n2]
+                g[zj] += 0.5 * gu
+                g[zn] += 0.5 * gu
+                g[fj] += gj[n2:]
+                g[zj] += 0.5 * twist
+                g[zn] -= 0.5 * j0_apply(w[zj])
+            if order >= 2:
+                Huu = Hj[:n2, :n2]
+                Huf = Hj[:n2, n2:]
+                for a in (zj, zn):
+                    for b in (zj, zn):
+                        H[a, b] += 0.25 * Huu
+                    H[a, fj] += 0.5 * Huf
+                    H[fj, a] += 0.5 * Huf.T
+                H[fj, fj] += Hj[n2:, n2:]
+                H[zj, zn] += 0.5 * J0
+                H[zn, zj] += 0.5 * J0.T
+        return value, g, H
 
     # fibre quadratic part: factor quadratics plus the cyclic twist with z_1 = 0
     fdim = lay.total - n2
@@ -359,7 +348,7 @@ def _cyclic_compose(factors):
 
     maps = [f.map_handle for f in factors]
     mp = ComposedMap(maps) if all(m is not None for m in maps) else None
-    gf = GenFn(base_dim=n2, fibre_dim=fdim, value=value, grad=grad, hess=hess,
+    gf = GenFn(base_dim=n2, fibre_dim=fdim, jet=jet,
                quad_part=Q, map_handle=mp, domain_point=domain_point,
                meta={"kind": "cyclicComposition", "K": K, "layout": lay,
                      "factors": list(factors)})
@@ -489,26 +478,23 @@ def contact_lift_gf(f):
     def strip(w):
         return np.concatenate([w[:n2], w[th + 1:]])
 
-    def value(w):
-        return f.value(strip(w))
-
-    def grad(w):
-        g = f.grad(strip(w))
-        return np.concatenate([g[:n2], [0.0], g[n2:]])
-
-    def hess(w):
-        H = f.hess(strip(w))
-        out = np.zeros((len(w), len(w)))
-        idx = np.concatenate([np.arange(n2), np.arange(th + 1, len(w))])
-        out[np.ix_(idx, idx)] = H
-        return out
+    def jet(w, order):
+        value, g, H = f.jet(strip(w), order)
+        if order >= 1:
+            g = np.concatenate([g[:n2], [0.0], g[n2:]])
+        if order >= 2:
+            idx = np.concatenate([np.arange(n2), np.arange(th + 1, len(w))])
+            out = np.zeros((len(w), len(w)))
+            out[np.ix_(idx, idx)] = H
+            H = out
+        return value, g, H
 
     def domain_point(w):
         zbar = f.domain_point(strip(w))
         return np.concatenate([zbar, [w[th]]])
 
-    gf = GenFn(base_dim=n2 + 1, fibre_dim=f.fibre_dim, value=value, grad=grad,
-               hess=hess, quad_part=f.quad_part, norm_shift=0.0,
+    gf = GenFn(base_dim=n2 + 1, fibre_dim=f.fibre_dim, jet=jet,
+               quad_part=f.quad_part, norm_shift=0.0,
                normalized=True, map_handle=f.map_handle,
                domain_point=domain_point, contact=True,
                meta={"kind": "contactLift", "factor": f})
@@ -517,8 +503,12 @@ def contact_lift_gf(f):
 
 def reeb_shift(F, t):
     """Generating function of Reeb_t composed with F's map: F - t."""
-    gf = GenFn(base_dim=F.base_dim, fibre_dim=F.fibre_dim,
-               value=lambda w: F.value(w) - t, grad=F.grad, hess=F.hess,
+
+    def jet(w, order):
+        value, g, H = F.jet(w, order)
+        return value - t, g, H
+
+    gf = GenFn(base_dim=F.base_dim, fibre_dim=F.fibre_dim, jet=jet,
                quad_part=F.quad_part, norm_shift=F.norm_shift + t,
                normalized=False if t != 0.0 else F.normalized,
                map_handle=F.map_handle, domain_point=F._domain_point,
@@ -574,105 +564,83 @@ def contact_sharp(F, k):
             out.append((e, h, u, args))
         return out
 
-    def value(w):
-        total = 0.0
-        sl = slots(w)
-        for j in range(k):
+    def jet(w, order):
+        value = 0.0
+        g = np.zeros(lay.total) if order >= 1 else None
+        H = np.zeros((lay.total, lay.total)) if order >= 2 else None
+        for j, (e, h, u, args) in enumerate(slots(w)):
             jn = (j + 1) % k
             jp = (j - 1) % k
-            e, _, _, args = sl[j]
-            total += e * F.value(args)
-            total += 0.5 * float(np.dot(w[lay.z[j]], j0_apply(w[lay.z[jn]])))
-            total += math.exp(w[lay.r[jp]]) * (w[lay.th[j]] - w[lay.th[jn]])
-        return total
-
-    def grad(w):
-        g = np.zeros(lay.total)
-        sl = slots(w)
-        for j in range(k):
-            jn = (j + 1) % k
-            jp = (j - 1) % k
-            e, h, u, args = sl[j]
-            gF = F.grad(args)
-            Fu, Fth, Ff = gF[:n2], gF[n2], gF[n2 + 1:]
-            val = F.value(args)
-            g[lay.z[j]] += 0.5 * h * Fu
-            g[lay.z[jn]] += 0.5 * h * Fu
-            g[lay.th[jn]] += e * Fth
-            g[lay.f[j]] += e * Ff
-            g[lay.r[j]] += e * (val - 0.5 * float(np.dot(Fu, u)))
-            g[lay.z[j]] += 0.5 * j0_apply(w[lay.z[jn]])
-            g[lay.z[jn]] -= 0.5 * j0_apply(w[lay.z[j]])
+            val, gF, HF = F.jet(args, order)
+            twist = j0_apply(w[lay.z[jn]])
             ep = math.exp(w[lay.r[jp]])
-            g[lay.th[j]] += ep
-            g[lay.th[jn]] -= ep
-            g[lay.r[jp]] += ep * (w[lay.th[j]] - w[lay.th[jn]])
-        return g
-
-    def hess(w):
-        H = np.zeros((lay.total, lay.total))
-        sl = slots(w)
-        for j in range(k):
-            jn = (j + 1) % k
-            jp = (j - 1) % k
-            e, h, u, args = sl[j]
-            val = F.value(args)
-            gF = F.grad(args)
-            Fu, Fth, Ff = gF[:n2], gF[n2], gF[n2 + 1:]
-            HF = F.hess(args)
-            Huu = HF[:n2, :n2]
-            Huth = HF[:n2, n2]
-            Huf = HF[:n2, n2 + 1:]
-            Hthth = HF[n2, n2]
-            Hthf = HF[n2, n2 + 1:]
-            Hff = HF[n2 + 1:, n2 + 1:]
-            zs = (lay.z[j], lay.z[jn])
-            # (z, z)
-            for a in zs:
-                for b in zs:
-                    H[a, b] += 0.25 * Huu
-            # (z, theta_{jn}) both orders
-            vzth = 0.5 * h * Huth
-            for a in zs:
-                H[a, lay.th[jn]] += vzth
-                H[lay.th[jn], a] += vzth
-            # (z, zeta_j)
-            mzf = 0.5 * h * Huf
-            for a in zs:
-                H[a, lay.f[j]] += mzf
-                H[lay.f[j], a] += mzf.T
-            # (z, r_j)
-            vzr = 0.25 * h * (Fu - Huu @ u)
-            for a in zs:
-                H[a, lay.r[j]] += vzr
-                H[lay.r[j], a] += vzr
-            # (theta, theta), (theta, zeta), (theta, r_j)
-            H[lay.th[jn], lay.th[jn]] += e * Hthth
-            H[lay.th[jn], lay.f[j]] += e * Hthf
-            H[lay.f[j], lay.th[jn]] += e * Hthf
-            vthr = e * (Fth - 0.5 * float(np.dot(Huth, u)))
-            H[lay.th[jn], lay.r[j]] += vthr
-            H[lay.r[j], lay.th[jn]] += vthr
-            # (zeta, zeta), (zeta, r_j)
-            H[lay.f[j], lay.f[j]] += e * Hff
-            vfr = e * (Ff - 0.5 * (Huf.T @ u))
-            H[lay.f[j], lay.r[j]] += vfr
-            H[lay.r[j], lay.f[j]] += vfr
-            # (r_j, r_j)
-            H[lay.r[j], lay.r[j]] += e * (
-                val - 0.75 * float(np.dot(Fu, u))
-                + 0.25 * float(u @ Huu @ u))
-            # twist
-            H[lay.z[j], lay.z[jn]] += 0.5 * J0
-            H[lay.z[jn], lay.z[j]] += 0.5 * J0.T
-            # theta-difference term with weight e^{r_{jp}}
-            ep = math.exp(w[lay.r[jp]])
-            H[lay.th[j], lay.r[jp]] += ep
-            H[lay.r[jp], lay.th[j]] += ep
-            H[lay.th[jn], lay.r[jp]] -= ep
-            H[lay.r[jp], lay.th[jn]] -= ep
-            H[lay.r[jp], lay.r[jp]] += ep * (w[lay.th[j]] - w[lay.th[jn]])
-        return H
+            dth = w[lay.th[j]] - w[lay.th[jn]]
+            value += e * val
+            value += 0.5 * float(np.dot(w[lay.z[j]], twist))
+            value += ep * dth
+            if order >= 1:
+                Fu, Fth, Ff = gF[:n2], gF[n2], gF[n2 + 1:]
+                g[lay.z[j]] += 0.5 * h * Fu
+                g[lay.z[jn]] += 0.5 * h * Fu
+                g[lay.th[jn]] += e * Fth
+                g[lay.f[j]] += e * Ff
+                g[lay.r[j]] += e * (val - 0.5 * float(np.dot(Fu, u)))
+                g[lay.z[j]] += 0.5 * twist
+                g[lay.z[jn]] -= 0.5 * j0_apply(w[lay.z[j]])
+                g[lay.th[j]] += ep
+                g[lay.th[jn]] -= ep
+                g[lay.r[jp]] += ep * dth
+            if order >= 2:
+                Huu = HF[:n2, :n2]
+                Huth = HF[:n2, n2]
+                Huf = HF[:n2, n2 + 1:]
+                Hthf = HF[n2, n2 + 1:]
+                zs = (lay.z[j], lay.z[jn])
+                # (z, z)
+                for a in zs:
+                    for b in zs:
+                        H[a, b] += 0.25 * Huu
+                # (z, theta_{jn}) both orders
+                vzth = 0.5 * h * Huth
+                for a in zs:
+                    H[a, lay.th[jn]] += vzth
+                    H[lay.th[jn], a] += vzth
+                # (z, zeta_j)
+                mzf = 0.5 * h * Huf
+                for a in zs:
+                    H[a, lay.f[j]] += mzf
+                    H[lay.f[j], a] += mzf.T
+                # (z, r_j)
+                vzr = 0.25 * h * (Fu - Huu @ u)
+                for a in zs:
+                    H[a, lay.r[j]] += vzr
+                    H[lay.r[j], a] += vzr
+                # (theta, theta), (theta, zeta), (theta, r_j)
+                H[lay.th[jn], lay.th[jn]] += e * HF[n2, n2]
+                H[lay.th[jn], lay.f[j]] += e * Hthf
+                H[lay.f[j], lay.th[jn]] += e * Hthf
+                vthr = e * (Fth - 0.5 * float(np.dot(Huth, u)))
+                H[lay.th[jn], lay.r[j]] += vthr
+                H[lay.r[j], lay.th[jn]] += vthr
+                # (zeta, zeta), (zeta, r_j)
+                H[lay.f[j], lay.f[j]] += e * HF[n2 + 1:, n2 + 1:]
+                vfr = e * (Ff - 0.5 * (Huf.T @ u))
+                H[lay.f[j], lay.r[j]] += vfr
+                H[lay.r[j], lay.f[j]] += vfr
+                # (r_j, r_j)
+                H[lay.r[j], lay.r[j]] += e * (
+                    val - 0.75 * float(np.dot(Fu, u))
+                    + 0.25 * float(u @ Huu @ u))
+                # twist
+                H[lay.z[j], lay.z[jn]] += 0.5 * J0
+                H[lay.z[jn], lay.z[j]] += 0.5 * J0.T
+                # theta-difference term with weight e^{r_{jp}}
+                H[lay.th[j], lay.r[jp]] += ep
+                H[lay.r[jp], lay.th[j]] += ep
+                H[lay.th[jn], lay.r[jp]] -= ep
+                H[lay.r[jp], lay.th[jn]] -= ep
+                H[lay.r[jp], lay.r[jp]] += ep * dth
+        return value, g, H
 
     # quadratic part: factor fibre quadratics plus the twist on z_2..z_k,
     # recorded on the (z-fibre, zeta) subspace at the r = 0 slice.
@@ -727,8 +695,8 @@ def contact_sharp(F, k):
     qidx = np.concatenate(
         [np.arange(lay.total)[lay.z[j]] for j in range(1, k)]
         + [np.arange(lay.total)[lay.f[j]] for j in range(k)]).astype(int)
-    gf = GenFn(base_dim=n2 + 1, fibre_dim=lay.total - (n2 + 1), value=value,
-               grad=grad, hess=hess, quad_part=Q, quad_indices=qidx,
+    gf = GenFn(base_dim=n2 + 1, fibre_dim=lay.total - (n2 + 1), jet=jet,
+               quad_part=Q, quad_indices=qidx,
                normalized=F.normalized, map_handle=F.map_handle,
                domain_point=None, contact=True,
                symmetry={"cyclic": k, "rHomogeneous": True, "zPeriodic": True},
@@ -754,40 +722,31 @@ def contact_p(F, k):
     def escale(w):
         return np.array([math.exp(w[lay.r[j]]) for j in range(k)])
 
-    def value(w):
-        return (k / float(np.sum(escale(w)))) * sharp.value(w)
-
-    def grad(w):
+    def jet(w, order):
         es = escale(w)
         E = float(np.sum(es))
         c = k / E
-        V = sharp.value(w)
-        g = c * sharp.grad(w)
-        for j in range(k):
-            g[lay.r[j]] += V * (-c * es[j] / E)
-        return g
-
-    def hess(w):
-        es = escale(w)
-        E = float(np.sum(es))
-        c = k / E
-        V = sharp.value(w)
-        gV = sharp.grad(w)
-        HV = sharp.hess(w)
-        gc = np.zeros(lay.total)
-        for j in range(k):
-            gc[lay.r[j]] = -c * es[j] / E
-        H = c * HV + np.outer(gc, gV) + np.outer(gV, gc)
-        for j in range(k):
-            for l in range(k):
-                Hc = 2.0 * c * es[j] * es[l] / E**2
-                if j == l:
-                    Hc -= c * es[j] / E
-                H[lay.r[j], lay.r[l]] += V * Hc
-        return H
+        V, gV, HV = sharp.jet(w, order)
+        g = H = None
+        if order >= 1:
+            gc = np.zeros(lay.total)
+            for j in range(k):
+                gc[lay.r[j]] = -c * es[j] / E
+            g = c * gV
+            for j in range(k):
+                g[lay.r[j]] += V * gc[lay.r[j]]
+        if order >= 2:
+            H = c * HV + np.outer(gc, gV) + np.outer(gV, gc)
+            for j in range(k):
+                for l in range(k):
+                    Hc = 2.0 * c * es[j] * es[l] / E**2
+                    if j == l:
+                        Hc -= c * es[j] / E
+                    H[lay.r[j], lay.r[l]] += V * Hc
+        return c * V, g, H
 
     gf = GenFn(base_dim=sharp.base_dim, fibre_dim=sharp.fibre_dim,
-               value=value, grad=grad, hess=hess, quad_part=sharp.quad_part,
+               jet=jet, quad_part=sharp.quad_part,
                quad_indices=sharp.quad_indices,
                normalized=sharp.normalized, map_handle=sharp.map_handle,
                contact=True,

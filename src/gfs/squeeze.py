@@ -162,13 +162,13 @@ def find_obstruction(q):
         return SqueezeCertificate(kind="integerK", K=K, areas=areas)
 
     if q.A2 >= 1.0:
+        if q.A1 == q.A2:   # the window [A2, A1) is empty: no prime to scan
+            return SqueezeCertificate(kind="equalRadii", areas=areas)
         hit = _prime_fraction(q.A1, q.A2, q.max_prime)
         if hit is not None:
             k, l = hit
             return SqueezeCertificate(kind="primeFraction", k=k, l=l,
                                       areas=areas)
-        if q.A1 == q.A2:
-            return SqueezeCertificate(kind="equalRadii", areas=areas)
         raise SearchBoundExceeded(
             "a prime fraction in [%g, %g) exists but needs k > %d"
             % (q.A2, q.A1, q.max_prime))

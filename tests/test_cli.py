@@ -58,6 +58,19 @@ def test_barcode_flag_validation(tmp_path, capsys):
     assert main(["barcode", "--k", "3", "--mode", "bogus"]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["barcode", "--k", "3", "--n", "0", "--limit"],
+    ["barcode", "--k", "3", "--R", "-1"],
+    ["nonsqueeze", "--A1", "1.5", "--A2", "1.2", "--evidence", "--n", "0"],
+])
+def test_bad_ball_is_a_flag_error(tmp_path, capsys, argv):
+    out = ["--out", str(tmp_path)] if argv[0] == "barcode" else []
+    assert main(argv + out) == 2
+    captured = capsys.readouterr()
+    assert "error" in captured.err and captured.out == ""
+    assert not (tmp_path / "barcode.json").exists()
+
+
 def test_barcode_computation_error(tmp_path):
     missing = tmp_path / "nope.json"
     assert main(["barcode", "--k", "3", "--profile", str(missing),
@@ -96,6 +109,14 @@ def test_verify_exit_codes(capsys):
     assert "[PASS]" in out and "[FAIL]" not in out
     assert main(["verify", "--suite", "bogus"]) == 2
     assert main(["verify"]) == 2
+
+
+def test_verify_index_suite(capsys):
+    assert main(["verify", "--suite", "index"]) == 0
+    out = capsys.readouterr().out
+    assert "[FAIL]" not in out
+    assert "[PASS] index (n=1,k=3,l=1): maslov 2 nullity 1 gap 0.053" in out
+    assert "suite index: 8/8 checks passed" in out
 
 
 def test_nonsqueeze_exit_codes(capsys):

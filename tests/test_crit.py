@@ -14,17 +14,11 @@ from gfs import (Ambient, GenFn, NoConvergence, NotFibreCritical,
 def _quadratic_genfn(diag):
     diag = np.asarray(diag, dtype=float)
 
-    def value(w):
-        return float(np.dot(diag * w, w))
+    def jet(w, order):
+        return float(np.dot(diag * w, w)), 2.0 * diag * w, np.diag(2.0 * diag)
 
-    def grad(w):
-        return 2.0 * diag * w
-
-    def hess(w):
-        return np.diag(2.0 * diag)
-
-    return GenFn(base_dim=len(diag), fibre_dim=0, value=value, grad=grad,
-                 hess=hess, quad_part=np.zeros((0, 0)))
+    return GenFn(base_dim=len(diag), fibre_dim=0, jet=jet,
+                 quad_part=np.zeros((0, 0)))
 
 
 def test_newton_on_quadratic_is_exact():
@@ -45,8 +39,8 @@ def test_newton_flags_degenerate_direction():
 
 def test_newton_no_convergence():
     # gradient never vanishes: grad = 1 everywhere
-    G = GenFn(base_dim=1, fibre_dim=0, value=lambda w: float(w[0]),
-              grad=lambda w: np.ones(1), hess=lambda w: np.zeros((1, 1)),
+    G = GenFn(base_dim=1, fibre_dim=0,
+              jet=lambda w, order: (float(w[0]), np.ones(1), np.zeros((1, 1))),
               quad_part=np.zeros((0, 0)))
     with pytest.raises(NoConvergence):
         newton_critical(G, np.array([0.0]), max_iter=8)
@@ -129,3 +123,17 @@ def test_csv_rendering(P3, amb1, rho_ref, tmp_path):
     assert lines[0] == "kind,l,value,index,nullity,maslov,orbit"
     assert len(lines) == 2
     assert lines[1].startswith("chainFamily,1,")
+
+def test_newton_evaluates_each_point_once():
+    # seed at order 2, the exact Newton trial at order 1, the limit at order 2
+    G = _quadratic_genfn([1.0, -2.0, 3.0, -0.5])
+    orders = []
+    jet = G.jet
+
+    def counting(w, order):
+        orders.append(order)
+        return jet(w, order)
+
+    G.jet = counting
+    newton_critical(G, np.array([0.3, -0.4, 1.2, 0.8]))
+    assert orders == [2, 1, 2]

@@ -231,8 +231,8 @@ def test_descriptor_keys(F):
 
 def test_domain_point_requires_handle(amb1):
     from gfs import GenFn
-    g = GenFn(base_dim=2, fibre_dim=0, value=lambda w: 0.0,
-              grad=lambda w: np.zeros(2), hess=lambda w: np.zeros((2, 2)),
+    g = GenFn(base_dim=2, fibre_dim=0,
+              jet=lambda w, order: (0.0, np.zeros(2), np.zeros((2, 2))),
               quad_part=np.zeros((0, 0)))
     with pytest.raises(DomainError):
         g.domain_point(np.zeros(2))

@@ -142,3 +142,18 @@ def test_certificate_json_deterministic():
     assert list(obj)[:2] == ["schema", "kind"]
     assert obj["schema"] == "gfs/1"
     assert obj["evidence"]["ranks"] == [1, 1, 0]
+
+def test_equal_radii_scans_no_primes(monkeypatch):
+    import gfs.squeeze
+    calls = []
+    real = gfs.squeeze.is_prime
+    monkeypatch.setattr(gfs.squeeze, "is_prime",
+                        lambda k: calls.append(k) or real(k))
+    assert find_obstruction(SqueezeQuery(1.5, 1.2)).kind == "primeFraction"
+    assert calls                       # the counter sees the prime scan
+    calls.clear()
+    cert = find_obstruction(SqueezeQuery(2.0, 2.0))
+    assert cert.kind == "equalRadii" and calls == []
+    assert certificate_json(cert) == (
+        '{\n  "schema": "gfs/1",\n  "kind": "equalRadii",\n  "areas": {\n'
+        '    "A1": 2.0,\n    "A2": 2.0\n  }\n}\n')
