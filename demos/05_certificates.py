@@ -5,19 +5,21 @@ Non-squeezing certificates.
 Whether a ball of area scale A1 can be contact-squeezed into one of scale A2
 (at large scale, through the prequantization circle) reduces to arithmetic:
 
-  * integerK      -- an integer K with A2 <= K <= A1 separates the scales;
-  * primeFraction -- an odd prime k and 0 < l < k with A2 <= k/l < A1: the
-                     degree-2nl group of the big ball survives at threshold
-                     a = k while the small ball's has already died, so a
-                     squeezing would factor an isomorphism through zero;
+  * integerK      -- an integer K with A2 < K < A1 separates the scales;
+  * primeFraction -- an odd prime k and 0 < l < k with l*A2 <= k < l*A1:
+                     the degree-2nl limit bar [0, l*A1) of the big ball
+                     survives at threshold a = k while the small ball's bar
+                     [0, l*A2) has already died, so a squeezing would factor
+                     an isomorphism through zero;
   * equalRadii    -- A1 = A2 >= 1 obstructs exact equality;
   * conjugated    -- for sub-unit scales, conjugating by the m-fold room
                      twist rescales A to A/(1 - mA) and reduces to the
                      cases above (needs the target room bound A3).
 
-`find_obstruction` scans these in priority order; `evidence` reproduces the
-homological contradiction as barcode ranks; `validate_certificate` replays
-the inequalities from scratch.
+Each rule is written once in `gfs.squeeze`: `find_obstruction` scans the
+kinds in priority order, `validate_certificate` replays the same rules on
+the certificate's integers, and `evidence` reads the limit barcodes at the
+certificate's own areas to reproduce the contradiction as barcode ranks.
 """
 import sys
 

@@ -4,9 +4,9 @@ non-squeezing certificates.
 Exit codes: 0 success (for nonsqueeze: certificate found), 1 verification
 failure / no certificate, 2 flag validation, 3 computation error, 4 search
 bound exceeded.  All JSON output carries schema "gfs/1" with fixed key
-order; outputs are bit-identical for fixed flags and seed.  GFS_WORKERS
-overrides --workers, which is validated (>= 1); computing is single-threaded.
-Config files are line-based key=value; precedence flags > config > defaults.
+order; outputs are bit-identical for fixed flags and seed.  Computing is
+single-threaded.  Config files are line-based key=value; precedence
+flags > config > defaults.
 """
 
 from __future__ import annotations
@@ -98,12 +98,6 @@ def resolve(args, spec):
                                    % (name, coerce.__name__, raw))
         else:
             out[name] = default
-    workers = os.environ.get("GFS_WORKERS")
-    if workers is not None and "workers" in out:
-        try:
-            out["workers"] = int(workers)
-        except ValueError:
-            raise GfsError("GFS_WORKERS must be an integer, got %r" % workers)
     return out
 
 
@@ -121,8 +115,6 @@ def cmd_barcode(args):
         "limit": (bool, False),
         "lmax": (int, 4),
         "out": (str, "."),
-        "workers": (int, 1),
-        "seed": (int, 0),
     })
     if opts["k"] is None:
         print("error: --k is required", file=sys.stderr)
@@ -134,9 +126,6 @@ def cmd_barcode(args):
         return 2
     if opts["mode"] not in ("equivariant", "plain"):
         print("error: mode must be equivariant or plain", file=sys.stderr)
-        return 2
-    if opts["workers"] < 1:
-        print("error: workers must be >= 1", file=sys.stderr)
         return 2
     try:   # the ball and a REF literal are flag values; a file is read below
         amb = Ambient(n=opts["n"], R=opts["R"])
@@ -348,7 +337,6 @@ SUITES = {
 def cmd_verify(args):
     opts = resolve(args, {
         "suite": (str, None),
-        "workers": (int, 1),
         "seed": (int, 0),
     })
     suite = opts["suite"]
@@ -358,9 +346,6 @@ def cmd_verify(args):
     if suite not in SUITES:
         print("error: unknown suite %r (choose from %s)"
               % (suite, ", ".join(sorted(SUITES))), file=sys.stderr)
-        return 2
-    if opts["workers"] < 1:
-        print("error: workers must be >= 1", file=sys.stderr)
         return 2
     try:
         checks = SUITES[suite](opts["seed"])
@@ -445,14 +430,11 @@ def build_parser():
                    help="emit the idealized steep-profile limit barcode")
     p.add_argument("--lmax", type=int)
     p.add_argument("--out", type=str)
-    p.add_argument("--workers", type=int)
-    p.add_argument("--seed", type=int)
     p.add_argument("--config", type=str)
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("--suite", type=str,
                    help="one of: %s" % ", ".join(sorted(SUITES)))
-    p.add_argument("--workers", type=int)
     p.add_argument("--seed", type=int)
     p.add_argument("--config", type=str)
 

@@ -255,12 +255,6 @@ class GroupRingComplex:
             out[d] = dim - r_in - r_out
         return out
 
-    def euler_characteristic(self, mode, alive=None):
-        block = self.ring.k if mode == "plain" else 1
-        return sum((-1) ** g.degree * block
-                   for i, g in enumerate(self.generators)
-                   if alive is None or alive[i])
-
 
 def circle_complex(k):
     """Morse complex of the k-maxima circle function:
@@ -479,17 +473,22 @@ def barcode(cx, mode):
 
 
 def limit_barcode(amb, k, mode, lmax=4):
-    """Idealized steep-profile limit barcode for the ball of area pi R^2.
+    """Idealized steep-profile limit barcode for the ball of area pi R^2;
+    see limit_barcode_at_area."""
+    return limit_barcode_at_area(amb.n, math.pi * amb.R * amb.R, k, mode,
+                                 lmax)
 
-    As the profile steepens, every shell value c_l climbs to l*pi*R^2.  In
-    the equivariant (coinvariant) reading the surviving groups sit in the
-    shell degrees 2nl for 0 < l < k, each alive on (0, l*pi*R^2); in the
-    plain reading the connecting norm maps collapse each pair of adjacent
-    shells, leaving the degree-2nl group alive exactly on
-    [(l-1)*pi*R^2, l*pi*R^2).
+
+def limit_barcode_at_area(n, A, k, mode, lmax=4):
+    """Idealized steep-profile limit barcode for the ball of area A in
+    dimension 2n.
+
+    As the profile steepens, every shell value c_l climbs to l*A.  In the
+    equivariant (coinvariant) reading the surviving groups sit in the shell
+    degrees 2nl for 0 < l < k, each alive on (0, l*A); in the plain reading
+    the connecting norm maps collapse each pair of adjacent shells, leaving
+    the degree-2nl group alive exactly on [(l-1)*A, l*A).
     """
-    A = math.pi * amb.R * amb.R
-    n = amb.n
     bars = []
     if mode == "equivariant":
         if k == 1 or not is_prime(k):
@@ -504,7 +503,7 @@ def limit_barcode(amb, k, mode, lmax=4):
     else:
         raise DomainError("mode must be 'plain' or 'equivariant'")
     return Barcode(bars, field_order,
-                   {"mode": mode, "k": k, "n": n, "R": amb.R, "limit": True})
+                   {"mode": mode, "k": k, "n": n, "A": A, "limit": True})
 
 
 def thom_shift(bc, q_index, k):

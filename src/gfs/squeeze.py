@@ -1,24 +1,28 @@
 """Non-squeezing verdict engine.
 
 A ball of area A1 = pi*R1^2 cannot be squeezed into a ball of area A2 when
-an obstruction certificate exists:
+an obstruction certificate exists.  Each kind has one admissibility rule,
+written once below and read by the search, the validator and the evidence:
 
-  * integerK — an integer K strictly between the two areas (the classical
-    integer action-spectrum obstruction, read at degree 2n in the plain
-    barcode);
-  * primeFraction — an odd prime k and 0 < l < k with A2 <= k/l < A1 (the
-    cyclically equivariant obstruction, read at degree 2nl over F_k);
+  * integerK — an integer K with A2 < K < A1 (the classical integer
+    action-spectrum obstruction, read at degree 2n in the plain barcode);
+  * primeFraction — an odd prime k and 0 < l < k with l*A2 <= k < l*A1 (the
+    cyclically equivariant obstruction, read at degree 2nl over F_k, where
+    the limit bar [0, l*A) of a ball of area A is alive at a = k exactly
+    when k < l*A);
   * equalRadii — the non-strict boundary case A1 = A2 >= 1, kept as its own
     kind rather than silently strictified;
-  * conjugated — for sub-unit areas with ambient room A3, conjugation by the
+  * conjugated — for sub-unit areas with ambient room A3, an index m >= 1
+    with 1/(m+1) <= A2 and A3 <= 1/m (1e-12 slack): conjugation by the
     m-fold covering embedding rescales every area by A -> A/(1 - m*A) into
-    the >= 1 regime, where the search recurses; the inner pair (k, l')
-    corresponds to the outer pair (k, l' + m*k).
+    the >= 1 regime, where the search recurses; an inner K or (k, l')
+    corresponds to the outer pair (K, 1 + m*K) or (k, l' + m*k).
 
 The evidence for a certificate is the barcode diagram contradiction: at
 threshold a = k (or K) and degree 2nl (or 2n), the group for the big ambient
 ball and for the large ball both have rank 1 and the small ball's group
-vanishes, so a squeezing would factor an isomorphism through zero.
+vanishes, so a squeezing would factor an isomorphism through zero.  It
+reads the limit barcodes at the certificate's own areas.
 """
 
 from __future__ import annotations
@@ -28,8 +32,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .equivar import barcode, ball_complex, is_prime, limit_barcode, \
-    tensor_circle
+from .equivar import (barcode, ball_complex, is_prime, limit_barcode_at_area,
+                      tensor_circle)
 from .errors import DomainError, SearchBoundExceeded
 from .sympl import Ambient, sqz_radius
 
@@ -65,8 +69,6 @@ class SqueezeCertificate:
     m: Optional[int] = None
     inner: Optional["SqueezeCertificate"] = None
     areas: dict = field(default_factory=dict)
-    evidence_degree: Optional[int] = None
-    evidence_threshold: Optional[float] = None
 
     def found(self):
         return self.kind != "none"
@@ -86,22 +88,52 @@ def _room_inverse(m, A):
     return A / (1.0 - m * A)
 
 
-def _integer_k(A1, A2):
-    """Smallest integer strictly inside (A2, A1), or None."""
-    K = math.floor(A2) + 1
-    return K if K < A1 else None
+def _integer_k_admissible(K, A1, A2):
+    """The integerK rule: K is an integer with A2 < K < A1."""
+    return K is not None and K == int(K) and A2 < K < A1
+
+
+def _prime_fraction_admissible(k, l, A1, A2):
+    """The primeFraction rule: k an odd prime, 0 < l < k and
+    l*A2 <= k < l*A1, with the arithmetic tested before the primality."""
+    return (k is not None and l is not None and 0 < l < k
+            and l * A2 <= k < l * A1 and k % 2 == 1 and is_prime(k))
+
+
+def _equal_radii_admissible(A1, A2):
+    """The equalRadii rule: A1 = A2 >= 1."""
+    return A1 == A2 >= 1.0
+
+
+def _conjugation_indices(A1, A2, A3):
+    """Admissible conjugation indices m >= 1: none unless A1 < A3, else
+    1/(m+1) <= A2 and A3 <= 1/m, each with a 1e-12 slack."""
+    if not A1 < A3:
+        return range(0)
+    return range(max(1, math.ceil(1.0 / A2 - 1.0 - 1e-12)),
+                 math.floor(1.0 / A3 + 1e-12) + 1)
+
+
+def _outer_pair(inner, m):
+    """The outer pair (k, l) of the m-fold conjugation of an inner
+    certificate: (K, 1 + m*K) or (k, l + m*k); (None, None) otherwise."""
+    if inner.kind == "integerK":
+        return inner.K, 1 + m * inner.K
+    if inner.kind == "primeFraction":
+        return inner.k, inner.l + m * inner.k
+    return None, None
 
 
 def _prime_fraction(A1, A2, max_prime):
-    """Smallest odd prime k <= max_prime (then smallest l) with
-    A2 <= k/l < A1 and 0 < l < k, or None."""
-    k = 3
-    while k <= max_prime:
-        if is_prime(k):
-            l = math.floor(k / A1) + 1
-            if 1 <= l < k and k / l >= A2 and k / l < A1:
-                return k, l
-        k += 2
+    """The lexicographically first admissible (k, l) with k <= max_prime, or
+    None.  For each k only the least l with k < l*A1 can be first: both
+    products grow with l.  Needs A1 > 1."""
+    for k in range(3, max_prime + 1, 2):
+        l = max(1, math.floor(k / A1) - 1)     # below that least l
+        while not k < l * A1:
+            l += 1
+        if _prime_fraction_admissible(k, l, A1, A2):
+            return k, l
     return None
 
 
@@ -116,26 +148,18 @@ def room_obstruction(q):
     """
     if q.A3 is None:
         raise DomainError("room_obstruction needs the ambient area A3")
-    if not q.A1 < q.A3:
-        raise DomainError("room_obstruction needs A1 < A3")
-    m_lo = max(1, math.ceil(1.0 / q.A2 - 1.0 - 1e-12))
-    m_hi = math.floor(1.0 / q.A3 + 1e-12)
-    if m_hi < m_lo:
+    indices = _conjugation_indices(q.A1, q.A2, q.A3)
+    if not indices:
         raise DomainError(
-            "no conjugation index m with 1/(m+1) <= %g and %g <= 1/m"
-            % (q.A2, q.A3))
-    for m in range(m_lo, m_hi + 1):
+            "no conjugation index m with A1 < A3, 1/(m+1) <= %g and "
+            "%g <= 1/m" % (q.A2, q.A3))
+    for m in indices:
         inner_q = SqueezeQuery(_room_inverse(m, q.A1), _room_inverse(m, q.A2),
                                max_prime=q.max_prime)
         inner = find_obstruction(inner_q)
         if not inner.found():
             continue
-        if inner.kind == "integerK":
-            outer_k, outer_l = inner.K, 1 + m * inner.K
-        elif inner.kind == "primeFraction":
-            outer_k, outer_l = inner.k, inner.l + m * inner.k
-        else:
-            outer_k, outer_l = None, None
+        outer_k, outer_l = _outer_pair(inner, m)
         return SqueezeCertificate(
             kind="conjugated", m=m, k=outer_k, l=outer_l, inner=inner,
             areas={"A1": q.A1, "A2": q.A2, "A3": q.A3})
@@ -157,12 +181,12 @@ def find_obstruction(q):
     if q.A3 is not None:
         areas["A3"] = q.A3
 
-    K = _integer_k(q.A1, q.A2)
-    if K is not None:
+    K = math.floor(q.A2) + 1   # the least integer above A2
+    if _integer_k_admissible(K, q.A1, q.A2):
         return SqueezeCertificate(kind="integerK", K=K, areas=areas)
 
     if q.A2 >= 1.0:
-        if q.A1 == q.A2:   # the window [A2, A1) is empty: no prime to scan
+        if _equal_radii_admissible(q.A1, q.A2):   # no prime window to scan
             return SqueezeCertificate(kind="equalRadii", areas=areas)
         hit = _prime_fraction(q.A1, q.A2, q.max_prime)
         if hit is not None:
@@ -183,38 +207,30 @@ def find_obstruction(q):
 
 def validate_certificate(cert, A1=None, A2=None):
     """Soundness check independent of the search that produced the
-    certificate; areas default to the ones recorded on it."""
+    certificate: it replays the same admissibility rules on the recorded
+    integers.  A1 and A2 default to the areas recorded on the certificate;
+    a conjugated certificate also needs its recorded A3."""
     A1 = cert.areas.get("A1") if A1 is None else A1
     A2 = cert.areas.get("A2") if A2 is None else A2
     if cert.kind == "integerK":
-        return (cert.K is not None and cert.K == int(cert.K)
-                and A2 <= cert.K <= A1)
+        return _integer_k_admissible(cert.K, A1, A2)
     if cert.kind == "primeFraction":
-        return (cert.k is not None and cert.l is not None
-                and cert.k % 2 == 1 and is_prime(cert.k)
-                and 0 < cert.l < cert.k
-                and A2 <= cert.k / cert.l < A1)
+        return _prime_fraction_admissible(cert.k, cert.l, A1, A2)
     if cert.kind == "equalRadii":
-        return A1 == A2 >= 1.0
+        return _equal_radii_admissible(A1, A2)
     if cert.kind == "conjugated":
-        if cert.inner is None or cert.m is None or cert.m < 1:
+        A3 = cert.areas.get("A3")
+        if (cert.inner is None or A3 is None
+                or cert.m not in _conjugation_indices(A1, A2, A3)):
             return False
         try:
             t1 = _room_inverse(cert.m, A1)
             t2 = _room_inverse(cert.m, A2)
         except DomainError:
             return False
-        if not validate_certificate(cert.inner, t1, t2):
-            return False
-        # The outer pair must fall in the conjugated window mk < l < (m+1)k.
-        if cert.k is not None and cert.l is not None:
-            return cert.m * cert.k < cert.l < (cert.m + 1) * cert.k
-        return True
+        return (validate_certificate(cert.inner, t1, t2)
+                and (cert.k, cert.l) == _outer_pair(cert.inner, cert.m))
     return False
-
-
-def _ball(n, area):
-    return Ambient(n=n, R=math.sqrt(area / math.pi))
 
 
 def evidence(cert, amb, profile_family=None):
@@ -240,8 +256,6 @@ def evidence(cert, amb, profile_family=None):
         report["m"] = cert.m
         report["outer_pair"] = {"k": cert.k, "l": cert.l}
         report["areas"] = dict(cert.areas)
-        cert.evidence_degree = cert.inner.evidence_degree
-        cert.evidence_threshold = cert.inner.evidence_threshold
         return report
 
     if cert.kind == "primeFraction":
@@ -267,9 +281,9 @@ def evidence(cert, amb, profile_family=None):
 
     big_area = A3 if A3 is not None else A1 + 1.0
     lmax = max(4, l + 1)
-    bc_big = limit_barcode(_ball(n, big_area), field_k, mode, lmax=lmax)
-    bc_large = limit_barcode(_ball(n, A1), field_k, mode, lmax=lmax)
-    bc_small = limit_barcode(_ball(n, A2), field_k, mode, lmax=lmax)
+    bc_big, bc_large, bc_small = (
+        limit_barcode_at_area(n, A, field_k, mode, lmax=lmax)
+        for A in (big_area, A1, A2))
 
     ranks = [bc.rank_at(degree, a) for bc in (bc_big, bc_large, bc_small)]
     # Persistence ranks of the inclusions big <- large and big <- small; the
@@ -303,19 +317,17 @@ def evidence(cert, amb, profile_family=None):
             "a squeezing would factor the rank-%d inclusion map through the "
             "rank-%d group of the small ball" % (incl[0], ranks[2])),
     }
-    cert.evidence_degree = degree
-    cert.evidence_threshold = a
 
     if profile_family is not None and cert.kind == "primeFraction":
         endpoints = []
-        amb1 = _ball(n, A1)
+        amb1 = Ambient(n=n, R=math.sqrt(A1 / math.pi))
         for rho in profile_family:
             cx = ball_complex(amb1, rho, k)
             bc = barcode(cx, "equivariant")
             deaths = [b.death for b in bc.bars if b.degree == degree]
             endpoints.append(max(deaths) if deaths else None)
         report["family_endpoints"] = endpoints
-        report["family_limit"] = l * math.pi * amb1.R ** 2
+        report["family_limit"] = l * A1
     return report
 
 

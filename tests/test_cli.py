@@ -134,6 +134,20 @@ def test_nonsqueeze_exit_codes(capsys):
                  "--max-prime", "1000"]) == 4
 
 
+def test_nonsqueeze_boundary_queries(capsys):
+    # A2 = 3/2 exactly: the small ball's limit bar [0, 2*A2) dies at a = 3
+    assert main(["nonsqueeze", "--A1", "1.515", "--A2", "1.5",
+                 "--evidence"]) == 0
+    obj = json.loads(capsys.readouterr().out)
+    assert (obj["kind"], obj["k"], obj["l"]) == ("primeFraction", 3, 2)
+    assert obj["evidence"]["ranks"] == [1, 1, 0]
+    # A1 one ulp above 23/9: floor(23/A1) + 1 = 10, but 23 < 9*A1 already
+    assert main(["nonsqueeze", "--A1", "2.555555555555556",
+                 "--A2", "2.5555555555555554", "--max-prime", "397"]) == 0
+    obj = json.loads(capsys.readouterr().out)
+    assert (obj["kind"], obj["k"], obj["l"]) == ("primeFraction", 23, 9)
+
+
 def test_nonsqueeze_evidence_and_determinism(capsys):
     args = ["nonsqueeze", "--A1", "1.5", "--A2", "1.2", "--evidence"]
     assert main(args) == 0
@@ -163,15 +177,16 @@ def test_config_file_and_flag_precedence(tmp_path):
     assert obj2["field"] == 3               # flag beats config
 
 
-def test_workers_env_overrides_flag(monkeypatch, capsys):
-    # GFS_WORKERS takes precedence over --workers; a bad value surfaces
-    # as a validation failure rather than being silently ignored.
-    monkeypatch.setenv("GFS_WORKERS", "2")
-    assert main(["verify", "--suite", "algebra", "--workers", "1"]) == 0
-    capsys.readouterr()
-    monkeypatch.setenv("GFS_WORKERS", "0")
-    assert main(["barcode", "--k", "3", "--limit", "--workers", "4",
-                 "--out", "/tmp/gfs_workers_test"]) == 2
+@pytest.mark.parametrize("argv", [
+    ["barcode", "--k", "3", "--limit", "--workers", "1"],
+    ["barcode", "--k", "3", "--limit", "--seed", "0"],
+    ["verify", "--suite", "algebra", "--workers", "1"],
+])
+def test_removed_flags_are_rejected(tmp_path, capsys, argv):
+    out = ["--out", str(tmp_path)] if argv[0] == "barcode" else []
+    assert main(argv + out) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not (tmp_path / "barcode.json").exists()
 
 
 def test_help_and_no_command(capsys):

@@ -1,5 +1,6 @@
 """Certificate search, validation, and barcode evidence."""
 
+import copy
 import json
 import math
 
@@ -46,6 +47,9 @@ def test_conjugated_certificate():
     assert cert.m == 2
     assert cert.inner is not None and cert.inner.found()
     assert validate_certificate(cert, 0.45, 0.40)
+    report = evidence(cert, Ambient(n=1, R=1.0))
+    assert report["outer_pair"] == {"k": cert.k, "l": cert.l}
+    assert report["ranks"] == [1, 1, 0]
     # the conjugation really maps the transformed areas back
     for key in ("A1", "A2"):
         assert room_transform(cert.m, cert.inner.areas[key]) == \
@@ -106,6 +110,88 @@ def test_tampered_certificate_rejected():
     cert.l = 4
     cert.k = 9                       # not prime
     assert not validate_certificate(cert, 1.5, 1.2)
+
+
+def test_tampered_integer_certificate_rejected_at_both_ends():
+    cert = find_obstruction(SqueezeQuery(2.5, 1.7))
+    assert cert.K == 2
+    assert not validate_certificate(cert, 2.0, 1.7)     # K == A1
+    assert not validate_certificate(cert, 2.5, 2.0)     # K == A2
+
+
+def _tampered(cert, **changes):
+    out = copy.deepcopy(cert)
+    for key, value in changes.items():
+        setattr(out, key, value)
+    return out
+
+
+def test_tampered_conjugated_certificate_rejected():
+    cert = find_obstruction(SqueezeQuery(0.45, 0.40, 0.5))
+    assert cert.kind == "conjugated" and cert.m == 2
+    assert validate_certificate(cert)
+    no_a3 = {"A1": 0.45, "A2": 0.40}
+    for bad in (_tampered(cert, areas=dict(no_a3, A3=0.51)),   # A3 > 1/m
+                _tampered(cert, areas=dict(no_a3, A3=0.44)),   # A3 < A1
+                _tampered(cert, l=cert.l + 1),
+                _tampered(cert, k=None, l=None),
+                _tampered(cert, areas=no_a3)):
+        assert not validate_certificate(bad)
+
+
+def _is_odd_prime(k):
+    return k > 2 and all(k % d for d in range(2, int(k ** 0.5) + 1))
+
+
+def _brute_force(A1, A2, max_prime):
+    """The rules enumerated directly: the kind and integers the search must
+    return, or None where it must raise SearchBoundExceeded."""
+    for K in range(math.floor(A2), math.ceil(A1) + 1):
+        if A2 < K < A1:
+            return ("integerK", K, None)
+    if A1 == A2:
+        return ("equalRadii", None, None)
+    for k in range(3, max_prime + 1):
+        if _is_odd_prime(k):
+            for l in range(1, k):
+                if l * A2 <= k < l * A1:
+                    return ("primeFraction", k, l)
+    return None
+
+
+ORACLE_MAX_PRIME = 397
+
+
+def _check_against_oracle(A1, A2):
+    want = _brute_force(A1, A2, ORACLE_MAX_PRIME)
+    q = SqueezeQuery(A1, A2, max_prime=ORACLE_MAX_PRIME)
+    if want is None:
+        with pytest.raises(SearchBoundExceeded):
+            find_obstruction(q)
+        return
+    cert = find_obstruction(q)
+    got = (cert.kind, cert.K if cert.kind == "integerK" else cert.k, cert.l)
+    assert got == want, (A1, A2)
+    assert validate_certificate(cert)
+    ranks = evidence(cert, Ambient(n=1, R=1.0))["ranks"]
+    assert ranks == ([1, 1, 1] if cert.kind == "equalRadii" else [1, 1, 0])
+
+
+@settings(max_examples=60, deadline=None)
+@given(A2=st.floats(min_value=1.0, max_value=6.0,
+                    allow_nan=False, allow_infinity=False),
+       u=st.floats(min_value=0.0, max_value=0.5,
+                   allow_nan=False, allow_infinity=False))
+def test_search_matches_brute_force(A2, u):
+    _check_against_oracle(A2 * (1.0 + u), A2)
+
+
+def test_search_matches_brute_force_on_boundaries():
+    for k in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
+        for l in range(1, k):
+            A2 = k / l
+            for A1 in (math.nextafter(A2, math.inf), 1.001 * A2):
+                _check_against_oracle(A1, A2)
 
 
 def test_evidence_prime_fraction():
