@@ -6,7 +6,8 @@ failure / no certificate, 2 flag validation, 3 computation error, 4 search
 bound exceeded.  All JSON output carries schema "gfs/1" with fixed key
 order; outputs are bit-identical for fixed flags and seed.  Computing is
 single-threaded.  Config files are line-based key=value; precedence
-flags > config > defaults.
+flags > config > defaults, and an unreadable or malformed config file is a
+flag error.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .genfun import (contact_lift_gf, contact_p, fibre_critical_config,
 from .crit import (chain_scan, classify_hessian, maslov, seed_from_chain,
                    sharp_critical_seed)
 from .equivar import (GroupRing, ball_complex, barcode, circle_complex,
-                      is_prime, lens_complex, limit_barcode, rank_mod_p)
+                      is_prime, lens_complex, limit_barcode)
 from .squeeze import (SqueezeQuery, certificate_json, evidence,
                       find_obstruction)
 
@@ -53,22 +54,31 @@ def parse_profile(text):
         return RadialProfile.from_json(fh.read())
 
 
+class FlagError(GfsError):
+    """A flag or config-file value fails validation (exit 2)."""
+
+
 def read_config(path):
     """Line-based key=value file; '#' starts a comment."""
     conf = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise GfsError("config line without '=': %r" % line)
-            key, value = line.split("=", 1)
-            conf[key.strip()] = value.strip()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except (OSError, ValueError) as exc:     # missing, unreadable, not text
+        raise FlagError("cannot read config file: %s" % exc)
+    for line in lines:
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise FlagError("config line without '=': %r" % line)
+        key, value = line.split("=", 1)
+        conf[key.strip()] = value.strip()
     return conf
 
 
-_BOOL_TRUE = {"1", "true", "yes", "on"}
+_BOOLS = {"1": True, "true": True, "yes": True, "on": True,
+          "0": False, "false": False, "no": False, "off": False}
 
 
 def resolve(args, spec):
@@ -88,14 +98,11 @@ def resolve(args, spec):
             out[name] = flag
         elif name in conf:
             raw = conf[name]
-            if coerce is bool:
-                out[name] = raw.lower() in _BOOL_TRUE
-            else:
-                try:
-                    out[name] = coerce(raw)
-                except ValueError:
-                    raise GfsError("config value for %s is not a valid %s: %r"
-                                   % (name, coerce.__name__, raw))
+            try:
+                out[name] = _BOOLS[raw.lower()] if coerce is bool else coerce(raw)
+            except (KeyError, ValueError):
+                raise FlagError("config value for %s is not a valid %s: %r"
+                                % (name, coerce.__name__, raw))
         else:
             out[name] = default
     return out
@@ -468,6 +475,9 @@ def main(argv=None):
             return cmd_verify(args)
         if args.command == "nonsqueeze":
             return cmd_nonsqueeze(args)
+    except FlagError as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        return 2
     except GfsError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 3

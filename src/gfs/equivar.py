@@ -67,13 +67,16 @@ class GroupRing:
                             "got %r" % (k,))
         self.k = k
         self.mod = 2 if k == 1 else k
+        i = np.arange(k)
+        self._shift = (i[:, None] - i) % k      # (i - j) mod k, for circulant
 
     def elem(self, coeffs):
-        c = np.zeros(self.k, dtype=np.int64)
+        """Ring element of a coefficient list: T^i -> T^(i mod k), then
+        every coefficient mod `mod`."""
         coeffs = np.atleast_1d(np.asarray(coeffs, dtype=np.int64))
-        for i, a in enumerate(coeffs):
-            c[i % self.k] = (c[i % self.k] + a) % self.mod
-        return c
+        c = np.zeros(self.k, dtype=np.int64)
+        np.add.at(c, np.arange(len(coeffs)) % self.k, coeffs)
+        return c % self.mod
 
     @property
     def zero(self):
@@ -102,24 +105,15 @@ class GroupRing:
         return (a - b) % self.mod
 
     def mul(self, a, b):
-        conv = np.convolve(a, b)
-        out = np.zeros(self.k, dtype=np.int64)
-        for i, v in enumerate(conv):
-            out[i % self.k] = (out[i % self.k] + v) % self.mod
-        return out
+        return self.elem(np.convolve(a, b))
 
     def is_zero(self, a):
         return not np.any(a % self.mod)
 
     def circulant(self, a):
-        """k x k matrix of multiplication by a on the regular representation:
-        C[i, j] = a[(i - j) mod k]."""
-        a = self.elem(a)
-        C = np.zeros((self.k, self.k), dtype=np.int64)
-        for i in range(self.k):
-            for j in range(self.k):
-                C[i, j] = a[(i - j) % self.k]
-        return C
+        """k x k matrix of multiplication by the ring element a (as made by
+        `elem`) on the regular representation: C[i, j] = a[(i - j) mod k]."""
+        return np.asarray(a)[self._shift]
 
     def aug(self, a):
         """Augmentation p(T) -> p(1) mod k: the coinvariant image."""

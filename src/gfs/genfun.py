@@ -32,9 +32,6 @@ from .errors import (AngleOutOfRange, DomainError, EvenFactorCount, EvenK,
                      NotNormalized)
 from .sympl import ComposedMap, LinearRotation, RadialMap, j0_apply, j0_matrix
 
-FAR_FIELD_RADIUS = 1e3
-_FAR_SAFETY = 1.5
-
 
 # ---------------------------------------------------------------------------
 # GenFn container
@@ -49,28 +46,19 @@ class GenFn:
     entry of the jet of the matching order.
     `quad_part` is the symmetric matrix Q of the fibre quadratic form
     (value zeta^T Q zeta); `quad_index` counts its negative eigenvalues.
-    `norm_shift` is the constant already subtracted so that the far critical
-    value is zero; `normalized` records that it vanishes.
+    `normalized` records that the far critical value is zero.
     `domain_point(w)` returns the domain point of the generated map at a
     fibre-critical w.  `sym_ops` maps symmetry names to variable actions.
     """
 
     def __init__(self, base_dim, fibre_dim, jet, quad_part,
-                 norm_shift=0.0, normalized=False, symmetry=None,
-                 map_handle=None, domain_point=None, contact=False,
-                 sym_ops=None, meta=None, quad_indices=None):
+                 normalized=False, map_handle=None, domain_point=None,
+                 contact=False, sym_ops=None, meta=None):
         self.base_dim = int(base_dim)
         self.fibre_dim = int(fibre_dim)
-        # indices of w carrying the fibre quadratic form; contact compositions
-        # exclude the gauge directions (theta, r), so they pass these explicitly
-        if quad_indices is None:
-            quad_indices = np.arange(base_dim, base_dim + fibre_dim)
-        self.quad_indices = np.asarray(quad_indices, dtype=int)
         self._jet = jet
         self.quad_part = np.asarray(quad_part, dtype=float)
-        self.norm_shift = float(norm_shift)
         self.normalized = bool(normalized)
-        self.symmetry = symmetry or {}
         self.map_handle = map_handle
         self._domain_point = domain_point
         self.contact = bool(contact)
@@ -84,7 +72,6 @@ class GenFn:
         else:
             self.quad_index = 0
             self.quad_degenerate = False
-        self.far_field_bound = None
 
     # -- evaluation --------------------------------------------------------
 
@@ -112,82 +99,22 @@ class GenFn:
             raise DomainError("this generating function has no domain_point map")
         return self._domain_point(np.asarray(w, dtype=float))
 
-    # -- quadratic-at-infinity bookkeeping ----------------------------------
-
-    def quad_extension_grad(self, w):
-        """Gradient of the fibre quadratic extension (zeros elsewhere)."""
-        g = np.zeros(self.total_dim)
-        if len(self.quad_indices):
-            zeta = np.asarray(w, dtype=float)[self.quad_indices]
-            g[self.quad_indices] = 2.0 * self.quad_part @ zeta
-        return g
-
-    def record_far_field_bound(self, rng=None, samples=8):
-        """Sample far fibre points (norm >= FAR_FIELD_RADIUS) and record a
-        bound for || grad F - grad(quadratic extension) || there."""
-        if self.fibre_dim == 0:
-            self.far_field_bound = 0.0
-            return self.far_field_bound
-        rng = rng or np.random.default_rng(0)
-        sup = 0.0
-        for _ in range(samples):
-            w = np.zeros(self.total_dim)
-            w[:self.base_dim] = rng.uniform(-2.0, 2.0, self.base_dim)
-            direction = rng.normal(size=self.fibre_dim)
-            direction /= np.linalg.norm(direction)
-            w[self.base_dim:] = FAR_FIELD_RADIUS * direction
-            diff = self.grad(w) - self.quad_extension_grad(w)
-            sup = max(sup, float(np.linalg.norm(diff)))
-        self.far_field_bound = _FAR_SAFETY * sup + 1.0
-        return self.far_field_bound
-
-    def descriptor(self):
-        return {
-            "baseDim": self.base_dim,
-            "fibreDim": self.fibre_dim,
-            "quadIndex": self.quad_index,
-            "normShift": self.norm_shift,
-            "normalized": self.normalized,
-            "contact": self.contact,
-            "symmetry": sorted(self.symmetry),
-            "farFieldBound": self.far_field_bound,
-        }
-
 
 # ---------------------------------------------------------------------------
 # graphs
 # ---------------------------------------------------------------------------
 
 class GraphPoint:
-    """Point of the twisted graph of a map: midpoint base + graph covector;
-    contact graphs carry the extra rho coordinate and the theta defect."""
+    """Point of the twisted graph of a map: midpoint base + graph covector."""
 
-    def __init__(self, base, covector, theta_defect=None, rho_coord=None):
+    def __init__(self, base, covector):
         self.base = np.asarray(base, dtype=float)
         self.covector = np.asarray(covector, dtype=float)
-        self.theta_defect = theta_defect
-        self.rho_coord = rho_coord
 
 
 def graph_of(mp, p):
-    """Twisted-graph point of a map at p.
-
-    Symplectic maps: base = (p + phi(p))/2, covector per coordinate
-    (phi_y - y, x - phi_x).  Contact maps (strict or conformal): the
-    seven-component (4n + 3 in general) normal form with e^{g/2} weights."""
-    if hasattr(mp, "conformal_factor"):
-        g = mp.conformal_factor(p)
-        eg2 = math.exp(0.5 * g)
-        q = mp(p)
-        z, X = p.base, q.base
-        base = np.concatenate([(eg2 * z + X) / 2.0, [p.theta]])
-        cov = np.empty_like(z)
-        cov[0::2] = X[1::2] - eg2 * z[1::2]
-        cov[1::2] = eg2 * z[0::2] - X[0::2]
-        wterm = 0.5 * eg2 * float(np.dot(z[0::2], X[1::2]) - np.dot(z[1::2], X[0::2]))
-        theta_defect = q.theta - p.theta + wterm
-        return GraphPoint(base, cov, theta_defect=theta_defect,
-                          rho_coord=math.exp(g) - 1.0)
+    """Twisted-graph point of a symplectic map at p: base = (p + phi(p))/2,
+    covector per coordinate (phi_y - y, x - phi_x)."""
     z = np.asarray(p, dtype=float)
     X = mp(z)
     cov = np.empty_like(z)
@@ -214,8 +141,7 @@ def gf_linear_rotation(amb, angles):
 
     mp = LinearRotation(amb, angles)
     return GenFn(base_dim=amb.dim, fibre_dim=0, jet=jet,
-                 quad_part=np.zeros((0, 0)), norm_shift=0.0,
-                 normalized=True, map_handle=mp,
+                 quad_part=np.zeros((0, 0)), normalized=True, map_handle=mp,
                  domain_point=mp.midpoint_inverse,
                  meta={"kind": "linearRotation"})
 
@@ -254,13 +180,11 @@ def gf_small_map(amb, mp):
             H = 0.5 * (H + H.T)
         return value, cov, H
 
-    norm_shift = 0.0  # far from the support phi = id: S = 0 and the cross term is 0
-    gf = GenFn(base_dim=n2, fibre_dim=0, jet=jet,
-               quad_part=np.zeros((0, 0)), norm_shift=norm_shift,
-               normalized=True, map_handle=mp,
-               domain_point=mp.midpoint_inverse,
-               meta={"kind": "smallMap"})
-    return gf
+    # normalized: where phi = id, S = 0 and the cross term is 0
+    return GenFn(base_dim=n2, fibre_dim=0, jet=jet,
+                 quad_part=np.zeros((0, 0)), normalized=True, map_handle=mp,
+                 domain_point=mp.midpoint_inverse,
+                 meta={"kind": "smallMap"})
 
 
 # ---------------------------------------------------------------------------
@@ -348,14 +272,11 @@ def _cyclic_compose(factors):
 
     maps = [f.map_handle for f in factors]
     mp = ComposedMap(maps) if all(m is not None for m in maps) else None
-    gf = GenFn(base_dim=n2, fibre_dim=fdim, jet=jet,
-               quad_part=Q, map_handle=mp, domain_point=domain_point,
-               meta={"kind": "cyclicComposition", "K": K, "layout": lay,
-                     "factors": list(factors)})
-    raw = sum(f.norm_shift for f in factors)
-    gf.norm_shift = raw
-    gf.normalized = all(f.normalized for f in factors)
-    return gf
+    return GenFn(base_dim=n2, fibre_dim=fdim, jet=jet, quad_part=Q,
+                 normalized=all(f.normalized for f in factors),
+                 map_handle=mp, domain_point=domain_point,
+                 meta={"kind": "cyclicComposition", "K": K, "layout": lay,
+                       "factors": list(factors)})
 
 
 def gf_compose_chain(factors):
@@ -394,7 +315,6 @@ def sharp_k(F, k):
     def cyclic(w):
         return np.asarray(w, dtype=float)[perm]
 
-    gf.symmetry = {"cyclic": k}
     gf.sym_ops = {"cyclic": cyclic}
     gf.meta["kind"] = "sharp"
     gf.meta["factor"] = F
@@ -493,12 +413,10 @@ def contact_lift_gf(f):
         zbar = f.domain_point(strip(w))
         return np.concatenate([zbar, [w[th]]])
 
-    gf = GenFn(base_dim=n2 + 1, fibre_dim=f.fibre_dim, jet=jet,
-               quad_part=f.quad_part, norm_shift=0.0,
-               normalized=True, map_handle=f.map_handle,
-               domain_point=domain_point, contact=True,
-               meta={"kind": "contactLift", "factor": f})
-    return gf
+    return GenFn(base_dim=n2 + 1, fibre_dim=f.fibre_dim, jet=jet,
+                 quad_part=f.quad_part, normalized=True,
+                 map_handle=f.map_handle, domain_point=domain_point,
+                 contact=True, meta={"kind": "contactLift", "factor": f})
 
 
 def reeb_shift(F, t):
@@ -508,13 +426,12 @@ def reeb_shift(F, t):
         value, g, H = F.jet(w, order)
         return value - t, g, H
 
-    gf = GenFn(base_dim=F.base_dim, fibre_dim=F.fibre_dim, jet=jet,
-               quad_part=F.quad_part, norm_shift=F.norm_shift + t,
-               normalized=False if t != 0.0 else F.normalized,
-               map_handle=F.map_handle, domain_point=F._domain_point,
-               contact=F.contact,
-               meta=dict(F.meta, kind="reebShift", offset=t, factor=F))
-    return gf
+    return GenFn(base_dim=F.base_dim, fibre_dim=F.fibre_dim, jet=jet,
+                 quad_part=F.quad_part,
+                 normalized=False if t != 0.0 else F.normalized,
+                 map_handle=F.map_handle, domain_point=F._domain_point,
+                 contact=F.contact,
+                 meta=dict(F.meta, kind="reebShift", offset=t, factor=F))
 
 
 class _ContactLayout:
@@ -643,7 +560,8 @@ def contact_sharp(F, k):
         return value, g, H
 
     # quadratic part: factor fibre quadratics plus the twist on z_2..z_k,
-    # recorded on the (z-fibre, zeta) subspace at the r = 0 slice.
+    # recorded on the (z_2..z_k, zeta_1..zeta_k) subspace at the r = 0
+    # slice; the gauge directions (theta, r) carry none.
     fdim = (k - 1) * n2 + k * N
     Q = np.zeros((fdim, fdim))
     zoff = [(j - 1) * n2 for j in range(1, k)]
@@ -682,30 +600,13 @@ def contact_sharp(F, k):
             w[lay.th[j]] += 1.0
         return w
 
-    def domain_point(w):
-        sl = slots(w)
-        out = []
-        for j in range(k):
-            jn = (j + 1) % k
-            _, _, u, args = sl[j]
-            out.append(F.domain_point(
-                np.concatenate([u, [w[lay.th[jn]]], w[lay.f[j]]])))
-        return out
-
-    qidx = np.concatenate(
-        [np.arange(lay.total)[lay.z[j]] for j in range(1, k)]
-        + [np.arange(lay.total)[lay.f[j]] for j in range(k)]).astype(int)
-    gf = GenFn(base_dim=n2 + 1, fibre_dim=lay.total - (n2 + 1), jet=jet,
-               quad_part=Q, quad_indices=qidx,
-               normalized=F.normalized, map_handle=F.map_handle,
-               domain_point=None, contact=True,
-               symmetry={"cyclic": k, "rHomogeneous": True, "zPeriodic": True},
-               sym_ops={"cyclic": cyclic, "r_action": r_action,
-                        "z_shift": z_shift},
-               meta={"kind": "contactSharp", "k": k, "layout": lay,
-                     "factor": F, "slot_domain_points": domain_point})
-    gf.norm_shift = 0.0
-    return gf
+    return GenFn(base_dim=n2 + 1, fibre_dim=lay.total - (n2 + 1), jet=jet,
+                 quad_part=Q, normalized=F.normalized,
+                 map_handle=F.map_handle, contact=True,
+                 sym_ops={"cyclic": cyclic, "r_action": r_action,
+                          "z_shift": z_shift},
+                 meta={"kind": "contactSharp", "k": k, "layout": lay,
+                       "factor": F})
 
 
 def contact_p(F, k):
@@ -745,15 +646,9 @@ def contact_p(F, k):
                     H[lay.r[j], lay.r[l]] += V * Hc
         return c * V, g, H
 
-    gf = GenFn(base_dim=sharp.base_dim, fibre_dim=sharp.fibre_dim,
-               jet=jet, quad_part=sharp.quad_part,
-               quad_indices=sharp.quad_indices,
-               normalized=sharp.normalized, map_handle=sharp.map_handle,
-               contact=True,
-               symmetry={"cyclic": k, "rAction": True, "zAction": True},
-               sym_ops=dict(sharp.sym_ops),
-               meta={"kind": "contactP", "k": k, "layout": lay,
-                     "factor": F, "sharp": sharp,
-                     "slot_domain_points": sharp.meta["slot_domain_points"]})
-    gf.norm_shift = 0.0
-    return gf
+    return GenFn(base_dim=sharp.base_dim, fibre_dim=sharp.fibre_dim,
+                 jet=jet, quad_part=sharp.quad_part,
+                 normalized=sharp.normalized, map_handle=sharp.map_handle,
+                 contact=True, sym_ops=dict(sharp.sym_ops),
+                 meta={"kind": "contactP", "k": k, "layout": lay,
+                       "factor": F, "sharp": sharp})

@@ -32,10 +32,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .equivar import (barcode, ball_complex, is_prime, limit_barcode_at_area,
-                      tensor_circle)
+from .equivar import is_prime, limit_barcode_at_area, tensor_circle
 from .errors import DomainError, SearchBoundExceeded
-from .sympl import Ambient, sqz_radius
 
 DEFAULT_MAX_PRIME = 10 ** 4
 
@@ -76,8 +74,13 @@ class SqueezeCertificate:
 
 def room_transform(m, A):
     """Area of the image of a ball of area A under the m-fold covering
-    embedding: A / (1 + m*A)."""
-    return sqz_radius(m, A)
+    embedding: A / (1 + m*A), increasing in A, 0 at A = 0 and 1/m at
+    A = inf."""
+    if A < 0:
+        raise DomainError("area A must be non-negative")
+    if math.isinf(A):
+        return 1.0 / m
+    return A / (1.0 + m * A)
 
 
 def _room_inverse(m, A):
@@ -233,16 +236,15 @@ def validate_certificate(cert, A1=None, A2=None):
     return False
 
 
-def evidence(cert, amb, profile_family=None):
+def evidence(cert, amb):
     """Barcode evidence for the certificate: the diagram contradiction.
 
     Computes the limit-barcode ranks at the certificate's threshold and
     degree for the big ambient ball, the large ball, and the small ball
     (expected pattern 1, 1, 0), plus the two persistence ranks induced by
     the inclusions (expected 1 and 0) and the prequantized degrees via the
-    circle tensor.  With a profile_family (a list of radial profiles for the
-    large ball) the finite-stage bar endpoints are recorded as a convergence
-    cross-check.
+    circle tensor.  Only the dimension amb.n is read: each ball is given by
+    its area on the certificate.
     """
     if not cert.found():
         raise DomainError("evidence requires a certificate, got kind 'none'")
@@ -251,7 +253,7 @@ def evidence(cert, amb, profile_family=None):
     A3 = cert.areas.get("A3")
 
     if cert.kind == "conjugated":
-        report = evidence(cert.inner, amb, profile_family)
+        report = evidence(cert.inner, amb)
         report["kind"] = "conjugated"
         report["m"] = cert.m
         report["outer_pair"] = {"k": cert.k, "l": cert.l}
@@ -263,26 +265,23 @@ def evidence(cert, amb, profile_family=None):
         a = float(k)
         degree = 2 * n * l
         mode = "equivariant"
-        field_k = k
     elif cert.kind == "integerK":
         k, l = 1, 1
         a = float(cert.K)
         degree = 2 * n
         mode = "plain"
-        field_k = 1
     elif cert.kind == "equalRadii":
         k, l = 1, 1
         a = 0.75 * A1
         degree = 2 * n
         mode = "plain"
-        field_k = 1
     else:
         raise DomainError("no evidence scheme for kind %r" % cert.kind)
 
     big_area = A3 if A3 is not None else A1 + 1.0
     lmax = max(4, l + 1)
     bc_big, bc_large, bc_small = (
-        limit_barcode_at_area(n, A, field_k, mode, lmax=lmax)
+        limit_barcode_at_area(n, A, k, mode, lmax=lmax)
         for A in (big_area, A1, A2))
 
     ranks = [bc.rank_at(degree, a) for bc in (bc_big, bc_large, bc_small)]
@@ -317,17 +316,6 @@ def evidence(cert, amb, profile_family=None):
             "a squeezing would factor the rank-%d inclusion map through the "
             "rank-%d group of the small ball" % (incl[0], ranks[2])),
     }
-
-    if profile_family is not None and cert.kind == "primeFraction":
-        endpoints = []
-        amb1 = Ambient(n=n, R=math.sqrt(A1 / math.pi))
-        for rho in profile_family:
-            cx = ball_complex(amb1, rho, k)
-            bc = barcode(cx, "equivariant")
-            deaths = [b.death for b in bc.bars if b.degree == degree]
-            endpoints.append(max(deaths) if deaths else None)
-        report["family_endpoints"] = endpoints
-        report["family_limit"] = l * A1
     return report
 
 

@@ -13,13 +13,12 @@ Conventions fixed here and used by every other module:
   which is closed-form, conserves H, and fixes every z with H(z) >= 1 exactly.
 * The calibrated primitive of the time-t map is
 
-      S_t(z) = orientation_sign * t * (m rho'(m) - rho(m)),   m = H(z).
+      S_t(z) = t * (rho(m) - m rho'(m)) = t * a(m) >= 0,   m = H(z),
 
-  With the default orientation_sign = -1 this equals t * a(m) >= 0, where
-  a = action_density.  This is the unique sign for which translated-chain
-  actions are positive and the small-map formula in `genfun` (S + half the
-  symplectic cross term) is an honest generating function of flow_t with the
-  graph covector used by `genfun.graph_of`.
+  where a = action_density.  This sign makes translated-chain actions
+  positive and the small-map formula in `genfun` (S + half the symplectic
+  cross term) an honest generating function of flow_t with the graph
+  covector used by `genfun.graph_of`.
 * The contact lift of the time-1 map acts on R^{2n} x S^1 by
   (z, theta) |-> (flow_1(z), theta - S_1(z)) and has conformal factor g == 0.
   The Reeb flow is translation in theta.
@@ -40,20 +39,16 @@ from .errors import DomainError, EvenK, NonMonotoneProfile
 
 @dataclass(frozen=True)
 class Ambient:
-    """Ambient ball data: complex dimension n, ball radius R, and the
-    orientation sign entering the calibrated primitive S."""
+    """Ambient ball data: complex dimension n and finite ball radius R > 0."""
 
     n: int = 1
     R: float = 1.0
-    orientation_sign: int = -1
 
     def __post_init__(self):
         if self.n < 1 or int(self.n) != self.n:
             raise DomainError("ambient dimension n must be a positive integer")
-        if not self.R > 0:
-            raise DomainError("ambient radius R must be positive")
-        if self.orientation_sign not in (-1, 1):
-            raise DomainError("orientation_sign must be +1 or -1")
+        if not 0 < self.R < math.inf:
+            raise DomainError("ambient radius R must be positive and finite")
 
     @property
     def dim(self):
@@ -288,7 +283,7 @@ def action_density(rho, m):
 
 class RadialMap:
     """Time-t map of the truncated radial flow with exact Jacobian and the
-    calibrated primitive S_t(z) = orientation_sign * t * (m rho'(m) - rho(m))."""
+    calibrated primitive S_t(z) = t * (rho(m) - m rho'(m))."""
 
     def __init__(self, amb, rho, t=1.0):
         self.amb = amb
@@ -318,13 +313,12 @@ class RadialMap:
 
     def S(self, z):
         m = self.amb.H(np.asarray(z, dtype=float))
-        return self.amb.orientation_sign * self.t * (
-            m * self.rho.drho(m) - self.rho.rho(m))
+        return self.t * (self.rho.rho(m) - m * self.rho.drho(m))
 
     def grad_S(self, z):
         z = np.asarray(z, dtype=float)
         m = self.amb.H(z)
-        coeff = self.amb.orientation_sign * self.t * m * self.rho.d2rho(m)
+        coeff = -self.t * m * self.rho.d2rho(m)
         return coeff * (2.0 / self.amb.R**2) * z
 
     def midpoint_inverse(self, q):
@@ -490,23 +484,14 @@ def shells(amb, rho, k):
 
 @dataclass
 class ContactPoint:
-    """Point of R^{2n} x S^1; theta is interpreted mod 1 when circle_mode."""
+    """Point (z, theta) of R^{2n} x S^1; theta is kept as a real lift and
+    never reduced mod 1."""
 
     base: np.ndarray
     theta: float
-    circle_mode: bool = False
 
     def __post_init__(self):
         self.base = np.asarray(self.base, dtype=float)
-        if self.circle_mode:
-            self.theta = self.theta % 1.0
-
-
-def _theta_dist(a, b, circle_mode):
-    d = a - b
-    if circle_mode:
-        d = (d + 0.5) % 1.0 - 0.5
-    return abs(d)
 
 
 class ContactLift:
@@ -520,8 +505,7 @@ class ContactLift:
 
     def __call__(self, p):
         theta = p.theta - self.base_map.S(p.base)
-        return ContactPoint(self.base_map(p.base), theta,
-                            circle_mode=p.circle_mode)
+        return ContactPoint(self.base_map(p.base), theta)
 
     def conformal_factor(self, p):
         return 0.0
@@ -537,7 +521,7 @@ def lift_contact(amb, rho):
 
 def reeb_translate(p, t):
     """Reeb flow: translation by t in theta."""
-    return ContactPoint(p.base.copy(), p.theta + t, circle_mode=p.circle_mode)
+    return ContactPoint(p.base.copy(), p.theta + t)
 
 
 @dataclass
@@ -557,8 +541,7 @@ class TranslatedChain:
     def rotated(self, shift=1):
         """Cyclic rotation of the same chain (again a valid chain)."""
         pts = self.points[shift:] + self.points[:shift]
-        return TranslatedChain(points=[ContactPoint(p.base.copy(), p.theta,
-                                                    circle_mode=p.circle_mode)
+        return TranslatedChain(points=[ContactPoint(p.base.copy(), p.theta)
                                        for p in pts],
                                t=self.t, action=self.action,
                                orbit_id=self.orbit_id)
@@ -618,7 +601,7 @@ def verify_chain(contact_map, chain, tol=1e-9, diagnostics=None):
         q = reeb_translate(q, chain.t)
         nxt = pts[(j + 1) % k]
         base_err = float(np.max(np.abs(q.base - nxt.base)))
-        theta_err = _theta_dist(q.theta, nxt.theta, nxt.circle_mode)
+        theta_err = abs(q.theta - nxt.theta)
         if base_err > tol or theta_err > tol:
             msgs.append("step %d -> %d violates the chain relation "
                         "(base error %g, theta error %g)"
@@ -638,7 +621,8 @@ def phi_m(m, p):
     """Contact embedding (z, theta) |-> (e^{2 pi i m theta} z / sqrt(1 + m pi |z|^2), theta).
 
     Conjugation by phi_m turns Reeb-translation obstructions for large balls
-    into obstructions for small balls (squeezed radius A / (1 + m A))."""
+    into obstructions for small balls (area A / (1 + m A), see
+    `squeeze.room_transform`)."""
     if m < 0 or int(m) != m:
         raise DomainError("phi_m requires a non-negative integer m")
     z = np.asarray(p.base, dtype=float)
@@ -648,15 +632,4 @@ def phi_m(m, p):
     out = np.empty_like(z)
     out[0::2] = zc.real
     out[1::2] = zc.imag
-    return ContactPoint(out, p.theta, circle_mode=p.circle_mode)
-
-
-def sqz_radius(m, A):
-    """Image area scale of phi_m on a ball of area scale A: A / (1 + m A).
-
-    Monotone in A; tends to 1/m as A -> infinity; 0 at A = 0."""
-    if A < 0:
-        raise DomainError("area scale A must be non-negative")
-    if math.isinf(A):
-        return 1.0 / m
-    return A / (1.0 + m * A)
+    return ContactPoint(out, p.theta)

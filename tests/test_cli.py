@@ -62,6 +62,7 @@ def test_barcode_flag_validation(tmp_path, capsys):
     ["barcode", "--k", "3", "--n", "0", "--limit"],
     ["barcode", "--k", "3", "--R", "-1"],
     ["nonsqueeze", "--A1", "1.5", "--A2", "1.2", "--evidence", "--n", "0"],
+    ["barcode", "--k", "3", "--R", "inf"],
 ])
 def test_bad_ball_is_a_flag_error(tmp_path, capsys, argv):
     out = ["--out", str(tmp_path)] if argv[0] == "barcode" else []
@@ -109,6 +110,14 @@ def test_verify_exit_codes(capsys):
     assert "[PASS]" in out and "[FAIL]" not in out
     assert main(["verify", "--suite", "bogus"]) == 2
     assert main(["verify"]) == 2
+
+
+@pytest.mark.parametrize("suite, checks", [
+    ("generation", 1), ("values", 3), ("chains", 6)])
+def test_verify_fast_suites(capsys, suite, checks):
+    assert main(["verify", "--suite", suite]) == 0
+    out = capsys.readouterr().out
+    assert "suite %s: %d/%d checks passed" % (suite, checks, checks) in out
 
 
 def test_verify_index_suite(capsys):
@@ -175,6 +184,33 @@ def test_config_file_and_flag_precedence(tmp_path):
                  "--out", str(out2)]) == 0
     obj2 = json.loads((out2 / "barcode.json").read_text())
     assert obj2["field"] == 3               # flag beats config
+
+
+@pytest.mark.parametrize("config", [
+    "k=x\n", "k=3\nlimit\n", None, "k=3\nlimit=maybe\n"],
+    ids=["not-an-int", "no-equals", "missing-file", "not-a-bool"])
+def test_bad_config_is_a_flag_error(tmp_path, capsys, config):
+    conf = tmp_path / "gfs.conf"
+    if config is not None:
+        conf.write_text(config)
+    assert main(["barcode", "--config", str(conf),
+                 "--out", str(tmp_path)]) == 2
+    assert "error" in capsys.readouterr().err
+    assert not (tmp_path / "barcode.json").exists()
+
+
+@pytest.mark.parametrize("word, limit", [
+    ("On", True), ("yes", True), ("0", False), ("FALSE", False)])
+def test_config_bool_spellings(tmp_path, word, limit):
+    conf = tmp_path / "gfs.conf"
+    conf.write_text("k=3\nlimit=%s\n" % word)
+    assert main(["barcode", "--config", str(conf),
+                 "--out", str(tmp_path / "conf")]) == 0
+    flag = ["--limit"] if limit else []
+    assert main(["barcode", "--k", "3", "--out", str(tmp_path / "flag")]
+                + flag) == 0
+    assert (tmp_path / "conf" / "barcode.json").read_bytes() == \
+        (tmp_path / "flag" / "barcode.json").read_bytes()
 
 
 @pytest.mark.parametrize("argv", [

@@ -35,6 +35,30 @@ def test_group_ring_axioms():
         GroupRing(9)
 
 
+def _elem_oracle(k, mod, coeffs):
+    """The coefficient-by-coefficient reduction, written out as a loop."""
+    c = [0] * k
+    for i, a in enumerate(coeffs):
+        c[i % k] = (c[i % k] + int(a)) % mod
+    return c
+
+
+@pytest.mark.parametrize("k", [1, 3, 5, 23])
+def test_group_ring_vectorised_ops(k):
+    ring = GroupRing(k)
+    rng = np.random.default_rng(k)
+    for _ in range(20):
+        raw = rng.integers(-50, 50, rng.integers(1, 3 * k + 2))
+        assert ring.elem(raw).tolist() == _elem_oracle(k, ring.mod, raw)
+        a = ring.elem(rng.integers(0, ring.mod, k))
+        b = ring.elem(rng.integers(0, ring.mod, k))
+        assert np.array_equal(ring.circulant(a) @ b % ring.mod,
+                              ring.mul(a, b))
+        C = ring.circulant(a)
+        assert all(C[i, j] == a[(i - j) % k]
+                   for i in range(k) for j in range(k))
+
+
 def test_sentinel_ring_collapses_the_action():
     ring = GroupRing(1)
     assert ring.mod == 2

@@ -8,7 +8,7 @@ import pytest
 
 from gfs import (Ambient, ContactPoint, DomainError, EvenK, LinearRotation,
                  RadialMap, RadialProfile, flow, lift_contact, phi_m,
-                 ref_profile, shells, sqz_radius, translated_chains,
+                 ref_profile, room_transform, shells, translated_chains,
                  verify_chain)
 from gfs.sympl import (BLEND_WIDTH, ComposedMap, action_density,
                        reeb_translate)
@@ -295,10 +295,10 @@ def test_room_conjugation_map():
     assert q.theta == p.theta
     with pytest.raises(DomainError):
         phi_m(-1, p)
-    assert sqz_radius(2, 1.0) == pytest.approx(1.0 / 3.0)
-    assert sqz_radius(3, math.inf) == pytest.approx(1.0 / 3.0)
-    assert sqz_radius(2, 0.0) == 0.0
+    assert room_transform(2, 1.0) == pytest.approx(1.0 / 3.0)
+    assert room_transform(3, math.inf) == pytest.approx(1.0 / 3.0)
+    assert room_transform(2, 0.0) == 0.0
     # monotone in A
     xs = np.linspace(0.0, 10.0, 50)
-    ys = [sqz_radius(2, x) for x in xs]
+    ys = [room_transform(2, x) for x in xs]
     assert np.all(np.diff(ys) > 0)
