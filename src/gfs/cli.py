@@ -5,15 +5,16 @@ Exit codes: 0 success (for nonsqueeze: certificate found), 1 verification
 failure / no certificate, 2 flag validation, 3 computation error, 4 search
 bound exceeded.  All JSON output carries schema "gfs/1" with fixed key
 order; outputs are bit-identical for fixed flags and seed.  Computing is
-single-threaded.  Config files are line-based key=value; precedence
-flags > config > defaults, and an unreadable or malformed config file is a
-flag error.
+single-threaded.  Each command declares its options once, in a table of
+name -> (type, default, help) that yields both its flags and its config
+keys.  Config files are line-based key=value; precedence flags > config >
+defaults, and an unreadable or malformed config file, or a key that names
+no option, is a flag error.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -50,12 +51,21 @@ def parse_profile(text):
         if len(parts) != 2:
             raise GfsError("profile must be REF:c,delta or a JSON profile file")
         return ref_profile(parse_scalar(parts[0]), parse_scalar(parts[1]))
-    with open(text, "r", encoding="utf-8") as fh:
+    with open(text, "rb") as fh:
         return RadialProfile.from_json(fh.read())
 
 
 class FlagError(GfsError):
     """A flag or config-file value fails validation (exit 2)."""
+
+
+def flag_value(build, *args, **kwargs):
+    """build(*args, **kwargs), where the arguments are flag values: its
+    GfsError or ValueError is a flag error."""
+    try:
+        return build(*args, **kwargs)
+    except (GfsError, ValueError) as exc:
+        raise FlagError(str(exc)) from exc
 
 
 def read_config(path):
@@ -81,28 +91,27 @@ _BOOLS = {"1": True, "true": True, "yes": True, "on": True,
           "0": False, "false": False, "no": False, "off": False}
 
 
-def resolve(args, spec):
-    """Merge flag values, config-file values, and defaults (in that
-    precedence) into a plain namespace-like dict.
-
-    spec maps option name -> (coercion, default); a flag left at None falls
-    through to the config file, then the default.
-    """
-    conf = {}
-    if getattr(args, "config", None):
-        conf = read_config(args.config)
+def resolve(args, table):
+    """Merge flag values, config-file values, and table defaults (in that
+    precedence) into a dict keyed by option name.  A flag left at None
+    falls through to the config file, then the default."""
+    conf = read_config(args.config) if args.config else {}
+    unknown = sorted(set(conf) - set(table))
+    if unknown:
+        raise FlagError("config key %r names no option (choose from %s)"
+                        % (unknown[0], ", ".join(table)))
     out = {}
-    for name, (coerce, default) in spec.items():
-        flag = getattr(args, name, None)
+    for name, (kind, default, _) in table.items():
+        flag = getattr(args, name)
         if flag is not None:
             out[name] = flag
         elif name in conf:
             raw = conf[name]
             try:
-                out[name] = _BOOLS[raw.lower()] if coerce is bool else coerce(raw)
+                out[name] = _BOOLS[raw.lower()] if kind is bool else kind(raw)
             except (KeyError, ValueError):
                 raise FlagError("config value for %s is not a valid %s: %r"
-                                % (name, coerce.__name__, raw))
+                                % (name, kind.__name__, raw))
         else:
             out[name] = default
     return out
@@ -112,45 +121,37 @@ def resolve(args, spec):
 # barcode
 
 
-def cmd_barcode(args):
-    opts = resolve(args, {
-        "n": (int, 1),
-        "R": (float, 1.0),
-        "k": (int, None),
-        "profile": (str, "REF:-0.9pi,0.1"),
-        "mode": (str, "equivariant"),
-        "limit": (bool, False),
-        "lmax": (int, 4),
-        "out": (str, "."),
-    })
-    if opts["k"] is None:
-        print("error: --k is required", file=sys.stderr)
-        return 2
-    k = opts["k"]
-    if k != 1 and (k % 2 == 0 or not is_prime(k)):
-        print("error: k must be 1 or an odd prime, got %d" % k,
-              file=sys.stderr)
-        return 2
-    if opts["mode"] not in ("equivariant", "plain"):
-        print("error: mode must be equivariant or plain", file=sys.stderr)
-        return 2
-    try:   # the ball and a REF literal are flag values; a file is read below
-        amb = Ambient(n=opts["n"], R=opts["R"])
-        rho = (parse_profile(opts["profile"])
-               if opts["profile"].startswith("REF:") else None)
-    except (GfsError, ValueError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
+BARCODE = {
+    "n": (int, 1, "half the real dimension of the ball B^2n(R)"),
+    "R": (float, 1.0, "radius of the ball"),
+    "k": (int, None, "1 or an odd prime (required)"),
+    "profile": (str, "REF:-0.9pi,0.1",
+                "REF:c,delta (scalars may end in 'pi') or a JSON profile file"),
+    "mode": (str, "equivariant", "equivariant or plain"),
+    "limit": (bool, False, "emit the idealized steep-profile limit barcode"),
+    "lmax": (int, 4, "number of shells in the plain limit barcode"),
+    "out": (str, ".", "directory for barcode.json and barcode.tsv"),
+}
 
-    try:
-        if opts["limit"]:
-            bc = limit_barcode(amb, k, opts["mode"], lmax=opts["lmax"])
-        else:
-            cx = ball_complex(amb, rho or parse_profile(opts["profile"]), k)
-            bc = barcode(cx, opts["mode"])
-    except (GfsError, OSError, ValueError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 3
+
+def cmd_barcode(opts):
+    k = opts["k"]
+    if k is None:
+        raise FlagError("--k is required")
+    if k != 1 and (k % 2 == 0 or not is_prime(k)):
+        raise FlagError("k must be 1 or an odd prime, got %d" % k)
+    if opts["mode"] not in ("equivariant", "plain"):
+        raise FlagError("mode must be equivariant or plain")
+    amb = flag_value(Ambient, n=opts["n"], R=opts["R"])
+    # a REF literal is a flag value; a profile file is read below
+    profile = opts["profile"]
+    rho = (flag_value(parse_profile, profile)
+           if profile.startswith("REF:") else None)
+    if opts["limit"]:
+        bc = limit_barcode(amb, k, opts["mode"], lmax=opts["lmax"])
+    else:
+        cx = ball_complex(amb, rho or parse_profile(profile), k)
+        bc = barcode(cx, opts["mode"])
 
     os.makedirs(opts["out"], exist_ok=True)
     json_path = os.path.join(opts["out"], "barcode.json")
@@ -168,10 +169,16 @@ def cmd_barcode(args):
 # verify
 
 
-def _suite_generation(seed):
-    amb = Ambient(n=1, R=1.0)
+def _reference(n=1):
+    """The suites' reference system: the unit ball B^2n(1), the profile
+    REF(-0.9pi, 0.1) and its time-one generating function."""
+    amb = Ambient(n=n, R=1.0)
     rho = ref_profile(-0.9 * math.pi, 0.1)
-    F = gf_time_one(amb, rho)
+    return amb, rho, gf_time_one(amb, rho)
+
+
+def _suite_generation(seed):
+    _, _, F = _reference()
     phi = F.map_handle
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -190,9 +197,7 @@ def _suite_generation(seed):
 
 
 def _suite_values(seed):
-    amb = Ambient(n=1, R=1.0)
-    rho = ref_profile(-0.9 * math.pi, 0.1)
-    F = gf_time_one(amb, rho)
+    amb, rho, F = _reference()
     F3 = sharp_k(F, 3)
     sh = shells(amb, rho, 3)
     m1 = [s for s in sh if s.l == 1][0].m
@@ -215,9 +220,7 @@ def _suite_values(seed):
 
 
 def _index_case(n, k):
-    amb = Ambient(n=n, R=1.0)
-    rho = ref_profile(-0.9 * math.pi, 0.1)
-    F = gf_time_one(amb, rho)
+    amb, rho, F = _reference(n)
     Fk = sharp_k(F, k)
     checks = []
     for s in shells(amb, rho, k):
@@ -237,15 +240,11 @@ def _index_case(n, k):
 
 
 def _suite_index(seed):
-    out = []
-    for n, k in ((1, 3), (1, 5), (2, 3)):
-        out.extend(_index_case(n, k))
-    return out
+    return [c for n, k in ((1, 3), (1, 5), (2, 3)) for c in _index_case(n, k)]
 
 
 def _suite_chains(seed):
-    amb = Ambient(n=1, R=1.0)
-    rho = ref_profile(-0.9 * math.pi, 0.1)
+    amb, rho, F = _reference()
     chains = translated_chains(amb, rho, 3)
     lift = lift_contact(amb, rho)
     checks = []
@@ -253,7 +252,6 @@ def _suite_chains(seed):
         diag = []
         ok = verify_chain(lift, ch, 1e-9, diag)
         checks.append(("chain %s verifies" % ch.orbit_id, ok, 0.0))
-    F = gf_time_one(amb, rho)
     P = contact_p(contact_lift_gf(F), 3)
     seeds = [seed_from_chain(P, ch) for ch in chains]
     fams = chain_scan(P, 3, seeds, chains=chains)
@@ -269,9 +267,7 @@ def _suite_chains(seed):
 
 
 def _suite_invariance(seed):
-    amb = Ambient(n=1, R=1.0)
-    rho = ref_profile(-0.9 * math.pi, 0.1)
-    F = gf_time_one(amb, rho)
+    _, _, F = _reference()
     F3 = sharp_k(F, 3)
     P = contact_p(contact_lift_gf(F), 3)
     rng = np.random.default_rng(seed)
@@ -317,8 +313,7 @@ def _suite_algebra(seed):
     checks.append(("lens(2,5) plain ranks (1,0,0,1)", ok, 0.0))
     ok = lens.homology_ranks("equivariant") == {0: 1, 1: 1, 2: 1, 3: 1}
     checks.append(("lens(2,5) coinvariant rank 1 everywhere", ok, 0.0))
-    amb = Ambient(n=1, R=1.0)
-    rho = ref_profile(-0.9 * math.pi, 0.1)
+    amb, rho, _ = _reference()
     cx = ball_complex(amb, rho, 3)
     checks.append(("ball complex d^2 = 0 and filtered",
                    not cx.check_d2() and not cx.check_filtration(), 0.0))
@@ -341,70 +336,55 @@ SUITES = {
 }
 
 
-def cmd_verify(args):
-    opts = resolve(args, {
-        "suite": (str, None),
-        "seed": (int, 0),
-    })
+VERIFY = {
+    "suite": (str, None, "one of: %s (required)" % ", ".join(sorted(SUITES))),
+    "seed": (int, 0, "seed of the random suites, at least 0"),
+}
+
+
+def cmd_verify(opts):
     suite = opts["suite"]
     if suite is None:
-        print("error: --suite is required", file=sys.stderr)
-        return 2
+        raise FlagError("--suite is required")
     if suite not in SUITES:
-        print("error: unknown suite %r (choose from %s)"
-              % (suite, ", ".join(sorted(SUITES))), file=sys.stderr)
-        return 2
-    try:
-        checks = SUITES[suite](opts["seed"])
-    except GfsError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 3
-    all_ok = True
+        raise FlagError("unknown suite %r (choose from %s)"
+                        % (suite, ", ".join(sorted(SUITES))))
+    if opts["seed"] < 0:
+        raise FlagError("seed must be at least 0, got %d" % opts["seed"])
+    checks = SUITES[suite](opts["seed"])
     for name, ok, residual in checks:
-        all_ok = all_ok and ok
         print("[%s] %s (residual %.3e)" % ("PASS" if ok else "FAIL",
                                            name, residual))
-    print("suite %s: %d/%d checks passed"
-          % (suite, sum(1 for _, ok, _ in checks if ok), len(checks)))
-    return 0 if all_ok else 1
+    passed = sum(1 for _, ok, _ in checks if ok)
+    print("suite %s: %d/%d checks passed" % (suite, passed, len(checks)))
+    return 0 if passed == len(checks) else 1
 
 
 # ---------------------------------------------------------------------------
 # nonsqueeze
 
 
-def cmd_nonsqueeze(args):
-    opts = resolve(args, {
-        "A1": (float, None),
-        "A2": (float, None),
-        "A3": (float, None),
-        "max_prime": (int, 10 ** 4),
-        "evidence": (bool, False),
-        "n": (int, 1),
-        "out": (str, None),
-    })
+NONSQUEEZE = {
+    "A1": (float, None, "area pi R1^2 of the ball to squeeze (required)"),
+    "A2": (float, None, "area pi R2^2 of the target ball (required)"),
+    "A3": (float, None, "area of the ambient room, above A1"),
+    "max_prime": (int, 10 ** 4, "largest odd prime k the search tries"),
+    "evidence": (bool, False, "add the limit-barcode ranks behind the "
+                              "certificate"),
+    "n": (int, 1, "half the real dimension of the evidence balls"),
+    "out": (str, None, "also write certificate.json to this directory"),
+}
+
+
+def cmd_nonsqueeze(opts):
     if opts["A1"] is None or opts["A2"] is None:
-        print("error: --A1 and --A2 are required", file=sys.stderr)
-        return 2
-    try:
-        q = SqueezeQuery(opts["A1"], opts["A2"], opts["A3"],
-                         max_prime=opts["max_prime"])
-        amb = Ambient(n=opts["n"], R=1.0)
-    except GfsError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
-    try:
-        cert = find_obstruction(q)
-        report = None
-        if opts["evidence"] and cert.found():
-            report = evidence(cert, amb)
-        text = certificate_json(cert, report)
-    except SearchBoundExceeded as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 4
-    except GfsError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 3
+        raise FlagError("--A1 and --A2 are required")
+    q = flag_value(SqueezeQuery, opts["A1"], opts["A2"], opts["A3"],
+                   max_prime=opts["max_prime"])
+    amb = flag_value(Ambient, n=opts["n"], R=1.0)
+    cert = find_obstruction(q)
+    report = evidence(cert, amb) if opts["evidence"] and cert.found() else None
+    text = certificate_json(cert, report)
     sys.stdout.write(text)
     if opts["out"]:
         os.makedirs(opts["out"], exist_ok=True)
@@ -417,6 +397,18 @@ def cmd_nonsqueeze(args):
 # ---------------------------------------------------------------------------
 
 
+COMMANDS = {
+    "barcode": (cmd_barcode, BARCODE, "emit barcode JSON and TSV step plot"),
+    "verify": (cmd_verify, VERIFY, "run a verification suite"),
+    "nonsqueeze": (cmd_nonsqueeze, NONSQUEEZE,
+                   "search for a non-squeezing obstruction certificate"),
+}
+
+# The first entry an error is an instance of gives its exit code.
+EXIT_CODES = ((FlagError, 2), (SearchBoundExceeded, 4),
+              ((GfsError, OSError), 3))
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="gfs",
@@ -424,38 +416,17 @@ def build_parser():
                     "verification suites, and non-squeezing certificates.")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command")
-
-    p = sub.add_parser("barcode", help="emit barcode JSON and TSV step plot")
-    p.add_argument("--n", type=int)
-    p.add_argument("--R", type=float)
-    p.add_argument("--k", type=int)
-    p.add_argument("--profile", type=str,
-                   help="REF:c,delta (scalars may end in 'pi') or a JSON "
-                        "profile file")
-    p.add_argument("--mode", choices=["equivariant", "plain"])
-    p.add_argument("--limit", action="store_true", default=None,
-                   help="emit the idealized steep-profile limit barcode")
-    p.add_argument("--lmax", type=int)
-    p.add_argument("--out", type=str)
-    p.add_argument("--config", type=str)
-
-    p = sub.add_parser("verify", help="run a verification suite")
-    p.add_argument("--suite", type=str,
-                   help="one of: %s" % ", ".join(sorted(SUITES)))
-    p.add_argument("--seed", type=int)
-    p.add_argument("--config", type=str)
-
-    p = sub.add_parser("nonsqueeze", help="search for a non-squeezing "
-                                          "obstruction certificate")
-    p.add_argument("--A1", type=float)
-    p.add_argument("--A2", type=float)
-    p.add_argument("--A3", type=float)
-    p.add_argument("--max-prime", dest="max_prime", type=int)
-    p.add_argument("--evidence", action="store_true", default=None)
-    p.add_argument("--n", type=int)
-    p.add_argument("--out", type=str)
-    p.add_argument("--config", type=str)
-
+    for command, (_, table, text) in COMMANDS.items():
+        p = sub.add_parser(command, help=text)
+        for name, (kind, _, help_text) in table.items():
+            flag = "--" + name.replace("_", "-")
+            if kind is bool:
+                p.add_argument(flag, action="store_true", default=None,
+                               help=help_text)
+            else:
+                p.add_argument(flag, type=kind, help=help_text)
+        p.add_argument("--config", type=str,
+                       help="key=value file of option values")
     return parser
 
 
@@ -468,24 +439,13 @@ def main(argv=None):
     if args.command is None:
         parser.print_help()
         return 2
+    run, table, _ = COMMANDS[args.command]
     try:
-        if args.command == "barcode":
-            return cmd_barcode(args)
-        if args.command == "verify":
-            return cmd_verify(args)
-        if args.command == "nonsqueeze":
-            return cmd_nonsqueeze(args)
-    except FlagError as exc:
+        return run(resolve(args, table))
+    except (GfsError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
-        return 2
-    except GfsError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 3
-    except OSError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 3
-    parser.print_help()
-    return 2
+        return next(code for kind, code in EXIT_CODES
+                    if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

@@ -187,8 +187,13 @@ class RadialProfile:
 
     @classmethod
     def from_json(cls, obj):
-        if isinstance(obj, str):
-            obj = json.loads(obj)
+        """Profile from its JSON object, JSON text, or UTF-8 bytes."""
+        if isinstance(obj, (bytes, str)):
+            try:
+                obj = json.loads(obj.decode("utf-8")
+                                 if isinstance(obj, bytes) else obj)
+            except ValueError as exc:           # not UTF-8, or not JSON
+                raise DomainError("invalid profile: not UTF-8 JSON (%s)" % exc)
         try:
             knots = np.asarray(obj["knots"], dtype=float)
             coeffs = np.asarray(obj["pieces"], dtype=float)

@@ -9,7 +9,7 @@ import sys
 import pytest
 
 import gfs
-from gfs.cli import main, parse_profile, parse_scalar
+from gfs.cli import COMMANDS, main, parse_profile, parse_scalar
 
 
 def test_parse_scalar_pi_suffix():
@@ -78,6 +78,18 @@ def test_barcode_computation_error(tmp_path):
                  "--out", str(tmp_path)]) == 3
 
 
+@pytest.mark.parametrize("content", [b"not json", b"\xff\xfe"],
+                         ids=["not-json", "not-utf8"])
+def test_unreadable_profile_file_is_a_computation_error(tmp_path, capsys,
+                                                        content):
+    path = tmp_path / "prof.json"
+    path.write_bytes(content)
+    assert main(["barcode", "--k", "3", "--profile", str(path),
+                 "--out", str(tmp_path)]) == 3
+    assert "invalid profile" in capsys.readouterr().err
+    assert not (tmp_path / "barcode.json").exists()
+
+
 @pytest.mark.parametrize("literal", [
     "REF:xpi,0.1",            # not a number
     "REF:-0.9pi",             # one part
@@ -102,6 +114,12 @@ def test_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+def test_verify_negative_seed_is_a_flag_error(capsys):
+    assert main(["verify", "--suite", "generation", "--seed", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert "seed" in captured.err and captured.out == ""
 
 
 def test_verify_exit_codes(capsys):
@@ -187,8 +205,9 @@ def test_config_file_and_flag_precedence(tmp_path):
 
 
 @pytest.mark.parametrize("config", [
-    "k=x\n", "k=3\nlimit\n", None, "k=3\nlimit=maybe\n"],
-    ids=["not-an-int", "no-equals", "missing-file", "not-a-bool"])
+    "k=x\n", "k=3\nlimit\n", None, "k=3\nlimit=maybe\n", "k=3\nlimt=1\n"],
+    ids=["not-an-int", "no-equals", "missing-file", "not-a-bool",
+         "unknown-key"])
 def test_bad_config_is_a_flag_error(tmp_path, capsys, config):
     conf = tmp_path / "gfs.conf"
     if config is not None:
@@ -229,3 +248,11 @@ def test_help_and_no_command(capsys):
     assert main([]) == 2
     assert main(["--help"]) == 0
     assert "barcode" in capsys.readouterr().out
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_help_names_every_option(capsys, command):
+    assert main([command, "--help"]) == 0
+    out = capsys.readouterr().out
+    _, table, _ = COMMANDS[command]
+    for flag in ["--" + name.replace("_", "-") for name in table] + ["--config"]:
+        assert flag in out, flag

@@ -132,6 +132,12 @@ def test_profile_without_knots_rejected():
         RadialProfile.from_json({"pieces": [[0.0]]})
 
 
+@pytest.mark.parametrize("text", ["not json", b"not json", b"\xff\xfe"])
+def test_profile_text_that_is_not_utf8_json_rejected(text):
+    with pytest.raises(DomainError):
+        RadialProfile.from_json(text)
+
+
 def test_flow_conserves_h_and_composes(amb1, rho_ref):
     rng = np.random.default_rng(7)
     for _ in range(20):
