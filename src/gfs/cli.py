@@ -142,6 +142,8 @@ def cmd_barcode(opts):
         raise FlagError("k must be 1 or an odd prime, got %d" % k)
     if opts["mode"] not in ("equivariant", "plain"):
         raise FlagError("mode must be equivariant or plain")
+    if opts["lmax"] < 1:
+        raise FlagError("lmax must be at least 1, got %d" % opts["lmax"])
     amb = flag_value(Ambient, n=opts["n"], R=opts["R"])
     # a REF literal is a flag value; a profile file is read below
     profile = opts["profile"]

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import (DomainError, GaugeDegenerate, NoConvergence,
                      NotFibreCritical, OrbitRelationViolated)
-from .genfun import alternating_resolve, fibre_critical_config, sharp_k
+from .genfun import chain_config, sharp_k
 
 # Relative eigenvalue threshold below which a Hessian direction counts as null.
 ZERO_TOL_REL = 1e-8
@@ -207,42 +207,32 @@ def maslov(index_of_hessian, k, iota, n):
 
 
 def sharp_critical_seed(F, k, zbar1):
-    """Analytic critical seed of F^{#k} over the phi-orbit of zbar1: slice
-    each orbit point into its fibre-critical configuration, then resolve the
-    cyclic midpoint system for the outer z-blocks."""
+    """Analytic critical seed of F^{#k} over the phi-orbit of zbar1: each
+    orbit point's slot at its fibre-critical configuration, the outer
+    z-blocks from the cyclic midpoint system (`chain_config`)."""
     phi = F.map_handle
     orbit = [np.asarray(zbar1, dtype=float)]
     for _ in range(k - 1):
         orbit.append(phi(orbit[-1]))
-    bases, zetas = [], []
-    for j in range(k):
-        b, zeta = fibre_critical_config(F, orbit[j])
-        bases.append(b)
-        zetas.append(zeta)
-    return np.concatenate(alternating_resolve(bases) + zetas)
+    zs, zetas = chain_config([F] * k, orbit)
+    return np.concatenate(zs + zetas)
 
 
 def seed_from_chain(P, chain):
     """Critical seed of the scale-normalized contact composition P at a
-    translated chain: outer z-blocks from the resolved slot midpoints, block
-    thetas from the chain, r = 0, fibres from per-slot fibre-critical
-    configurations of the underlying symplectic factor."""
+    translated chain: z-blocks and fibres from the chain's slot
+    configurations in the underlying symplectic factor (`chain_config`),
+    block thetas from the chain, r = 0."""
     lay = P.meta["layout"]
     k = P.meta["k"]
     if chain.k != k:
         raise DomainError("chain period %d does not match P (k = %d)"
                           % (chain.k, k))
-    lift = P.meta["sharp"].meta["factor"]
-    factor = lift.meta["factor"]
-    bases, zetas = [], []
-    for pt in chain.points:
-        b, zeta = fibre_critical_config(factor, pt.base)
-        bases.append(b)
-        zetas.append(zeta)
-    zouter = alternating_resolve(bases)
+    factor = P.meta["sharp"].meta["factor"].meta["factor"]
+    zs, zetas = chain_config([factor] * k, [pt.base for pt in chain.points])
     w = np.zeros(P.total_dim)
     for j in range(k):
-        w[lay.z[j]] = zouter[j]
+        w[lay.z[j]] = zs[j]
         w[lay.th[j]] = chain.points[j].theta
         w[lay.f[j]] = zetas[j]
     return w

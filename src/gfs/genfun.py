@@ -17,7 +17,9 @@ Variable layouts (fixed here, relied on by `crit`):
 * contact sharp of a contact-base factor F(x, y, theta; zeta):
       w = [B_1 ... B_k | zeta_1 ... zeta_k],  B_j = (z_j, theta_j, r_j),
       F^#k(w) = sum_j [ e^{r_j} F(e^{-r_j/2}(z_j + z_{j+1})/2, theta_{j+1}, zeta_j)
-                        + 0.5 <z_j, J0 z_{j+1}> + e^{r_{j-1}}(theta_j - theta_{j+1}) ].
+                        + 0.5 <z_j, J0 z_{j+1}> + e^{r_{j-1}}(theta_j - theta_{j+1}) ],
+  the k-fold sharp of the conformal slot G(v; theta, zeta, r) =
+  e^r F(e^{-r/2} v, theta, zeta) plus the theta-differences.
 
 All derivatives are exact (the small-map midpoint is inverted in closed form
 and differentiated implicitly; compositions use the explicit chain rule);
@@ -197,7 +199,6 @@ class _CyclicLayout:
     def __init__(self, n2, fibre_dims):
         self.n2 = n2
         self.K = len(fibre_dims)
-        self.fibre_dims = list(fibre_dims)
         self.z_slices = [slice(j * n2, (j + 1) * n2) for j in range(self.K)]
         off = self.K * n2
         self.f_slices = []
@@ -342,30 +343,30 @@ def fibre_critical_config(F, zbar):
     """Fibre-critical configuration of F over the orbit of zbar:
     returns (base, zeta) with base = (zbar + phi(zbar))/2.
 
-    For a cyclic composition the slice chain y_{s+1} = phi_s(y_s) determines
-    the variables by cyclic alternating sums of the slice midpoints."""
+    For a cyclic composition the slice chain y_{s+1} = phi_s(y_s) places
+    every slot at its own factor's configuration (`chain_config`)."""
     zbar = np.asarray(zbar, dtype=float)
-    if F.meta.get("kind") == "cyclicComposition" or F.meta.get("kind") == "sharp":
-        lay = F.meta["layout"]
+    if F.meta.get("kind") in ("cyclicComposition", "sharp"):
         factors = F.meta["factors"]
-        K = lay.K
         ys = [zbar]
-        for f in factors:
+        for f in factors[:-1]:
             ys.append(f.map_handle(ys[-1]))
-        mids = [0.5 * (ys[s] + ys[s + 1]) for s in range(K)]
-        ws = alternating_resolve(mids)
-        zeta_parts = []
-        for j, f in enumerate(factors):
-            if f.fibre_dim:
-                sub_base, sub_zeta = fibre_critical_config(f, ys[j])
-                zeta_parts.append(sub_zeta)
-        inner = [np.concatenate(zeta_parts)] if zeta_parts else []
-        zeta = np.concatenate(ws[1:] + inner) if K > 1 else (
-            inner[0] if inner else np.zeros(0))
-        return ws[0], zeta
-    mp = F.map_handle
-    base = 0.5 * (zbar + mp(zbar))
-    return base, np.zeros(0)
+        zs, zetas = chain_config(factors, ys)
+        return zs[0], np.concatenate(zs[1:] + zetas)
+    return 0.5 * (zbar + F.map_handle(zbar)), np.zeros(0)
+
+
+def chain_config(factors, points):
+    """Critical configuration of the cyclic composition of `factors` along
+    a chain: slot j sits at the fibre-critical configuration of factors[j]
+    over points[j], and the z-blocks resolve the slot bases cyclically.
+    Returns (z-blocks, zetas), one of each per slot."""
+    bases, zetas = [], []
+    for f, p in zip(factors, points):
+        base, zeta = fibre_critical_config(f, p)
+        bases.append(base)
+        zetas.append(zeta)
+    return alternating_resolve(bases), zetas
 
 
 def alternating_resolve(mids):
@@ -452,106 +453,87 @@ class _ContactLayout:
         self.total = off + k * fibre_dim
 
 
+def _conformal_slot(F):
+    """Conformal slot of a contact-base factor F(u, theta; zeta):
+
+        G(v; theta, zeta, r) = e^r F(e^{-r/2} v, theta, zeta),
+
+    with base v and fibre (theta, zeta, r); its jet is the chain rule through
+    u = e^{-r/2} v, so G_vv is F_uu itself."""
+    n2 = F.base_dim - 1
+    d = F.total_dim + 1
+
+    def jet(w, order):
+        r = w[-1]
+        e = math.exp(r)
+        h = math.exp(0.5 * r)
+        u = w[:n2] / h
+        val, gF, HF = F.jet(np.concatenate([u, w[n2:-1]]), order)
+        g = H = None
+        if order >= 1:
+            Fu = gF[:n2]
+            g = np.empty(d)
+            g[:n2] = h * Fu
+            g[n2:-1] = e * gF[n2:]
+            g[-1] = e * (val - 0.5 * float(np.dot(Fu, u)))
+        if order >= 2:
+            Huu = HF[:n2, :n2]
+            H = np.empty((d, d))
+            H[:n2, :n2] = Huu
+            H[:n2, n2:-1] = h * HF[:n2, n2:]
+            H[n2:-1, n2:-1] = e * HF[n2:, n2:]
+            H[:n2, -1] = 0.5 * h * (Fu - Huu @ u)
+            H[n2, -1] = e * (gF[n2] - 0.5 * float(np.dot(HF[:n2, n2], u)))
+            H[n2 + 1:-1, -1] = e * (gF[n2 + 1:]
+                                    - 0.5 * (HF[:n2, n2 + 1:].T @ u))
+            H[-1, -1] = e * (val - 0.75 * float(np.dot(Fu, u))
+                             + 0.25 * float(u @ Huu @ u))
+            H[n2:-1, :n2] = H[:n2, n2:-1].T
+            H[-1, :-1] = H[:-1, -1]
+        return e * val, g, H
+
+    return GenFn(base_dim=n2, fibre_dim=F.fibre_dim + 2, jet=jet,
+                 quad_part=np.pad(F.quad_part, 1))
+
+
 def contact_sharp(F, k):
     """Cyclic contact composition F^{#k} of a contact-base factor (k odd):
 
         sum_j [ e^{r_j} F(e^{-r_j/2}(z_j+z_{j+1})/2, theta_{j+1}, zeta_j)
                 + 0.5 <z_j, J0 z_{j+1}> + e^{r_{j-1}}(theta_j - theta_{j+1}) ]
 
-    (cyclic indices, r_0 = r_k).  Exactly homogeneous under the R-action
-    (z |-> e^{a/2} z, r |-> r + a): the value scales by e^a."""
+    (cyclic indices, r_0 = r_k): the k-fold sharp of the conformal slot
+    e^r F(e^{-r/2} v, theta, zeta), read through a fixed permutation of the
+    variables, plus the theta-differences.  Exactly homogeneous under the
+    R-action (z |-> e^{a/2} z, r |-> r + a): the value scales by e^a."""
     if k % 2 == 0 or k < 1:
         raise EvenK("contact_sharp requires odd k >= 1")
     if not F.contact:
         raise DomainError("contact_sharp needs a contact-base factor")
     n2 = F.base_dim - 1
-    N = F.fibre_dim
-    lay = _ContactLayout(n2, k, N)
-    J0 = j0_matrix(n2)
-
-    def slots(w):
-        out = []
-        for j in range(k):
-            jn = (j + 1) % k
-            r = w[lay.r[j]]
-            e = math.exp(r)
-            h = math.exp(0.5 * r)
-            u = 0.5 * (w[lay.z[j]] + w[lay.z[jn]]) / h
-            args = np.concatenate([u, [w[lay.th[jn]]], w[lay.f[j]]])
-            out.append((e, h, u, args))
-        return out
+    lay = _ContactLayout(n2, k, F.fibre_dim)
+    slots = sharp_k(_conformal_slot(F), k)
+    # w[at] lists w in the sharp's order [z_j | (theta_{j+1}, zeta_j, r_j)]
+    idx = np.arange(lay.total)
+    at = np.concatenate([idx[z] for z in lay.z] + [
+        np.concatenate([[lay.th[(j + 1) % k]], idx[lay.f[j]], [lay.r[j]]])
+        for j in range(k)])
+    back = np.argsort(at)
 
     def jet(w, order):
-        value = 0.0
-        g = np.zeros(lay.total) if order >= 1 else None
-        H = np.zeros((lay.total, lay.total)) if order >= 2 else None
-        for j, (e, h, u, args) in enumerate(slots(w)):
-            jn = (j + 1) % k
-            jp = (j - 1) % k
-            val, gF, HF = F.jet(args, order)
-            twist = j0_apply(w[lay.z[jn]])
+        value, g, H = slots.jet(w[at], order)
+        g = g[back] if order >= 1 else g
+        H = H[np.ix_(back, back)] if order >= 2 else H
+        for j in range(k):
+            jn, jp = (j + 1) % k, (j - 1) % k
             ep = math.exp(w[lay.r[jp]])
             dth = w[lay.th[j]] - w[lay.th[jn]]
-            value += e * val
-            value += 0.5 * float(np.dot(w[lay.z[j]], twist))
             value += ep * dth
             if order >= 1:
-                Fu, Fth, Ff = gF[:n2], gF[n2], gF[n2 + 1:]
-                g[lay.z[j]] += 0.5 * h * Fu
-                g[lay.z[jn]] += 0.5 * h * Fu
-                g[lay.th[jn]] += e * Fth
-                g[lay.f[j]] += e * Ff
-                g[lay.r[j]] += e * (val - 0.5 * float(np.dot(Fu, u)))
-                g[lay.z[j]] += 0.5 * twist
-                g[lay.z[jn]] -= 0.5 * j0_apply(w[lay.z[j]])
                 g[lay.th[j]] += ep
                 g[lay.th[jn]] -= ep
                 g[lay.r[jp]] += ep * dth
             if order >= 2:
-                Huu = HF[:n2, :n2]
-                Huth = HF[:n2, n2]
-                Huf = HF[:n2, n2 + 1:]
-                Hthf = HF[n2, n2 + 1:]
-                zs = (lay.z[j], lay.z[jn])
-                # (z, z)
-                for a in zs:
-                    for b in zs:
-                        H[a, b] += 0.25 * Huu
-                # (z, theta_{jn}) both orders
-                vzth = 0.5 * h * Huth
-                for a in zs:
-                    H[a, lay.th[jn]] += vzth
-                    H[lay.th[jn], a] += vzth
-                # (z, zeta_j)
-                mzf = 0.5 * h * Huf
-                for a in zs:
-                    H[a, lay.f[j]] += mzf
-                    H[lay.f[j], a] += mzf.T
-                # (z, r_j)
-                vzr = 0.25 * h * (Fu - Huu @ u)
-                for a in zs:
-                    H[a, lay.r[j]] += vzr
-                    H[lay.r[j], a] += vzr
-                # (theta, theta), (theta, zeta), (theta, r_j)
-                H[lay.th[jn], lay.th[jn]] += e * HF[n2, n2]
-                H[lay.th[jn], lay.f[j]] += e * Hthf
-                H[lay.f[j], lay.th[jn]] += e * Hthf
-                vthr = e * (Fth - 0.5 * float(np.dot(Huth, u)))
-                H[lay.th[jn], lay.r[j]] += vthr
-                H[lay.r[j], lay.th[jn]] += vthr
-                # (zeta, zeta), (zeta, r_j)
-                H[lay.f[j], lay.f[j]] += e * HF[n2 + 1:, n2 + 1:]
-                vfr = e * (Ff - 0.5 * (Huf.T @ u))
-                H[lay.f[j], lay.r[j]] += vfr
-                H[lay.r[j], lay.f[j]] += vfr
-                # (r_j, r_j)
-                H[lay.r[j], lay.r[j]] += e * (
-                    val - 0.75 * float(np.dot(Fu, u))
-                    + 0.25 * float(u @ Huu @ u))
-                # twist
-                H[lay.z[j], lay.z[jn]] += 0.5 * J0
-                H[lay.z[jn], lay.z[j]] += 0.5 * J0.T
-                # theta-difference term with weight e^{r_{jp}}
                 H[lay.th[j], lay.r[jp]] += ep
                 H[lay.r[jp], lay.th[j]] += ep
                 H[lay.th[jn], lay.r[jp]] -= ep
@@ -559,29 +541,12 @@ def contact_sharp(F, k):
                 H[lay.r[jp], lay.r[jp]] += ep * dth
         return value, g, H
 
-    # quadratic part: factor fibre quadratics plus the twist on z_2..z_k,
-    # recorded on the (z_2..z_k, zeta_1..zeta_k) subspace at the r = 0
-    # slice; the gauge directions (theta, r) carry none.
-    fdim = (k - 1) * n2 + k * N
-    Q = np.zeros((fdim, fdim))
-    zoff = [(j - 1) * n2 for j in range(1, k)]
-    for j in range(1, k - 1):      # pairs (z_j, z_{j+1}) with both slots >= 2
-        a = slice(zoff[j - 1], zoff[j - 1] + n2)
-        b = slice(zoff[j], zoff[j] + n2)
-        Q[a, b] += 0.25 * J0
-        Q[b, a] += 0.25 * J0.T
-    foff = (k - 1) * n2
-    for j in range(k):
-        s = slice(foff + j * N, foff + (j + 1) * N)
-        Q[s, s] = F.quad_part
+    # quadratic part: the sharp's, without the gauge directions (theta, r)
+    keep = ~np.isin(at[n2:], lay.th + lay.r)
+    Q = slots.quad_part[np.ix_(keep, keep)]
 
-    perm = np.arange(lay.total)
-    for j in range(k):
-        jn = (j + 1) % k
-        perm[lay.z[j]] = np.arange(lay.total)[lay.z[jn]]
-        perm[lay.th[j]] = lay.th[jn]
-        perm[lay.r[j]] = lay.r[jn]
-        perm[lay.f[j]] = np.arange(lay.total)[lay.f[jn]]
+    # the sharp's cyclic block rotation, conjugated by at (k = 1: identity)
+    perm = slots.sym_ops.get("cyclic", np.asarray)(at).astype(int)[back]
 
     def cyclic(w):
         return np.asarray(w, dtype=float)[perm]

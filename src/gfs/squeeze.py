@@ -40,14 +40,16 @@ DEFAULT_MAX_PRIME = 10 ** 4
 
 @dataclass
 class SqueezeQuery:
-    """Areas A1 >= A2 > 0 of the two balls (A_i = pi * R_i^2), optional
-    ambient-room area A3 > A1, and the odd-prime search bound."""
+    """Finite areas A1 >= A2 > 0 of the two balls (A_i = pi * R_i^2),
+    optional ambient-room area A3 > A1, and the odd-prime search bound."""
     A1: float
     A2: float
     A3: Optional[float] = None
     max_prime: int = DEFAULT_MAX_PRIME
 
     def __post_init__(self):
+        if not all(math.isfinite(a) for a in (self.A1, self.A2, self.A3 or 0)):
+            raise DomainError("areas must be finite")
         if not (self.A1 >= self.A2 > 0):
             raise DomainError("need A1 >= A2 > 0, got A1=%r A2=%r"
                               % (self.A1, self.A2))

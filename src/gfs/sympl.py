@@ -201,7 +201,15 @@ class RadialProfile:
             raise DomainError("invalid profile: knots and pieces must be "
                               "numeric lists, pieces all of one length "
                               "(%s)" % exc)
-        prof = cls(knots, coeffs, c=obj.get("c"), delta=obj.get("delta"))
+        c, delta = obj.get("c"), obj.get("delta")
+        for x in (c, delta):
+            if x is not None and (isinstance(x, bool) or not isinstance(
+                    x, (int, float)) or not math.isfinite(x)):
+                raise DomainError("invalid profile: c and delta must be "
+                                  "finite numbers or null, got %r" % (x,))
+        if delta is not None and not 0 <= delta < 1:
+            raise DomainError("invalid profile: delta must lie in [0, 1)")
+        prof = cls(knots, coeffs, c=c, delta=delta)
         problems = prof.validate()
         if problems:
             raise DomainError("invalid profile: " + "; ".join(problems))

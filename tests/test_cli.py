@@ -63,12 +63,23 @@ def test_barcode_flag_validation(tmp_path, capsys):
     ["barcode", "--k", "3", "--R", "-1"],
     ["nonsqueeze", "--A1", "1.5", "--A2", "1.2", "--evidence", "--n", "0"],
     ["barcode", "--k", "3", "--R", "inf"],
+    ["nonsqueeze", "--A1", "inf", "--A2", "1"],
+    ["nonsqueeze", "--A1", "inf", "--A2", "1", "--evidence"],
+    ["nonsqueeze", "--A1", "2", "--A2", "1", "--A3", "inf"],
 ])
 def test_bad_ball_is_a_flag_error(tmp_path, capsys, argv):
     out = ["--out", str(tmp_path)] if argv[0] == "barcode" else []
     assert main(argv + out) == 2
     captured = capsys.readouterr()
     assert "error" in captured.err and captured.out == ""
+    assert not (tmp_path / "barcode.json").exists()
+
+
+@pytest.mark.parametrize("lmax", ["0", "-1"])
+def test_lmax_below_one_is_a_flag_error(tmp_path, capsys, lmax):
+    assert main(["barcode", "--k", "3", "--limit", "--mode", "plain",
+                 "--lmax", lmax, "--out", str(tmp_path)]) == 2
+    assert "lmax" in capsys.readouterr().err
     assert not (tmp_path / "barcode.json").exists()
 
 
@@ -87,6 +98,18 @@ def test_unreadable_profile_file_is_a_computation_error(tmp_path, capsys,
     assert main(["barcode", "--k", "3", "--profile", str(path),
                  "--out", str(tmp_path)]) == 3
     assert "invalid profile" in capsys.readouterr().err
+    assert not (tmp_path / "barcode.json").exists()
+
+
+@pytest.mark.parametrize("key, value", [("c", "x"), ("delta", "y"),
+                                        ("delta", 1.0)])
+def test_profile_file_with_bad_c_or_delta_is_a_computation_error(
+        tmp_path, capsys, rho_ref, key, value):
+    path = tmp_path / "prof.json"
+    path.write_text(json.dumps(dict(rho_ref.to_json(), **{key: value})))
+    assert main(["barcode", "--k", "3", "--profile", str(path),
+                 "--out", str(tmp_path)]) == 3
+    assert "error: invalid profile" in capsys.readouterr().err
     assert not (tmp_path / "barcode.json").exists()
 
 

@@ -187,6 +187,69 @@ def test_contact_sharp_grad_hess_consistency():
     assert np.allclose(G.hess(w), fd_hess(G.grad, w), atol=1e-6)
 
 
+def _theta_factor(n, seed):
+    """Contact-base factor that reads theta:
+    F(u, theta; zeta) = u^T A u (1 + 0.3 sin 2 pi theta) + zeta^T B zeta
+                        + 0.2 cos(2 pi theta) <u, zeta>."""
+    from gfs import GenFn
+    rng = np.random.default_rng(seed)
+    n2 = 2 * n
+    A = rng.normal(size=(n2, n2))
+    A = A + A.T
+    B = rng.normal(size=(n2, n2))
+    B = B + B.T + 6.0 * np.eye(n2)
+    tp = 2.0 * math.pi
+
+    def jet(w, order):
+        u, th, z = w[:n2], w[n2], w[n2 + 1:]
+        s, c = math.sin(tp * th), math.cos(tp * th)
+        Au = A @ u
+        q, uz = float(u @ Au), float(u @ z)
+        value = q * (1 + 0.3 * s) + float(z @ B @ z) + 0.2 * c * uz
+        g = H = None
+        if order >= 1:
+            g = np.concatenate([2 * Au * (1 + 0.3 * s) + 0.2 * c * z,
+                                [tp * (0.3 * c * q - 0.2 * s * uz)],
+                                2 * B @ z + 0.2 * c * u])
+        if order >= 2:
+            H = np.zeros((2 * n2 + 1, 2 * n2 + 1))
+            H[:n2, :n2] = 2 * A * (1 + 0.3 * s)
+            H[:n2, n2] = H[n2, :n2] = tp * (0.6 * c * Au - 0.2 * s * z)
+            H[:n2, n2 + 1:] = H[n2 + 1:, :n2] = 0.2 * c * np.eye(n2)
+            H[n2, n2] = -tp * tp * (0.3 * s * q + 0.2 * c * uz)
+            H[n2, n2 + 1:] = H[n2 + 1:, n2] = -0.2 * tp * s * u
+            H[n2 + 1:, n2 + 1:] = 2 * B
+        return value, g, H
+
+    return GenFn(base_dim=n2 + 1, fibre_dim=n2, jet=jet, quad_part=B,
+                 contact=True)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_contact_sharp_of_a_theta_dependent_factor(n):
+    from gfs.sympl import j0_matrix
+    fac = _theta_factor(n, seed=n)
+    k = 3
+    G = contact_sharp(fac, k)
+    lay = G.meta["layout"]
+    J0 = j0_matrix(2 * n)
+    rng = np.random.default_rng(20 + n)
+    for _ in range(3):
+        w = rng.normal(0.0, 0.5, G.total_dim)
+        want = 0.0
+        for j in range(k):
+            jn, jp = (j + 1) % k, (j - 1) % k
+            r = w[lay.r[j]]
+            u = math.exp(-r / 2) * (w[lay.z[j]] + w[lay.z[jn]]) / 2
+            want += math.exp(r) * fac.value(
+                np.concatenate([u, [w[lay.th[jn]]], w[lay.f[j]]]))
+            want += 0.5 * float(w[lay.z[j]] @ J0 @ w[lay.z[jn]])
+            want += math.exp(w[lay.r[jp]]) * (w[lay.th[j]] - w[lay.th[jn]])
+        assert G.value(w) == pytest.approx(want, rel=1e-13)
+        assert np.allclose(G.grad(w), fd_grad(G.value, w), atol=1e-7)
+        assert np.allclose(G.hess(w), fd_hess(G.grad, w), atol=1e-6)
+
+
 def test_p_is_conformal_correction_of_sharp(P3, F):
     sharp = P3.meta["sharp"]
     lay = P3.meta["layout"]

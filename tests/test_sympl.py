@@ -127,6 +127,23 @@ def test_malformed_profile_shape_rejected(knots, pieces):
         RadialProfile.from_json({"knots": knots, "pieces": pieces})
 
 
+@pytest.mark.parametrize("key, value", [
+    ("c", "x"), ("delta", "y"),                   # not numbers
+    ("c", True), ("delta", [0.1]),
+    ("c", float("inf")), ("delta", float("nan")),  # not finite
+    ("delta", -0.1), ("delta", 1.0),              # delta outside [0, 1)
+])
+def test_malformed_profile_c_delta_rejected(rho_ref, key, value):
+    with pytest.raises(DomainError):
+        RadialProfile.from_json(dict(rho_ref.to_json(), **{key: value}))
+
+
+def test_profile_c_delta_may_be_null(rho_ref):
+    prof = RadialProfile.from_json(dict(rho_ref.to_json(), c=None,
+                                        delta=None))
+    assert prof.c is None and prof.delta is None
+
+
 def test_profile_without_knots_rejected():
     with pytest.raises(DomainError):
         RadialProfile.from_json({"pieces": [[0.0]]})
