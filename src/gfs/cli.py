@@ -150,7 +150,8 @@ def cmd_barcode(opts):
     rho = (flag_value(parse_profile, profile)
            if profile.startswith("REF:") else None)
     if opts["limit"]:
-        bc = limit_barcode(amb, k, opts["mode"], lmax=opts["lmax"])
+        bc = flag_value(limit_barcode, amb, k, opts["mode"],
+                        lmax=opts["lmax"])
     else:
         cx = ball_complex(amb, rho or parse_profile(profile), k)
         bc = barcode(cx, opts["mode"])

@@ -7,6 +7,10 @@ X_{j+1} = phi(X_j) cyclically, and the critical value equals the total
 primitive sum_j S(X_j).  Critical points of the scale-normalized contact
 composition P encode translated chains, with critical value t*k.
 
+`newton_critical` (on F^{#k}) and `chain_scan` (on P, gauge-fixed) share one
+damped-Newton solver, `_newton`: least-squares steps on the bordered system,
+halved while they fail to shrink the gradient.
+
 The classifiers here measure Morse data honestly: eigenvalues of the full
 Hessian, a relative zero threshold (1e-8 times the spectral radius), and a
 Morse-Bott verdict that requires a clear relative spectral gap (1e-4) between
@@ -105,54 +109,75 @@ def _auto_maslov(G, index, nullity):
     return nu, l
 
 
-def newton_critical(G, seed, tol=1e-10, max_iter=100):
-    """Damped Newton descent on grad G from seed; classifies the limit.
+def _sup(x):
+    """Sup norm, 0 for an empty vector."""
+    return float(np.max(np.abs(x))) if np.size(x) else 0.0
 
-    Steps solve (H + lam*I) s = -g in the least-squares sense, so singular
-    Hessian directions (critical manifolds) are handled by the minimum-norm
-    step; lam grows when a step fails to shrink the gradient and shrinks on
-    success.  Each iterate is evaluated once (`G.jet(w, 2)`), each trial step
-    once at order 1.  Raises NoConvergence after max_iter iterations.
+
+def _newton(G, w, tol, max_iter, gauge=None):
+    """Damped Newton on grad G = 0 from w, subject to the linear gauge
+    A w = 0 when the rows A are given; returns (w, value, hess, |grad|,
+    iterations) at the limit.
+
+    Each step solves the bordered system [[H, A^T], [A, 0]] s = -(g, A w) in
+    the least-squares sense (with no gauge rows, H s = -g), so singular
+    Hessian directions (critical manifolds) take the minimum-norm step.  A
+    trial that does not shrink |grad| is halved; when 8 trials fail the
+    solve has stalled.  Each iterate is evaluated once (`G.jet(w, 2)`), each
+    trial once at order 1.  Stops when max(|grad|, |A w|) < tol; raises
+    NoConvergence on a stall or after max_iter iterations.
     """
-    w = np.asarray(seed, dtype=float).copy()
+    w = np.asarray(w, dtype=float).copy()
     if not np.all(np.isfinite(w)):
-        raise DomainError("newton_critical needs a finite seed")
-    lam = 0.0
+        raise DomainError("Newton needs a finite seed")
+    dim = len(w)
+    A = np.zeros((0, dim)) if gauge is None else gauge
+    border = np.zeros((len(A), len(A)))
     value, g, H = G.jet(w, 2)
-    gnorm = float(np.max(np.abs(g))) if len(w) else 0.0
+    gnorm = _sup(g)
     it = 0
-    while not gnorm < tol:
+    while not max(gnorm, _sup(A @ w)) < tol:
         if it == max_iter:
-            raise NoConvergence(
-                "newton_critical: |grad| = %.3e after %d iterations"
-                % (gnorm, max_iter))
+            raise NoConvergence("Newton: |grad| = %.3e after %d iterations"
+                                % (gnorm, max_iter))
         it += 1
-        accepted = False
-        for _ in range(12):
-            M = H + lam * np.eye(len(w))
-            step = np.linalg.lstsq(M, -g, rcond=None)[0]
-            trial = w + step
-            tnorm = float(np.max(np.abs(G.jet(trial, 1)[1])))
+        M = np.block([[H, A.T], [A, border]])
+        rhs = -np.concatenate([g, A @ w])
+        step = np.linalg.lstsq(M, rhs, rcond=None)[0][:dim]
+        scale = 1.0
+        for _ in range(8):
+            trial = w + scale * step
+            tnorm = _sup(G.jet(trial, 1)[1])
             if np.isfinite(tnorm) and (tnorm < gnorm or tnorm < tol):
-                w, gnorm = trial, tnorm
-                lam = lam / 3.0 if lam > 1e-12 else 0.0
-                accepted = True
                 break
-            lam = 1e-4 if lam < 1e-12 else lam * 10.0
-        if not accepted:
-            raise NoConvergence(
-                "newton_critical stalled at |grad| = %.3e" % gnorm)
+            scale *= 0.5
+        else:
+            raise NoConvergence("Newton stalled at |grad| = %.3e" % gnorm)
+        w, gnorm = trial, tnorm
         value, g, H = G.jet(w, 2)
+    return w, value, H, gnorm, it
 
-    evals = np.linalg.eigvalsh(H)
-    index, nullity, gap, morse_bott = classify_hessian(evals)
+
+def _manifold(G, w, value, H, kind=None, **diagnostics):
+    """The critical point w of G (value, Hessian H) with its Morse data; the
+    kind defaults to "isolated" or "sphereShell" by nullity."""
+    index, nullity, gap, morse_bott = classify_hessian(np.linalg.eigvalsh(H))
     nu, l = _auto_maslov(G, index, nullity)
+    if kind is None:
+        kind = "isolated" if nullity == 0 else "sphereShell"
     return CriticalManifold(
-        kind="isolated" if nullity == 0 else "sphereShell",
-        representative=w, value=value, index=index,
-        nullity=nullity, zk_orbit=_zk_orbit(G, w), maslov=nu, l=l,
-        gap=gap, morse_bott=morse_bott,
-        diagnostics={"grad_norm": gnorm, "iterations": it})
+        kind=kind, representative=w, value=value, index=index,
+        nullity=nullity, zk_orbit=_zk_orbit(G, w), maslov=nu, l=l, gap=gap,
+        morse_bott=morse_bott, diagnostics=diagnostics)
+
+
+def newton_critical(G, seed, tol=1e-10, max_iter=100):
+    """Damped Newton (`_newton`, no gauge) on grad G from seed; classifies
+    the limit as an isolated point or a sphere shell, with its Maslov number
+    on a cyclic self-composition.  Raises NoConvergence when the solve
+    stalls or runs out of iterations."""
+    w, value, H, gnorm, it = _newton(G, seed, tol, max_iter)
+    return _manifold(G, w, value, H, grad_norm=gnorm, iterations=it)
 
 
 def reconstruct(F, k, p, tol=1e-8):
@@ -246,9 +271,9 @@ def chain_scan(P, k, seeds, chains=None, tol=1e-9, max_iter=100):
     common theta translation, and (on shells) the loop of chain rotations, so
     plain Newton has a rank-deficient Hessian everywhere on a family.  The
     scan fixes the first two with the linear gauges sum_j r_j = 0 and
-    theta_1 = 0 and solves the bordered system by least squares, which leaves
-    motion along the remaining family directions free but convergent.  As in
-    `newton_critical`, one order-2 jet per iterate, one order-1 per trial.
+    theta_1 = 0 and runs the same damped Newton as `newton_critical` on the
+    bordered system, which leaves motion along the remaining family
+    directions free but convergent.  k must be the period of P.
 
     Families are merged by critical value (distance 1e-6); each manifold
     records value = t*k, the measured full-Hessian nullity (the gauge
@@ -257,12 +282,14 @@ def chain_scan(P, k, seeds, chains=None, tol=1e-9, max_iter=100):
     """
     if not getattr(P, "contact", False) or "layout" not in P.meta:
         raise DomainError("chain_scan needs a contact cyclic composition")
+    if k != P.meta.get("k"):
+        raise DomainError("chain_scan: k = %r, but P composes %r factors"
+                          % (k, P.meta.get("k")))
     if k % 2 == 0 or k < 1:
         raise DomainError("chain_scan requires odd k >= 1")
     lay = P.meta["layout"]
-    dim = P.total_dim
 
-    A = np.zeros((2, dim))
+    A = np.zeros((2, P.total_dim))
     for j in range(k):
         A[0, lay.r[j]] = 1.0
     A[1, lay.th[0]] = 1.0
@@ -271,43 +298,11 @@ def chain_scan(P, k, seeds, chains=None, tol=1e-9, max_iter=100):
 
     found = []
     for seed in seeds:
-        w = np.asarray(seed, dtype=float).copy()
-        converged, gnorm = False, np.inf
-        for _ in range(max_iter):
-            value, g, H = P.jet(w, 2)
-            gnorm = float(np.max(np.abs(g)))
-            c = A @ w
-            if max(gnorm, np.max(np.abs(c))) < tol:
-                converged = True
-                break
-            M = np.block([[H, A.T], [A, np.zeros((2, 2))]])
-            rhs = -np.concatenate([g, c])
-            sol = np.linalg.lstsq(M, rhs, rcond=None)[0]
-            step = sol[:dim]
-            # Backtrack if the full step overshoots the gradient norm.
-            scale = 1.0
-            for _ in range(8):
-                trial = w + scale * step
-                tn = float(np.max(np.abs(P.jet(trial, 1)[1])))
-                if np.isfinite(tn) and (tn < gnorm or tn < tol):
-                    w, gnorm = trial, tn
-                    break
-                scale *= 0.5
-            else:
-                break
-        if not converged:
-            raise NoConvergence(
-                "chain_scan seed failed: |grad| = %.3e" % gnorm)
-
+        w, value, H, gnorm, it = _newton(P, seed, tol, max_iter, gauge=A)
         if any(abs(value - m.value) < 1e-6 for m in found):
             continue
-        evals = np.linalg.eigvalsh(H)
-        index, nullity, gap, morse_bott = classify_hessian(evals)
-        mani = CriticalManifold(
-            kind="chainFamily", representative=w, value=value, index=index,
-            nullity=nullity, zk_orbit=_zk_orbit(P, w), gap=gap,
-            morse_bott=morse_bott,
-            diagnostics={"t": value / k, "grad_norm": gnorm})
+        mani = _manifold(P, w, value, H, "chainFamily", t=value / k,
+                         grad_norm=gnorm, iterations=it)
         if chains is not None:
             for ch in chains:
                 if abs(ch.action - value) < 1e-6:

@@ -321,24 +321,24 @@ def evidence(cert, amb):
     return report
 
 
+def _certificate_fields(cert):
+    """The certificate's set fields, its inner certificate and its areas,
+    in schema key order."""
+    obj = {"kind": cert.kind}
+    for key in ("K", "k", "l", "m"):
+        if getattr(cert, key) is not None:
+            obj[key] = getattr(cert, key)
+    if cert.inner is not None:
+        obj["inner"] = _certificate_fields(cert.inner)
+    obj["areas"] = {key: cert.areas[key]
+                    for key in ("A1", "A2", "A3") if key in cert.areas}
+    return obj
+
+
 def certificate_json(cert, report=None):
     """Deterministic JSON for a certificate (schema gfs/1), with the
     evidence block when a report is supplied."""
-    obj = {"schema": "gfs/1", "kind": cert.kind}
-    if cert.K is not None:
-        obj["K"] = cert.K
-    if cert.k is not None:
-        obj["k"] = cert.k
-    if cert.l is not None:
-        obj["l"] = cert.l
-    if cert.m is not None:
-        obj["m"] = cert.m
-    if cert.inner is not None:
-        inner = json.loads(certificate_json(cert.inner))
-        inner.pop("schema", None)
-        obj["inner"] = inner
-    obj["areas"] = {key: cert.areas[key]
-                    for key in ("A1", "A2", "A3") if key in cert.areas}
+    obj = {"schema": "gfs/1", **_certificate_fields(cert)}
     if report is not None:
         obj["evidence"] = {
             "degree": report["degree"],

@@ -58,6 +58,16 @@ def test_barcode_flag_validation(tmp_path, capsys):
     assert main(["barcode", "--k", "3", "--mode", "bogus"]) == 2
 
 
+def test_equivariant_limit_with_k_one_is_a_flag_error(tmp_path, capsys):
+    # the mode defaults to equivariant, which needs k an odd prime
+    assert main(["barcode", "--k", "1", "--limit",
+                 "--out", str(tmp_path)]) == 2
+    assert "odd prime" in capsys.readouterr().err
+    assert not (tmp_path / "barcode.json").exists()
+    assert main(["barcode", "--k", "1", "--limit", "--mode", "plain",
+                 "--out", str(tmp_path)]) == 0
+
+
 @pytest.mark.parametrize("argv", [
     ["barcode", "--k", "3", "--n", "0", "--limit"],
     ["barcode", "--k", "3", "--R", "-1"],

@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from gfs import (Ambient, GenFn, NoConvergence, NotFibreCritical,
-                 OrbitRelationViolated, chain_scan, check_value, maslov,
+from gfs import (Ambient, DomainError, GenFn, NoConvergence,
+                 NotFibreCritical, OrbitRelationViolated, chain_scan,
+                 check_value, maslov,
                  newton_critical, reconstruct, seed_from_chain,
                  sharp_critical_seed, to_csv, translated_chains)
 
@@ -137,3 +138,71 @@ def test_newton_evaluates_each_point_once():
     G.jet = counting
     newton_critical(G, np.array([0.3, -0.4, 1.2, 0.8]))
     assert orders == [2, 1, 2]
+
+
+def _counting(monkeypatch, G):
+    """Record (order, point) of every jet G evaluates."""
+    calls = []
+    jet = G.jet
+
+    def counting(w, order):
+        calls.append((order, np.array(w, dtype=float)))
+        return jet(w, order)
+
+    monkeypatch.setattr(G, "jet", counting)
+    return calls
+
+
+def test_newton_halves_an_overshooting_step(monkeypatch):
+    # sum log cosh: the full Newton step w - sinh(w) cosh(w) from 2.0
+    # lands near -11.6, where |tanh| is larger, so it must be damped
+    def jet(w, order):
+        return (float(np.sum(np.log(np.cosh(w)))), np.tanh(w),
+                np.diag(1.0 / np.cosh(w) ** 2))
+
+    G = GenFn(base_dim=2, fibre_dim=0, jet=jet, quad_part=np.zeros((0, 0)))
+    calls = _counting(monkeypatch, G)
+    m = newton_critical(G, np.array([2.0, -1.7]))
+    orders = [order for order, _ in calls]
+    assert np.allclose(m.representative, 0.0, atol=1e-10)
+    assert m.index == 0 and m.nullity == 0
+    assert orders[:3] == [2, 1, 1]
+    assert orders.count(1) > m.diagnostics["iterations"]
+
+
+def test_chain_scan_halves_an_overshooting_step(P3, amb1, rho_ref,
+                                                monkeypatch):
+    chains = translated_chains(amb1, rho_ref, 3)
+    ch = [c for c in chains if c.orbit_id == "shell-l2"][0]
+    seed = seed_from_chain(P3, ch)
+    seed = seed + 0.05 * np.random.default_rng(11).normal(size=len(seed))
+    calls = _counting(monkeypatch, P3)
+    fams = chain_scan(P3, 3, [seed], chains=chains)
+    orders = [order for order, _ in calls]
+    # the first full step is rejected and halved
+    assert orders[:3] == [2, 1, 1]
+    assert orders.count(1) > fams[0].diagnostics["iterations"]
+    assert len(fams) == 1 and fams[0].linked_orbit_id == "shell-l2"
+    assert fams[0].value == pytest.approx(ch.action, abs=1e-8)
+
+
+def test_chain_scan_evaluates_each_point_once(P3, amb1, rho_ref, monkeypatch):
+    # each iterate once at order 2, each trial once at order 1: the accepted
+    # trial is the next iterate
+    chains = translated_chains(amb1, rho_ref, 3)
+    seed = seed_from_chain(P3, chains[0])
+    seed = seed + 1e-4 * np.random.default_rng(0).normal(size=len(seed))
+    calls = _counting(monkeypatch, P3)
+    fams = chain_scan(P3, 3, [seed])
+    iterations = fams[0].diagnostics["iterations"]
+    assert iterations >= 1
+    assert [order for order, _ in calls] == [2] + [1, 2] * iterations
+    for (_, trial), (_, iterate) in zip(calls[1::2], calls[2::2]):
+        assert np.array_equal(trial, iterate)
+
+
+@pytest.mark.parametrize("k", [1, 5])
+def test_chain_scan_k_must_be_the_period_of_p(P3, amb1, rho_ref, k):
+    chains = translated_chains(amb1, rho_ref, 3)
+    with pytest.raises(DomainError, match="k = %d" % k):
+        chain_scan(P3, k, [seed_from_chain(P3, chains[0])], chains=chains)
