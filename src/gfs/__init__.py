@@ -17,7 +17,7 @@ Layers (bottom to top):
 """
 
 from .errors import (AngleOutOfRange, DomainError, EvenFactorCount, EvenK,
-                     GaugeDegenerate, GfsError, NoConvergence, NonFreeStratum,
+                     GfsError, NoConvergence, NonFreeStratum,
                      NonMonotoneProfile, NonPrimeK, NotFibreCritical,
                      NotNormalized, OrbitRelationViolated,
                      SearchBoundExceeded, ThresholdOnSpectrum)

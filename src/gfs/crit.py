@@ -29,8 +29,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import (DomainError, GaugeDegenerate, NoConvergence,
-                     NotFibreCritical, OrbitRelationViolated)
+from .errors import (DomainError, NoConvergence, NotFibreCritical,
+                     OrbitRelationViolated)
 from .genfun import chain_config, sharp_k
 
 # Relative eigenvalue threshold below which a Hessian direction counts as null.
@@ -293,8 +293,6 @@ def chain_scan(P, k, seeds, chains=None, tol=1e-9, max_iter=100):
     for j in range(k):
         A[0, lay.r[j]] = 1.0
     A[1, lay.th[0]] = 1.0
-    if np.linalg.matrix_rank(A) < 2:
-        raise GaugeDegenerate("gauge rows are linearly dependent")
 
     found = []
     for seed in seeds:

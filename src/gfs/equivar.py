@@ -17,11 +17,11 @@ strata handled here the coinvariant complex computes equivariant homology,
 which is why non-free shells (l a multiple of k) are refused rather than
 silently included.
 
-Barcodes sweep the action threshold a and record, per degree, the maximal
-intervals of constant nonzero rank of the relative homology built from
-generators with critical value > a.  Degrees are stored in the normalized
-convention: the raw Morse index minus the composition bookkeeping shift
-k*iota + n(k-1).
+Barcodes come from one persistence reduction per degree, whose pairs give
+the maximal intervals of constant nonzero rank, in the threshold a, of the
+homology of the generators with value > a.  Degrees are stored in the
+normalized convention: the raw Morse index minus the composition
+bookkeeping shift k*iota + n(k-1).
 """
 
 from __future__ import annotations
@@ -439,21 +439,52 @@ class Barcode:
 
 
 def barcode(cx, mode):
-    """Barcode of the filtered complex: sweep a over the generator values and
-    record, per degree, maximal intervals of constant nonzero rank of
-    H(generators with value > a)."""
-    values = sorted({g.value for g in cx.generators})
-    points = [0.0] + [v for v in values if v > 0.0]
-    ranks = []
-    for a in points:
-        alive = [g.value > a for g in cx.generators]
-        ranks.append(cx.homology_ranks(mode, alive))
+    """Barcode of the filtered complex from one persistence reduction.
+
+    Generators expand into k circulant columns (plain) or one augmentation
+    column (equivariant).  Per degree d the matrix of d_d, rows and columns
+    sorted by value, is column-reduced over F_p; column operations never mix
+    degrees, so its (low row s, column t) pivots are the pairs of the global
+    reduction.  C_{<=a} is a subcomplex, so H_d(C / C_{<=a}) has rank
+    #{unpaired degree-d t: v_t > a} + #{pairs (s, t), deg t = d: v_s <= a <
+    v_t}, read at 0 and at each positive value; its runs are the bars."""
+    if mode not in ("plain", "equivariant"):
+        raise DomainError("mode must be 'plain' or 'equivariant'")
+    ring, gens, degrees, p = cx.ring, cx.generators, cx.degrees(), cx.ring.mod
+    block = ring.k if mode == "plain" else 1
+    order = {e: [] for d in degrees for e in (d - 1, d)}
+    for i in sorted(range(len(gens)), key=lambda i: gens[i].value):
+        order[gens[i].degree].append(i)
+    pos = {i: q * block for idx in order.values() for q, i in enumerate(idx)}
+    value = {d: np.repeat([gens[i].value for i in idx], block)
+             for d, idx in order.items()}
+    mats = {d: np.zeros((len(value[d - 1]), len(value[d])), dtype=np.int64)
+            for d in degrees}
+    for (t, s), e in cx.diff.items():
+        mats[gens[s].degree][pos[t]:pos[t] + block, pos[s]:pos[s] + block] = (
+            ring.circulant(e) if mode == "plain" else ring.aug(e))
+    # column t adds one on [born, v_t); born = inf once t is a pivot row
+    born = {d: np.full(len(v), -np.inf) for d, v in value.items()}
+    for d, M in mats.items():
+        column_of = {}      # low row -> the reduced column that owns it
+        for j in range(M.shape[1]):
+            nz = np.flatnonzero(M[:, j])
+            while nz.size and nz[-1] in column_of:
+                low, i = nz[-1], column_of[nz[-1]]
+                f = int(M[low, j]) * pow(int(M[low, i]), -1, p) % p
+                M[:, j] = (M[:, j] - f * M[:, i]) % p
+                nz = np.flatnonzero(M[:, j])
+            if nz.size:
+                column_of[nz[-1]] = j
+                born[d][j], born[d - 1][nz[-1]] = value[d - 1][nz[-1]], np.inf
+    points = [0.0] + sorted({g.value for g in gens if g.value > 0.0})
+    at = np.array(points)
     bars = []
-    degrees = cx.degrees()
     for d in degrees:
+        ranks = ((born[d][:, None] <= at)
+                 & (at < value[d][:, None])).sum(axis=0).tolist()
         run_rank, run_start = 0, 0.0
-        for a, r in zip(points, ranks):
-            rd = r.get(d, 0)
+        for a, rd in zip(points, ranks):
             if rd != run_rank:
                 if run_rank > 0:
                     bars.append(Bar(d, run_start, a, run_rank))
@@ -462,8 +493,7 @@ def barcode(cx, mode):
             bars.append(Bar(d, run_start, math.inf, run_rank))
     meta = dict(getattr(cx, "meta", {}))
     meta["mode"] = mode
-    field_order = 2 if (mode == "plain" and cx.ring.k == 1) else cx.ring.mod
-    return Barcode(bars, field_order, meta)
+    return Barcode(bars, p, meta)
 
 
 def limit_barcode(amb, k, mode, lmax=4):

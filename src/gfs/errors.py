@@ -33,10 +33,6 @@ class NoConvergence(GfsError):
     """An iterative solve did not converge within its iteration budget."""
 
 
-class GaugeDegenerate(GfsError):
-    """The gauge-bordered Newton system is singular beyond the expected family."""
-
-
 class NotFibreCritical(GfsError):
     """The point does not satisfy the fibre-criticality test."""
 
