@@ -21,8 +21,8 @@ Variable layouts (fixed here, relied on by `crit`):
   the k-fold sharp of the conformal slot G(v; theta, zeta, r) =
   e^r F(e^{-r/2} v, theta, zeta) plus the theta-differences.
 
-All derivatives are exact (the small-map midpoint is inverted in closed form
-and differentiated implicitly; compositions use the explicit chain rule);
+All derivatives are exact (the small-map jet is a closed form in the level
+m of the inverted midpoint; compositions use the explicit chain rule);
 finite differences are only used in the test suite to validate them.
 """
 
@@ -149,38 +149,41 @@ def gf_linear_rotation(amb, angles):
 
 
 def gf_small_map(amb, mp):
-    """Fibreless generating function of a radial map rotating by less than pi:
+    """Fibreless generating function of a radial map rotating by less than pi.
 
-        F(q) = S(zbar) + 0.5 sum_j (xbar_j phi_y_j - ybar_j phi_x_j),
+    phi commutes with U(n), so F depends on h = H(q) alone.  With zbar =
+    mp.midpoint_inverse(q), m = H(zbar), beta = 2 t rho'(m) / R^2 and
+    b = beta/2 (so h = m cos^2 b), in closed form:
 
-    zbar = mp.midpoint_inverse(q) solves (z + phi(z))/2 = q in closed form
-    and S = mp.S is the calibrated primitive; then grad F is the graph
-    covector of phi at zbar and
+        F(q) = t a(m) + 0.5 R^2 m sin 2b   (S(zbar) + the cross term),
+        grad F = 2 tan(b) q                (the graph covector),
+        hess F = 2 tan(b) I + (4/R^2) (d tan b/dh) q q^T,
+        d tan b/dh = (beta'/(2 cos^2 b)) / (cos^2 b - 0.5 m sin 2b beta'),
 
-        hess F = sym( 2 J0 (I - Dphi) (I + Dphi)^{-1} ),
-
-    both exact by implicit differentiation of the midpoint relation."""
+    whose denominator is dh/dm; every order is zero where H(q) >= 1."""
+    if not (isinstance(mp, RadialMap) and mp.amb == amb):
+        raise DomainError("gf_small_map needs a RadialMap on %r" % (amb,))
     if mp.max_rotation() >= math.pi:
         raise AngleOutOfRange("the map rotates by pi or more; its midpoint "
                               "map (id + phi)/2 is not invertible")
-    n2 = amb.dim
+    n2, R2, t, rho = amb.dim, amb.R**2, mp.t, mp.rho
 
     def jet(q, order):
-        z = mp.midpoint_inverse(q)
-        X = mp(z)
-        value = mp.S(z) + 0.5 * float(np.dot(z[0::2], X[1::2])
-                                      - np.dot(z[1::2], X[0::2]))
-        cov = H = None
+        m = amb.H(mp.midpoint_inverse(q))
+        dr = rho.drho(m)
+        b = t * dr / R2
+        s2b = math.sin(2.0 * b)
+        value = t * (rho.rho(m) - m * dr) + 0.5 * R2 * m * s2b
+        g = H = None
         if order >= 1:
-            cov = np.empty(n2)
-            cov[0::2] = X[1::2] - z[1::2]
-            cov[1::2] = z[0::2] - X[0::2]
+            tb = math.tan(b)
+            g = 2.0 * tb * q
         if order >= 2:
-            D = mp.jacobian(z)
-            A = np.linalg.solve((np.eye(n2) + D).T, (np.eye(n2) - D).T).T
-            H = 2.0 * j0_matrix(n2) @ A
-            H = 0.5 * (H + H.T)
-        return value, cov, H
+            dbeta, cos2 = 2.0 * t * rho.d2rho(m) / R2, math.cos(b) ** 2
+            dtb = 0.5 * dbeta / cos2 / (cos2 - 0.5 * m * s2b * dbeta)
+            H = (4.0 * dtb / R2) * np.outer(q, q)
+            H.flat[::n2 + 1] += 2.0 * tb
+        return value, g, H
 
     # normalized: where phi = id, S = 0 and the cross term is 0
     return GenFn(base_dim=n2, fibre_dim=0, jet=jet,

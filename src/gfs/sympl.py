@@ -295,8 +295,12 @@ def action_density(rho, m):
 
 
 class RadialMap:
-    """Time-t map of the truncated radial flow with exact Jacobian and the
-    calibrated primitive S_t(z) = t * (rho(m) - m rho'(m))."""
+    """Time-t map of the truncated radial flow with the calibrated primitive
+    S_t(z) = t * (rho(m) - m rho'(m)).
+
+    `genfun.gf_small_map` reads the map through `midpoint_inverse` and the
+    profile alone; the exact Jacobian is kept as the oracle of its tests and
+    as a probe of the benchmark (bench/run.py, bench/spans.py)."""
 
     def __init__(self, amb, rho, t=1.0):
         self.amb = amb
@@ -327,12 +331,6 @@ class RadialMap:
     def S(self, z):
         m = self.amb.H(np.asarray(z, dtype=float))
         return self.t * (self.rho.rho(m) - m * self.rho.drho(m))
-
-    def grad_S(self, z):
-        z = np.asarray(z, dtype=float)
-        m = self.amb.H(z)
-        coeff = -self.t * m * self.rho.d2rho(m)
-        return coeff * (2.0 / self.amb.R**2) * z
 
     def midpoint_inverse(self, q):
         """The z with (z + phi(z))/2 = q.
@@ -395,9 +393,6 @@ class LinearRotation:
 
     def S(self, z):
         return 0.0
-
-    def grad_S(self, z):
-        return np.zeros(self.amb.dim)
 
 
 class ComposedMap:

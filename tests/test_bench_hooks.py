@@ -44,7 +44,7 @@ def test_hooks_install_and_restore(spans):
         small = gfs.gf_small_map(amb, gfs.RadialMap(amb, rho, 0.2))
         assert math.isfinite(small.value(np.array([0.3, -0.2])))
         assert tracer.layer_calls("genfun.small_map.value") == 1
-        assert tracer.layer_calls("sympl.radial_map") >= 1
+        assert tracer.layer_calls("sympl.profile") >= 1
     finally:
         inst.remove()
     hooked = {(owner, key) for owner, key, _ in patches}

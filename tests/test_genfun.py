@@ -9,8 +9,9 @@ from gfs import (Ambient, AngleOutOfRange, DomainError, EvenFactorCount, EvenK,
                  LinearRotation, NotNormalized, RadialMap, contact_lift_gf,
                  contact_p, contact_sharp, fibre_critical_config,
                  gf_compose_chain, gf_linear_rotation, gf_small_map,
-                 gf_time_one, graph_of, reeb_shift, sharp_k)
+                 gf_time_one, graph_of, reeb_shift, ref_profile, sharp_k)
 from gfs.genfun import alternating_resolve
+from gfs.sympl import j0_matrix
 
 from conftest import fd_grad, fd_hess
 
@@ -51,6 +52,94 @@ def test_small_map_rejects_rotation_of_pi(amb1, rho_ref):
     for t in (1.0, 0.6):
         with pytest.raises(AngleOutOfRange):
             gf_small_map(amb1, RadialMap(amb1, rho_ref, t))
+
+
+@pytest.mark.parametrize("amb, radial", [
+    (Ambient(n=1), False), (Ambient(n=2), True), (Ambient(n=1, R=1.3), True),
+], ids=["not-radial", "other-n", "other-R"])
+def test_small_map_rejects_a_foreign_map(amb, radial, amb1, rho_ref):
+    mp = (RadialMap(amb1, rho_ref, 0.2) if radial
+          else LinearRotation(amb1, [0.8]))
+    with pytest.raises(DomainError):
+        gf_small_map(amb, mp)
+
+
+def _small_map_case(n, R, steep, seed=29):
+    """A time-1/5 slice or a steep slice rotating by up to 3pi/4, and seeded
+    points: a cloud reaching past the ball, plus points just inside it."""
+    amb = Ambient(n=n, R=R)
+    t = 0.75 * math.pi * R**2 / (2.0 * 0.9 * math.pi) if steep else 0.2
+    mp = RadialMap(amb, ref_profile(-0.9 * math.pi, 0.1), t)
+    rng = np.random.default_rng(seed)
+    points = list(rng.normal(0.0, 0.6 * R, (200, 2 * n)))
+    for eps in (1e-2, 1e-4, 1e-6, 1e-9, 1e-12):
+        q = rng.normal(size=2 * n)
+        points.append(q * R * math.sqrt(1.0 - eps) / np.linalg.norm(q))
+    assert any(amb.H(q) >= 1.0 for q in points)
+    assert any(1.0 - 1e-9 <= amb.H(q) < 1.0 for q in points)
+    return amb, mp, points
+
+
+def _flow_jet(mp, q):
+    """The small-map jet through the flow: S(zbar) plus the cross term, the
+    graph covector at zbar, and sym(2 J0 (I - D)(I + D)^{-1}), D = Dphi(zbar)."""
+    z = mp.midpoint_inverse(q)
+    X = mp(z)
+    value = mp.S(z) + 0.5 * float(np.dot(z[0::2], X[1::2])
+                                  - np.dot(z[1::2], X[0::2]))
+    D = mp.jacobian(z)
+    eye = np.eye(len(q))
+    H = 2.0 * j0_matrix(len(q)) @ np.linalg.solve(eye + D, eye - D)
+    return value, graph_of(mp, z).covector, 0.5 * (H + H.T)
+
+
+SMALL_MAP_CASES = [(n, R, steep) for n, R in ((1, 1.0), (2, 1.3))
+                   for steep in (False, True)]
+
+
+@pytest.mark.parametrize("n, R, steep", SMALL_MAP_CASES)
+def test_small_map_jet_matches_the_flow(n, R, steep):
+    # values vanish as H(q) -> 1, so each order is compared to its largest
+    # entry over the case
+    amb, mp, points = _small_map_case(n, R, steep)
+    G = gf_small_map(amb, mp)
+    closed = [G.jet(q, 2) for q in points]
+    oracle = [_flow_jet(mp, q) for q in points]
+    for i, name in enumerate(("value", "grad", "hess")):
+        scale = max(np.max(np.abs(jet[i])) for jet in closed)
+        err = max(np.max(np.abs(a[i] - b[i])) for a, b in zip(closed, oracle))
+        assert err <= 1e-13 * scale, name
+
+
+@pytest.mark.parametrize("n, R, steep", SMALL_MAP_CASES)
+def test_small_map_jet_vanishes_outside_the_ball(n, R, steep):
+    amb, mp, points = _small_map_case(n, R, steep)
+    G = gf_small_map(amb, mp)
+    rng = np.random.default_rng(31)
+    for scale in (1.0, 1.0 + 1e-12, 1.7):
+        q = rng.normal(size=2 * n)
+        points.append(q * scale * R / np.linalg.norm(q))
+    outside = [q for q in points if amb.H(q) >= 1.0]
+    assert len(outside) >= 3
+    for q in outside:
+        for order in (0, 1, 2):
+            value, g, H = G.jet(q, order)
+            assert value == 0.0
+            assert order < 1 or np.all(g == 0.0)
+            assert order < 2 or np.all(H == 0.0)
+
+
+def test_small_map_jet_runs_no_flow(amb1, rho_ref, monkeypatch):
+    G = gf_small_map(amb1, RadialMap(amb1, rho_ref, 0.2))
+
+    def refuse(*args):
+        raise AssertionError("the small-map jet called the flow")
+
+    monkeypatch.setattr(RadialMap, "__call__", refuse)
+    monkeypatch.setattr(RadialMap, "jacobian", refuse)
+    value, g, H = G.jet(np.array([0.31, -0.12]), 2)
+    assert math.isfinite(value) and np.all(np.isfinite(H))
+    assert np.all(g != 0.0)
 
 
 def test_compose_chain_parity_guard(amb1, rho_ref):
