@@ -59,6 +59,7 @@ class GroupRing:
     The sentinel k = 1 is the plain mode: length-1 coefficient vectors over
     F_2, under which T and N both become 1 and T - 1 becomes 0, so the same
     complex constructions specialize to ordinary F_2 chain complexes.
+    The constants zero, one, T, T_minus_1 and N are read-only arrays.
     """
 
     def __init__(self, k):
@@ -69,6 +70,8 @@ class GroupRing:
         self.mod = 2 if k == 1 else k
         i = np.arange(k)
         self._shift = (i[:, None] - i) % k      # (i - j) mod k, for circulant
+        self.zero, self.one, self.T, self.T_minus_1, self.N = (
+            self._constant(c) for c in ([0], [1], [0, 1], [-1, 1], [1] * k))
 
     def elem(self, coeffs):
         """Ring element of a coefficient list: T^i -> T^(i mod k), then
@@ -78,25 +81,11 @@ class GroupRing:
         np.add.at(c, np.arange(len(coeffs)) % self.k, coeffs)
         return c % self.mod
 
-    @property
-    def zero(self):
-        return self.elem([0])
-
-    @property
-    def one(self):
-        return self.elem([1])
-
-    @property
-    def T(self):
-        return self.elem([0, 1]) if self.k > 1 else self.elem([1])
-
-    @property
-    def T_minus_1(self):
-        return self.sub(self.T, self.one)
-
-    @property
-    def N(self):
-        return self.elem([1] * self.k)
+    def _constant(self, coeffs):
+        """A read-only ring element, built once per ring."""
+        c = self.elem(coeffs)
+        c.setflags(write=False)
+        return c
 
     def add(self, a, b):
         return (a + b) % self.mod
@@ -294,13 +283,19 @@ def ball_complex(amb, rho, k, a_window=None):
     plain sentinel k = 1 everything is kept).  An explicit window that
     includes a non-free shell (l a multiple of k >= 3) raises NonFreeStratum,
     because the coinvariant computation is only valid on free strata.
+
+    The default window with k > 1 asks `shells` for l <= k only, which is
+    exact: shell l sits where rho'(m_l) = -(l/k) A (A = pi R^2), so its
+    value c_l = l m_l A + k rho(m_l) has dc_l/dl = m_l A > 0 (the rho' terms
+    cancel), and every shell l > k lies above c_k >= hi.  An explicit window
+    and k = 1 bisect every shell, because the NonFreeStratum check scans
+    them all.
     """
     if k != 1 and not is_prime(k):
         raise NonPrimeK("ball_complex needs k prime or the sentinel 1")
     ring = GroupRing(k)
-    data = shells(amb, rho, k)
-    shell_data = [s for s in data if s.kind == "sphereShell"]
-    origin = [s for s in data if s.kind == "isolated"][0]
+    *shell_data, origin = shells(
+        amb, rho, k, lmax=k if a_window is None and k > 1 else None)
     n = amb.n
 
     if a_window is None:
@@ -332,8 +327,7 @@ def ball_complex(amb, rho, k, a_window=None):
     keep_origin = lo < origin.value < hi
     if keep_origin:
         origin_index = len(gens)
-        gens.append(Generator(2 * n * (len(shell_data) + 1), origin.value,
-                              "origin"))
+        gens.append(Generator(origin.index, origin.value, "origin"))
 
     cx = GroupRingComplex(ring, gens)
     for s in kept:

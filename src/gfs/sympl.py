@@ -249,8 +249,9 @@ def ref_profile(c, delta, blend=BLEND_WIDTH):
     exact antiderivative with rho(1) = 0.  rho'' >= 0 throughout, so level
     solving for rho' is monotone on [delta, 1].
     """
-    if not c < 0:
-        raise DomainError("profile slope c must be negative")
+    if not -math.inf < c < 0:
+        raise DomainError("profile slope c must be negative and finite, "
+                          "got %r" % (c,))
     if not 0 < delta < 1 - 2 * blend:
         raise DomainError("delta must lie in (0, 1 - 2*blend)")
     s = -c / (1.0 - delta)          # chord slope, > 0
@@ -443,30 +444,48 @@ def _check_monotone(rho, lo, hi):
             "rho' is not non-decreasing on [%g, %g]" % (lo, hi))
 
 
-def shells(amb, rho, k):
+def shells(amb, rho, k, lmax=None):
     """Solve rho'(m) = -(l/k) pi R^2 for every integer l with
     0 < l/k < -rho'(0) / (pi R^2); bisection to 1e-12 in m.
 
     Returns one ShellDatum per shell (ascending l) followed by the origin
-    datum (kind "isolated", value k rho(0), index 2n(L+1))."""
+    datum (kind "isolated", value k rho(0), index 2n(L+1), L the number of
+    shells).  With `lmax`, only the shells l <= lmax are bisected and
+    returned, bit-equal to the first entries of the full list; L still counts
+    every shell, in O(1) steps from the estimate -rho'(0) k / (pi R^2).  The
+    bracket check, whose slack rho'(lo) - target grows with l, is also run on
+    the deepest level, so a truncated call refuses every profile the full
+    call refuses."""
     if k < 1 or k % 2 == 0:
         raise EvenK("shells requires odd k >= 1")
     lo = rho.delta if rho.delta is not None else 0.0
     _check_monotone(rho, lo, 1.0)
     c0 = rho.drho(0.0)
     area = math.pi * amb.R**2
-    out = []
-    l = 1
-    while -(l / k) * area > c0:
+
+    def is_shell(l):
+        return -(l / k) * area > c0
+
+    def bracketed_target(l):
         target = -(l / k) * area
-        a, b = lo, 1.0
-        fa = rho.drho(a) - target
-        fb = rho.drho(b) - target
+        fa = rho.drho(lo) - target
+        fb = rho.drho(1.0) - target
         if fa == 0.0:
             raise NonMonotoneProfile(
                 "rho' meets the level on its flat plateau; shell is not isolated")
         if fa > 0.0 or fb < 0.0:
             raise NonMonotoneProfile("cannot bracket rho' level %g" % target)
+        return target
+
+    L = max(int(-c0 * k / area), 0)
+    while is_shell(L + 1):
+        L += 1
+    while L > 0 and not is_shell(L):
+        L -= 1
+    out = []
+    for l in range(1, L + 1 if lmax is None else min(L, lmax) + 1):
+        target = bracketed_target(l)
+        a, b = lo, 1.0
         while b - a > 1e-12:
             mid = 0.5 * (a + b)
             if rho.drho(mid) - target <= 0.0:
@@ -478,8 +497,8 @@ def shells(amb, rho, k):
         out.append(ShellDatum(
             l=l, m=m, value=value, index=2 * amb.n * l, kind="sphereShell",
             free_orbit=math.gcd(l, k) == 1, nullity=2 * amb.n - 1))
-        l += 1
-    L = len(out)
+    if len(out) < L:
+        bracketed_target(L)
     out.append(ShellDatum(
         l=0, m=0.0, value=k * rho.rho(0.0), index=2 * amb.n * (L + 1),
         kind="isolated", free_orbit=False, nullity=0))

@@ -137,6 +137,23 @@ def test_barcode_malformed_ref_profile(tmp_path, capsys, literal):
     assert "error" in capsys.readouterr().err
 
 
+def test_non_finite_ref_slope_is_a_flag_error(tmp_path):
+    # in a fresh interpreter, so that a numpy RuntimeWarning would reach
+    # stderr rather than pytest's warning capture
+    src = os.path.dirname(os.path.dirname(gfs.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys; from gfs.cli import main; sys.exit(main(sys.argv[1:]))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code, "barcode", "--k", "3",
+         "--profile", "REF:-inf,0.1", "--out", str(tmp_path)],
+        env=env, capture_output=True, text=True)
+    assert proc.returncode == 2
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert "slope" in lines[0] and "Warning" not in proc.stderr
+    assert not (tmp_path / "barcode.json").exists()
+
+
 def test_import_loads_no_scipy():
     src = os.path.dirname(os.path.dirname(gfs.__file__))
     env = dict(os.environ)

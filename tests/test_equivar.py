@@ -10,7 +10,7 @@ from gfs import (Ambient, Bar, Barcode, DomainError, Generator, GroupRing,
                  GroupRingComplex, NonFreeStratum, NonPrimeK,
                  ThresholdOnSpectrum, ball_complex, barcode, circle_complex,
                  inclusion_map, is_prime, lens_complex, limit_barcode,
-                 rank_mod_p, ref_profile, tensor_circle, thom_shift)
+                 rank_mod_p, ref_profile, shells, tensor_circle, thom_shift)
 
 
 def test_is_prime():
@@ -65,6 +65,18 @@ def test_sentinel_ring_collapses_the_action():
     assert np.array_equal(ring.T, ring.one)
     assert ring.is_zero(ring.T_minus_1)
     assert np.array_equal(ring.N, ring.one)
+
+
+@pytest.mark.parametrize("k", [1, 3, 5, 23])
+def test_group_ring_constants_are_built_once_and_read_only(k):
+    ring = GroupRing(k)
+    assert np.array_equal(ring.T_minus_1, ring.elem([-1, 1]))
+    assert np.array_equal(ring.N, ring.elem([1] * k))
+    assert np.array_equal(ring.T, ring.elem([0, 1]))
+    assert ring.N is ring.N
+    for const in (ring.zero, ring.one, ring.T, ring.T_minus_1, ring.N):
+        with pytest.raises(ValueError):
+            const[0] = 1
 
 
 def test_rank_mod_p_exact():
@@ -238,3 +250,54 @@ def test_bar_rank_at_is_half_open():
     assert bc.rank_at(2, 1.999999) == 1
     assert bc.rank_at(2, 2.0) == 0
     assert bc.rank_at(2, 0.999) == 0
+
+def _ball_complex_from_all_shells(amb, rho, k):
+    """The default-window ball complex, built from the full shell list."""
+    ring = GroupRing(k)
+    *shell_data, origin = shells(amb, rho, k)
+    hi = min([s.value for s in shell_data if s.l % k == 0] + [origin.value])
+    kept = [s for s in shell_data if 0.0 < s.value < hi]
+    n2 = 2 * amb.n
+    gens = [Generator(n2 * s.l + i, s.value, "l%d-%d" % (s.l, i))
+            for s in kept for i in range(n2)]
+    keep_origin = 0.0 < origin.value < hi
+    if keep_origin:
+        gens.append(Generator(n2 * (len(shell_data) + 1), origin.value,
+                              "origin"))
+    cx = GroupRingComplex(ring, gens)
+    for b, s in enumerate(kept):
+        for i in range(1, n2):
+            cx.add_diff(b * n2 + i - 1, b * n2 + i,
+                        ring.T_minus_1 if i % 2 == 1 else ring.N)
+        if b and kept[b - 1].l == s.l - 1:
+            cx.add_diff(b * n2 - 1, b * n2, ring.N)
+    cx.meta = {
+        "kind": "ballComplex", "n": amb.n, "k": k, "R": amb.R,
+        "window": (0.0, hi), "shells": [(s.l, s.value) for s in kept],
+        "origin_value": origin.value if keep_origin else None,
+        "degree_normalization":
+            "stored degree = raw Morse index - (k*iota + n*(k-1))",
+    }
+    return cx
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("k", [3, 5, 7, 11, 23])
+def test_default_window_matches_the_full_shell_list(n, k):
+    # The default window bisects only l <= k; the cases run from L < k (no
+    # non-free shell, the origin caps the window) to L >= k.
+    amb = Ambient(n=n, R=1.0)
+    for c_over_pi in (0.9, 1.3, 3.5, 12.0, 60.0):
+        for delta in (0.1, 0.25):
+            rho = ref_profile(-c_over_pi * math.pi, delta)
+            got = ball_complex(amb, rho, k)
+            want = _ball_complex_from_all_shells(amb, rho, k)
+            assert got.generators == want.generators
+            assert got.diff.keys() == want.diff.keys()
+            assert all(np.array_equal(e, want.diff[key])
+                       for key, e in got.diff.items())
+            assert got.meta == want.meta
+            for mode in ("plain", "equivariant"):
+                a, b = barcode(got, mode), barcode(want, mode)
+                assert a.to_json() == b.to_json()
+                assert a.to_tsv() == b.to_tsv()

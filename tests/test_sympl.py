@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from gfs import (Ambient, ContactPoint, DomainError, EvenK, LinearRotation,
-                 RadialMap, RadialProfile, flow, lift_contact, phi_m,
-                 ref_profile, room_transform, shells, translated_chains,
-                 verify_chain)
+                 NonMonotoneProfile, RadialMap, RadialProfile, flow,
+                 lift_contact, phi_m, ref_profile, room_transform, shells,
+                 translated_chains, verify_chain)
 from gfs.sympl import (BLEND_WIDTH, ComposedMap, action_density,
                        reeb_translate)
 
@@ -327,3 +327,96 @@ def test_room_conjugation_map():
     xs = np.linspace(0.0, 10.0, 50)
     ys = [room_transform(2, x) for x in xs]
     assert np.all(np.diff(ys) > 0)
+
+
+@pytest.mark.parametrize("n, R", [(1, 1.0), (2, 1.3)])
+@pytest.mark.parametrize("k", [1, 3, 7])
+def test_truncated_shells_are_bit_equal_to_the_full_list(n, R, k):
+    amb = Ambient(n=n, R=R)
+    for c_over_pi in (0.9, 3.5, 12.0):
+        rho = ref_profile(-c_over_pi * math.pi, 0.1)
+        full = shells(amb, rho, k)
+        for lmax in (0, 1, k, len(full) - 1, len(full) + 5):
+            part = shells(amb, rho, k, lmax=lmax)
+            assert part[:-1] == full[:min(lmax, len(full) - 1)]
+            assert part[-1] == full[-1]     # origin datum, index 2n(L+1)
+
+
+def test_truncated_shells_refuse_what_the_full_list_refuses(amb1):
+    # rho' jumps from -10 to -5 at delta = 0.5, so the levels between cannot
+    # be bracketed on [delta, 1].  They lie beyond l = 3, and only the check
+    # on the deepest level (l = 9) makes the truncated call refuse them too.
+    prof = RadialProfile([0.0, 0.5, 1.0], [[0.0, -10.0, 6.25],
+                                           [5.0, -5.0, 1.25]],
+                         c=-10.0, delta=0.5)
+    for lmax in (None, 3):
+        with pytest.raises(NonMonotoneProfile):
+            shells(amb1, prof, 3, lmax=lmax)
+
+
+def _shell_count_by_loop(c0, k, area):
+    l = 1
+    while -(l / k) * area > c0:
+        l += 1
+    return l - 1
+
+
+def test_shell_count_matches_the_level_loop():
+    # The O(1) count against the loop it replaces, read off the origin
+    # index 2n(L+1) of a call that bisects nothing.  Boundary slopes sit on
+    # a level, c = -(l/k) A, or one ulp to either side of it.
+    rng = np.random.default_rng(20)
+    cases = []
+    for _ in range(300):
+        k = int(rng.choice([1, 3, 5, 7, 11, 23, 51]))
+        R = float(rng.choice([1.0, 1.3, rng.uniform(0.2, 3.0)]))
+        area = math.pi * R**2
+        c = -float(rng.uniform(0.01, 200.0)) * area
+        edge = -(int(rng.integers(1, 400)) / k) * area
+        cases += [(k, R, c), (k, R, edge), (k, R, math.nextafter(edge, 0.0)),
+                  (k, R, math.nextafter(edge, -math.inf))]
+    for k, R, c in cases:
+        amb = Ambient(n=1, R=R)
+        rho = ref_profile(c, 0.1)
+        assert rho.drho(0.0) == c
+        L = _shell_count_by_loop(c, k, math.pi * R**2)
+        assert shells(amb, rho, k, lmax=0)[-1].index == 2 * (L + 1)
+
+
+def test_truncated_shells_bound_the_profile_reads():
+    # REF(-1e9, 0.1) has about 1e9 shells for k = 3; the default window
+    # bisects three of them, about 40 reads each.  The wrapper raises past
+    # the bound, so a regression fails rather than running for hours.
+    from gfs import ball_complex
+    rho = ref_profile(-1e9, 0.1)
+    drho, reads = rho.drho, [0]
+
+    def counted(m):
+        if np.ndim(m) == 0:
+            reads[0] += 1
+            if reads[0] > 200:
+                raise AssertionError("more than 200 scalar rho' reads")
+        return drho(m)
+
+    rho.drho = counted
+    cx = ball_complex(Ambient(n=1), rho, 3)
+    assert [l for l, _ in cx.meta["shells"]] == [1, 2]
+    assert reads[0] <= 200
+
+
+@pytest.mark.parametrize("n, R", [(1, 1.0), (1, 1.3), (2, 1.0), (2, 1.3)])
+def test_shell_values_increase_with_l(n, R):
+    # rho'(m_l) = -(l/k) A gives dc_l/dl = m_l A > 0, with m_l decreasing in
+    # l: so c_{l+1} - c_l lies between m_{l+1} A and m_l A.  This is what
+    # lets the default window of ball_complex stop bisecting at l = k.
+    amb = Ambient(n=n, R=R)
+    area = math.pi * R**2
+    for k in (1, 3, 5):
+        for c_over_pi in (0.9, 1.3, 3.5, 12.0, 60.0):
+            for delta in (0.05, 0.1, 0.25):
+                rho = ref_profile(-c_over_pi * math.pi, delta)
+                sh = shells(amb, rho, k)[:-1]
+                for s, t in zip(sh, sh[1:]):
+                    assert t.value > s.value
+                    step = t.value - s.value
+                    assert t.m * area - 1e-9 <= step <= s.m * area + 1e-9
