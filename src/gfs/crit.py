@@ -187,7 +187,10 @@ def reconstruct(F, k, p, tol=1e-8):
     through the factor's fibre-critical domain-point chart, and verifies the
     orbit relation X_{j+1} = phi(X_j) (cyclically, so closure included).
     """
-    sharp = sharp_k(F, k)
+    return _orbit(F, sharp_k(F, k), k, p, tol)
+
+
+def _orbit(F, sharp, k, p, tol):
     p = np.asarray(p, dtype=float)
     g = sharp.grad(p)
     fibre_part = g[sharp.base_dim:]
@@ -218,10 +221,10 @@ def reconstruct(F, k, p, tol=1e-8):
 def check_value(F, k, p):
     """|F^{#k}(p) - sum_j S(X_j)| for the orbit reconstructed from p; the
     correspondence theorem says this is zero for normalized F."""
-    points = reconstruct(F, k, p)
+    sharp = sharp_k(F, k)
+    points = _orbit(F, sharp, k, p, 1e-8)
     phi = F.map_handle
     total = sum(float(phi.S(x)) for x in points)
-    sharp = sharp_k(F, k)
     return abs(float(sharp.value(np.asarray(p, dtype=float))) - total)
 
 

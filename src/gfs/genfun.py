@@ -21,9 +21,10 @@ Variable layouts (fixed here, relied on by `crit`):
   the k-fold sharp of the conformal slot G(v; theta, zeta, r) =
   e^r F(e^{-r/2} v, theta, zeta) plus the theta-differences.
 
-All derivatives are exact (the small-map jet is a closed form in the level
-m of the inverted midpoint; compositions use the explicit chain rule);
-finite differences are only used in the test suite to validate them.
+All derivatives are exact: the small-map jet is a closed form in the level
+m of the inverted midpoint, and a cyclic composition is read through its flat
+form sum_i f_i(A_i w) + 0.5 w^T T w over its leaves, nested compositions
+inlined.  Finite differences are only used in the test suite to check them.
 """
 
 import math
@@ -32,7 +33,7 @@ import numpy as np
 
 from .errors import (AngleOutOfRange, DomainError, EvenFactorCount, EvenK,
                      NotNormalized)
-from .sympl import ComposedMap, LinearRotation, RadialMap, j0_apply, j0_matrix
+from .sympl import ComposedMap, LinearRotation, RadialMap, j0_matrix
 
 
 # ---------------------------------------------------------------------------
@@ -43,9 +44,9 @@ class GenFn:
     """Generating function handle.
 
     `jet(w, order)` returns (value, grad, hess) at the full variable vector
-    w = [base | fibre], from one evaluation of the underlying formula; the
-    entries above `order` (0, 1 or 2) are None.  value/grad/hess read one
-    entry of the jet of the matching order.
+    w = [base | fibre] (another shape, or an order outside 0, 1, 2, raises
+    DomainError) from one evaluation; the entries above `order` are None.
+    value/grad/hess read one entry of the jet of the matching order.
     `quad_part` is the symmetric matrix Q of the fibre quadratic form
     (value zeta^T Q zeta); `quad_index` counts its negative eigenvalues.
     `normalized` records that the far critical value is zero.
@@ -82,7 +83,11 @@ class GenFn:
         return self.base_dim + self.fibre_dim
 
     def jet(self, w, order):
-        value, grad, hess = self._jet(np.asarray(w, dtype=float), order)
+        w = np.asarray(w, dtype=float)
+        if w.shape != (self.total_dim,) or order not in (0, 1, 2):
+            raise DomainError("jet needs w of shape (%d,) and order 0-2, got "
+                              "%s and %r" % (self.total_dim, w.shape, order))
+        value, grad, hess = self._jet(w, order)
         return (float(value),
                 np.asarray(grad, dtype=float) if order >= 1 else None,
                 np.asarray(hess, dtype=float) if order >= 2 else None)
@@ -216,8 +221,44 @@ class _CyclicLayout:
         return np.concatenate([mid, w[self.f_slices[j]]])
 
 
+def _flat_form(factors, lay):
+    """Leaves f_i, argument maps A_i and twist T of a cyclic composition,
+    whose value is sum_i f_i(A_i w) + 0.5 w^T T w.  Each A_i is packed as its
+    nonzero columns `cols[i]` and the block `A[i]` on them, both padded to a
+    common size (with zeros in A).  A factor built by `_cyclic_compose` (its
+    jet carries `flat`; a wrapper such as `reeb_shift` stays a leaf) is
+    inlined through its argument map E_j: A_i <- A_i E_j, T += E_j^T T E_j."""
+    n2, K, D, J0 = lay.n2, lay.K, lay.total, j0_matrix(lay.n2)
+    leaves, maps, T, idx = [], [], np.zeros((D, D)), np.arange(D)
+    for j, f in enumerate(factors):
+        zj, zn, d = lay.z_slices[j], lay.z_slices[(j + 1) % K], f.total_dim
+        at = np.concatenate([idx[zj], idx[zn], idx[lay.f_slices[j]]])
+        E = np.hstack([np.eye(d, n2), np.eye(d)])
+        E[:n2] *= 0.5                          # lay.factor_args on columns at
+        sub = getattr(f._jet, "flat", None) or (
+            [f], [range(d)], [np.eye(d)], np.zeros((d, d)))
+        leaves += sub[0]
+        for leaf, c, a in zip(*sub[:3]):
+            m = a[:leaf.total_dim] @ E[c]
+            keep = m.any(axis=0)
+            maps.append((at[keep], m[:, keep]))
+        T[np.ix_(at, at)] += E.T @ sub[3] @ E
+        T[zj, zn] += 0.5 * J0
+        T[zn, zj] += 0.5 * J0.T
+    depth, width = np.max([m.shape for _, m in maps], axis=0)
+    A = np.zeros((len(maps), depth, width))
+    for Ai, (c, m) in zip(A, maps):
+        Ai[:len(m), :len(c)] = m
+    # pad with each leaf's own last column: the zero block adds nothing there
+    cols = np.array([c[np.minimum(range(width), len(c) - 1)] for c, _ in maps])
+    return leaves, cols, A, T
+
+
 def _cyclic_compose(factors):
-    """Cyclic composition generating function over K factors (K odd)."""
+    """Cyclic composition over K factors (K odd), read through its flat form:
+    per jet one gather of all leaf arguments, one jet per leaf, the leaf
+    values summed by math.fsum, and one scatter per order of A_i^T g_i and of
+    the blocks A_i^T H_i A_i over each leaf's few columns."""
     K = len(factors)
     n2 = factors[0].base_dim
     if any(f.base_dim != n2 for f in factors):
@@ -225,58 +266,44 @@ def _cyclic_compose(factors):
     if any(f.contact for f in factors):
         raise DomainError("cyclic composition acts on symplectic-base factors")
     lay = _CyclicLayout(n2, [f.fibre_dim for f in factors])
-    J0 = j0_matrix(n2)
+    leaves, cols, A, T = flat = _flat_form(factors, lay)
+    D, depth = lay.total, A.shape[1]
+    even = all(f.total_dim == depth for f in leaves)
+    pairs = (cols[:, :, None] * D + cols[:, None, :]).ravel()
+
+    def stack(parts):               # leaf gradients or Hessians, zero-padded
+        return np.array(parts if even else [
+            np.pad(p, [(0, depth - s) for s in p.shape]) for p in parts])
 
     def jet(w, order):
-        value = 0.0
-        g = np.zeros(lay.total) if order >= 1 else None
-        H = np.zeros((lay.total, lay.total)) if order >= 2 else None
-        for j in range(K):
-            zj, zn = lay.z_slices[j], lay.z_slices[(j + 1) % K]
-            fj = lay.f_slices[j]
-            vj, gj, Hj = factors[j].jet(lay.factor_args(w, j), order)
-            twist = j0_apply(w[zn])
-            value += vj
-            value += 0.5 * float(np.dot(w[zj], twist))
-            if order >= 1:
-                gu = gj[:n2]
-                g[zj] += 0.5 * gu
-                g[zn] += 0.5 * gu
-                g[fj] += gj[n2:]
-                g[zj] += 0.5 * twist
-                g[zn] -= 0.5 * j0_apply(w[zj])
-            if order >= 2:
-                Huu = Hj[:n2, :n2]
-                Huf = Hj[:n2, n2:]
-                for a in (zj, zn):
-                    for b in (zj, zn):
-                        H[a, b] += 0.25 * Huu
-                    H[a, fj] += 0.5 * Huf
-                    H[fj, a] += 0.5 * Huf.T
-                H[fj, fj] += Hj[n2:, n2:]
-                H[zj, zn] += 0.5 * J0
-                H[zn, zj] += 0.5 * J0.T
+        X = A @ w[cols][:, :, None]
+        jets = [f.jet(x[:f.total_dim, 0], order) for f, x in zip(leaves, X)]
+        Tw = T @ w
+        value = math.fsum([v for v, _, _ in jets]) + 0.5 * float(w @ Tw)
+        g = H = None
+        if order >= 1:
+            G = stack([j[1] for j in jets])[:, None, :] @ A
+            g = np.bincount(cols.ravel(), G.ravel(), D) + Tw
+        if order >= 2:
+            B = A.transpose(0, 2, 1) @ stack([j[2] for j in jets]) @ A
+            H = np.bincount(pairs, B.ravel(), T.size).reshape(D, D) + T
         return value, g, H
 
     # fibre quadratic part: factor quadratics plus the cyclic twist with z_1 = 0
-    fdim = lay.total - n2
-    Q = np.zeros((fdim, fdim))
-    for j in range(K):
-        fs = lay.f_slices[j]
-        Q[fs.start - n2:fs.stop - n2, fs.start - n2:fs.stop - n2] = \
-            factors[j].quad_part
-    for j in range(1, K - 1):      # pairs (z_j, z_{j+1}) with both slots >= 2
-        a = lay.z_slices[j]
-        b = lay.z_slices[j + 1]
-        Q[a.start - n2:a.stop - n2, b.start - n2:b.stop - n2] += 0.25 * J0
-        Q[b.start - n2:b.stop - n2, a.start - n2:a.stop - n2] += 0.25 * J0.T
+    J0, Q = j0_matrix(n2), np.zeros((D, D))
+    for fs, f in zip(lay.f_slices, factors):
+        Q[fs, fs] = f.quad_part
+    for a, b in zip(lay.z_slices[1:-1], lay.z_slices[2:]):   # slots >= 2
+        Q[a, b], Q[b, a] = 0.25 * J0, 0.25 * J0.T
 
     def domain_point(w):
         return factors[0].domain_point(lay.factor_args(w, 0))
 
     maps = [f.map_handle for f in factors]
     mp = ComposedMap(maps) if all(m is not None for m in maps) else None
-    return GenFn(base_dim=n2, fibre_dim=fdim, jet=jet, quad_part=Q,
+    jet.flat = flat
+    return GenFn(base_dim=n2, fibre_dim=D - n2, jet=jet,
+                 quad_part=Q[n2:, n2:].copy(),
                  normalized=all(f.normalized for f in factors),
                  map_handle=mp, domain_point=domain_point,
                  meta={"kind": "cyclicComposition", "K": K, "layout": lay,
@@ -288,9 +315,10 @@ def gf_compose_chain(factors):
     factor generating functions, K odd:
 
         F(z_1; z_2..z_K, zetas) = sum_j F_j((z_j + z_{j+1})/2, zeta_j)
-                                  + sum_j 0.5 <z_j, J0 z_{j+1}>   (cyclic).
+                                  + sum_j 0.5 <z_j, J0 z_{j+1}>   (cyclic),
 
-    K = 1 returns the single factor unchanged."""
+    read through the flat form sum_i f_i(A_i w) + 0.5 w^T T w, a factor that
+    is itself a composition inlined.  K = 1 returns the factor unchanged."""
     K = len(factors)
     if K % 2 == 0:
         raise EvenFactorCount("cyclic composition requires an odd factor count")
@@ -399,6 +427,8 @@ def contact_lift_gf(f):
     n2 = f.base_dim
     th = n2               # index of theta in the contact layout [z, theta, zeta]
 
+    idx = np.concatenate([np.arange(n2), np.arange(th + 1, f.total_dim + 1)])
+
     def strip(w):
         return np.concatenate([w[:n2], w[th + 1:]])
 
@@ -407,7 +437,6 @@ def contact_lift_gf(f):
         if order >= 1:
             g = np.concatenate([g[:n2], [0.0], g[n2:]])
         if order >= 2:
-            idx = np.concatenate([np.arange(n2), np.arange(th + 1, len(w))])
             out = np.zeros((len(w), len(w)))
             out[np.ix_(idx, idx)] = H
             H = out
@@ -599,11 +628,9 @@ def contact_p(F, k):
         g = H = None
         if order >= 1:
             gc = np.zeros(lay.total)
-            for j in range(k):
-                gc[lay.r[j]] = -c * es[j] / E
+            gc[lay.r] = -c * es / E
             g = c * gV
-            for j in range(k):
-                g[lay.r[j]] += V * gc[lay.r[j]]
+            g[lay.r] += V * gc[lay.r]
         if order >= 2:
             H = c * HV + np.outer(gc, gV) + np.outer(gV, gc)
             for j in range(k):

@@ -79,6 +79,22 @@ def test_reconstruct_round_trip(F, F3, shells3):
         reconstruct(F, 3, bad)
 
 
+def test_check_value_builds_the_sharp_once(F, shells3, monkeypatch):
+    import gfs.crit
+    s1 = [s for s in shells3 if s.l == 1][0]
+    p = sharp_critical_seed(F, 3, np.array([math.sqrt(s1.m), 0.0]))
+    built = []
+    real = gfs.crit.sharp_k
+
+    def counting(G, k):
+        built.append(k)
+        return real(G, k)
+
+    monkeypatch.setattr(gfs.crit, "sharp_k", counting)
+    assert check_value(F, 3, p) < 1e-9
+    assert built == [3]
+
+
 def test_maslov_normalization():
     # measured index = 2nl + k*iota + n(k-1) unwinds to 2nl
     assert maslov(16, k=3, iota=4, n=1) == 2

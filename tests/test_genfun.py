@@ -222,6 +222,81 @@ def test_sharp_cyclic_invariance_sample(F3):
         assert F3.value(cyc(w)) == pytest.approx(F3.value(w), abs=1e-12)
 
 
+def _block_jet(G, w, order):
+    """Jet of a cyclic composition assembled slot by slot: each factor's jet
+    (recursively, for a composed factor) at its midpoint and fibre, spread
+    over the z_j, z_{j+1} and zeta_j blocks, plus the twist 0.5<z_j, J0
+    z_{j+1}>.  The oracle for the flat form."""
+    if G.meta.get("kind") not in ("cyclicComposition", "sharp"):
+        return G.jet(w, order)
+    lay, factors = G.meta["layout"], G.meta["factors"]
+    K, n2, J0 = lay.K, lay.n2, j0_matrix(lay.n2)
+    value, g, H = 0.0, np.zeros(lay.total), np.zeros((lay.total, lay.total))
+    for j in range(K):
+        zj, zn = lay.z_slices[j], lay.z_slices[(j + 1) % K]
+        fj = lay.f_slices[j]
+        vj, gj, Hj = _block_jet(factors[j], lay.factor_args(w, j), order)
+        value += vj + 0.5 * float(w[zj] @ J0 @ w[zn])
+        if order >= 1:
+            g[zj] += 0.5 * gj[:n2] + 0.5 * J0 @ w[zn]
+            g[zn] += 0.5 * gj[:n2] + 0.5 * J0.T @ w[zj]
+            g[fj] += gj[n2:]
+        if order >= 2:
+            for a in (zj, zn):
+                for b in (zj, zn):
+                    H[a, b] += 0.25 * Hj[:n2, :n2]
+                H[a, fj] += 0.5 * Hj[:n2, n2:]
+                H[fj, a] += 0.5 * Hj[n2:, :n2]
+            H[fj, fj] += Hj[n2:, n2:]
+            H[zj, zn] += 0.5 * J0
+            H[zn, zj] += 0.5 * J0.T
+    return value, g if order >= 1 else None, H if order >= 2 else None
+
+
+def _composition_cases(F, amb1, rho_ref):
+    amb2 = Ambient(n=2, R=1.3)
+    small = gf_small_map(amb1, RadialMap(amb1, rho_ref, 0.2))
+    rot = gf_linear_rotation(amb1, [0.8])
+    return {"F": F, "F3": sharp_k(F, 3), "F5": sharp_k(F, 5),
+            "n2-F3": sharp_k(gf_time_one(amb2, rho_ref), 3),
+            "mixed": gf_compose_chain([rot, small, F]),
+            # a fibred leaf between two fibreless ones: unequal leaf sizes
+            "uneven": gf_compose_chain([rot, reeb_shift(F, 0.3), small]),
+            "nested": sharp_k(sharp_k(F, 3), 3)}
+
+
+def test_flat_jet_matches_the_slot_assembly(F, amb1, rho_ref):
+    rng = np.random.default_rng(41)
+    for name, G in _composition_cases(F, amb1, rho_ref).items():
+        points = rng.normal(0.0, 0.5, (12, G.total_dim))
+        for order in (0, 1, 2):
+            flat = [G.jet(w, order) for w in points]
+            oracle = [_block_jet(G, w, order) for w in points]
+            for i in range(order + 1):
+                scale = max(np.max(np.abs(jet[i])) for jet in oracle)
+                err = max(np.max(np.abs(np.subtract(a[i], b[i])))
+                          for a, b in zip(flat, oracle))
+                assert err <= 1e-13 * scale, (name, order, i, err / scale)
+
+
+def test_reeb_shifted_factor_is_not_inlined(F):
+    # reeb_shift copies F's meta; the shifted factor must stay one leaf
+    G = gf_compose_chain([reeb_shift(F, 0.3), F, F])
+    plain = gf_compose_chain([F, F, F])
+    rng = np.random.default_rng(42)
+    for w in rng.normal(0.0, 0.5, (10, G.total_dim)):
+        assert abs(G.value(w) - (plain.value(w) - 0.3)) <= 1e-13
+
+
+@pytest.mark.parametrize("w, order", [
+    (np.zeros(31), 0), (np.zeros(29), 1), (np.zeros(30), 5),
+    (np.zeros(30), -1)], ids=["long", "short", "order-5", "order-minus-1"])
+def test_jet_rejects_a_bad_shape_or_order(F3, w, order):
+    assert F3.total_dim == 30
+    with pytest.raises(DomainError):
+        F3.jet(w, order)
+
+
 def test_reeb_shift_bookkeeping(F):
     G = reeb_shift(F, 0.7)
     w = np.zeros(F.total_dim)

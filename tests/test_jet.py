@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from gfs import (RadialMap, contact_lift_gf, contact_sharp, gf_linear_rotation,
-                 reeb_shift)
+                 reeb_shift, sharp_k)
 
 KINDS = {"linearRotation", "smallMap", "cyclicComposition", "sharp",
          "contactLift", "reebShift", "contactSharp", "contactP"}
@@ -37,9 +37,9 @@ def test_jet_orders_agree_bitwise(every_kind):
             assert np.array_equal(G.hess(w), H2)
 
 
-def test_each_order_inverts_every_midpoint_once(P3, monkeypatch):
-    # P3 has k = 3 slots over a five-slice F: 15 slice midpoints per pass,
-    # whichever order is asked for
+def test_each_order_inverts_every_midpoint_once(F, F3, P3, monkeypatch):
+    # P3 and F^{#3} have k = 3 slots over a five-slice F, F^{#5} has five:
+    # k*K slice midpoints per pass, whichever order is asked for
     slices = P3.meta["factor"].meta["factor"].meta["slices"]
     assert slices == 5
     calls = []
@@ -50,8 +50,9 @@ def test_each_order_inverts_every_midpoint_once(P3, monkeypatch):
         return real(mp, q)
 
     monkeypatch.setattr(RadialMap, "midpoint_inverse", counting)
-    w = np.random.default_rng(3).normal(0.0, 0.5, P3.total_dim)
-    for read in (P3.value, P3.grad, P3.hess):
-        calls.clear()
-        read(w)
-        assert len(calls) == 3 * slices, read.__name__
+    for G, k in ((P3, 3), (F3, 3), (sharp_k(F, 5), 5)):
+        w = np.random.default_rng(3).normal(0.0, 0.5, G.total_dim)
+        for read in (G.value, G.grad, G.hess):
+            calls.clear()
+            read(w)
+            assert len(calls) == k * slices, (G.meta["kind"], read.__name__)
