@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import (DomainError, NoConvergence, NotFibreCritical,
                      OrbitRelationViolated)
-from .genfun import chain_config, sharp_k
+from .genfun import _orbit_config, chain_config, sharp_k
 
 # Relative eigenvalue threshold below which a Hessian direction counts as null.
 ZERO_TOL_REL = 1e-8
@@ -114,6 +114,11 @@ def _sup(x):
     return float(np.max(np.abs(x))) if np.size(x) else 0.0
 
 
+def _finite(jet):
+    """Whether the gradient and Hessian of an order-2 jet are finite."""
+    return bool(np.isfinite(jet[1]).all() and np.isfinite(jet[2]).all())
+
+
 def _newton(G, w, tol, max_iter, gauge=None):
     """Damped Newton on grad G = 0 from w, subject to the linear gauge
     A w = 0 when the rows A are given; returns (w, value, hess, |grad|,
@@ -121,11 +126,12 @@ def _newton(G, w, tol, max_iter, gauge=None):
 
     Each step solves the bordered system [[H, A^T], [A, 0]] s = -(g, A w) in
     the least-squares sense (with no gauge rows, H s = -g), so singular
-    Hessian directions (critical manifolds) take the minimum-norm step.  A
-    trial that does not shrink |grad| is halved; when 8 trials fail the
-    solve has stalled.  Each iterate is evaluated once (`G.jet(w, 2)`), each
-    trial once at order 1.  Stops when max(|grad|, |A w|) < tol; raises
-    NoConvergence on a stall or after max_iter iterations.
+    Hessian directions (critical manifolds) take the minimum-norm step.
+    Each point is evaluated once, by one order-2 jet: a trial with a finite
+    jet that shrinks |grad| is the next iterate, any other is halved; when
+    8 trials fail the solve has stalled.  Stops when max(|grad|, |A w|) <
+    tol; raises NoConvergence on a non-finite jet at the seed, a stall or
+    after max_iter iterations.
     """
     w = np.asarray(w, dtype=float).copy()
     if not np.all(np.isfinite(w)):
@@ -133,7 +139,9 @@ def _newton(G, w, tol, max_iter, gauge=None):
     dim = len(w)
     A = np.zeros((0, dim)) if gauge is None else gauge
     border = np.zeros((len(A), len(A)))
-    value, g, H = G.jet(w, 2)
+    value, g, H = jet = G.jet(w, 2)
+    if not _finite(jet):
+        raise NoConvergence("Newton: non-finite jet at the seed")
     gnorm = _sup(g)
     it = 0
     while not max(gnorm, _sup(A @ w)) < tol:
@@ -147,14 +155,15 @@ def _newton(G, w, tol, max_iter, gauge=None):
         scale = 1.0
         for _ in range(8):
             trial = w + scale * step
-            tnorm = _sup(G.jet(trial, 1)[1])
-            if np.isfinite(tnorm) and (tnorm < gnorm or tnorm < tol):
+            jet = G.jet(trial, 2)
+            tnorm = _sup(jet[1])
+            if _finite(jet) and (tnorm < gnorm or tnorm < tol):
                 break
             scale *= 0.5
         else:
             raise NoConvergence("Newton stalled at |grad| = %.3e" % gnorm)
         w, gnorm = trial, tnorm
-        value, g, H = G.jet(w, 2)
+        value, g, H = jet
     return w, value, H, gnorm, it
 
 
@@ -237,12 +246,8 @@ def maslov(index_of_hessian, k, iota, n):
 def sharp_critical_seed(F, k, zbar1):
     """Analytic critical seed of F^{#k} over the phi-orbit of zbar1: each
     orbit point's slot at its fibre-critical configuration, the outer
-    z-blocks from the cyclic midpoint system (`chain_config`)."""
-    phi = F.map_handle
-    orbit = [np.asarray(zbar1, dtype=float)]
-    for _ in range(k - 1):
-        orbit.append(phi(orbit[-1]))
-    zs, zetas = chain_config([F] * k, orbit)
+    z-blocks from the cyclic midpoint system; each slice is flowed once."""
+    zs, zetas, _ = _orbit_config([F] * k, zbar1)
     return np.concatenate(zs + zetas)
 
 

@@ -256,9 +256,10 @@ def _flat_form(factors, lay):
 
 def _cyclic_compose(factors):
     """Cyclic composition over K factors (K odd), read through its flat form:
-    per jet one gather of all leaf arguments, one jet per leaf, the leaf
-    values summed by math.fsum, and one scatter per order of A_i^T g_i and of
-    the blocks A_i^T H_i A_i over each leaf's few columns."""
+    per jet one gather of all leaf arguments, one `_jet` per leaf (its
+    argument is already checked and shaped), the leaf values summed by
+    math.fsum, and one scatter per order of A_i^T g_i and of the blocks
+    A_i^T H_i A_i over each leaf's few columns."""
     K = len(factors)
     n2 = factors[0].base_dim
     if any(f.base_dim != n2 for f in factors):
@@ -277,7 +278,7 @@ def _cyclic_compose(factors):
 
     def jet(w, order):
         X = A @ w[cols][:, :, None]
-        jets = [f.jet(x[:f.total_dim, 0], order) for f, x in zip(leaves, X)]
+        jets = [f._jet(x[:f.total_dim, 0], order) for f, x in zip(leaves, X)]
         Tw = T @ w
         value = math.fsum([v for v, _, _ in jets]) + 0.5 * float(w @ Tw)
         g = H = None
@@ -375,16 +376,30 @@ def fibre_critical_config(F, zbar):
     returns (base, zeta) with base = (zbar + phi(zbar))/2.
 
     For a cyclic composition the slice chain y_{s+1} = phi_s(y_s) places
-    every slot at its own factor's configuration (`chain_config`)."""
+    every slot at its own factor's configuration, each slice flowed once."""
+    return _config(F, zbar)[:2]
+
+
+def _config(F, zbar):
+    """(base, zeta, phi(zbar)): `fibre_critical_config` and the image, so
+    that a walk along an orbit flows each slice once."""
     zbar = np.asarray(zbar, dtype=float)
     if F.meta.get("kind") in ("cyclicComposition", "sharp"):
-        factors = F.meta["factors"]
-        ys = [zbar]
-        for f in factors[:-1]:
-            ys.append(f.map_handle(ys[-1]))
-        zs, zetas = chain_config(factors, ys)
-        return zs[0], np.concatenate(zs[1:] + zetas)
-    return 0.5 * (zbar + F.map_handle(zbar)), np.zeros(0)
+        zs, zetas, image = _orbit_config(F.meta["factors"], zbar)
+        return zs[0], np.concatenate(zs[1:] + zetas), image
+    image = F.map_handle(zbar)
+    return 0.5 * (zbar + image), np.zeros(0), image
+
+
+def _orbit_config(factors, zbar):
+    """`chain_config` along the orbit of zbar, each slot's image passed on
+    as the next point; also returns the last slot's image."""
+    bases, zetas = [], []
+    for f in factors:
+        base, zeta, zbar = _config(f, zbar)
+        bases.append(base)
+        zetas.append(zeta)
+    return alternating_resolve(bases), zetas, zbar
 
 
 def chain_config(factors, points):
@@ -392,12 +407,8 @@ def chain_config(factors, points):
     a chain: slot j sits at the fibre-critical configuration of factors[j]
     over points[j], and the z-blocks resolve the slot bases cyclically.
     Returns (z-blocks, zetas), one of each per slot."""
-    bases, zetas = [], []
-    for f, p in zip(factors, points):
-        base, zeta = fibre_critical_config(f, p)
-        bases.append(base)
-        zetas.append(zeta)
-    return alternating_resolve(bases), zetas
+    bases, zetas, _ = zip(*map(_config, factors, points))
+    return alternating_resolve(bases), list(zetas)
 
 
 def alternating_resolve(mids):
