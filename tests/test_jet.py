@@ -1,11 +1,14 @@
 """One jet per generating function: every order from one pass, lower orders
 bit-equal to the value-only and gradient-only jets."""
 
+import hashlib
+import struct
+
 import numpy as np
 import pytest
 
-from gfs import (RadialMap, contact_lift_gf, contact_sharp, gf_linear_rotation,
-                 reeb_shift, sharp_k)
+from gfs import (Ambient, RadialMap, contact_lift_gf, contact_p, contact_sharp,
+                 gf_linear_rotation, gf_time_one, reeb_shift, sharp_k)
 
 KINDS = {"linearRotation", "smallMap", "cyclicComposition", "sharp",
          "contactLift", "reebShift", "contactSharp", "contactP"}
@@ -56,3 +59,31 @@ def test_each_order_inverts_every_midpoint_once(F, F3, P3, monkeypatch):
             calls.clear()
             read(w)
             assert len(calls) == k * slices, (G.meta["kind"], read.__name__)
+
+
+# sha256 of value, grad.tobytes() and hess.tobytes() at twelve seeded points
+# (seed 15, scales 0.3, 0.6 and 1.5 in turn: about a quarter of the slice
+# midpoints have H(q) >= 1), recorded with numpy 2.4 on x86-64.  A change to
+# the profile reads, the midpoint inversion or the flat form must leave every
+# byte of every order-2 jet as it is.
+GOLDEN_JETS = {
+    ("F3", 1): "76a28fd12e0cc5d48425ebcc5b0e94a1f4ac4ac6b926e14b6f80f99f82c8b2fe",
+    ("F5", 1): "8646c57f0608c8e4e9d7359ae880a600e096044c95e8ea8fb751ebad56d61714",
+    ("P3", 1): "2426fbb168717ff2a1119d6c42c0e53613a185bfad5fae8e92e986b1324eb5c9",
+    ("F3", 2): "fe7c00f9835e665eb86b244e0e6bc80d698f2eb69fb1d057f117fbb7294177a5",
+    ("F5", 2): "e7946e9d20852a8d0d4ae597ac1ebaae8c562ecbcdae897cd5f95e70ddcaf926",
+    ("P3", 2): "c7a2b4db30d8dfd4af0abc6c34a8950435eace63d9f1a77133bec00b6df05134",
+}
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_jets_are_bit_identical_to_the_golden_hashes(F, rho_ref, n):
+    Fn = F if n == 1 else gf_time_one(Ambient(n=n), rho_ref)
+    for name, G in (("F3", sharp_k(Fn, 3)), ("F5", sharp_k(Fn, 5)),
+                    ("P3", contact_p(contact_lift_gf(Fn), 3))):
+        rng = np.random.default_rng(15)
+        digest = hashlib.sha256()
+        for scale in (0.3, 0.6, 1.5) * 4:
+            value, g, H = G.jet(rng.normal(0.0, scale, G.total_dim), 2)
+            digest.update(struct.pack("<d", value) + g.tobytes() + H.tobytes())
+        assert digest.hexdigest() == GOLDEN_JETS[name, n], (name, n)
