@@ -175,16 +175,16 @@ def gf_small_map(amb, mp):
 
     def jet(q, order):
         m = amb.H(mp.midpoint_inverse(q))
-        dr = rho.drho(m)
+        r, dr, d2r = rho.read(m, 0, 2)
         b = t * dr / R2
         s2b = math.sin(2.0 * b)
-        value = t * (rho.rho(m) - m * dr) + 0.5 * R2 * m * s2b
+        value = t * (r - m * dr) + 0.5 * R2 * m * s2b
         g = H = None
         if order >= 1:
             tb = math.tan(b)
             g = 2.0 * tb * q
         if order >= 2:
-            dbeta, cos2 = 2.0 * t * rho.d2rho(m) / R2, math.cos(b) ** 2
+            dbeta, cos2 = 2.0 * t * d2r / R2, math.cos(b) ** 2
             dtb = 0.5 * dbeta / cos2 / (cos2 - 0.5 * m * s2b * dbeta)
             H = (4.0 * dtb / R2) * np.outer(q, q)
             H.flat[::n2 + 1] += 2.0 * tb
@@ -384,7 +384,10 @@ def _config(F, zbar):
     """(base, zeta, phi(zbar)): `fibre_critical_config` and the image, so
     that a walk along an orbit flows each slice once."""
     zbar = np.asarray(zbar, dtype=float)
-    if F.meta.get("kind") in ("cyclicComposition", "sharp"):
+    kind = F.meta.get("kind")
+    if kind == "reebShift":             # F - t: the critical points of F
+        return _config(F.meta["factor"], zbar)
+    if kind in ("cyclicComposition", "sharp"):
         zs, zetas, image = _orbit_config(F.meta["factors"], zbar)
         return zs[0], np.concatenate(zs[1:] + zetas), image
     image = F.map_handle(zbar)
@@ -413,17 +416,16 @@ def chain_config(factors, points):
 
 def alternating_resolve(mids):
     """Given K midpoints (K odd), return the unique w_1..w_K with
-    (w_s + w_{s+1})/2 = mids_s cyclically: w_s = sum_l (-1)^l mids_{s+l}."""
+    (w_s + w_{s+1})/2 = mids_s cyclically: w_s = sum_l (-1)^l mids_{s+l},
+    summed over l in order for all slots at once."""
     K = len(mids)
     if K % 2 == 0:
         raise EvenFactorCount("alternating resolution needs an odd count")
-    out = []
-    for s in range(K):
-        acc = np.zeros_like(np.asarray(mids[0], dtype=float))
-        for l in range(K):
-            acc += ((-1) ** l) * np.asarray(mids[(s + l) % K], dtype=float)
-        out.append(acc)
-    return out
+    M = np.asarray(mids, dtype=float)
+    acc = np.zeros_like(M)
+    for l in range(K):
+        acc += ((-1) ** l) * np.roll(M, -l, axis=0)
+    return list(acc)
 
 
 # ---------------------------------------------------------------------------
@@ -444,7 +446,7 @@ def contact_lift_gf(f):
         return np.concatenate([w[:n2], w[th + 1:]])
 
     def jet(w, order):
-        value, g, H = f.jet(strip(w), order)
+        value, g, H = f._jet(strip(w), order)
         if order >= 1:
             g = np.concatenate([g[:n2], [0.0], g[n2:]])
         if order >= 2:
@@ -467,7 +469,7 @@ def reeb_shift(F, t):
     """Generating function of Reeb_t composed with F's map: F - t."""
 
     def jet(w, order):
-        value, g, H = F.jet(w, order)
+        value, g, H = F._jet(w, order)
         return value - t, g, H
 
     return GenFn(base_dim=F.base_dim, fibre_dim=F.fibre_dim, jet=jet,
@@ -511,7 +513,7 @@ def _conformal_slot(F):
         e = math.exp(r)
         h = math.exp(0.5 * r)
         u = w[:n2] / h
-        val, gF, HF = F.jet(np.concatenate([u, w[n2:-1]]), order)
+        val, gF, HF = F._jet(np.concatenate([u, w[n2:-1]]), order)
         g = H = None
         if order >= 1:
             Fu = gF[:n2]
@@ -564,7 +566,7 @@ def contact_sharp(F, k):
     back = np.argsort(at)
 
     def jet(w, order):
-        value, g, H = slots.jet(w[at], order)
+        value, g, H = slots._jet(w[at], order)
         g = g[back] if order >= 1 else g
         H = H[np.ix_(back, back)] if order >= 2 else H
         for j in range(k):
@@ -635,7 +637,7 @@ def contact_p(F, k):
         es = escale(w)
         E = float(np.sum(es))
         c = k / E
-        V, gV, HV = sharp.jet(w, order)
+        V, gV, HV = sharp._jet(w, order)
         g = H = None
         if order >= 1:
             gc = np.zeros(lay.total)

@@ -112,6 +112,16 @@ def _poly_value(ascending, s):
     return res
 
 
+def _fuse(rows):
+    """Split the ascending rows of rho^(lo) .. rho^(hi) on one piece (longest
+    first) for one running-power pass: the terms of the powers that all three
+    rows have, that only the first two have, and that only the first has."""
+    r0, r1, r2 = list(rows) + [[]] * (3 - len(rows))
+    n1, n2 = len(r1), len(r2)
+    return (tuple(zip(r0, r1, r2)), tuple(zip(r0[n2:], r1[n2:])),
+            tuple(r0[n1:]))
+
+
 class RadialProfile:
     """Convex, non-increasing profile rho supported in [0, 1].
 
@@ -121,6 +131,10 @@ class RadialProfile:
     end knots; rho, rho', rho'' return exact 0.0 for m >= 1.  Invariants
     (checked by `validate`): rho >= 0, rho' <= 0, rho'' >= 0, rho' constant
     = c on [0, delta].
+
+    A scalar read (`read`; rho, rho', rho'' at a scalar) makes one piece
+    lookup and one running-power pass for all the derivatives it returns,
+    each summed as the array path sums it, so the two are bit-equal.
     """
 
     def __init__(self, knots, coeffs, c=None, delta=None):
@@ -140,21 +154,49 @@ class RadialProfile:
         self.c = c
         self.delta = delta
         d1 = _derivative(coeffs)
-        self._tables = {name: (t, t[:, ::-1].tolist()) for name, t in (
-            ("rho", coeffs), ("drho", d1), ("d2rho", _derivative(d1)))}
+        self._tables = (coeffs, d1, _derivative(d1))
+        asc = [t[:, ::-1].tolist() for t in self._tables]
+        # _pieces[lo][hi][i]: rho^(lo) .. rho^(hi) on piece i, fused
+        self._pieces = [[[_fuse([a[i] for a in asc[lo:hi + 1]])
+                          for i in range(len(coeffs))] for hi in range(3)]
+                        for lo in range(3)]
         self._knot_list = knots.tolist()
         self._inner = self._knot_list[1:-1]     # piece i holds m < knots[i+1]
 
     # -- evaluation -------------------------------------------------------
 
-    def _eval(self, name, m):
-        table, ascending = self._tables[name]
-        if isinstance(m, float) or np.ndim(m) == 0:
-            m = max(float(m), 0.0)
-            if not m < 1.0:
-                return 0.0
-            i = bisect.bisect_right(self._inner, m)
-            return _poly_value(ascending[i], m - self._knot_list[i])
+    def read(self, m, lo, hi):
+        """(rho^(lo)(m), ..., rho^(hi)(m)) at a scalar m, 0 <= lo <= hi <= 2:
+        one piece lookup and one running-power pass; m < 0 reads as 0."""
+        m = float(m)
+        if not m < 1.0:
+            return (0.0, 0.0, 0.0)[:hi - lo + 1]
+        if m < 0.0:
+            m = 0.0
+        i = bisect.bisect_right(self._inner, m)
+        threes, twos, ones = self._pieces[lo][hi][i]
+        s = m - self._knot_list[i]
+        r0 = r1 = r2 = 0.0
+        z = 1.0
+        for a0, a1, a2 in threes:
+            r0 = r0 + a0 * z
+            r1 = r1 + a1 * z
+            r2 = r2 + a2 * z
+            z = z * s
+        for a0, a1 in twos:
+            r0 = r0 + a0 * z
+            r1 = r1 + a1 * z
+            z = z * s
+        for a0 in ones:
+            r0 = r0 + a0 * z
+            z = z * s
+        if hi == lo:
+            return (r0,)
+        return (r0, r1) if hi - lo == 1 else (r0, r1, r2)
+
+    def _eval(self, order, m):
+        """rho^(order) on an array of levels."""
+        table = self._tables[order]
         m = np.asarray(m, dtype=float)
         out = np.zeros_like(m)
         inside = m < 1.0
@@ -164,13 +206,19 @@ class RadialProfile:
         return out
 
     def rho(self, m):
-        return self._eval("rho", m)
+        if isinstance(m, float) or np.ndim(m) == 0:
+            return self.read(m, 0, 0)[0]
+        return self._eval(0, m)
 
     def drho(self, m):
-        return self._eval("drho", m)
+        if isinstance(m, float) or np.ndim(m) == 0:
+            return self.read(m, 1, 1)[0]
+        return self._eval(1, m)
 
     def d2rho(self, m):
-        return self._eval("d2rho", m)
+        if isinstance(m, float) or np.ndim(m) == 0:
+            return self.read(m, 2, 2)[0]
+        return self._eval(2, m)
 
     # -- serialization ----------------------------------------------------
 
@@ -307,6 +355,9 @@ class RadialMap:
         self.amb = amb
         self.rho = rho
         self.t = float(t)
+        # J0 as a signed permutation: J0 q = q[_swap] * _sign, as j0_apply
+        self._swap = np.arange(amb.dim) ^ 1
+        self._sign = np.tile([-1.0, 1.0], amb.n)
 
     def __call__(self, z):
         return flow(self.amb, self.rho, self.t, z)
@@ -339,31 +390,35 @@ class RadialMap:
         phi(z) = e^{i beta(m)} z with beta(m) = 2 t rho'(m) / R^2, m = H(z),
         so H(q) = m cos^2(beta(m)/2), strictly increasing in m on [H(q), 1]
         while |beta| < pi (rho'' >= 0): a bracketed Newton iteration finds m,
-        then z = q - tan(beta/2) J0 q.  For H(q) >= 1, z = q exactly."""
+        then z = q - tan(beta/2) J0 q.  For H(q) >= 1, z = q exactly.  Each
+        Newton step takes (rho', rho'') from one `rho.read`: one piece
+        lookup, bit-equal to the array path."""
         q = np.asarray(q, dtype=float)
-        h = self.amb.H(q)
+        R2 = self.amb.R**2
+        h = float(np.dot(q, q)) / R2
         if not h < 1.0:
             return q.copy()
-        scale = 2.0 * self.t / self.amb.R**2
+        scale = 2.0 * self.t / R2
+        read = self.rho.read
         lo, hi = h, 1.0
-        m = min(h / math.cos(0.5 * scale * self.rho.drho(h)) ** 2, hi)
+        m = min(h / math.cos(0.5 * scale * read(h, 1, 1)[0]) ** 2, hi)
         for _ in range(100):
-            half = 0.5 * scale * self.rho.drho(m)
+            dr, d2r = read(m, 1, 2)
+            half = 0.5 * scale * dr
             cos2 = math.cos(half) ** 2
             f = m * cos2 - h
             if f == 0.0:
                 break
             lo, hi = (m, hi) if f < 0.0 else (lo, m)
-            slope = cos2 - (0.5 * m * math.sin(2.0 * half) * scale
-                            * self.rho.d2rho(m))
+            slope = cos2 - 0.5 * m * math.sin(2.0 * half) * scale * d2r
             m_new = m - f / slope
             if not lo < m_new < hi:
                 m_new = 0.5 * (lo + hi)
             m, m_old = m_new, m
             if abs(m - m_old) <= 1e-16 * m_old or m in (lo, hi):
                 break
-        beta = scale * self.rho.drho(m)
-        return q - math.tan(0.5 * beta) * j0_apply(q)
+        beta = scale * read(m, 1, 1)[0]
+        return q - math.tan(0.5 * beta) * (q[self._swap] * self._sign)
 
     def max_rotation(self):
         """Upper bound for the rotation angle |2 t rho'(m) / R^2| over all m."""

@@ -9,8 +9,9 @@ from gfs import (Ambient, AngleOutOfRange, DomainError, EvenFactorCount, EvenK,
                  LinearRotation, NotNormalized, RadialMap, contact_lift_gf,
                  contact_p, contact_sharp, fibre_critical_config,
                  gf_compose_chain, gf_linear_rotation, gf_small_map,
-                 gf_time_one, graph_of, reeb_shift, ref_profile, sharp_k)
-from gfs.genfun import alternating_resolve
+                 gf_time_one, graph_of, reeb_shift, ref_profile, sharp_k,
+                 shells)
+from gfs.genfun import alternating_resolve, chain_config
 from gfs.sympl import j0_matrix
 
 from conftest import fd_grad, fd_hess
@@ -160,6 +161,21 @@ def test_alternating_resolve_inverts_midpoints():
         alternating_resolve(mids[:4])
 
 
+@pytest.mark.parametrize("K", [1, 3, 5, 7, 15])
+def test_alternating_resolve_is_bit_equal_to_the_slot_loop(K):
+    mids = list(np.random.default_rng(K).normal(0.0, 1.0, (K, 4)))
+    want = []
+    for s in range(K):
+        acc = np.zeros(4)
+        for l in range(K):
+            acc += ((-1) ** l) * mids[(s + l) % K]
+        want.append(acc)
+    got = alternating_resolve(mids)
+    assert len(got) == K
+    for a, b in zip(got, want):
+        assert a.tobytes() == b.tobytes()
+
+
 def test_time_one_slices_and_generation(F, amb1, rho_ref):
     # five slices keep each rotation under pi/2 for c = -0.9 pi
     assert F.meta["K"] == 5
@@ -304,6 +320,38 @@ def test_reeb_shift_bookkeeping(F):
     assert not G.normalized
     with pytest.raises(NotNormalized):
         contact_lift_gf(G)
+
+
+def test_reeb_shifted_config_is_fibre_critical(F):
+    # F - t has the critical points of F: the config reads through the shift
+    G = reeb_shift(F, 0.3)
+    rng = np.random.default_rng(35)
+    for _ in range(10):
+        z = rng.normal(0.0, 0.55, 2)
+        base, zeta = fibre_critical_config(G, z)
+        want = fibre_critical_config(F, z)
+        assert np.array_equal(base, want[0]) and np.array_equal(zeta, want[1])
+        assert len(zeta) == G.fibre_dim
+        g = G.grad(np.concatenate([base, zeta]))
+        assert np.max(np.abs(g[G.base_dim:])) <= 1e-12
+
+
+def test_chain_config_over_reeb_shifted_factors(F, amb1, rho_ref):
+    shifted = [reeb_shift(F, 0.3), F, reeb_shift(F, -0.2)]
+    G = gf_compose_chain(shifted)
+    shell = next(s for s in shells(amb1, rho_ref, 3) if s.l == 1)
+    rng = np.random.default_rng(36)
+    for _ in range(5):
+        u = rng.normal(size=2)
+        points = [math.sqrt(shell.m) * u / np.linalg.norm(u)]
+        for _ in range(2):
+            points.append(F.map_handle(points[-1]))
+        zs, zetas = chain_config(shifted, points)
+        plain = chain_config([F] * 3, points)
+        for a, b in zip(zs + zetas, plain[0] + plain[1]):
+            assert np.array_equal(a, b)
+        g = G.grad(np.concatenate(zs + zetas))
+        assert np.max(np.abs(g[G.base_dim:])) <= 1e-12
 
 
 def test_contact_lift_theta_independent(F):

@@ -82,9 +82,26 @@ def _ppoly_eval(poly, m):
     return out
 
 
+def _assert_reads_match(prof, poly, m):
+    """rho, rho', rho'' of `prof` bit-equal to the PPoly `poly` and its
+    derivatives at the levels m: the array path, each scalar read, and every
+    entry of every fused read (lo, hi)."""
+    want = [_ppoly_eval(p, m) for p in (poly, poly.derivative(),
+                                        poly.derivative().derivative())]
+    for order, fn in enumerate((prof.rho, prof.drho, prof.d2rho)):
+        assert fn(m).tobytes() == want[order].tobytes()
+        assert np.array([fn(float(x)) for x in m]).tobytes() \
+            == want[order].tobytes()
+    for lo in range(3):
+        for hi in range(lo, 3):
+            got = np.array([prof.read(x, lo, hi) for x in m.tolist()])
+            assert got.tobytes() == np.array(want[lo:hi + 1]).T.tobytes()
+
+
 def test_profile_matches_ppoly_oracle():
     PPoly = pytest.importorskip("scipy.interpolate").PPoly
     rng = np.random.default_rng(11)
+    edges = [-0.0, -0.5, 1.0, np.nextafter(1.0, 0.0), 1.0 + 1e-12, 1.5]
     for _ in range(200):
         c = -rng.uniform(0.05, 60.0) * math.pi
         delta = rng.uniform(0.01, 0.9)
@@ -107,6 +124,23 @@ def test_profile_matches_ppoly_oracle():
             want = _ppoly_eval(oracle, m)
             assert np.array_equal(fn(m), want)
             assert [fn(float(x)) for x in m] == [float(v) for v in want]
+        _assert_reads_match(prof, poly, np.concatenate([m, edges]))
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3, 6])
+def test_profile_reads_of_another_degree_match_ppoly(degree):
+    # rho = A (1 - m)^degree on three pieces, each expanded at its knot
+    PPoly = pytest.importorskip("scipy.interpolate").PPoly
+    knots = [0.0, 0.25, 0.6, 1.0]
+    pieces = [list(2.0 * np.poly1d([-1.0, 1.0 - x]) ** degree)
+              for x in knots[:-1]]
+    prof = RadialProfile.from_json({"knots": knots, "pieces": pieces})
+    assert prof.coeffs.shape == (3, degree + 1)
+    poly = PPoly(np.array(pieces).T, knots)
+    rng = np.random.default_rng(degree)
+    m = np.concatenate([knots, rng.uniform(-0.1, 1.1, 60),
+                        [-0.0, -0.5, np.nextafter(1.0, 0.0), 1.5]])
+    _assert_reads_match(prof, poly, m)
 
 
 @pytest.mark.parametrize("knots, pieces", [
