@@ -10,6 +10,8 @@ import pytest
 from gfs import (Ambient, RadialMap, contact_lift_gf, contact_p, contact_sharp,
                  gf_linear_rotation, gf_time_one, reeb_shift, sharp_k)
 
+from test_genfun import _theta_factor
+
 KINDS = {"linearRotation", "smallMap", "cyclicComposition", "sharp",
          "contactLift", "reebShift", "contactSharp", "contactP"}
 
@@ -65,7 +67,8 @@ def test_each_order_inverts_every_midpoint_once(F, F3, P3, monkeypatch):
 # (seed 15, scales 0.3, 0.6 and 1.5 in turn: about a quarter of the slice
 # midpoints have H(q) >= 1), recorded with numpy 2.4 on x86-64.  A change to
 # the profile reads, the midpoint inversion or the flat form must leave every
-# byte of every order-2 jet as it is.
+# byte of every order-2 jet as it is.  P5 covers a k = 5 contact composition
+# and T3 the contact sharp of a factor that reads theta (not a lift).
 GOLDEN_JETS = {
     ("F3", 1): "76a28fd12e0cc5d48425ebcc5b0e94a1f4ac4ac6b926e14b6f80f99f82c8b2fe",
     ("F5", 1): "8646c57f0608c8e4e9d7359ae880a600e096044c95e8ea8fb751ebad56d61714",
@@ -73,7 +76,19 @@ GOLDEN_JETS = {
     ("F3", 2): "fe7c00f9835e665eb86b244e0e6bc80d698f2eb69fb1d057f117fbb7294177a5",
     ("F5", 2): "e7946e9d20852a8d0d4ae597ac1ebaae8c562ecbcdae897cd5f95e70ddcaf926",
     ("P3", 2): "c7a2b4db30d8dfd4af0abc6c34a8950435eace63d9f1a77133bec00b6df05134",
+    ("P5", 1): "38da49a3e65450c45c894fb54a5c7b8dde66b057af8e00ba8a8a28e08e9ad405",
+    ("T3", 1): "37bdec15a34bbe9373851f9b97866f2f4e5d25a1f34376257eb5bed8cad6bbfb",
+    ("T3", 2): "e4b40d44eab63458c7c0271b26a1e2fe13c83659c138d3adf1028dbe11f8f567",
 }
+
+
+def _golden_digest(G):
+    rng = np.random.default_rng(15)
+    digest = hashlib.sha256()
+    for scale in (0.3, 0.6, 1.5) * 4:
+        value, g, H = G.jet(rng.normal(0.0, scale, G.total_dim), 2)
+        digest.update(struct.pack("<d", value) + g.tobytes() + H.tobytes())
+    return digest.hexdigest()
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -81,9 +96,11 @@ def test_jets_are_bit_identical_to_the_golden_hashes(F, rho_ref, n):
     Fn = F if n == 1 else gf_time_one(Ambient(n=n), rho_ref)
     for name, G in (("F3", sharp_k(Fn, 3)), ("F5", sharp_k(Fn, 5)),
                     ("P3", contact_p(contact_lift_gf(Fn), 3))):
-        rng = np.random.default_rng(15)
-        digest = hashlib.sha256()
-        for scale in (0.3, 0.6, 1.5) * 4:
-            value, g, H = G.jet(rng.normal(0.0, scale, G.total_dim), 2)
-            digest.update(struct.pack("<d", value) + g.tobytes() + H.tobytes())
-        assert digest.hexdigest() == GOLDEN_JETS[name, n], (name, n)
+        assert _golden_digest(G) == GOLDEN_JETS[name, n], (name, n)
+
+
+@pytest.mark.parametrize("name, n", [("P5", 1), ("T3", 1), ("T3", 2)])
+def test_contact_jets_are_bit_identical_to_the_golden_hashes(F, name, n):
+    G = (contact_p(contact_lift_gf(F), 5) if name == "P5"
+         else contact_sharp(_theta_factor(n, seed=n), 3))
+    assert _golden_digest(G) == GOLDEN_JETS[name, n]
