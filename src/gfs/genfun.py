@@ -630,11 +630,8 @@ def contact_p(F, k):
     sharp = contact_sharp(F, k)
     lay = sharp.meta["layout"]
 
-    def escale(w):
-        return np.array([math.exp(w[lay.r[j]]) for j in range(k)])
-
     def jet(w, order):
-        es = escale(w)
+        es = np.array([math.exp(w[r]) for r in lay.r])
         E = float(np.sum(es))
         c = k / E
         V, gV, HV = sharp._jet(w, order)
@@ -646,12 +643,8 @@ def contact_p(F, k):
             g[lay.r] += V * gc[lay.r]
         if order >= 2:
             H = c * HV + np.outer(gc, gV) + np.outer(gV, gc)
-            for j in range(k):
-                for l in range(k):
-                    Hc = 2.0 * c * es[j] * es[l] / E**2
-                    if j == l:
-                        Hc -= c * es[j] / E
-                    H[lay.r[j], lay.r[l]] += V * Hc
+            H[np.ix_(lay.r, lay.r)] += V * (np.outer(2.0 * c * es, es) / E**2
+                                            - np.diag(c * es / E))
         return c * V, g, H
 
     return GenFn(base_dim=sharp.base_dim, fibre_dim=sharp.fibre_dim,
