@@ -555,20 +555,43 @@ def contact_sharp(F, k):
         raise EvenK("contact_sharp requires odd k >= 1")
     if not F.contact:
         raise DomainError("contact_sharp needs a contact-base factor")
-    n2 = F.base_dim - 1
+    n2, N = F.base_dim - 1, F.fibre_dim
     lay = _ContactLayout(n2, k, F.fibre_dim)
-    slots = sharp_k(_conformal_slot(F), k)
-    # w[at] lists w in the sharp's order [z_j | (theta_{j+1}, zeta_j, r_j)]
-    idx = np.arange(lay.total)
-    at = np.concatenate([idx[z] for z in lay.z] + [
-        np.concatenate([[lay.th[(j + 1) % k]], idx[lay.f[j]], [lay.r[j]]])
-        for j in range(k)])
-    back = np.argsort(at)
+    D, b, J0 = lay.total, n2 + 2, j0_matrix(n2)
+    slot = _conformal_slot(F)
+    d = slot.total_dim
+    # slot j reads the columns [z_j | z_{j+1} | theta_{j+1}, zeta_j, r_j]
+    # through E: the midpoint of its z-blocks, then its fibre as it is
+    idx = np.arange(D)
+    Z = idx[:k * b].reshape(k, b)[:, :n2]
+    cols = np.hstack([Z, np.roll(Z, -1, 0), np.roll(lay.th, -1)[:, None],
+                      idx[k * b:].reshape(k, N), np.array(lay.r)[:, None]])
+    E = np.hstack([np.eye(d, n2), np.eye(d)])
+    E[:n2] *= 0.5
+    pairs = (cols[:, :, None] * D + cols[:, None, :]).ravel()
+    T = np.zeros((D, D))
+    for zj, zn in zip(lay.z, np.roll(lay.z, -1)):
+        T[zj, zn] += 0.5 * J0
+        T[zn, zj] += 0.5 * J0.T
+    zi = Z.ravel()
 
     def jet(w, order):
-        value, g, H = slots._jet(w[at], order)
-        g = g[back] if order >= 1 else g
-        H = H[np.ix_(back, back)] if order >= 2 else H
+        S = w[cols]
+        X = np.hstack([0.5 * (S[:, :n2] + S[:, n2:2 * n2]), S[:, 2 * n2:]])
+        jets = [slot._jet(x, order) for x in X]
+        Tw = T @ w
+        # the twist 0.5 z^T T z as a dot over all D variables, z first: the
+        # order [z_1 .. z_k | fibres] that the slot sum was first read in
+        zT = np.zeros((2, D))
+        zT[:, :len(zi)] = w[zi], Tw[zi]
+        value = math.fsum([v for v, _, _ in jets]) + 0.5 * float(zT[0] @ zT[1])
+        g = H = None
+        if order >= 1:
+            G = np.array([j[1] for j in jets])[:, None, :] @ E
+            g = np.bincount(cols.ravel(), G.ravel(), D) + Tw
+        if order >= 2:
+            B = E.T @ np.array([j[2] for j in jets]) @ E
+            H = np.bincount(pairs, B.ravel(), D * D).reshape(D, D) + T
         for j in range(k):
             jn, jp = (j + 1) % k, (j - 1) % k
             ep = math.exp(w[lay.r[jp]])
@@ -586,12 +609,15 @@ def contact_sharp(F, k):
                 H[lay.r[jp], lay.r[jp]] += ep * dth
         return value, g, H
 
-    # quadratic part: the sharp's, without the gauge directions (theta, r)
-    keep = ~np.isin(at[n2:], lay.th + lay.r)
-    Q = slots.quad_part[np.ix_(keep, keep)]
+    # quadratic part: the twists among z_2 .. z_k and each zeta_j's own form
+    Qc = 0.5 * T
+    for fs in lay.f:
+        Qc[fs, fs] = F.quad_part
+    keep = np.concatenate([zi[n2:], idx[k * b:]])
 
-    # the sharp's cyclic block rotation, conjugated by at (k = 1: identity)
-    perm = slots.sym_ops.get("cyclic", np.asarray)(at).astype(int)[back]
+    # the cyclic block rotation B_j <- B_{j+1}, zeta_j <- zeta_{j+1}
+    perm = np.concatenate([np.roll(idx[:k * b], -b),
+                           np.roll(idx[k * b:], -N)])
 
     def cyclic(w):
         return np.asarray(w, dtype=float)[perm]
@@ -611,7 +637,7 @@ def contact_sharp(F, k):
         return w
 
     return GenFn(base_dim=n2 + 1, fibre_dim=lay.total - (n2 + 1), jet=jet,
-                 quad_part=Q, normalized=F.normalized,
+                 quad_part=Qc[np.ix_(keep, keep)], normalized=F.normalized,
                  map_handle=F.map_handle, contact=True,
                  sym_ops={"cyclic": cyclic, "r_action": r_action,
                           "z_shift": z_shift},
