@@ -18,8 +18,8 @@ Variable layouts (fixed here, relied on by `crit`):
       w = [B_1 ... B_k | zeta_1 ... zeta_k],  B_j = (z_j, theta_j, r_j),
       F^#k(w) = sum_j [ e^{r_j} F(e^{-r_j/2}(z_j + z_{j+1})/2, theta_{j+1}, zeta_j)
                         + 0.5 <z_j, J0 z_{j+1}> + e^{r_{j-1}}(theta_j - theta_{j+1}) ],
-  the k-fold sharp of the conformal slot G(v; theta, zeta, r) =
-  e^r F(e^{-r/2} v, theta, zeta) plus the theta-differences.
+  read as k groups of F's flat form at u_j = e^{-r_j/2}(z_j + z_{j+1})/2,
+  then the chain rule through u_j and r_j, vectorised over the groups.
 
 All derivatives are exact: the small-map jet is a closed form in the level
 m of the inverted midpoint, and a cyclic composition is read through its flat
@@ -254,12 +254,46 @@ def _flat_form(factors, lay):
     return leaves, cols, A, T
 
 
+def _flat_jet(flat, rows):
+    """Per-row jets of a flat form sum_i f_i(A_i y) + 0.5 y^T T y at the rows
+    y of a (rows, D) array: one gather, one `_jet` per leaf and row, the leaf
+    values of a row summed by math.fsum, one scatter per order."""
+    leaves, cols, A, T = flat
+    L, depth = A.shape[:2]
+    D = len(T)
+    even = all(f.total_dim == depth for f in leaves)
+    at = cols + D * np.arange(rows)[:, None, None]           # row r's bins
+    pairs = (at[..., None] * D + cols[:, None, :]).ravel()
+    at = at.ravel()
+
+    def stack(parts, *shape):     # leaf gradients or Hessians, zero-padded
+        return np.array(parts if even else [
+            np.pad(p, [(0, depth - s) for s in p.shape]) for p in parts]
+        ).reshape(rows, L, *shape)
+
+    def jet(Y, order):
+        X = A @ Y[:, cols][..., None]
+        jets = [f._jet(x[:f.total_dim, 0], order)
+                for row in X for f, x in zip(leaves, row)]
+        TY = T @ Y[..., None]
+        value = np.array([math.fsum([v for v, _, _ in jets[i:i + L]])
+                          for i in range(0, len(jets), L)])
+        value += 0.5 * (Y[:, None, :] @ TY)[:, 0, 0]
+        g = H = None
+        if order >= 1:
+            G = stack([j[1] for j in jets], 1, depth) @ A
+            g = np.bincount(at, G.ravel(), rows * D).reshape(rows, D) + TY[..., 0]
+        if order >= 2:
+            B = A.transpose(0, 2, 1) @ stack([j[2] for j in jets], depth, depth) @ A
+            H = np.bincount(pairs, B.ravel(), rows * T.size).reshape(rows, D, D) + T
+        return value, g, H
+
+    return jet
+
+
 def _cyclic_compose(factors):
-    """Cyclic composition over K factors (K odd), read through its flat form:
-    per jet one gather of all leaf arguments, one `_jet` per leaf (its
-    argument is already checked and shaped), the leaf values summed by
-    math.fsum, and one scatter per order of A_i^T g_i and of the blocks
-    A_i^T H_i A_i over each leaf's few columns."""
+    """Cyclic composition over K factors (K odd), read through its flat form
+    by `_flat_jet` at the one row w."""
     K = len(factors)
     n2 = factors[0].base_dim
     if any(f.base_dim != n2 for f in factors):
@@ -267,31 +301,14 @@ def _cyclic_compose(factors):
     if any(f.contact for f in factors):
         raise DomainError("cyclic composition acts on symplectic-base factors")
     lay = _CyclicLayout(n2, [f.fibre_dim for f in factors])
-    leaves, cols, A, T = flat = _flat_form(factors, lay)
-    D, depth = lay.total, A.shape[1]
-    even = all(f.total_dim == depth for f in leaves)
-    pairs = (cols[:, :, None] * D + cols[:, None, :]).ravel()
-
-    def stack(parts):               # leaf gradients or Hessians, zero-padded
-        return np.array(parts if even else [
-            np.pad(p, [(0, depth - s) for s in p.shape]) for p in parts])
+    flat = _flat_form(factors, lay)
+    at_w = _flat_jet(flat, 1)
 
     def jet(w, order):
-        X = A @ w[cols][:, :, None]
-        jets = [f._jet(x[:f.total_dim, 0], order) for f, x in zip(leaves, X)]
-        Tw = T @ w
-        value = math.fsum([v for v, _, _ in jets]) + 0.5 * float(w @ Tw)
-        g = H = None
-        if order >= 1:
-            G = stack([j[1] for j in jets])[:, None, :] @ A
-            g = np.bincount(cols.ravel(), G.ravel(), D) + Tw
-        if order >= 2:
-            B = A.transpose(0, 2, 1) @ stack([j[2] for j in jets]) @ A
-            H = np.bincount(pairs, B.ravel(), T.size).reshape(D, D) + T
-        return value, g, H
+        return [x if x is None else x[0] for x in at_w(w[None], order)]
 
     # fibre quadratic part: factor quadratics plus the cyclic twist with z_1 = 0
-    J0, Q = j0_matrix(n2), np.zeros((D, D))
+    J0, Q = j0_matrix(n2), np.zeros((lay.total, lay.total))
     for fs, f in zip(lay.f_slices, factors):
         Q[fs, fs] = f.quad_part
     for a, b in zip(lay.z_slices[1:-1], lay.z_slices[2:]):   # slots >= 2
@@ -303,7 +320,7 @@ def _cyclic_compose(factors):
     maps = [f.map_handle for f in factors]
     mp = ComposedMap(maps) if all(m is not None for m in maps) else None
     jet.flat = flat
-    return GenFn(base_dim=n2, fibre_dim=D - n2, jet=jet,
+    return GenFn(base_dim=n2, fibre_dim=lay.total - n2, jet=jet,
                  quad_part=Q[n2:, n2:].copy(),
                  normalized=all(f.normalized for f in factors),
                  map_handle=mp, domain_point=domain_point,
@@ -338,14 +355,11 @@ def sharp_k(F, k):
     if k == 1:
         return F
     gf = _cyclic_compose([F] * k)
-    lay = gf.meta["layout"]
-    perm = np.arange(lay.total)
-    for j in range(k):
-        jn = (j + 1) % k
-        perm[lay.z_slices[j]] = np.arange(lay.total)[lay.z_slices[jn]]
-        perm[lay.f_slices[j]] = np.arange(lay.total)[lay.f_slices[jn]]
+    idx, kn2 = np.arange(gf.total_dim), k * F.base_dim
+    perm = np.concatenate([np.roll(idx[:kn2], -F.base_dim),
+                           np.roll(idx[kn2:], -F.fibre_dim)])
 
-    def cyclic(w):
+    def cyclic(w):             # z_j <- z_{j+1}, zeta_j <- zeta_{j+1}
         return np.asarray(w, dtype=float)[perm]
 
     gf.sym_ops = {"cyclic": cyclic}
@@ -437,29 +451,20 @@ def contact_lift_gf(f):
     (x, y, theta): the value is theta-independent, hence 1-periodic."""
     if not f.normalized:
         raise NotNormalized("contact lifting requires a normalized function")
-    n2 = f.base_dim
-    th = n2               # index of theta in the contact layout [z, theta, zeta]
-
-    idx = np.concatenate([np.arange(n2), np.arange(th + 1, f.total_dim + 1)])
-
-    def strip(w):
-        return np.concatenate([w[:n2], w[th + 1:]])
+    th = f.base_dim       # index of theta in the contact layout [z, theta, zeta]
 
     def jet(w, order):
-        value, g, H = f._jet(strip(w), order)
+        value, g, H = f._jet(np.delete(w, th), order)
         if order >= 1:
-            g = np.concatenate([g[:n2], [0.0], g[n2:]])
+            g = np.insert(g, th, 0.0)
         if order >= 2:
-            out = np.zeros((len(w), len(w)))
-            out[np.ix_(idx, idx)] = H
-            H = out
+            H = np.insert(np.insert(H, th, 0.0, axis=0), th, 0.0, axis=1)
         return value, g, H
 
     def domain_point(w):
-        zbar = f.domain_point(strip(w))
-        return np.concatenate([zbar, [w[th]]])
+        return np.append(f.domain_point(np.delete(w, th)), w[th])
 
-    return GenFn(base_dim=n2 + 1, fibre_dim=f.fibre_dim, jet=jet,
+    return GenFn(base_dim=th + 1, fibre_dim=f.fibre_dim, jet=jet,
                  quad_part=f.quad_part, normalized=True,
                  map_handle=f.map_handle, domain_point=domain_point,
                  contact=True, meta={"kind": "contactLift", "factor": f})
@@ -498,75 +503,41 @@ class _ContactLayout:
         self.total = off + k * fibre_dim
 
 
-def _conformal_slot(F):
-    """Conformal slot of a contact-base factor F(u, theta; zeta):
-
-        G(v; theta, zeta, r) = e^r F(e^{-r/2} v, theta, zeta),
-
-    with base v and fibre (theta, zeta, r); its jet is the chain rule through
-    u = e^{-r/2} v, so G_vv is F_uu itself."""
-    n2 = F.base_dim - 1
-    d = F.total_dim + 1
-
-    def jet(w, order):
-        r = w[-1]
-        e = math.exp(r)
-        h = math.exp(0.5 * r)
-        u = w[:n2] / h
-        val, gF, HF = F._jet(np.concatenate([u, w[n2:-1]]), order)
-        g = H = None
-        if order >= 1:
-            Fu = gF[:n2]
-            g = np.empty(d)
-            g[:n2] = h * Fu
-            g[n2:-1] = e * gF[n2:]
-            g[-1] = e * (val - 0.5 * float(np.dot(Fu, u)))
-        if order >= 2:
-            Huu = HF[:n2, :n2]
-            H = np.empty((d, d))
-            H[:n2, :n2] = Huu
-            H[:n2, n2:-1] = h * HF[:n2, n2:]
-            H[n2:-1, n2:-1] = e * HF[n2:, n2:]
-            H[:n2, -1] = 0.5 * h * (Fu - Huu @ u)
-            H[n2, -1] = e * (gF[n2] - 0.5 * float(np.dot(HF[:n2, n2], u)))
-            H[n2 + 1:-1, -1] = e * (gF[n2 + 1:]
-                                    - 0.5 * (HF[:n2, n2 + 1:].T @ u))
-            H[-1, -1] = e * (val - 0.75 * float(np.dot(Fu, u))
-                             + 0.25 * float(u @ Huu @ u))
-            H[n2:-1, :n2] = H[:n2, n2:-1].T
-            H[-1, :-1] = H[:-1, -1]
-        return e * val, g, H
-
-    return GenFn(base_dim=n2, fibre_dim=F.fibre_dim + 2, jet=jet,
-                 quad_part=np.pad(F.quad_part, 1))
-
-
 def contact_sharp(F, k):
     """Cyclic contact composition F^{#k} of a contact-base factor (k odd):
 
         sum_j [ e^{r_j} F(e^{-r_j/2}(z_j+z_{j+1})/2, theta_{j+1}, zeta_j)
                 + 0.5 <z_j, J0 z_{j+1}> + e^{r_{j-1}}(theta_j - theta_{j+1}) ]
 
-    (cyclic indices, r_0 = r_k): the k-fold sharp of the conformal slot
-    e^r F(e^{-r/2} v, theta, zeta), read through a fixed permutation of the
-    variables, plus the theta-differences.  Exactly homogeneous under the
-    R-action (z |-> e^{a/2} z, r |-> r + a): the value scales by e^a."""
+    (cyclic indices, r_0 = r_k): one gather of every slot, one `_jet` loop
+    over the leaves of k groups of F's flat form at u_j = e^{-r_j/2} mid_j,
+    the chain rule through u_j and r_j vectorised over the groups, one
+    scatter per order, then the theta-differences.  Exactly homogeneous
+    under the R-action (z |-> e^{a/2} z, r |-> r + a): the value scales by
+    e^a."""
     if k % 2 == 0 or k < 1:
         raise EvenK("contact_sharp requires odd k >= 1")
     if not F.contact:
         raise DomainError("contact_sharp needs a contact-base factor")
     n2, N = F.base_dim - 1, F.fibre_dim
-    lay = _ContactLayout(n2, k, F.fibre_dim)
+    lay = _ContactLayout(n2, k, N)
     D, b, J0 = lay.total, n2 + 2, j0_matrix(n2)
-    slot = _conformal_slot(F)
-    d = slot.total_dim
-    # slot j reads the columns [z_j | z_{j+1} | theta_{j+1}, zeta_j, r_j]
-    # through E: the midpoint of its z-blocks, then its fibre as it is
+    # group j reads F at [u_j | theta_{j+1} | zeta_j], or a lift's factor
+    # (a composition's leaves inlined) at [u_j | zeta_j]
+    lift = F.meta.get("kind") == "contactLift"
+    inner = F.meta["factor"] if lift else F
+    t, d = int(not lift), inner.total_dim
+    slots = _flat_jet(getattr(inner._jet, "flat", None) or (
+        [inner], np.arange(d)[None], np.eye(d)[None], np.zeros((d, d))), k)
+    # slot j's columns [z_j | z_{j+1} | theta_{j+1}, zeta_j | r_j] and E:
+    # the midpoint of its z-blocks, the rest as it is
     idx = np.arange(D)
     Z = idx[:k * b].reshape(k, b)[:, :n2]
     cols = np.hstack([Z, np.roll(Z, -1, 0), np.roll(lay.th, -1)[:, None],
                       idx[k * b:].reshape(k, N), np.array(lay.r)[:, None]])
-    E = np.hstack([np.eye(d, n2), np.eye(d)])
+    if lift:
+        cols = np.delete(cols, 2 * n2, axis=1)
+    E = np.hstack([np.eye(d + 1, n2), np.eye(d + 1)])
     E[:n2] *= 0.5
     pairs = (cols[:, :, None] * D + cols[:, None, :]).ravel()
     T = np.zeros((D, D))
@@ -577,24 +548,45 @@ def contact_sharp(F, k):
 
     def jet(w, order):
         S = w[cols]
-        X = np.hstack([0.5 * (S[:, :n2] + S[:, n2:2 * n2]), S[:, 2 * n2:]])
-        jets = [slot._jet(x, order) for x in X]
+        e = np.array([math.exp(r) for r in S[:, -1]])
+        h = np.array([math.exp(0.5 * r) for r in S[:, -1]])
+        Y = S[:, n2:-1]
+        Y[:, :n2] = 0.5 * (S[:, :n2] + Y[:, :n2]) / h[:, None]
+        U, Uc = Y[:, :n2], Y[:, :n2, None]
+        val, gY, HY = slots(Y, order)
         Tw = T @ w
-        # the twist 0.5 z^T T z as a dot over all D variables, z first: the
-        # order [z_1 .. z_k | fibres] that the slot sum was first read in
+        # 0.5 z^T T z, dotted in the sharp's order [z_1 .. z_k | 0]
         zT = np.zeros((2, D))
         zT[:, :len(zi)] = w[zi], Tw[zi]
-        value = math.fsum([v for v, _, _ in jets]) + 0.5 * float(zT[0] @ zT[1])
+        value = math.fsum(e * val) + 0.5 * float(zT[0] @ zT[1])
         g = H = None
+        # slot j is e^r F(u, ..): its jet in [mid_j | theta, zeta | r_j]
         if order >= 1:
-            G = np.array([j[1] for j in jets])[:, None, :] @ E
-            g = np.bincount(cols.ravel(), G.ravel(), D) + Tw
+            Fu = gY[:, :n2]
+            uFu = (Fu[:, None, :] @ Uc)[:, 0, 0]
+            gs = np.hstack([h[:, None] * Fu, e[:, None] * gY[:, n2:],
+                            (e * (val - 0.5 * uFu))[:, None]])
+            g = np.bincount(cols.ravel(), (gs[:, None, :] @ E).ravel(), D) + Tw
         if order >= 2:
-            B = E.T @ np.array([j[2] for j in jets]) @ E
-            H = np.bincount(pairs, B.ravel(), D * D).reshape(D, D) + T
+            Huu = HY[:, :n2, :n2]
+            Hs = np.empty((k, d + 1, d + 1))
+            Hs[:, :n2, :n2] = Huu
+            Hs[:, :n2, n2:-1] = h[:, None, None] * HY[:, :n2, n2:]
+            Hs[:, n2:-1, n2:-1] = e[:, None, None] * HY[:, n2:, n2:]
+            Hs[:, :n2, -1] = (0.5 * h)[:, None] * (Fu - (Huu @ Uc)[..., 0])
+            if t:
+                Hs[:, n2, -1] = e * (gY[:, n2] - 0.5 * (
+                    HY[:, None, :n2, n2] @ Uc)[:, 0, 0])
+            Hs[:, n2 + t:-1, -1] = e[:, None] * (gY[:, n2 + t:] - 0.5 * (
+                HY[:, :n2, n2 + t:].transpose(0, 2, 1) @ Uc)[..., 0])
+            uHu = (U[:, None, :] @ Huu @ Uc)[:, 0, 0]
+            Hs[:, -1, -1] = e * (val - 0.75 * uFu + 0.25 * uHu)
+            Hs[:, n2:-1, :n2] = Hs[:, :n2, n2:-1].transpose(0, 2, 1)
+            Hs[:, -1, :-1] = Hs[:, :-1, -1]
+            H = np.bincount(pairs, (E.T @ Hs @ E).ravel(), D * D).reshape(D, D) + T
         for j in range(k):
             jn, jp = (j + 1) % k, (j - 1) % k
-            ep = math.exp(w[lay.r[jp]])
+            ep = e[jp]
             dth = w[lay.th[j]] - w[lay.th[jn]]
             value += ep * dth
             if order >= 1:
@@ -624,16 +616,13 @@ def contact_sharp(F, k):
 
     def r_action(w, a):
         w = np.asarray(w, dtype=float).copy()
-        scale = math.exp(0.5 * a)
-        for j in range(k):
-            w[lay.z[j]] *= scale
-            w[lay.r[j]] += a
+        w[zi] *= math.exp(0.5 * a)
+        w[lay.r] += a
         return w
 
     def z_shift(w):
         w = np.asarray(w, dtype=float).copy()
-        for j in range(k):
-            w[lay.th[j]] += 1.0
+        w[lay.th] += 1.0
         return w
 
     return GenFn(base_dim=n2 + 1, fibre_dim=lay.total - (n2 + 1), jet=jet,
@@ -648,8 +637,10 @@ def contact_sharp(F, k):
 def contact_p(F, k):
     """Conformally corrected cyclic composition
 
-        P = (k / sum_j e^{r_j}) * F^{#k},
+        P = (k / sum_j e^{r_j}) * F^{#k} = c V,
 
+    whose Hessian is c H_V + dc g_V^T + g_V dc^T plus the rank-two
+    V (2c e e^T / E^2 - diag(c e / E)) on the r block (e_j = e^{r_j});
     invariant (exactly, up to round-off) under the cyclic Z_k block rotation,
     the R-action (z |-> e^{a/2} z, r |-> r + a), and the Z-action
     (all theta_j |-> theta_j + 1)."""

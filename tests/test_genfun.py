@@ -462,6 +462,31 @@ def test_contact_sharp_of_a_theta_dependent_factor(n):
         assert np.allclose(G.hess(w), fd_hess(G.grad, w), atol=1e-6)
 
 
+@pytest.mark.parametrize("n", [1, 2])
+def test_p_of_a_theta_dependent_factor(n):
+    fac = _theta_factor(n, seed=n)
+    k = 3
+    P = contact_p(fac, k)
+    lay = P.meta["layout"]
+    J0 = j0_matrix(2 * n)
+    rng = np.random.default_rng(30 + n)
+    for _ in range(3):
+        w = rng.normal(0.0, 0.5, P.total_dim)
+        slots = 0.0
+        for j in range(k):
+            jn, jp = (j + 1) % k, (j - 1) % k
+            r = w[lay.r[j]]
+            u = math.exp(-r / 2) * (w[lay.z[j]] + w[lay.z[jn]]) / 2
+            slots += math.exp(r) * fac.value(
+                np.concatenate([u, [w[lay.th[jn]]], w[lay.f[j]]]))
+            slots += 0.5 * float(w[lay.z[j]] @ J0 @ w[lay.z[jn]])
+            slots += math.exp(w[lay.r[jp]]) * (w[lay.th[j]] - w[lay.th[jn]])
+        want = k / sum(math.exp(w[r]) for r in lay.r) * slots
+        assert P.value(w) == pytest.approx(want, rel=1e-13)
+        assert np.allclose(P.grad(w), fd_grad(P.value, w), atol=1e-7)
+        assert np.allclose(P.hess(w), fd_hess(P.grad, w), atol=1e-6)
+
+
 def test_p_is_conformal_correction_of_sharp(P3, F):
     sharp = P3.meta["sharp"]
     lay = P3.meta["layout"]
