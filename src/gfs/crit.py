@@ -251,23 +251,29 @@ def sharp_critical_seed(F, k, zbar1):
     return np.concatenate(zs + zetas)
 
 
+def _contact_p(P, caller):
+    """P's layout and period, or DomainError unless P is from contact_p."""
+    if getattr(P, "meta", {}).get("kind") != "contactP":
+        raise DomainError("%s needs the contact composition P of contact_p"
+                          % caller)
+    return P.meta["layout"], P.meta["k"]
+
+
 def seed_from_chain(P, chain):
     """Critical seed of the scale-normalized contact composition P at a
     translated chain: z-blocks and fibres from the chain's slot
     configurations in the underlying symplectic factor (`chain_config`),
     block thetas from the chain, r = 0."""
-    lay = P.meta["layout"]
-    k = P.meta["k"]
+    lay, k = _contact_p(P, "seed_from_chain")
     if chain.k != k:
         raise DomainError("chain period %d does not match P (k = %d)"
                           % (chain.k, k))
-    factor = P.meta["sharp"].meta["factor"].meta["factor"]
+    factor = P.meta["factor"].meta["factor"]
     zs, zetas = chain_config([factor] * k, [pt.base for pt in chain.points])
     w = np.zeros(P.total_dim)
-    for j in range(k):
-        w[lay.z[j]] = zs[j]
-        w[lay.th[j]] = chain.points[j].theta
-        w[lay.f[j]] = zetas[j]
+    w[np.r_[tuple(lay.z)]] = np.concatenate(zs)
+    w[lay.th] = [pt.theta for pt in chain.points]
+    w[np.r_[tuple(lay.f)]] = np.concatenate(zetas)
     return w
 
 
@@ -288,18 +294,12 @@ def chain_scan(P, k, seeds, chains=None, tol=1e-9, max_iter=100):
     dimension of the family), and — when `chains` from the analytic
     enumeration are supplied — the orbit id of the matching translated chain.
     """
-    if not getattr(P, "contact", False) or "layout" not in P.meta:
-        raise DomainError("chain_scan needs a contact cyclic composition")
-    if k != P.meta.get("k"):
+    lay, period = _contact_p(P, "chain_scan")
+    if k != period:
         raise DomainError("chain_scan: k = %r, but P composes %r factors"
-                          % (k, P.meta.get("k")))
-    if k % 2 == 0 or k < 1:
-        raise DomainError("chain_scan requires odd k >= 1")
-    lay = P.meta["layout"]
-
+                          % (k, period))
     A = np.zeros((2, P.total_dim))
-    for j in range(k):
-        A[0, lay.r[j]] = 1.0
+    A[0, lay.r] = 1.0
     A[1, lay.th[0]] = 1.0
 
     found = []

@@ -260,6 +260,19 @@ def test_chain_scan_k_must_be_the_period_of_p(P3, amb1, rho_ref, k):
         chain_scan(P3, k, [seed_from_chain(P3, chains[0])], chains=chains)
 
 
+def test_seed_from_chain_needs_p(P3, amb1, rho_ref):
+    chain = translated_chains(amb1, rho_ref, 3)[0]
+    with pytest.raises(DomainError, match="contact_p"):
+        seed_from_chain(P3.meta["sharp"], chain)
+
+
+def test_chain_scan_needs_p(P3, amb1, rho_ref):
+    # the sharp is homogeneous, not scale-invariant: its scan would stall
+    seed = seed_from_chain(P3, translated_chains(amb1, rho_ref, 3)[0])
+    with pytest.raises(DomainError, match="contact_p"):
+        chain_scan(P3.meta["sharp"], 3, [seed])
+
+
 def _parent_config(F, zbar):
     """fibre_critical_config built the old way, as an oracle: the slice
     chain by repeated map_handle, then each slot's own flow."""
