@@ -259,32 +259,32 @@ def _flat_jet(flat, rows):
     y of a (rows, D) array: one gather, one `_jet` per leaf and row, the leaf
     values of a row summed by math.fsum, one scatter per order."""
     leaves, cols, A, T = flat
-    L, depth = A.shape[:2]
+    L, depth, width = A.shape
     D = len(T)
+    leaves, A = leaves * rows, np.tile(A, (rows, 1, 1))
     even = all(f.total_dim == depth for f in leaves)
-    at = cols + D * np.arange(rows)[:, None, None]           # row r's bins
+    at = cols + D * np.arange(rows)[:, None, None]   # row r's columns in Y.flat
     pairs = (at[..., None] * D + cols[:, None, :]).ravel()
-    at = at.ravel()
+    at = at.reshape(-1, width)
 
-    def stack(parts, *shape):     # leaf gradients or Hessians, zero-padded
+    def stack(parts):               # leaf gradients or Hessians, zero-padded
         return np.array(parts if even else [
-            np.pad(p, [(0, depth - s) for s in p.shape]) for p in parts]
-        ).reshape(rows, L, *shape)
+            np.pad(p, [(0, depth - s) for s in p.shape]) for p in parts])
 
     def jet(Y, order):
-        X = A @ Y[:, cols][..., None]
-        jets = [f._jet(x[:f.total_dim, 0], order)
-                for row in X for f, x in zip(leaves, row)]
+        X = A @ Y.ravel()[at][:, :, None]
+        jets = [f._jet(x[:f.total_dim, 0], order) for f, x in zip(leaves, X)]
         TY = T @ Y[..., None]
         value = np.array([math.fsum([v for v, _, _ in jets[i:i + L]])
                           for i in range(0, len(jets), L)])
         value += 0.5 * (Y[:, None, :] @ TY)[:, 0, 0]
         g = H = None
         if order >= 1:
-            G = stack([j[1] for j in jets], 1, depth) @ A
-            g = np.bincount(at, G.ravel(), rows * D).reshape(rows, D) + TY[..., 0]
+            G = stack([j[1] for j in jets])[:, None, :] @ A
+            g = np.bincount(at.ravel(), G.ravel(), rows * D)
+            g = g.reshape(rows, D) + TY[..., 0]
         if order >= 2:
-            B = A.transpose(0, 2, 1) @ stack([j[2] for j in jets], depth, depth) @ A
+            B = A.transpose(0, 2, 1) @ stack([j[2] for j in jets]) @ A
             H = np.bincount(pairs, B.ravel(), rows * T.size).reshape(rows, D, D) + T
         return value, g, H
 
@@ -302,10 +302,10 @@ def _cyclic_compose(factors):
         raise DomainError("cyclic composition acts on symplectic-base factors")
     lay = _CyclicLayout(n2, [f.fibre_dim for f in factors])
     flat = _flat_form(factors, lay)
-    at_w = _flat_jet(flat, 1)
+    one_row = _flat_jet(flat, 1)
 
     def jet(w, order):
-        return [x if x is None else x[0] for x in at_w(w[None], order)]
+        return [x if x is None else x[0] for x in one_row(w[None], order)]
 
     # fibre quadratic part: factor quadratics plus the cyclic twist with z_1 = 0
     J0, Q = j0_matrix(n2), np.zeros((lay.total, lay.total))
@@ -355,11 +355,14 @@ def sharp_k(F, k):
     if k == 1:
         return F
     gf = _cyclic_compose([F] * k)
-    idx, kn2 = np.arange(gf.total_dim), k * F.base_dim
-    perm = np.concatenate([np.roll(idx[:kn2], -F.base_dim),
-                           np.roll(idx[kn2:], -F.fibre_dim)])
+    lay = gf.meta["layout"]
+    perm = np.arange(lay.total)
+    for j in range(k):
+        jn = (j + 1) % k
+        perm[lay.z_slices[j]] = np.arange(lay.total)[lay.z_slices[jn]]
+        perm[lay.f_slices[j]] = np.arange(lay.total)[lay.f_slices[jn]]
 
-    def cyclic(w):             # z_j <- z_{j+1}, zeta_j <- zeta_{j+1}
+    def cyclic(w):
         return np.asarray(w, dtype=float)[perm]
 
     gf.sym_ops = {"cyclic": cyclic}
@@ -555,7 +558,8 @@ def contact_sharp(F, k):
         U, Uc = Y[:, :n2], Y[:, :n2, None]
         val, gY, HY = slots(Y, order)
         Tw = T @ w
-        # 0.5 z^T T z, dotted in the sharp's order [z_1 .. z_k | 0]
+        # 0.5 z^T T z as a dot over D entries [z_1 .. z_k | 0]: the rounding
+        # that tests/test_jet.py pins
         zT = np.zeros((2, D))
         zT[:, :len(zi)] = w[zi], Tw[zi]
         value = math.fsum(e * val) + 0.5 * float(zT[0] @ zT[1])
@@ -574,7 +578,7 @@ def contact_sharp(F, k):
             Hs[:, :n2, n2:-1] = h[:, None, None] * HY[:, :n2, n2:]
             Hs[:, n2:-1, n2:-1] = e[:, None, None] * HY[:, n2:, n2:]
             Hs[:, :n2, -1] = (0.5 * h)[:, None] * (Fu - (Huu @ Uc)[..., 0])
-            if t:
+            if t:       # theta's row by its own dot, as the golden jets pin
                 Hs[:, n2, -1] = e * (gY[:, n2] - 0.5 * (
                     HY[:, None, :n2, n2] @ Uc)[:, 0, 0])
             Hs[:, n2 + t:-1, -1] = e[:, None] * (gY[:, n2 + t:] - 0.5 * (
