@@ -544,7 +544,7 @@ def contact_sharp(F, k):
     E[:n2] *= 0.5
     pairs = (cols[:, :, None] * D + cols[:, None, :]).ravel()
     T = np.zeros((D, D))
-    for zj, zn in zip(lay.z, np.roll(lay.z, -1)):
+    for zj, zn in zip(lay.z, lay.z[1:] + lay.z[:1]):
         T[zj, zn] += 0.5 * J0
         T[zn, zj] += 0.5 * J0.T
     zi = Z.ravel()
