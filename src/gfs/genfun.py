@@ -641,10 +641,10 @@ def contact_sharp(F, k):
 def contact_p(F, k):
     """Conformally corrected cyclic composition
 
-        P = (k / sum_j e^{r_j}) * F^{#k} = c V,
+        P = (k / sum_j e^{r_j}) * F^{#k} = c V,   E = sum_j e_j, e_j = e^{r_j},
 
     whose Hessian is c H_V + dc g_V^T + g_V dc^T plus the rank-two
-    V (2c e e^T / E^2 - diag(c e / E)) on the r block (e_j = e^{r_j});
+    V (2c e e^T / E^2 - diag(c e / E)) on the r block; it is
     invariant (exactly, up to round-off) under the cyclic Z_k block rotation,
     the R-action (z |-> e^{a/2} z, r |-> r + a), and the Z-action
     (all theta_j |-> theta_j + 1)."""
