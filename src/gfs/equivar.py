@@ -26,8 +26,10 @@ bookkeeping shift k*iota + n(k-1).
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,7 +108,7 @@ class GroupRing:
 
     def aug(self, a):
         """Augmentation p(T) -> p(1) mod k: the coinvariant image."""
-        return int(np.sum(a)) % self.mod
+        return sum(np.asarray(a).tolist()) % self.mod
 
 
 def rank_mod_p(M, p):
@@ -409,39 +411,80 @@ class Barcode:
 
     @classmethod
     def from_json(cls, text):
-        obj = json.loads(text)
-        if obj.get("schema") != "gfs/1":
-            raise DomainError("unrecognized barcode schema %r"
-                              % obj.get("schema"))
-        bars = [Bar(int(b["degree"]), float(b["birth"]),
-                    math.inf if b["death"] is None else float(b["death"]),
-                    int(b["rank"]))
-                for b in obj["bars"]]
-        return cls(bars, obj["field"])
+        """Barcode from its JSON text.  DomainError unless it is a gfs/1
+        object whose bars each have an integer degree, a finite birth before
+        the death (null for infinite) and an integer rank >= 1."""
+        try:
+            obj = json.loads(text)
+        except ValueError as exc:
+            raise DomainError("invalid barcode: not JSON (%s)" % exc)
+        schema = obj.get("schema") if isinstance(obj, dict) else None
+        if schema != "gfs/1":
+            raise DomainError("unrecognized barcode schema %r" % (schema,))
+        try:
+            bars = [Bar(int(b["degree"]), float(b["birth"]),
+                        math.inf if b["death"] is None else float(b["death"]),
+                        int(b["rank"]))
+                    for b in obj["bars"]]
+            field = int(obj["field"])
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise DomainError("invalid barcode: %s: %s"
+                              % (type(exc).__name__, exc))
+        for b in bars:
+            if not (math.isfinite(b.birth) and b.birth < b.death
+                    and b.rank >= 1):
+                raise DomainError("invalid barcode: bar %r needs a finite "
+                                  "birth before its death and rank >= 1"
+                                  % (b,))
+        return cls(bars, field)
 
     def to_tsv(self):
         """Step-plot data (columns a, degree, rank): for every breakpoint of
-        every degree, the right-continuous rank just after it."""
+        every degree, the right-continuous rank just after it.
+
+        The breakpoints of a degree are its births and finite deaths, with
+        0.0 put first when none is <= 0.  One sweep per degree keeps a
+        running rank: a bar adds its rank at its birth and takes it off at
+        its death.  A bar with birth >= death adds its endpoints but never
+        its rank, as in `rank_at`."""
         lines = ["a\tdegree\trank"]
-        for d in self.degrees():
-            pts = self.endpoints(d)
-            if not pts or pts[0] > 0.0:
+        for d, group in itertools.groupby(self.bars, lambda b: b.degree):
+            group = list(group)
+            pts = set()
+            for b in group:
+                pts.add(b.birth)
+                if math.isfinite(b.death):
+                    pts.add(b.death)
+            pts = sorted(pts)
+            if pts[0] > 0.0:
                 pts = [0.0] + pts
+            live = [b for b in group if b.birth < b.death]
+            births = [(b.birth, b.rank) for b in live]      # sorted already
+            deaths = sorted((b.death, b.rank) for b in live)
+            rank = i = j = 0
             for a in pts:
-                lines.append("%.12g\t%d\t%d" % (a, d, self.rank_at(d, a)))
+                while i < len(births) and births[i][0] <= a:
+                    rank, i = rank + births[i][1], i + 1
+                while j < len(deaths) and deaths[j][0] <= a:
+                    rank, j = rank - deaths[j][1], j + 1
+                lines.append("%.12g\t%d\t%d" % (a, d, rank))
         return "\n".join(lines) + "\n"
 
 
 def barcode(cx, mode):
     """Barcode of the filtered complex from one persistence reduction.
 
-    Generators expand into k circulant columns (plain) or one augmentation
-    column (equivariant).  Per degree d the matrix of d_d, rows and columns
-    sorted by value, is column-reduced over F_p; column operations never mix
-    degrees, so its (low row s, column t) pivots are the pairs of the global
-    reduction.  C_{<=a} is a subcomplex, so H_d(C / C_{<=a}) has rank
+    Generators expand into k columns (plain: the nonzero entries of each ring
+    entry's k x k circulant) or one column (equivariant: its augmentation).
+    Per degree d, the columns of d_d are sparse {row: coefficient mod p}
+    dicts, rows and columns ordered by value, reduced left to right over
+    F_p against the column that owns each low row; column operations never
+    mix degrees, so its (low row s, column t) pivots are the pairs of the
+    global reduction.  C_{<=a} is a subcomplex, so H_d(C / C_{<=a}) has rank
     #{unpaired degree-d t: v_t > a} + #{pairs (s, t), deg t = d: v_s <= a <
-    v_t}, read at 0 and at each positive value; its runs are the bars."""
+    v_t}, read at 0 and at each positive value.  Each column's interval
+    [born, v_t) is two rank steps on those sorted points; one sweep over the
+    stepped points gives the runs of constant rank, which are the bars."""
     if mode not in ("plain", "equivariant"):
         raise DomainError("mode must be 'plain' or 'equivariant'")
     ring, gens, degrees, p = cx.ring, cx.generators, cx.degrees(), cx.ring.mod
@@ -450,39 +493,50 @@ def barcode(cx, mode):
     for i in sorted(range(len(gens)), key=lambda i: gens[i].value):
         order[gens[i].degree].append(i)
     pos = {i: q * block for idx in order.values() for q, i in enumerate(idx)}
-    value = {d: np.repeat([gens[i].value for i in idx], block)
+    value = {d: [gens[i].value for i in idx for _ in range(block)]
              for d, idx in order.items()}
-    mats = {d: np.zeros((len(value[d - 1]), len(value[d])), dtype=np.int64)
-            for d in degrees}
+    cols = {d: [{} for _ in value[d]] for d in degrees}
     for (t, s), e in cx.diff.items():
-        mats[gens[s].degree][pos[t]:pos[t] + block, pos[s]:pos[s] + block] = (
-            ring.circulant(e) if mode == "plain" else ring.aug(e))
+        into, r, c = cols[gens[s].degree], pos[t], pos[s]
+        coeffs = e.tolist() if mode == "plain" else [ring.aug(e)]
+        for m, x in enumerate(coeffs):          # circulant: C[i, j] = e[i - j]
+            if x:
+                for j in range(block):
+                    into[c + j][r + (m + j) % block] = x
     # column t adds one on [born, v_t); born = inf once t is a pivot row
-    born = {d: np.full(len(v), -np.inf) for d, v in value.items()}
-    for d, M in mats.items():
-        column_of = {}      # low row -> the reduced column that owns it
-        for j in range(M.shape[1]):
-            nz = np.flatnonzero(M[:, j])
-            while nz.size and nz[-1] in column_of:
-                low, i = nz[-1], column_of[nz[-1]]
-                f = int(M[low, j]) * pow(int(M[low, i]), -1, p) % p
-                M[:, j] = (M[:, j] - f * M[:, i]) % p
-                nz = np.flatnonzero(M[:, j])
-            if nz.size:
-                column_of[nz[-1]] = j
-                born[d][j], born[d - 1][nz[-1]] = value[d - 1][nz[-1]], np.inf
+    born = {d: [-math.inf] * len(v) for d, v in value.items()}
+    for d in degrees:
+        owner = {}          # low row -> (reduced column, 1 / its low entry)
+        for j, col in enumerate(cols[d]):
+            while col:
+                low = max(col)
+                if low not in owner:
+                    owner[low] = col, pow(col[low], -1, p)
+                    born[d][j], born[d - 1][low] = value[d - 1][low], math.inf
+                    break
+                piv, inv = owner[low]
+                f = col[low] * inv % p
+                for r, x in piv.items():
+                    y = (col.get(r, 0) - f * x) % p
+                    if y:
+                        col[r] = y
+                    else:
+                        del col[r]
     points = [0.0] + sorted({g.value for g in gens if g.value > 0.0})
-    at = np.array(points)
     bars = []
     for d in degrees:
-        ranks = ((born[d][:, None] <= at)
-                 & (at < value[d][:, None])).sum(axis=0).tolist()
+        steps = {}          # point index -> net change of the rank there
+        for b, v in zip(born[d], value[d]):
+            lo, hi = bisect_left(points, b), bisect_left(points, v)
+            if lo < hi:
+                steps[lo] = steps.get(lo, 0) + 1
+                steps[hi] = steps.get(hi, 0) - 1
         run_rank, run_start = 0, 0.0
-        for a, rd in zip(points, ranks):
-            if rd != run_rank:
+        for q in sorted(steps):
+            if steps[q]:
                 if run_rank > 0:
-                    bars.append(Bar(d, run_start, a, run_rank))
-                run_rank, run_start = rd, a
+                    bars.append(Bar(d, run_start, points[q], run_rank))
+                run_rank, run_start = run_rank + steps[q], points[q]
         if run_rank > 0:
             bars.append(Bar(d, run_start, math.inf, run_rank))
     meta = dict(getattr(cx, "meta", {}))

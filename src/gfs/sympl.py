@@ -521,10 +521,12 @@ def shells(amb, rho, k, lmax=None):
     def is_shell(l):
         return -(l / k) * area > c0
 
+    d_lo, d_hi = rho.drho(lo), rho.drho(1.0)
+
     def bracketed_target(l):
         target = -(l / k) * area
-        fa = rho.drho(lo) - target
-        fb = rho.drho(1.0) - target
+        fa = d_lo - target
+        fb = d_hi - target
         if fa == 0.0:
             raise NonMonotoneProfile(
                 "rho' meets the level on its flat plateau; shell is not isolated")

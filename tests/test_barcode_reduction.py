@@ -8,6 +8,7 @@ give the same bytes without calling it.
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -126,3 +127,96 @@ def test_barcode_rejects_unknown_mode():
         with pytest.raises(DomainError):
             barcode(c, "bogus")
     assert len(barcode(GroupRingComplex(ring, []), "plain")) == 0
+
+
+# The dense reduction and point read-out that `barcode` replaced, pinned as a
+# second oracle: numpy matrices per degree, every column compared with every
+# point.  Quadratic, but independent of the sparse columns and event sweep.
+
+def _dense_barcode(cx, mode):
+    ring, gens, degrees, p = cx.ring, cx.generators, cx.degrees(), cx.ring.mod
+    block = ring.k if mode == "plain" else 1
+    order = {e: [] for d in degrees for e in (d - 1, d)}
+    for i in sorted(range(len(gens)), key=lambda i: gens[i].value):
+        order[gens[i].degree].append(i)
+    pos = {i: q * block for idx in order.values() for q, i in enumerate(idx)}
+    value = {d: np.repeat([gens[i].value for i in idx], block)
+             for d, idx in order.items()}
+    mats = {d: np.zeros((len(value[d - 1]), len(value[d])), dtype=np.int64)
+            for d in degrees}
+    for (t, s), e in cx.diff.items():
+        mats[gens[s].degree][pos[t]:pos[t] + block, pos[s]:pos[s] + block] = (
+            ring.circulant(e) if mode == "plain" else int(np.sum(e)) % p)
+    born = {d: np.full(len(v), -np.inf) for d, v in value.items()}
+    for d, M in mats.items():
+        column_of = {}
+        for j in range(M.shape[1]):
+            nz = np.flatnonzero(M[:, j])
+            while nz.size and nz[-1] in column_of:
+                low, i = nz[-1], column_of[nz[-1]]
+                f = int(M[low, j]) * pow(int(M[low, i]), -1, p) % p
+                M[:, j] = (M[:, j] - f * M[:, i]) % p
+                nz = np.flatnonzero(M[:, j])
+            if nz.size:
+                column_of[nz[-1]] = j
+                born[d][j], born[d - 1][nz[-1]] = value[d - 1][nz[-1]], np.inf
+    points = [0.0] + sorted({g.value for g in gens if g.value > 0.0})
+    at = np.array(points)
+    bars = []
+    for d in degrees:
+        ranks = ((born[d][:, None] <= at)
+                 & (at < value[d][:, None])).sum(axis=0).tolist()
+        run_rank, run_start = 0, 0.0
+        for a, rd in zip(points, ranks):
+            if rd != run_rank:
+                if run_rank > 0:
+                    bars.append(Bar(d, run_start, a, run_rank))
+                run_rank, run_start = rd, a
+        if run_rank > 0:
+            bars.append(Bar(d, run_start, math.inf, run_rank))
+    return Barcode(bars, p, dict(cx.meta, mode=mode))
+
+
+def _formula_tsv(bc):
+    """`to_tsv` by its definition: per degree, the endpoints (0.0 first when
+    none is <= 0) and `rank_at` at each."""
+    lines = ["a\tdegree\trank"]
+    for d in bc.degrees():
+        pts = bc.endpoints(d)
+        if not pts or pts[0] > 0.0:
+            pts = [0.0] + pts
+        for a in pts:
+            lines.append("%.12g\t%d\t%d" % (a, d, bc.rank_at(d, a)))
+    return "\n".join(lines) + "\n"
+
+
+def _oracle_complexes():
+    for n in (1, 2):
+        yield ball_complex(Ambient(n=n, R=1.0),
+                           ref_profile(-300 * math.pi, 0.1), 1)
+    for k in (11, 13, 17, 19, 23):
+        yield ball_complex(Ambient(n=1, R=1.0),
+                           ref_profile(-1.25 * math.pi, 0.1), k)
+
+
+def test_barcode_bytes_match_the_dense_reduction():
+    for cx in _oracle_complexes():
+        for mode in MODES:
+            bc, want = barcode(cx, mode), _dense_barcode(cx, mode)
+            assert bc.to_json() + bc.to_tsv() == \
+                want.to_json() + _formula_tsv(want), (cx.ring.k, mode)
+
+
+# Bars over a few degrees with shared endpoints, ranks above 1, infinite
+# deaths and some with birth >= death.
+_ENDS = st.sampled_from([-1.0, 0.0, 0.5, 1.0, 1.5, 2.0, 3.25])
+_BARS = st.lists(st.builds(Bar, st.integers(0, 3), _ENDS,
+                           st.one_of(_ENDS, st.just(math.inf)),
+                           st.integers(1, 4)), max_size=12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_BARS)
+def test_to_tsv_matches_the_endpoint_formula(bars):
+    bc = Barcode(bars, 3)
+    assert bc.to_tsv() == _formula_tsv(bc)

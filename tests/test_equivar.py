@@ -301,3 +301,29 @@ def test_default_window_matches_the_full_shell_list(n, k):
                 a, b = barcode(got, mode), barcode(want, mode)
                 assert a.to_json() == b.to_json()
                 assert a.to_tsv() == b.to_tsv()
+
+
+def _barcode_text(**bar):
+    """A one-bar gfs/1 barcode whose bar has the given keys replaced."""
+    return json.dumps({"schema": "gfs/1", "field": 3, "bars": [
+        dict({"degree": 2, "birth": 0.0, "death": 1.0, "rank": 1}, **bar)]})
+
+
+@pytest.mark.parametrize("text", [
+    json.dumps({"schema": "gfs/1", "field": 3}),
+    "{not json",
+    _barcode_text(degree="x"),
+    _barcode_text(birth=3.0, death=1.0),
+    _barcode_text(birth=1.0, death=1.0),
+    _barcode_text(rank=0),
+], ids=["missing-bars", "not-json", "degree-not-int", "birth-after-death",
+        "birth-at-death", "rank-zero"])
+def test_barcode_from_json_rejects_bad_input(text):
+    with pytest.raises(DomainError):
+        Barcode.from_json(text)
+
+
+def test_barcode_from_json_accepts_its_own_output(amb1, rho_ref):
+    bc = barcode(ball_complex(amb1, rho_ref, 3), "equivariant")
+    assert Barcode.from_json(bc.to_json()).to_json() == bc.to_json()
+    assert len(Barcode.from_json(_barcode_text(death=None))) == 1
