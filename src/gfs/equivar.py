@@ -58,10 +58,11 @@ def is_prime(k):
 class GroupRing:
     """Z_k[T]/(T^k - 1) with exact coefficient arithmetic mod k.
 
-    The sentinel k = 1 is the plain mode: length-1 coefficient vectors over
-    F_2, under which T and N both become 1 and T - 1 becomes 0, so the same
-    complex constructions specialize to ordinary F_2 chain complexes.
-    The constants zero, one, T, T_minus_1 and N are read-only arrays.
+    An element is the immutable tuple of its k integer coefficients, each in
+    [0, mod).  The sentinel k = 1 is the plain mode: length-1 coefficient
+    tuples over F_2, under which T and N both become 1 and T - 1 becomes 0,
+    so the same complex constructions specialize to ordinary F_2 chain
+    complexes.  The constants zero, one, T, T_minus_1 and N are built once.
     """
 
     def __init__(self, k):
@@ -73,33 +74,27 @@ class GroupRing:
         i = np.arange(k)
         self._shift = (i[:, None] - i) % k      # (i - j) mod k, for circulant
         self.zero, self.one, self.T, self.T_minus_1, self.N = (
-            self._constant(c) for c in ([0], [1], [0, 1], [-1, 1], [1] * k))
+            self.elem(c) for c in ([0], [1], [0, 1], [-1, 1], [1] * k))
 
     def elem(self, coeffs):
-        """Ring element of a coefficient list: T^i -> T^(i mod k), then
+        """Ring element of a coefficient sequence: T^i -> T^(i mod k), then
         every coefficient mod `mod`."""
-        coeffs = np.atleast_1d(np.asarray(coeffs, dtype=np.int64))
-        c = np.zeros(self.k, dtype=np.int64)
-        np.add.at(c, np.arange(len(coeffs)) % self.k, coeffs)
-        return c % self.mod
-
-    def _constant(self, coeffs):
-        """A read-only ring element, built once per ring."""
-        c = self.elem(coeffs)
-        c.setflags(write=False)
-        return c
+        c = [0] * self.k
+        for i, x in enumerate(coeffs):
+            c[i % self.k] += x
+        return tuple(int(x) % self.mod for x in c)
 
     def add(self, a, b):
-        return (a + b) % self.mod
+        return tuple((x + y) % self.mod for x, y in zip(a, b))
 
     def sub(self, a, b):
-        return (a - b) % self.mod
+        return tuple((x - y) % self.mod for x, y in zip(a, b))
 
     def mul(self, a, b):
-        return self.elem(np.convolve(a, b))
+        return self.elem(np.convolve(a, b).tolist())
 
     def is_zero(self, a):
-        return not np.any(a % self.mod)
+        return not any(x % self.mod for x in a)
 
     def circulant(self, a):
         """k x k matrix of multiplication by the ring element a (as made by
@@ -108,7 +103,7 @@ class GroupRing:
 
     def aug(self, a):
         """Augmentation p(T) -> p(1) mod k: the coinvariant image."""
-        return sum(np.asarray(a).tolist()) % self.mod
+        return sum(a) % self.mod
 
 
 def rank_mod_p(M, p):
@@ -164,7 +159,7 @@ class GroupRingComplex:
         gt, gs = self.generators[target], self.generators[source]
         if gt.degree != gs.degree - 1:
             raise DomainError("differential must drop degree by one")
-        if gt.value > gs.value + 1e-12:
+        if not self._filtered(target, source):
             raise DomainError("differential must not increase value")
         elem = self.ring.elem(elem)
         if not self.ring.is_zero(elem):
@@ -181,27 +176,27 @@ class GroupRingComplex:
         hi = max(g.degree for g in self.generators)
         return list(range(lo, hi + 1))
 
+    def _filtered(self, target, source):
+        """An entry from source to target does not raise the value."""
+        return (self.generators[target].value
+                <= self.generators[source].value + 1e-12)
+
     def check_d2(self):
         """d o d = 0 in exact ring arithmetic; returns the violations."""
-        bad = []
+        ring = self.ring
         by_source = {}
         for (t, s), e in self.diff.items():
             by_source.setdefault(s, []).append((t, e))
+        totals = {}
         for (mid, s), e1 in self.diff.items():
             for t, e2 in by_source.get(mid, []):
-                acc = self.ring.mul(e2, e1)
-                key = (t, s)
-                bad.append((key, acc))
-        totals = {}
-        for key, acc in bad:
-            totals[key] = self.ring.add(totals.get(key, self.ring.zero), acc)
-        return [key for key, tot in totals.items()
-                if not self.ring.is_zero(tot)]
+                totals[t, s] = ring.add(totals.get((t, s), ring.zero),
+                                        ring.mul(e2, e1))
+        return [key for key, tot in totals.items() if not ring.is_zero(tot)]
 
     def check_filtration(self):
         """Differential entries must not increase the critical value."""
-        return [(t, s) for (t, s), _ in self.diff.items()
-                if self.generators[t].value > self.generators[s].value + 1e-12]
+        return [key for key in self.diff if not self._filtered(*key)]
 
     def matrix(self, d, mode, alive=None):
         """Expanded F_p matrix of d_d : C_d -> C_{d-1} restricted to alive
@@ -293,8 +288,6 @@ def ball_complex(amb, rho, k, a_window=None):
     and k = 1 bisect every shell, because the NonFreeStratum check scans
     them all.
     """
-    if k != 1 and not is_prime(k):
-        raise NonPrimeK("ball_complex needs k prime or the sentinel 1")
     ring = GroupRing(k)
     *shell_data, origin = shells(
         amb, rho, k, lmax=k if a_window is None and k > 1 else None)
@@ -355,6 +348,16 @@ def ball_complex(amb, rho, k, a_window=None):
     return cx
 
 
+def _breakpoints(bars):
+    """Sorted births and finite deaths of the bars."""
+    pts = set()
+    for b in bars:
+        pts.add(b.birth)
+        if math.isfinite(b.death):
+            pts.add(b.death)
+    return sorted(pts)
+
+
 @dataclass
 class Bar:
     """One barcode bar: rank `rank` on the half-open interval
@@ -388,13 +391,8 @@ class Barcode:
                    if b.degree == degree and b.birth <= a < b.death)
 
     def endpoints(self, degree=None):
-        pts = set()
-        for b in self.bars:
-            if degree is None or b.degree == degree:
-                pts.add(b.birth)
-                if math.isfinite(b.death):
-                    pts.add(b.death)
-        return sorted(pts)
+        return _breakpoints(b for b in self.bars
+                            if degree is None or b.degree == degree)
 
     def to_json(self):
         obj = {
@@ -450,12 +448,7 @@ class Barcode:
         lines = ["a\tdegree\trank"]
         for d, group in itertools.groupby(self.bars, lambda b: b.degree):
             group = list(group)
-            pts = set()
-            for b in group:
-                pts.add(b.birth)
-                if math.isfinite(b.death):
-                    pts.add(b.death)
-            pts = sorted(pts)
+            pts = _breakpoints(group)
             if pts[0] > 0.0:
                 pts = [0.0] + pts
             live = [b for b in group if b.birth < b.death]
@@ -498,7 +491,7 @@ def barcode(cx, mode):
     cols = {d: [{} for _ in value[d]] for d in degrees}
     for (t, s), e in cx.diff.items():
         into, r, c = cols[gens[s].degree], pos[t], pos[s]
-        coeffs = e.tolist() if mode == "plain" else [ring.aug(e)]
+        coeffs = e if mode == "plain" else [ring.aug(e)]
         for m, x in enumerate(coeffs):          # circulant: C[i, j] = e[i - j]
             if x:
                 for j in range(block):
@@ -563,7 +556,7 @@ def limit_barcode_at_area(n, A, k, mode, lmax=4):
     """
     bars = []
     if mode == "equivariant":
-        if k == 1 or not is_prime(k):
+        if k < 3 or not is_prime(k):
             raise NonPrimeK("equivariant limit barcode needs k an odd prime")
         for l in range(1, k):
             bars.append(Bar(2 * n * l, 0.0, l * A, 1))

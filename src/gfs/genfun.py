@@ -372,10 +372,11 @@ def sharp_k(F, k):
     return gf
 
 
-def gf_time_one(amb, rho, max_angle=math.pi / 2):
+def gf_time_one(amb, rho):
     """Generating function of the time-1 truncated radial map, built from the
     smallest odd number K of equal time slices whose per-slice rotation stays
-    below `max_angle` (so each slice admits the fibreless midpoint form)."""
+    below pi/2 (so each slice admits the fibreless midpoint form)."""
+    max_angle = math.pi / 2
     peak = RadialMap(amb, rho, 1.0).max_rotation()
     K = max(1, int(math.ceil(peak / max_angle)))
     if K % 2 == 0:

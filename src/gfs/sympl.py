@@ -265,10 +265,10 @@ class RadialProfile:
 
     # -- invariants -------------------------------------------------------
 
-    def validate(self, samples=2001):
+    def validate(self):
         """Return a list of invariant violations (empty when valid)."""
         problems = []
-        m = np.linspace(0.0, 1.0, samples)
+        m = np.linspace(0.0, 1.0, 2001)
         r = self.rho(m)
         dr = self.drho(m)
         d2r = self.d2rho(m)
@@ -289,21 +289,21 @@ class RadialProfile:
         return problems
 
 
-def ref_profile(c, delta, blend=BLEND_WIDTH):
+def ref_profile(c, delta):
     """Reference profile family REF(c, delta).
 
     rho' == c on [0, delta], then follows the straight chord c (1 - m)/(1 - delta)
-    to rho'(1) = 0, with C^1 cubic corner blends of width `blend`; rho is the
-    exact antiderivative with rho(1) = 0.  rho'' >= 0 throughout, so level
-    solving for rho' is monotone on [delta, 1].
+    to rho'(1) = 0, with C^1 cubic corner blends of width w = BLEND_WIDTH; rho
+    is the exact antiderivative with rho(1) = 0.  rho'' >= 0 throughout, so
+    level solving for rho' is monotone on [delta, 1].
     """
     if not -math.inf < c < 0:
         raise DomainError("profile slope c must be negative and finite, "
                           "got %r" % (c,))
-    if not 0 < delta < 1 - 2 * blend:
+    w = BLEND_WIDTH
+    if not 0 < delta < 1 - 2 * w:
         raise DomainError("delta must lie in (0, 1 - 2*blend)")
     s = -c / (1.0 - delta)          # chord slope, > 0
-    w = blend
     knots = np.array([0.0, delta, delta + w, 1.0 - w, 1.0])
     # rho' piecewise, descending powers of the local variable t = m - knot:
     dcoeffs = np.array([
@@ -622,9 +622,9 @@ class TranslatedChain:
     def k(self):
         return len(self.points)
 
-    def rotated(self, shift=1):
-        """Cyclic rotation of the same chain (again a valid chain)."""
-        pts = self.points[shift:] + self.points[:shift]
+    def rotated(self):
+        """Cyclic rotation by one point (again a valid chain)."""
+        pts = self.points[1:] + self.points[:1]
         return TranslatedChain(points=[ContactPoint(p.base.copy(), p.theta)
                                        for p in pts],
                                t=self.t, action=self.action,

@@ -1,6 +1,7 @@
 """The benchmark's span tracer hooks into gfs by name: every function and
 method it wraps must exist on the live package, and removing the tracer must
-put every original back."""
+put every original back.  The benchmark's own output checks must pass on the
+live package, so a wrong output shows here before a benchmark run."""
 
 import importlib.util
 import math
@@ -11,16 +12,26 @@ import pytest
 
 import gfs
 
-SPANS_PY = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
-    __file__))), "bench", "spans.py")
+BENCH_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
+    __file__))), "bench")
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(
+        "gfs_bench_" + name, os.path.join(BENCH_DIR, name + ".py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(scope="module")
 def spans():
-    spec = importlib.util.spec_from_file_location("gfs_bench_spans", SPANS_PY)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return _load("spans")
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    return _load("workloads")
 
 
 def _current(owner, key):
@@ -52,3 +63,16 @@ def test_hooks_install_and_restore(spans):
         assert (gfs.GenFn, op) in hooked
     for owner, key, original in patches:
         assert _current(owner, key) is original, key
+
+
+@pytest.mark.parametrize("name, count", [("barcode_family", None),
+                                         ("newton_scan", 20),
+                                         ("symmetry_sweep", 20),
+                                         ("certificate_grid", 20)])
+def test_bench_checks_pass(workloads, name, count):
+    """Seed 7: every barcode_family task, the first 20 of each other one."""
+    workload = workloads.WORKLOADS[name]
+    ctx = workload.build(gfs)
+    for task in workload.generate(7, ctx)[:count]:
+        problems, _ = workload.check(ctx, task, workload.run(ctx, task))
+        assert problems == [], (name, task)

@@ -43,20 +43,47 @@ def _elem_oracle(k, mod, coeffs):
     return c
 
 
+def _mul_oracle(k, mod, a, b):
+    """The cyclic convolution, written out as a double loop."""
+    c = [0] * k
+    for i in range(k):
+        for j in range(k):
+            c[(i + j) % k] = (c[(i + j) % k] + a[i] * b[j]) % mod
+    return c
+
+
 @pytest.mark.parametrize("k", [1, 3, 5, 23])
 def test_group_ring_vectorised_ops(k):
     ring = GroupRing(k)
+    mod = ring.mod
     rng = np.random.default_rng(k)
     for _ in range(20):
         raw = rng.integers(-50, 50, rng.integers(1, 3 * k + 2))
-        assert ring.elem(raw).tolist() == _elem_oracle(k, ring.mod, raw)
-        a = ring.elem(rng.integers(0, ring.mod, k))
-        b = ring.elem(rng.integers(0, ring.mod, k))
-        assert np.array_equal(ring.circulant(a) @ b % ring.mod,
-                              ring.mul(a, b))
+        assert list(ring.elem(raw)) == _elem_oracle(k, mod, raw)
+        a = ring.elem(rng.integers(0, mod, k))
+        b = ring.elem(rng.integers(0, mod, k))
+        assert np.array_equal(ring.circulant(a) @ b % mod, ring.mul(a, b))
         C = ring.circulant(a)
         assert all(C[i, j] == a[(i - j) % k]
                    for i in range(k) for j in range(k))
+        for got, want in (
+                (ring.add(a, b), [(a[i] + b[i]) % mod for i in range(k)]),
+                (ring.sub(a, b), [(a[i] - b[i]) % mod for i in range(k)]),
+                (ring.mul(a, b), _mul_oracle(k, mod, a, b))):
+            assert type(got) is tuple and list(got) == want
+            assert all(type(x) is int for x in got)
+        assert ring.aug(a) == sum(a[i] for i in range(k)) % mod
+        assert ring.is_zero(list(a)) == all(x == 0 for x in a)
+        assert ring.is_zero([(x - y) * mod for x, y in zip(a, b)])
+    # add_diff stores the normalised tuple of a raw list with negative
+    # entries, entries >= mod and more than k entries; of a zero one, nothing
+    for raw, stored in (([-1] * (k + 1) + [mod + 1], True),
+                        ([mod, -mod] * (k + 1), False)):
+        cx = GroupRingComplex(ring, [Generator(0, 0.0), Generator(1, 0.0)])
+        cx.add_diff(0, 1, raw)
+        want = tuple(_elem_oracle(k, mod, raw))
+        assert cx.diff == ({(0, 1): want} if stored else {})
+        assert all(type(x) is int for e in cx.diff.values() for x in e)
 
 
 def test_sentinel_ring_collapses_the_action():
@@ -75,7 +102,7 @@ def test_group_ring_constants_are_built_once_and_read_only(k):
     assert np.array_equal(ring.T, ring.elem([0, 1]))
     assert ring.N is ring.N
     for const in (ring.zero, ring.one, ring.T, ring.T_minus_1, ring.N):
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             const[0] = 1
 
 
@@ -193,8 +220,9 @@ def test_limit_barcodes(amb1):
     assert pl.field == 2
     assert [(b.degree, b.birth, b.death, b.rank) for b in pl.bars] == \
         [(2 * l, (l - 1) * math.pi, l * math.pi, 1) for l in range(1, 5)]
-    with pytest.raises(NonPrimeK):
-        limit_barcode(amb1, 9, "equivariant")
+    for k in (1, 2, 9):
+        with pytest.raises(NonPrimeK):
+            limit_barcode(amb1, k, "equivariant")
 
 
 def test_thom_shift_and_tensor_circle(amb1):
