@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from gfs import (Ambient, RadialMap, contact_lift_gf, contact_p, contact_sharp,
-                 gf_linear_rotation, gf_time_one, reeb_shift, sharp_k)
+                 gf_compose_chain, gf_linear_rotation, gf_small_map,
+                 gf_time_one, reeb_shift, sharp_k)
 
 from test_genfun import _theta_factor
 
@@ -104,3 +105,60 @@ def test_contact_jets_are_bit_identical_to_the_golden_hashes(F, name, n):
     G = (contact_p(contact_lift_gf(F), 5) if name == "P5"
          else contact_sharp(_theta_factor(n, seed=n), 3))
     assert _golden_digest(G) == GOLDEN_JETS[name, n]
+
+
+def _layout_cases(F, rho_ref, n):
+    """The compositions whose fibre form and symmetry actions the slot layout
+    builds: sharps, an uneven chain (a fibred leaf between two fibreless
+    ones), contact sharps of a lift and the contact compositions P."""
+    amb = Ambient(n=n)
+    Fn = F if n == 1 else gf_time_one(amb, rho_ref)
+    lift = contact_lift_gf(Fn)
+    small = gf_small_map(amb, RadialMap(amb, rho_ref, 0.2))
+    rot = gf_linear_rotation(amb, [0.8] * n)
+    return {"F": Fn, "F3": sharp_k(Fn, 3), "F5": sharp_k(Fn, 5),
+            "uneven": gf_compose_chain([rot, reeb_shift(Fn, 0.3), small]),
+            "C1": contact_sharp(lift, 1), "C3": contact_sharp(lift, 3),
+            "P3": contact_p(lift, 3), "P5": contact_p(lift, 5)}
+
+
+def _layout_digest(G):
+    """sha256 of quad_part's bytes, quad_index, and each symmetry action
+    (by name) at one seeded point; r_action at a = 0.7."""
+    digest = hashlib.sha256(G.quad_part.tobytes()
+                            + struct.pack("<q", G.quad_index))
+    w = np.random.default_rng(17).normal(0.0, 0.5, G.total_dim)
+    for name in sorted(G.sym_ops):
+        op = G.sym_ops[name]
+        out = op(w, 0.7) if name == "r_action" else op(w)
+        digest.update(name.encode() + np.asarray(out, dtype=float).tobytes())
+    return digest.hexdigest()
+
+
+# sha256 of `_layout_digest`, recorded with numpy 2.4 on x86-64.  The golden
+# jets never read quad_part or sym_ops; these pin the slot layout's fibre
+# quadratic form and its cyclic, R- and Z-actions byte for byte.
+GOLDEN_LAYOUTS = {
+    ("F", 1): "3f3d1631f9c0ec3e3f5a96508aeaf7dcc0cf694eedfe0388afdb4939383c2e4c",
+    ("F3", 1): "d10ae82d75594bd30d5e4317da5626cbeedb0c03f45916723c0516a83db29142",
+    ("F5", 1): "acc2ee6dd5a88f6eb7b9cd746516dd0bb56fc1c6337d4f97e97861953a5645ec",
+    ("uneven", 1): "16e1dc2a5a550c8cf34384a72c00a49da80bc66a8bc5139fc49acc932f76504e",
+    ("C1", 1): "5cf89ffa6847fdc7be7bd6fd88930f6ea7430e180bd9dc3759cdd39859c4172e",
+    ("C3", 1): "f245770caaa70357fa4466196c5c3921d3211c27365235f6c3633201566e7337",
+    ("P3", 1): "f245770caaa70357fa4466196c5c3921d3211c27365235f6c3633201566e7337",
+    ("P5", 1): "85e8c54447602fd9ac1c0bbe9000a83d6666d707f02451c4e5436bf8e7035f28",
+    ("F", 2): "7c23e7b5d7eee9751386403049a1a00f66c6a4d7df7fdf28a646f473b21b7069",
+    ("F3", 2): "0de935c2ca12f1947ae1906ce84384038c94df8e1330a073de10797e82ad0413",
+    ("F5", 2): "9d25e2ce4a87010f98f7d00c309b67ba58e803e4e0bc0fd9db4a8c143c3c8f2a",
+    ("uneven", 2): "e02358353b804298340917f2c13fa830d943df142f21cb9b0a3400487ee0aea3",
+    ("C1", 2): "8ecc1bcbe57e753fe782da09733fa0d3a3f3a5fbb72e7f7d7e382398c11ce5a9",
+    ("C3", 2): "42240199d8d55459238f0ce0b5127cffc8103a7bdb12820a923494bd70922047",
+    ("P3", 2): "42240199d8d55459238f0ce0b5127cffc8103a7bdb12820a923494bd70922047",
+    ("P5", 2): "6d4b626b50ec396864d985b8e9fa10eaf32d8e4ecc295f65a6c185f80b927ab4",
+}
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_layout_forms_and_actions_are_bit_identical(F, rho_ref, n):
+    for name, G in _layout_cases(F, rho_ref, n).items():
+        assert _layout_digest(G) == GOLDEN_LAYOUTS[name, n], (name, n)
