@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-from gfs import (Ambient, RadialMap, flow, lift_contact, ref_profile, shells,
+from gfs import (Ambient, ContactLift, RadialMap, flow, ref_profile, shells,
                  translated_chains, verify_chain)
 
 amb = Ambient(n=1, R=1.0)
@@ -60,7 +60,7 @@ print("three iterations return the shell point: |phi^3 p - p| = %g" %
 
 # -- translated chains on the contact lift ----------------------------------
 
-lift = lift_contact(amb, rho)
+lift = ContactLift(amb, rho)
 print("\ntranslated chains (k = %d):" % k)
 for ch in translated_chains(amb, rho, k):
     ok = verify_chain(lift, ch, 1e-9)

@@ -31,7 +31,7 @@ rho = ref_profile(c=-0.9 * math.pi, delta=0.1)
 
 F = gf_time_one(amb, rho)
 print("time-1 function: %d slices, base dim %d, fibre dim %d"
-      % (F.meta["slices"], F.base_dim, F.fibre_dim))
+      % (F.meta["K"], F.base_dim, F.fibre_dim))
 
 # -- generation identity ------------------------------------------------------
 

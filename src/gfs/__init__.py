@@ -23,8 +23,8 @@ from .errors import (AngleOutOfRange, DomainError, EvenFactorCount, EvenK,
                      SearchBoundExceeded, ThresholdOnSpectrum)
 from .sympl import (Ambient, ContactLift, ContactPoint, LinearRotation,
                     RadialMap, RadialProfile, ShellDatum, TranslatedChain,
-                    action_density, flow, lift_contact, phi_m, ref_profile,
-                    shells, translated_chains, verify_chain)
+                    action_density, flow, phi_m, ref_profile, shells,
+                    translated_chains, verify_chain)
 from .genfun import (GenFn, GraphPoint, contact_lift_gf, contact_p,
                      contact_sharp, gf_compose_chain, gf_linear_rotation,
                      gf_small_map, gf_time_one, graph_of, reeb_shift, sharp_k,

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .errors import GfsError, SearchBoundExceeded
-from .sympl import (Ambient, RadialMap, RadialProfile, lift_contact,
+from .sympl import (Ambient, ContactLift, RadialMap, RadialProfile,
                     ref_profile, shells, translated_chains, verify_chain)
 from .genfun import (contact_lift_gf, contact_p, fibre_critical_config,
                      gf_time_one, graph_of, sharp_k)
@@ -249,7 +249,7 @@ def _suite_index(seed):
 def _suite_chains(seed):
     amb, rho, F = _reference()
     chains = translated_chains(amb, rho, 3)
-    lift = lift_contact(amb, rho)
+    lift = ContactLift(amb, rho)
     checks = []
     for ch in chains:
         diag = []

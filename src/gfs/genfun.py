@@ -7,19 +7,21 @@ quadratic fibre part, normalization data, symmetry actions, and a recursive
 `domain_point` map that recovers the domain point of the generated map from a
 fibre-critical point.
 
-Variable layouts (fixed here, relied on by `crit`):
+Variable layouts (relied on by `crit`):
 
 * small map / linear rotation:   w = base q in R^{2n}        (no fibre)
-* cyclic composition of K factors (K odd):
-      w = [z_1 | z_2 ... z_K | zeta_1 ... zeta_K],  base = z_1,
-      F(w) = sum_j F_j((z_j + z_{j+1})/2, zeta_j) + sum_j 0.5 <z_j, J0 z_{j+1}>
-  with cyclic indices (z_{K+1} = z_1).
-* contact sharp of a contact-base factor F(x, y, theta; zeta):
-      w = [B_1 ... B_k | zeta_1 ... zeta_k],  B_j = (z_j, theta_j, r_j),
+* K slots: w = [B_1 ... B_K | zeta_1 ... zeta_K], slot j reading z_j, z_{j+1}
+  (cyclic, z_{K+1} = z_1) and zeta_j.  `_Layout` is its one owner: the
+  indices, the twist sum_j 0.5 <z_j, J0 z_{j+1}>, the fibre quadratic form
+  and the symmetry actions (cyclic, R and Z).
+  - cyclic composition of K factors (K odd): B_j = z_j, base = z_1,
+      F(w) = sum_j F_j((z_j + z_{j+1})/2, zeta_j) + twist;
+  - contact sharp of a contact-base factor F(x, y, theta; zeta):
+    B_j = (z_j, theta_j, r_j), base = (z_1, theta_1),
       F^#k(w) = sum_j [ e^{r_j} F(e^{-r_j/2}(z_j + z_{j+1})/2, theta_{j+1}, zeta_j)
-                        + 0.5 <z_j, J0 z_{j+1}> + e^{r_{j-1}}(theta_j - theta_{j+1}) ],
-  read as k groups of F's flat form at u_j = e^{-r_j/2}(z_j + z_{j+1})/2,
-  then the chain rule through u_j and r_j, vectorised over the groups.
+                        + e^{r_{j-1}}(theta_j - theta_{j+1}) ] + twist,
+    read as k groups of F's flat form at u_j = e^{-r_j/2}(z_j + z_{j+1})/2,
+    then the chain rule through u_j and r_j, vectorised over the groups.
 
 All derivatives are exact: the small-map jet is a closed form in the level
 m of the inverted midpoint, and a cyclic composition is read through its flat
@@ -198,28 +200,83 @@ def gf_small_map(amb, mp):
 
 
 # ---------------------------------------------------------------------------
-# cyclic composition (shared by gf_compose_chain and sharp_k)
+# slot layout (shared by the cyclic compositions and the contact sharp)
 # ---------------------------------------------------------------------------
 
-class _CyclicLayout:
-    """Index bookkeeping for w = [z_1 .. z_K | zeta_1 .. zeta_K]."""
+def _midpoint_map(n2, d):
+    """E: [z_j | z_{j+1} | rest] |-> [(z_j + z_{j+1})/2 | rest], d - n2 rest."""
+    E = np.hstack([np.eye(d, n2), np.eye(d)])
+    E[:n2] *= 0.5
+    return E
 
-    def __init__(self, n2, fibre_dims):
+
+class _Layout:
+    """Slot indices of w = [B_1 .. B_K | zeta_1 .. zeta_K], B_j = z_j, or
+    (z_j, theta_j, r_j) when `contact`; slot j reads the columns `cols[j]`
+    = [z_j | z_{j+1} | theta_{j+1} | zeta_j | r_j] (cyclic).  `cyclic` is
+    the Z_K symmetry only where every fibre has the first one's size."""
+
+    def __init__(self, n2, fibre_dims, contact=False):
         self.n2 = n2
-        self.K = len(fibre_dims)
-        self.z_slices = [slice(j * n2, (j + 1) * n2) for j in range(self.K)]
-        off = self.K * n2
-        self.f_slices = []
-        for d in fibre_dims:
-            self.f_slices.append(slice(off, off + d))
-            off += d
-        self.total = off
+        self.K = K = len(fibre_dims)
+        b = n2 + 2 if contact else n2                # entries of each B_j
+        self.z = [slice(s, s + n2) for s in range(0, K * b, b)]
+        self.th = np.arange(n2, K * b, b) if contact else np.zeros(0, int)
+        self.r = self.th + 1
+        ends = K * b + np.cumsum([0] + list(fibre_dims))
+        self.f = [slice(a, e) for a, e in zip(ends[:-1], ends[1:])]
+        self.total = int(ends[-1])
+        idx = np.arange(self.total)
+        self.zi = idx[:K * b].reshape(K, b)[:, :n2]  # (K, n2) z indices
+        self.fi = idx[K * b:]                         # fibre indices
+        th, r = self.th.reshape(K, -1), self.r.reshape(K, -1)
+        self.cols = [np.concatenate([self.zi[j], self.zi[(j + 1) % K],
+                                     th[(j + 1) % K], idx[fs], r[j]])
+                     for j, fs in enumerate(self.f)]
+        self._perm = np.concatenate([np.roll(idx[:K * b], -b),  # B_j <- B_j+1
+                                     np.roll(self.fi, -fibre_dims[0])])
 
     def factor_args(self, w, j):
-        jn = (j + 1) % self.K
-        mid = 0.5 * (w[self.z_slices[j]] + w[self.z_slices[jn]])
-        return np.concatenate([mid, w[self.f_slices[j]]])
+        mid = 0.5 * (w[self.z[j]] + w[self.z[(j + 1) % self.K]])
+        return np.concatenate([mid, w[self.f[j]]])
 
+    def twist(self):
+        """T with 0.5 w^T T w = sum_j 0.5 <z_j, J0 z_{j+1}> (cyclic)."""
+        J0, T = j0_matrix(self.n2), np.zeros((self.total, self.total))
+        for zj, zn in zip(self.z, self.z[1:] + self.z[:1]):
+            T[zj, zn] += 0.5 * J0
+            T[zn, zj] += 0.5 * J0.T
+        return T
+
+    def fibre_form(self, quads):
+        """Fibre quadratic part: zeta_j's own form quads[j] and the twist
+        among z_2 .. z_K (z_1 is base; theta and r stay out)."""
+        Q = 0.5 * self.twist()
+        for fs, q in zip(self.f, quads):
+            Q[fs, fs] = q
+        keep = np.concatenate([self.zi.ravel()[self.n2:], self.fi])
+        return Q[np.ix_(keep, keep)]
+
+    def cyclic(self, w):
+        return np.asarray(w, dtype=float)[self._perm]
+
+    def r_action(self, w, a):
+        """z |-> e^{a/2} z, r |-> r + a."""
+        w = np.asarray(w, dtype=float).copy()
+        w[self.zi.ravel()] *= math.exp(0.5 * a)
+        w[self.r] += a
+        return w
+
+    def z_shift(self, w):
+        """Every theta_j |-> theta_j + 1."""
+        w = np.asarray(w, dtype=float).copy()
+        w[self.th] += 1.0
+        return w
+
+
+# ---------------------------------------------------------------------------
+# cyclic composition (shared by gf_compose_chain and sharp_k)
+# ---------------------------------------------------------------------------
 
 def _flat_form(factors, lay):
     """Leaves f_i, argument maps A_i and twist T of a cyclic composition,
@@ -228,23 +285,16 @@ def _flat_form(factors, lay):
     common size (with zeros in A).  A factor built by `_cyclic_compose` (its
     jet carries `flat`; a wrapper such as `reeb_shift` stays a leaf) is
     inlined through its argument map E_j: A_i <- A_i E_j, T += E_j^T T E_j."""
-    n2, K, D, J0 = lay.n2, lay.K, lay.total, j0_matrix(lay.n2)
-    leaves, maps, T, idx = [], [], np.zeros((D, D)), np.arange(D)
-    for j, f in enumerate(factors):
-        zj, zn, d = lay.z_slices[j], lay.z_slices[(j + 1) % K], f.total_dim
-        at = np.concatenate([idx[zj], idx[zn], idx[lay.f_slices[j]]])
-        E = np.hstack([np.eye(d, n2), np.eye(d)])
-        E[:n2] *= 0.5                          # lay.factor_args on columns at
-        sub = getattr(f._jet, "flat", None) or (
-            [f], [range(d)], [np.eye(d)], np.zeros((d, d)))
+    leaves, maps, T = [], [], lay.twist()
+    for at, f in zip(lay.cols, factors):
+        E = _midpoint_map(lay.n2, f.total_dim)  # lay.factor_args on columns at
+        sub = _flat_of(f)
         leaves += sub[0]
         for leaf, c, a in zip(*sub[:3]):
             m = a[:leaf.total_dim] @ E[c]
             keep = m.any(axis=0)
             maps.append((at[keep], m[:, keep]))
         T[np.ix_(at, at)] += E.T @ sub[3] @ E
-        T[zj, zn] += 0.5 * J0
-        T[zn, zj] += 0.5 * J0.T
     depth, width = np.max([m.shape for _, m in maps], axis=0)
     A = np.zeros((len(maps), depth, width))
     for Ai, (c, m) in zip(A, maps):
@@ -252,6 +302,13 @@ def _flat_form(factors, lay):
     # pad with each leaf's own last column: the zero block adds nothing there
     cols = np.array([c[np.minimum(range(width), len(c) - 1)] for c, _ in maps])
     return leaves, cols, A, T
+
+
+def _flat_of(f):
+    """f's flat form if `_cyclic_compose` built it, else f as one leaf."""
+    d = f.total_dim
+    return getattr(f._jet, "flat", None) or (
+        [f], np.arange(d)[None], np.eye(d)[None], np.zeros((d, d)))
 
 
 def _flat_jet(flat, rows):
@@ -300,19 +357,12 @@ def _cyclic_compose(factors):
         raise DomainError("all factors must share the same base dimension")
     if any(f.contact for f in factors):
         raise DomainError("cyclic composition acts on symplectic-base factors")
-    lay = _CyclicLayout(n2, [f.fibre_dim for f in factors])
+    lay = _Layout(n2, [f.fibre_dim for f in factors])
     flat = _flat_form(factors, lay)
     one_row = _flat_jet(flat, 1)
 
     def jet(w, order):
         return [x if x is None else x[0] for x in one_row(w[None], order)]
-
-    # fibre quadratic part: factor quadratics plus the cyclic twist with z_1 = 0
-    J0, Q = j0_matrix(n2), np.zeros((lay.total, lay.total))
-    for fs, f in zip(lay.f_slices, factors):
-        Q[fs, fs] = f.quad_part
-    for a, b in zip(lay.z_slices[1:-1], lay.z_slices[2:]):   # slots >= 2
-        Q[a, b], Q[b, a] = 0.25 * J0, 0.25 * J0.T
 
     def domain_point(w):
         return factors[0].domain_point(lay.factor_args(w, 0))
@@ -321,7 +371,7 @@ def _cyclic_compose(factors):
     mp = ComposedMap(maps) if all(m is not None for m in maps) else None
     jet.flat = flat
     return GenFn(base_dim=n2, fibre_dim=lay.total - n2, jet=jet,
-                 quad_part=Q[n2:, n2:].copy(),
+                 quad_part=lay.fibre_form([f.quad_part for f in factors]),
                  normalized=all(f.normalized for f in factors),
                  map_handle=mp, domain_point=domain_point,
                  meta={"kind": "cyclicComposition", "K": K, "layout": lay,
@@ -355,20 +405,8 @@ def sharp_k(F, k):
     if k == 1:
         return F
     gf = _cyclic_compose([F] * k)
-    lay = gf.meta["layout"]
-    perm = np.arange(lay.total)
-    for j in range(k):
-        jn = (j + 1) % k
-        perm[lay.z_slices[j]] = np.arange(lay.total)[lay.z_slices[jn]]
-        perm[lay.f_slices[j]] = np.arange(lay.total)[lay.f_slices[jn]]
-
-    def cyclic(w):
-        return np.asarray(w, dtype=float)[perm]
-
-    gf.sym_ops = {"cyclic": cyclic}
-    gf.meta["kind"] = "sharp"
-    gf.meta["factor"] = F
-    gf.meta["k"] = k
+    gf.sym_ops = {"cyclic": gf.meta["layout"].cyclic}
+    gf.meta.update(kind="sharp", factor=F, k=k)
     return gf
 
 
@@ -384,9 +422,7 @@ def gf_time_one(amb, rho):
     while peak / K >= max_angle:
         K += 2
     slices = [gf_small_map(amb, RadialMap(amb, rho, 1.0 / K)) for _ in range(K)]
-    gf = gf_compose_chain(slices)
-    gf.meta["slices"] = K
-    return gf
+    return gf_compose_chain(slices)
 
 
 def fibre_critical_config(F, zbar):
@@ -486,25 +522,7 @@ def reeb_shift(F, t):
                  normalized=False if t != 0.0 else F.normalized,
                  map_handle=F.map_handle, domain_point=F._domain_point,
                  contact=F.contact,
-                 meta=dict(F.meta, kind="reebShift", offset=t, factor=F))
-
-
-class _ContactLayout:
-    """Index bookkeeping for w = [B_1 .. B_k | zeta_1 .. zeta_k] with
-    B_j = (z_j in R^{2n}, theta_j, r_j)."""
-
-    def __init__(self, n2, k, fibre_dim):
-        self.n2 = n2
-        self.k = k
-        self.N = fibre_dim
-        b = n2 + 2
-        self.z = [slice(j * b, j * b + n2) for j in range(k)]
-        self.th = [j * b + n2 for j in range(k)]
-        self.r = [j * b + n2 + 1 for j in range(k)]
-        off = k * b
-        self.f = [slice(off + j * fibre_dim, off + (j + 1) * fibre_dim)
-                  for j in range(k)]
-        self.total = off + k * fibre_dim
+                 meta=dict(F.meta, kind="reebShift", factor=F))
 
 
 def contact_sharp(F, k):
@@ -523,32 +541,22 @@ def contact_sharp(F, k):
         raise EvenK("contact_sharp requires odd k >= 1")
     if not F.contact:
         raise DomainError("contact_sharp needs a contact-base factor")
-    n2, N = F.base_dim - 1, F.fibre_dim
-    lay = _ContactLayout(n2, k, N)
-    D, b, J0 = lay.total, n2 + 2, j0_matrix(n2)
+    n2 = F.base_dim - 1
+    lay = _Layout(n2, [F.fibre_dim] * k, contact=True)
+    D, T, zi = lay.total, lay.twist(), lay.zi.ravel()
     # group j reads F at [u_j | theta_{j+1} | zeta_j], or a lift's factor
     # (a composition's leaves inlined) at [u_j | zeta_j]
     lift = F.meta.get("kind") == "contactLift"
     inner = F.meta["factor"] if lift else F
     t, d = int(not lift), inner.total_dim
-    slots = _flat_jet(getattr(inner._jet, "flat", None) or (
-        [inner], np.arange(d)[None], np.eye(d)[None], np.zeros((d, d))), k)
+    slots = _flat_jet(_flat_of(inner), k)
     # slot j's columns [z_j | z_{j+1} | theta_{j+1}, zeta_j | r_j] and E:
     # the midpoint of its z-blocks, the rest as it is
-    idx = np.arange(D)
-    Z = idx[:k * b].reshape(k, b)[:, :n2]
-    cols = np.hstack([Z, np.roll(Z, -1, 0), np.roll(lay.th, -1)[:, None],
-                      idx[k * b:].reshape(k, N), np.array(lay.r)[:, None]])
+    cols = np.array(lay.cols)
     if lift:
         cols = np.delete(cols, 2 * n2, axis=1)
-    E = np.hstack([np.eye(d + 1, n2), np.eye(d + 1)])
-    E[:n2] *= 0.5
+    E = _midpoint_map(n2, d + 1)
     pairs = (cols[:, :, None] * D + cols[:, None, :]).ravel()
-    T = np.zeros((D, D))
-    for zj, zn in zip(lay.z, lay.z[1:] + lay.z[:1]):
-        T[zj, zn] += 0.5 * J0
-        T[zn, zj] += 0.5 * J0.T
-    zi = Z.ravel()
 
     def jet(w, order):
         S = w[cols]
@@ -606,35 +614,11 @@ def contact_sharp(F, k):
                 H[lay.r[jp], lay.r[jp]] += ep * dth
         return value, g, H
 
-    # quadratic part: the twists among z_2 .. z_k and each zeta_j's own form
-    Qc = 0.5 * T
-    for fs in lay.f:
-        Qc[fs, fs] = F.quad_part
-    keep = np.concatenate([zi[n2:], idx[k * b:]])
-
-    # the cyclic block rotation B_j <- B_{j+1}, zeta_j <- zeta_{j+1}
-    perm = np.concatenate([np.roll(idx[:k * b], -b),
-                           np.roll(idx[k * b:], -N)])
-
-    def cyclic(w):
-        return np.asarray(w, dtype=float)[perm]
-
-    def r_action(w, a):
-        w = np.asarray(w, dtype=float).copy()
-        w[zi] *= math.exp(0.5 * a)
-        w[lay.r] += a
-        return w
-
-    def z_shift(w):
-        w = np.asarray(w, dtype=float).copy()
-        w[lay.th] += 1.0
-        return w
-
-    return GenFn(base_dim=n2 + 1, fibre_dim=lay.total - (n2 + 1), jet=jet,
-                 quad_part=Qc[np.ix_(keep, keep)], normalized=F.normalized,
-                 map_handle=F.map_handle, contact=True,
-                 sym_ops={"cyclic": cyclic, "r_action": r_action,
-                          "z_shift": z_shift},
+    return GenFn(base_dim=n2 + 1, fibre_dim=D - (n2 + 1), jet=jet,
+                 quad_part=lay.fibre_form([F.quad_part] * k),
+                 normalized=F.normalized, map_handle=F.map_handle, contact=True,
+                 sym_ops={"cyclic": lay.cyclic, "r_action": lay.r_action,
+                          "z_shift": lay.z_shift},
                  meta={"kind": "contactSharp", "k": k, "layout": lay,
                        "factor": F})
 

@@ -112,11 +112,14 @@ def _equal_radii_admissible(A1, A2):
 
 def _conjugation_indices(A1, A2, A3):
     """Admissible conjugation indices m >= 1: none unless A1 < A3, else
-    1/(m+1) <= A2 and A3 <= 1/m, each with a 1e-12 slack."""
+    1/(m+1) <= A2 and A3 <= 1/m, each with a 1e-12 slack; none either where
+    1/A2 or 1/A3 overflows, which leaves no m in float range."""
     if not A1 < A3:
         return range(0)
-    return range(max(1, math.ceil(1.0 / A2 - 1.0 - 1e-12)),
-                 math.floor(1.0 / A3 + 1e-12) + 1)
+    lo, hi = 1.0 / A2 - 1.0 - 1e-12, 1.0 / A3 + 1e-12
+    if max(lo, hi) == math.inf:
+        return range(0)
+    return range(max(1, math.ceil(lo)), math.floor(hi) + 1)
 
 
 def _outer_pair(inner, m):

@@ -47,8 +47,9 @@ class Ambient:
     def __post_init__(self):
         if self.n < 1 or int(self.n) != self.n:
             raise DomainError("ambient dimension n must be a positive integer")
-        if not 0 < self.R < math.inf:
-            raise DomainError("ambient radius R must be positive and finite")
+        if not (self.R > 0 and 0 < math.pi * self.R * self.R < math.inf):
+            raise DomainError("ambient radius R must be positive, with the "
+                              "area pi R^2 positive and finite")
 
     @property
     def dim(self):
@@ -593,14 +594,6 @@ class ContactLift:
 
     def conformal_factor(self, p):
         return 0.0
-
-    def S(self, z):
-        return self.base_map.S(z)
-
-
-def lift_contact(amb, rho):
-    """Contact lift of the time-1 truncated radial map (g == 0)."""
-    return ContactLift(amb, rho)
 
 
 def reeb_translate(p, t):

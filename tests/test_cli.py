@@ -76,6 +76,8 @@ def test_equivariant_limit_with_k_one_is_a_flag_error(tmp_path, capsys):
     ["nonsqueeze", "--A1", "inf", "--A2", "1"],
     ["nonsqueeze", "--A1", "inf", "--A2", "1", "--evidence"],
     ["nonsqueeze", "--A1", "2", "--A2", "1", "--A3", "inf"],
+    ["barcode", "--k", "3", "--R", "1e-200"],     # pi R^2 underflows to 0
+    ["barcode", "--k", "3", "--R", "1e200"],      # pi R^2 overflows
 ])
 def test_bad_ball_is_a_flag_error(tmp_path, capsys, argv):
     out = ["--out", str(tmp_path)] if argv[0] == "barcode" else []
@@ -202,6 +204,11 @@ def test_nonsqueeze_exit_codes(capsys):
     assert obj["kind"] == "primeFraction" and obj["k"] == 5 and obj["l"] == 4
 
     assert main(["nonsqueeze", "--A1", "0.45", "--A2", "0.40"]) == 1
+    obj = json.loads(capsys.readouterr().out)
+    assert obj["kind"] == "none"
+    # 1/A2 overflows: no conjugation index, no traceback
+    assert main(["nonsqueeze", "--A1", "0.3", "--A2", "1e-320",
+                 "--A3", "0.5"]) == 1
     obj = json.loads(capsys.readouterr().out)
     assert obj["kind"] == "none"
 

@@ -249,8 +249,8 @@ def _block_jet(G, w, order):
     K, n2, J0 = lay.K, lay.n2, j0_matrix(lay.n2)
     value, g, H = 0.0, np.zeros(lay.total), np.zeros((lay.total, lay.total))
     for j in range(K):
-        zj, zn = lay.z_slices[j], lay.z_slices[(j + 1) % K]
-        fj = lay.f_slices[j]
+        zj, zn = lay.z[j], lay.z[(j + 1) % K]
+        fj = lay.f[j]
         vj, gj, Hj = _block_jet(factors[j], lay.factor_args(w, j), order)
         value += vj + 0.5 * float(w[zj] @ J0 @ w[zn])
         if order >= 1:

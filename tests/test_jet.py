@@ -46,7 +46,7 @@ def test_jet_orders_agree_bitwise(every_kind):
 def test_each_order_inverts_every_midpoint_once(F, F3, P3, monkeypatch):
     # P3 and F^{#3} have k = 3 slots over a five-slice F, F^{#5} has five:
     # k*K slice midpoints per pass, whichever order is asked for
-    slices = P3.meta["factor"].meta["factor"].meta["slices"]
+    slices = P3.meta["factor"].meta["factor"].meta["K"]
     assert slices == 5
     calls = []
     real = RadialMap.midpoint_inverse

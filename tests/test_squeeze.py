@@ -61,6 +61,11 @@ def test_no_certificate_below_unit_without_room():
     assert cert.kind == "none" and not cert.found()
 
 
+def test_no_conjugation_index_where_one_over_a2_overflows():
+    cert = find_obstruction(SqueezeQuery(0.3, 1e-320, 0.5))
+    assert cert.kind == "none" and not cert.found()
+
+
 def test_search_bound_exceeded():
     with pytest.raises(SearchBoundExceeded):
         find_obstruction(SqueezeQuery(1.0001, 1.0, max_prime=1000))
@@ -135,7 +140,9 @@ def test_tampered_conjugated_certificate_rejected():
                 _tampered(cert, areas=dict(no_a3, A3=0.44)),   # A3 < A1
                 _tampered(cert, l=cert.l + 1),
                 _tampered(cert, k=None, l=None),
-                _tampered(cert, areas=no_a3)):
+                _tampered(cert, areas=no_a3),
+                # 1/A2 overflows: no conjugation index in float range
+                _tampered(cert, areas=dict(no_a3, A2=1e-320, A3=0.5))):
         assert not validate_certificate(bad)
 
 

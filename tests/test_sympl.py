@@ -6,9 +6,9 @@ import math
 import numpy as np
 import pytest
 
-from gfs import (Ambient, ContactPoint, DomainError, EvenK, LinearRotation,
-                 NonMonotoneProfile, RadialMap, RadialProfile, flow,
-                 lift_contact, phi_m, ref_profile, room_transform, shells,
+from gfs import (Ambient, ContactLift, ContactPoint, DomainError, EvenK,
+                 LinearRotation, NonMonotoneProfile, RadialMap, RadialProfile,
+                 flow, phi_m, ref_profile, room_transform, shells,
                  translated_chains, verify_chain)
 from gfs.sympl import (BLEND_WIDTH, ComposedMap, action_density,
                        reeb_translate)
@@ -319,11 +319,11 @@ def test_shell_levels_are_periodic_points(amb1, rho_ref, shells3):
 
 
 def test_contact_lift_and_chains(amb1, rho_ref):
-    lift = lift_contact(amb1, rho_ref)
+    lift = ContactLift(amb1, rho_ref)
     p = ContactPoint(np.array([0.3, 0.4]), 0.25)
     q = lift(p)
     assert lift.conformal_factor(p) == 0.0
-    assert q.theta == pytest.approx(0.25 - lift.S(p.base))
+    assert q.theta == pytest.approx(0.25 - lift.base_map.S(p.base))
     r = reeb_translate(p, 0.5)
     assert r.theta == pytest.approx(0.75)
     for k in (1, 3, 5):
