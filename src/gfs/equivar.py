@@ -348,6 +348,13 @@ def ball_complex(amb, rho, k, a_window=None):
     return cx
 
 
+def _json_number(x):
+    """x as `json` writes it: float.__repr__ for a finite float."""
+    if isinstance(x, float) and math.isfinite(x):
+        return float.__repr__(x)
+    return json.dumps(x)
+
+
 def _breakpoints(bars):
     """Sorted births and finite deaths of the bars."""
     pts = set()
@@ -395,17 +402,17 @@ class Barcode:
                             if degree is None or b.degree == degree)
 
     def to_json(self):
-        obj = {
-            "schema": "gfs/1",
-            "field": self.field,
-            "bars": [
-                {"degree": b.degree, "birth": b.birth,
-                 "death": None if math.isinf(b.death) else b.death,
-                 "rank": b.rank}
-                for b in self.bars
-            ],
-        }
-        return json.dumps(obj, indent=2) + "\n"
+        """{schema, field, bars} as `json.dumps(obj, indent=2)` writes it,
+        plus a newline; an infinite death is null."""
+        bars = ",\n".join(
+            '    {\n      "degree": %d,\n      "birth": %s,\n'
+            '      "death": %s,\n      "rank": %d\n    }'
+            % (b.degree, _json_number(b.birth),
+               "null" if math.isinf(b.death) else _json_number(b.death),
+               b.rank)
+            for b in self.bars)
+        return ('{\n  "schema": "gfs/1",\n  "field": %d,\n  "bars": %s\n}\n'
+                % (self.field, "[\n%s\n  ]" % bars if bars else "[]"))
 
     @classmethod
     def from_json(cls, text):

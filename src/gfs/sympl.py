@@ -113,14 +113,25 @@ def _poly_value(ascending, s):
     return res
 
 
-def _fuse(rows):
-    """Split the ascending rows of rho^(lo) .. rho^(hi) on one piece (longest
-    first) for one running-power pass: the terms of the powers that all three
-    rows have, that only the first two have, and that only the first has."""
-    r0, r1, r2 = list(rows) + [[]] * (3 - len(rows))
-    n1, n2 = len(r1), len(r2)
-    return (tuple(zip(r0, r1, r2)), tuple(zip(r0[n2:], r1[n2:])),
-            tuple(r0[n1:]))
+class _Unfused:
+    """The fused table of rho^(lo) .. rho^(hi) until its first read, which
+    puts the table in the slot: later reads index a plain list.  Entry i
+    splits the ascending rows on piece i (longest first) for one running-
+    power pass: the terms of the powers that all three rows have, that only
+    the first two have, and that only the first has."""
+
+    def __init__(self, slot, hi, rows):
+        self.slot, self.hi, self.rows = slot, hi, rows
+
+    def __getitem__(self, i):
+        table = []
+        for piece in zip(*self.rows):
+            r0, r1, r2 = list(piece) + [[]] * (3 - len(piece))
+            table.append((tuple(zip(r0, r1, r2)),
+                          tuple(zip(r0[len(r2):], r1[len(r2):])),
+                          tuple(r0[len(r1):])))
+        self.slot[self.hi] = table
+        return table[i]
 
 
 class RadialProfile:
@@ -135,7 +146,8 @@ class RadialProfile:
 
     A scalar read (`read`; rho, rho', rho'' at a scalar) makes one piece
     lookup and one running-power pass for all the derivatives it returns,
-    each summed as the array path sums it, so the two are bit-equal.
+    each summed as the array path sums it, so the two are bit-equal; the
+    table of each (lo, hi) is fused on its first read.
     """
 
     def __init__(self, knots, coeffs, c=None, delta=None):
@@ -155,12 +167,15 @@ class RadialProfile:
         self.c = c
         self.delta = delta
         d1 = _derivative(coeffs)
-        self._tables = (coeffs, d1, _derivative(d1))
-        asc = [t[:, ::-1].tolist() for t in self._tables]
+        # _cols[order][p, i]: coefficient of s^p of rho^(order) on piece i
+        self._cols = [np.ascontiguousarray(t[:, ::-1].T)
+                      for t in (coeffs, d1, _derivative(d1))]
+        asc = [col.T.tolist() for col in self._cols]
+        self._drho_rows = asc[1]
         # _pieces[lo][hi][i]: rho^(lo) .. rho^(hi) on piece i, fused
-        self._pieces = [[[_fuse([a[i] for a in asc[lo:hi + 1]])
-                          for i in range(len(coeffs))] for hi in range(3)]
-                        for lo in range(3)]
+        self._pieces = [[None] * lo for lo in range(3)]
+        for lo, slot in enumerate(self._pieces):
+            slot += [_Unfused(slot, hi, asc[lo:hi + 1]) for hi in range(lo, 3)]
         self._knot_list = knots.tolist()
         self._inner = self._knot_list[1:-1]     # piece i holds m < knots[i+1]
 
@@ -195,15 +210,35 @@ class RadialProfile:
             return (r0,)
         return (r0, r1) if hi - lo == 1 else (r0, r1, r2)
 
+    def drho_level(self, target, lo):
+        """The m in [lo, 1] with rho'(m) = target, by bisection to 1e-12.
+        Each rho'(mid) is summed as `read` sums it, so every m is bit-equal
+        to a bisection over `drho`."""
+        inner, knots, rows = self._inner, self._knot_list, self._drho_rows
+        a, b = lo, 1.0
+        while b - a > 1e-12:
+            mid = 0.5 * (a + b)
+            x = mid if mid >= 0.0 else 0.0
+            i = bisect.bisect_right(inner, x)
+            s = x - knots[i]
+            dr, z = 0.0, 1.0
+            for coef in rows[i]:
+                dr = dr + coef * z
+                z = z * s
+            if dr - target <= 0.0:
+                a = mid
+            else:
+                b = mid
+        return 0.5 * (a + b)
+
     def _eval(self, order, m):
         """rho^(order) on an array of levels."""
-        table = self._tables[order]
         m = np.asarray(m, dtype=float)
         out = np.zeros_like(m)
         inside = m < 1.0
         x = np.clip(m[inside], 0.0, 1.0)
         i = np.searchsorted(self.knots[1:-1], x, side="right")
-        out[inside] = _poly_value(table[i].T[::-1], x - self.knots[i])
+        out[inside] = _poly_value(self._cols[order][:, i], x - self.knots[i])
         return out
 
     def rho(self, m):
@@ -418,7 +453,8 @@ class RadialMap:
             m, m_old = m_new, m
             if abs(m - m_old) <= 1e-16 * m_old or m in (lo, hi):
                 break
-        beta = scale * read(m, 1, 1)[0]
+        # f == 0.0 only on a break at the level just read, whose rho' is dr
+        beta = scale * (dr if f == 0.0 else read(m, 1, 1)[0])
         return q - math.tan(0.5 * beta) * (q[self._swap] * self._sign)
 
     def max_rotation(self):
@@ -502,7 +538,9 @@ def _check_monotone(rho, lo, hi):
 
 def shells(amb, rho, k, lmax=None):
     """Solve rho'(m) = -(l/k) pi R^2 for every integer l with
-    0 < l/k < -rho'(0) / (pi R^2); bisection to 1e-12 in m.
+    0 < l/k < -rho'(0) / (pi R^2), each by `rho.drho_level` on [delta, 1].
+    DomainError when -rho'(0) k / (pi R^2) is not below 2^53, where (l/k)
+    pi R^2 no longer tells consecutive l apart.
 
     Returns one ShellDatum per shell (ascending l) followed by the origin
     datum (kind "isolated", value k rho(0), index 2n(L+1), L the number of
@@ -535,22 +573,18 @@ def shells(amb, rho, k, lmax=None):
             raise NonMonotoneProfile("cannot bracket rho' level %g" % target)
         return target
 
-    L = max(int(-c0 * k / area), 0)
+    estimate = -c0 * k / area
+    if not (math.isfinite(estimate) and estimate < 2.0**53):
+        raise DomainError("%g shells: the ball area pi R^2 = %g is too small "
+                          "for rho'(0) = %g" % (estimate, area, c0))
+    L = max(int(estimate), 0)
     while is_shell(L + 1):
         L += 1
     while L > 0 and not is_shell(L):
         L -= 1
     out = []
     for l in range(1, L + 1 if lmax is None else min(L, lmax) + 1):
-        target = bracketed_target(l)
-        a, b = lo, 1.0
-        while b - a > 1e-12:
-            mid = 0.5 * (a + b)
-            if rho.drho(mid) - target <= 0.0:
-                a = mid
-            else:
-                b = mid
-        m = 0.5 * (a + b)
+        m = rho.drho_level(bracketed_target(l), lo)
         value = l * m * area + k * rho.rho(m)
         out.append(ShellDatum(
             l=l, m=m, value=value, index=2 * amb.n * l, kind="sphereShell",

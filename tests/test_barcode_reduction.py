@@ -6,6 +6,7 @@ degree into bars.  It is cubic in the number of generators; `barcode` must
 give the same bytes without calling it.
 """
 
+import json
 import math
 
 import numpy as np
@@ -220,3 +221,24 @@ _BARS = st.lists(st.builds(Bar, st.integers(0, 3), _ENDS,
 def test_to_tsv_matches_the_endpoint_formula(bars):
     bc = Barcode(bars, 3)
     assert bc.to_tsv() == _formula_tsv(bc)
+
+
+# Bars as `to_json` meets them: empty lists, infinite deaths, -0.0, large
+# ranks and degrees, floats of every size.
+_JSON_BARS = st.lists(st.builds(
+    Bar, st.integers(0, 2**70),
+    st.one_of(st.just(-0.0), st.floats(allow_nan=False, allow_infinity=False)),
+    st.one_of(st.just(math.inf), st.just(-0.0),
+              st.floats(allow_nan=False, allow_infinity=False)),
+    st.integers(1, 2**70)), max_size=8)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_JSON_BARS, st.sampled_from([2, 3, 23]))
+def test_to_json_matches_json_dumps(bars, field):
+    bc = Barcode(bars, field)
+    obj = {"schema": "gfs/1", "field": field,
+           "bars": [{"degree": b.degree, "birth": b.birth,
+                     "death": None if math.isinf(b.death) else b.death,
+                     "rank": b.rank} for b in bc.bars]}
+    assert bc.to_json() == json.dumps(obj, indent=2) + "\n"

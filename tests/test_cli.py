@@ -156,6 +156,28 @@ def test_non_finite_ref_slope_is_a_flag_error(tmp_path):
     assert not (tmp_path / "barcode.json").exists()
 
 
+@pytest.mark.parametrize("R", ["1e-160", "1e-150"])
+def test_ball_too_small_for_the_shell_count_is_a_computation_error(tmp_path,
+                                                                    R):
+    # pi R^2 is positive and finite, but -rho'(0) k / (pi R^2) is inf
+    # (1e-160) or about 3e300 (1e-150): no shell count is left to bisect.
+    # In a fresh interpreter, which times the call and can be stopped.
+    src = os.path.dirname(os.path.dirname(gfs.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys, time; from gfs.cli import main; "
+            "t = time.perf_counter(); code = main(sys.argv[1:]); "
+            "print(time.perf_counter() - t); sys.exit(code)")
+    proc = subprocess.run(
+        [sys.executable, "-c", code, "barcode", "--k", "3", "--R", R,
+         "--out", str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 3
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert float(proc.stdout) < 1.0
+    assert not (tmp_path / "barcode.json").exists()
+
+
 def test_import_loads_no_scipy():
     src = os.path.dirname(os.path.dirname(gfs.__file__))
     env = dict(os.environ)

@@ -433,9 +433,72 @@ def test_truncated_shells_bound_the_profile_reads():
         return drho(m)
 
     rho.drho = counted
+    level, solves = rho.drho_level, [0]
+
+    def counted_level(target, lo):
+        solves[0] += 1
+        if solves[0] > 5:
+            raise AssertionError("more than 5 level solves")
+        return level(target, lo)
+
+    rho.drho_level = counted_level
     cx = ball_complex(Ambient(n=1), rho, 3)
     assert [l for l, _ in cx.meta["shells"]] == [1, 2]
-    assert reads[0] <= 200
+    assert reads[0] <= 200 and solves[0] == 3
+
+
+def _level_by_drho(rho, target, lo):
+    """The bisection `shells` ran before `drho_level`: rho' read through
+    `drho` at every mid."""
+    a, b = lo, 1.0
+    while b - a > 1e-12:
+        mid = 0.5 * (a + b)
+        if rho.drho(mid) - target <= 0.0:
+            a = mid
+        else:
+            b = mid
+    return 0.5 * (a + b)
+
+
+def test_shells_match_the_drho_bisection():
+    # m and value bit for bit against the loop over `drho`, on seeded REF
+    # profiles from gentle to steep (c down to -4000 pi), n = 1, 2, R != 1
+    # and truncated calls.
+    rng = np.random.default_rng(46)
+    cases = [(1, 1.0, 1, None, 4000.0), (2, 1.3, 3, 7, 4000.0)]
+    for _ in range(24):
+        k = int(rng.choice([1, 3, 5, 7]))
+        c_over_pi = float(rng.choice([rng.uniform(0.5, 6.0),
+                                      rng.uniform(6.0, 80.0)]))
+        cases.append((int(rng.choice([1, 2])),
+                      float(rng.choice([1.0, rng.uniform(0.5, 2.0)])), k,
+                      rng.choice([None, k, int(rng.integers(0, 40))]),
+                      c_over_pi))
+    compared = 0
+    for n, R, k, lmax, c_over_pi in cases:
+        amb, area = Ambient(n=n, R=R), math.pi * R**2
+        delta = float(rng.uniform(0.02, 0.5))
+        rho = ref_profile(-c_over_pi * math.pi, delta)
+        got = shells(amb, rho, k, lmax=lmax)[:-1]
+        compared += len(got)
+        for s in got:
+            m = _level_by_drho(rho, -(s.l / k) * area, delta)
+            value = s.l * m * area + k * rho.rho(m)
+            assert (s.m.hex(), s.value.hex()) == (m.hex(), value.hex())
+    assert compared > 5000
+
+
+def test_level_solver_matches_the_drho_bisection_off_ref():
+    # a cubic profile whose knots sit off the REF layout, from a negative
+    # lower end (mids below 0 read rho'(0)) and from inside a piece
+    prof = RadialProfile.from_json(
+        {"knots": [0.0, 0.3, 0.7, 1.0],
+         "pieces": [list(2.0 * np.poly1d([-1.0, 1.0 - x]) ** 3)
+                    for x in (0.0, 0.3, 0.7)]})
+    for target in np.linspace(-5.9, -1e-3, 97).tolist():
+        for lo in (-0.4, 0.0, 0.35):
+            assert prof.drho_level(target, lo).hex() == \
+                _level_by_drho(prof, target, lo).hex()
 
 
 @pytest.mark.parametrize("n, R", [(1, 1.0), (1, 1.3), (2, 1.0), (2, 1.3)])
