@@ -325,11 +325,12 @@ def ball_complex(amb, rho, k, a_window=None):
         gens.append(Generator(origin.index, origin.value, "origin"))
 
     cx = GroupRingComplex(ring, gens)
+    steps = [(i, e) for i, e in enumerate([ring.T_minus_1, ring.N] * n, 1)
+             if i < 2 * n and not ring.is_zero(e)]    # T - 1 = 0 when k = 1
     for s in kept:
         base = block_of[s.l]
-        for i in range(1, 2 * n):
-            cx.add_diff(base + i - 1, base + i,
-                        ring.T_minus_1 if i % 2 == 1 else ring.N)
+        for i, e in steps:
+            cx.add_diff(base + i - 1, base + i, e)
         if s.l - 1 in block_of:
             top_prev = block_of[s.l - 1] + 2 * n - 1
             cx.add_diff(top_prev, base, ring.N)

@@ -171,7 +171,13 @@ class RadialProfile:
         self._cols = [np.ascontiguousarray(t[:, ::-1].T)
                       for t in (coeffs, d1, _derivative(d1))]
         asc = [col.T.tolist() for col in self._cols]
-        self._drho_rows = asc[1]
+        # rho' rows less trailing zeros while s^p, x in [0, 1], is finite
+        self._drho_rows = []
+        for row, x in zip(asc[1], knots.tolist()):
+            while (len(row) > 1 and row[-1] == 0.0
+                   and max(abs(x), abs(1.0 - x)) < 1e300 ** (1 / len(row))):
+                row = row[:-1]
+            self._drho_rows.append(row or [0.0])
         # _pieces[lo][hi][i]: rho^(lo) .. rho^(hi) on piece i, fused
         self._pieces = [[None] * lo for lo in range(3)]
         for lo, slot in enumerate(self._pieces):
@@ -212,19 +218,27 @@ class RadialProfile:
 
     def drho_level(self, target, lo):
         """The m in [lo, 1] with rho'(m) = target, by bisection to 1e-12.
-        Each rho'(mid) is summed as `read` sums it, so every m is bit-equal
-        to a bisection over `drho`."""
+        Each rho'(mid) is summed as `read` sums it, less its trailing +-0.0
+        terms (`<= 0.0` cannot see them), so every m is bit-equal to a
+        bisection over `drho`.  The piece is looked up until a and b share
+        it, as every later mid then does; a linear rho' reads c0 + c1 s."""
         inner, knots, rows = self._inner, self._knot_list, self._drho_rows
         a, b = lo, 1.0
-        while b - a > 1e-12:
+        ia, ib = (bisect.bisect_right(inner, max(x, 0.0)) for x in (a, b))
+        while ia != ib and b - a > 1e-12:
             mid = 0.5 * (a + b)
             x = mid if mid >= 0.0 else 0.0
             i = bisect.bisect_right(inner, x)
-            s = x - knots[i]
-            dr, z = 0.0, 1.0
-            for coef in rows[i]:
-                dr = dr + coef * z
-                z = z * s
+            if _poly_value(rows[i], x - knots[i]) - target <= 0.0:
+                a, ia = mid, i
+            else:
+                b, ib = mid, i
+        row, k0 = rows[ia], knots[ia]
+        linear, (c0, c1) = len(row) <= 2, (row + [0.0])[:2]
+        while b - a > 1e-12:
+            mid = 0.5 * (a + b)
+            s = (mid if mid >= 0.0 else 0.0) - k0
+            dr = c0 + c1 * s if linear else _poly_value(row, s)
             if dr - target <= 0.0:
                 a = mid
             else:
@@ -310,6 +324,12 @@ class RadialProfile:
         d2r = self.d2rho(m)
         if np.min(r) < -1e-10:
             problems.append("rho takes negative values")
+        inner = self.knots[1:-1]    # no grid sees a jump of rho at a knot
+        jump = self._cols[0][0, 1:] - _poly_value(self._cols[0][:, :-1],
+                                                  np.diff(self.knots)[:-1])
+        bad = inner[(abs(jump) > 1e-9 * (1.0 + np.max(np.abs(r))))
+                    & (inner > 0.0) & (inner < 1.0)]
+        problems += ["rho is discontinuous at knot %g" % x for x in bad[:1]]
         if np.max(dr) > 1e-10:
             problems.append("rho' takes positive values")
         if np.min(d2r) < -1e-8:
@@ -528,7 +548,53 @@ class ShellDatum:
     nullity: int
 
 
+def _bernstein(row, alpha, w):
+    """Bernstein coefficients on [alpha, alpha + w] of sum_p row[p] s^p: a
+    Taylor shift to alpha, scaling by w^r / C(n, r), binomial sums."""
+    f, n = list(row), len(row) - 1
+    for i in range(n):
+        for j in range(n - 1, i - 1, -1):
+            f[j] += alpha * f[j + 1]
+    f = [x * w ** r / math.comb(n, r) for r, x in enumerate(f)]
+    for i in range(n):
+        for j in range(n, i, -1):
+            f[j] += f[j - 1]
+    return f
+
+
+def _certify_monotone(rho, lo):
+    """True only if `_check_monotone(rho, lo, 1)` passes, proved from the
+    rho' rows.  On each piece's part of [lo, 1), s = x - knot in [alpha,
+    beta] (the grid's own rounded differences), rho'' >= -sigma by its
+    Bernstein coefficients less their rounding bound (their sums over
+    |coefficients|, at most the value at t = 1), the grid's rho' sums err by
+    at most e, and rho' drops by `drop` in all at the knots and at m = 1
+    (read as 0.0); so each grid step changes rho' by at least -(sigma h +
+    2 e + drop) > -1e-10.  False (run the grid) if a bound fails or is nan."""
+    x0, u = max(lo, 0.0), 2.0 ** -53
+    ends = [x0] + [min(max(x0, t), 1.0) for t in rho._inner] + [1.0]
+    h = ((1.0 - lo) / 4000 * 1.001 + (2 * len(ends) + 2) * u
+         * (2.0 + abs(lo) + max(map(abs, rho._knot_list))))
+    drop, end = 0.0, -math.inf
+    for a, k, x, y in zip(rho._drho_rows, rho._knot_list, ends, ends[1:]):
+        if not x < y:
+            continue
+        alpha, beta = x - k, y - k
+        e = 2 * (len(a) + 1) * u * _poly_value(map(abs, a), max(-alpha, beta))
+        d2 = [p * c for p, c in enumerate(a)][1:] or [0.0]
+        w = (beta - alpha) * (1 + 4 * u)
+        bound = 2 * (3 * len(d2) + 7) * u * _poly_value(map(abs, d2),
+                                                         abs(alpha) + w)
+        if not (e <= 1.25e-11 and all((bound - b) * h <= 2.5e-11
+                                      for b in _bernstein(d2, alpha, w))):
+            return False
+        drop += max(0.0, end - a[0])
+        end = _poly_value(a, beta) + e
+    return drop + max(0.0, end) <= 2.5e-11
+
+
 def _check_monotone(rho, lo, hi):
+    """Refuse rho if rho' falls by over 1e-10 on a 4001-point grid step."""
     grid = np.linspace(lo, hi, 4001)
     dr = rho.drho(grid)
     if np.min(np.diff(dr)) < -1e-10:
@@ -539,8 +605,10 @@ def _check_monotone(rho, lo, hi):
 def shells(amb, rho, k, lmax=None):
     """Solve rho'(m) = -(l/k) pi R^2 for every integer l with
     0 < l/k < -rho'(0) / (pi R^2), each by `rho.drho_level` on [delta, 1].
-    DomainError when -rho'(0) k / (pi R^2) is not below 2^53, where (l/k)
-    pi R^2 no longer tells consecutive l apart.
+    NonMonotoneProfile when rho' is not non-decreasing there: by the grid of
+    `_check_monotone`, which runs unless `_certify_monotone` proves from the
+    coefficients that it passes.  DomainError when -rho'(0) k / (pi R^2) is
+    not below 2^53, where (l/k) pi R^2 no longer tells consecutive l apart.
 
     Returns one ShellDatum per shell (ascending l) followed by the origin
     datum (kind "isolated", value k rho(0), index 2n(L+1), L the number of
@@ -553,7 +621,8 @@ def shells(amb, rho, k, lmax=None):
     if k < 1 or k % 2 == 0:
         raise EvenK("shells requires odd k >= 1")
     lo = rho.delta if rho.delta is not None else 0.0
-    _check_monotone(rho, lo, 1.0)
+    if not _certify_monotone(rho, lo):
+        _check_monotone(rho, lo, 1.0)
     c0 = rho.drho(0.0)
     area = math.pi * amb.R**2
 

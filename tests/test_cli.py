@@ -125,6 +125,21 @@ def test_profile_file_with_bad_c_or_delta_is_a_computation_error(
     assert not (tmp_path / "barcode.json").exists()
 
 
+@pytest.mark.parametrize("k", ["1", "3"])
+def test_profile_whose_rho_jumps_at_a_knot_is_a_computation_error(
+        tmp_path, capsys, k):
+    # rho' is continuous, but rho jumps up from 0 to 0.25 at m = 0.5, so
+    # rho is not non-increasing; the grids of `validate` cannot see it
+    path = tmp_path / "prof.json"
+    path.write_text(json.dumps({"knots": [0, 0.5, 1], "pieces": [
+        [3, -4, 1.25], [1, -1, 0.25]]}))
+    assert main(["barcode", "--k", k, "--R", "0.3", "--profile", str(path),
+                 "--out", str(tmp_path)]) == 3
+    assert capsys.readouterr().err == \
+        "error: invalid profile: rho is discontinuous at knot 0.5\n"
+    assert not (tmp_path / "barcode.json").exists()
+
+
 @pytest.mark.parametrize("literal", [
     "REF:xpi,0.1",            # not a number
     "REF:-0.9pi",             # one part

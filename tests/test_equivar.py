@@ -331,6 +331,41 @@ def test_default_window_matches_the_full_shell_list(n, k):
                 assert a.to_tsv() == b.to_tsv()
 
 
+def _diff_from_every_entry(cx):
+    """The differential of `cx` rebuilt with `add_diff` on every lens and
+    connecting entry of its blocks, zero ring elements included."""
+    ring, again = cx.ring, GroupRingComplex(cx.ring, cx.generators)
+    top = {}
+    for j, g in enumerate(cx.generators):
+        if g.label == "origin":
+            continue
+        l, i = map(int, g.label[1:].split("-"))
+        top[l] = j
+        if i:
+            again.add_diff(j - 1, j, ring.T_minus_1 if i % 2 else ring.N)
+        elif l - 1 in top:
+            again.add_diff(top[l - 1], j, ring.N)
+    return again.diff
+
+
+def test_ball_complex_differential_on_the_benchmark_balls():
+    # `ball_complex` passes no zero entry (T - 1 when k = 1) to `add_diff`;
+    # the differential stays the one every entry gives on the barcode_family
+    # ball ranges
+    rng = np.random.default_rng(21)
+    balls = [(n, 1, c) for n, top in ((1, 60), (2, 52)) for c in
+             rng.uniform(4.0, top, 8).tolist()]
+    balls += [(1, k, c) for k, top in ((3, 53), (5, 33), (7, 27)) for c in
+              rng.uniform(10.0, top, 3).tolist()]
+    balls += [(1, k, float(rng.uniform(1.05, 1.45)))
+              for k in (11, 13, 17, 19, 23)]
+    for n, k, c_over_pi in balls:
+        cx = ball_complex(Ambient(n=n), ref_profile(
+            -c_over_pi * math.pi, float(rng.uniform(0.05, 0.3))), k)
+        assert cx.diff == _diff_from_every_entry(cx)
+        assert len(cx.diff) >= len(cx.generators) // 2 - 1
+
+
 def _barcode_text(**bar):
     """A one-bar gfs/1 barcode whose bar has the given keys replaced."""
     return json.dumps({"schema": "gfs/1", "field": 3, "bars": [

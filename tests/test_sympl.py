@@ -10,6 +10,7 @@ from gfs import (Ambient, ContactLift, ContactPoint, DomainError, EvenK,
                  LinearRotation, NonMonotoneProfile, RadialMap, RadialProfile,
                  flow, phi_m, ref_profile, room_transform, shells,
                  translated_chains, verify_chain)
+from gfs import sympl
 from gfs.sympl import (BLEND_WIDTH, ComposedMap, action_density,
                        reeb_translate)
 
@@ -54,6 +55,20 @@ def test_invalid_profile_rejected(rho_ref):
     obj["pieces"] = [[-v for v in piece] for piece in obj["pieces"]]
     with pytest.raises(DomainError):
         RadialProfile.from_json(obj)
+
+
+def test_profile_whose_rho_jumps_at_a_knot_rejected():
+    # rho jumps up by 0.25 at m = 0.5 while rho' and rho'' stay continuous,
+    # which no grid of `validate` sees; REF profiles from gentle to steep
+    # meet their knots within rounding and pass
+    obj = {"knots": [0, 0.5, 1], "pieces": [[3, -4, 1.25], [1, -1, 0.25]]}
+    with pytest.raises(DomainError) as err:
+        RadialProfile.from_json(obj)
+    assert str(err.value) == \
+        "invalid profile: rho is discontinuous at knot 0.5"
+    for c_over_pi in (0.3, 60.0, 4000.0, 1e9 / math.pi):
+        for delta in (0.01, 0.5, 0.99 - 2 * BLEND_WIDTH):
+            assert ref_profile(-c_over_pi * math.pi, delta).validate() == []
 
 
 def _ppoly_profile(PPoly, c, delta):
@@ -474,31 +489,178 @@ def test_shells_match_the_drho_bisection():
                       float(rng.choice([1.0, rng.uniform(0.5, 2.0)])), k,
                       rng.choice([None, k, int(rng.integers(0, 40))]),
                       c_over_pi))
-    compared = 0
+    profiles = []
     for n, R, k, lmax, c_over_pi in cases:
-        amb, area = Ambient(n=n, R=R), math.pi * R**2
         delta = float(rng.uniform(0.02, 0.5))
-        rho = ref_profile(-c_over_pi * math.pi, delta)
+        profiles.append((n, R, k, lmax,
+                         ref_profile(-c_over_pi * math.pi, delta)))
+    # seeded convex profiles off the REF layout: rho' rows of 1 to 5
+    # coefficients with interior and trailing zeros, rho' flat on the first
+    # piece with delta inside it or at its end, and R set so that the l = 1
+    # level is rho' at a knot
+    for i in range(40):
+        prof = _piecewise_profile(rng, 2 + i % 5, flat=True)
+        knots, k = prof.knots, int(rng.choice([1, 3]))
+        delta = float(rng.choice([rng.uniform(0.0, knots[1]), knots[1]]))
+        prof = RadialProfile(knots, prof.coeffs, delta=delta)
+        R = float(rng.uniform(0.3, 1.5))
+        levels = [-prof.drho(x) for x in knots[2:-1].tolist()]  # past flat
+        if i % 2 and max(levels, default=0.0) > 0.01:
+            R = math.sqrt(max(levels) * k / math.pi)
+        profiles.append((int(rng.choice([1, 2])), R, k, None, prof))
+    compared = 0
+    for n, R, k, lmax, rho in profiles:
+        amb, area, lo = Ambient(n=n, R=R), math.pi * R**2, rho.delta
         got = shells(amb, rho, k, lmax=lmax)[:-1]
         compared += len(got)
         for s in got:
-            m = _level_by_drho(rho, -(s.l / k) * area, delta)
+            m = _level_by_drho(rho, -(s.l / k) * area, lo)
             value = s.l * m * area + k * rho.rho(m)
             assert (s.m.hex(), s.value.hex()) == (m.hex(), value.hex())
     assert compared > 5000
 
 
+def _piecewise_profile(rng, ncoef, convex=True, jump=0.0, end=0.0,
+                       flat=False, delta=None):
+    """Seeded profile on 1-4 pieces of `ncoef` coefficients each (rho' rows
+    of ncoef - 1), not validated.  rho' = c_i + sum_p a_p s^p on piece i is
+    continuous across the knots except for `jump` added at each, with some
+    a_p zero inside the row and the top ones zero on some pieces; a_p >= 0
+    (rho'' >= 0) when `convex`, and a_p = 0 on the first piece when `flat`.
+    rho' is shifted so that rho'(1-) = end."""
+    knots = np.concatenate([[0.0], np.sort(rng.uniform(0.05, 0.95, int(
+        rng.integers(0, 4)))), [1.0]])
+    d = ncoef - 2
+    rows, c = [], -float(rng.uniform(1.0, 40.0))
+    for w in np.diff(knots):
+        a = rng.exponential(float(rng.choice([0.3, 3.0, 30.0])), d)
+        if not convex:
+            a *= rng.choice([-1.0, 1.0], d)
+        a[rng.uniform(size=d) < 0.3] = 0.0                      # interior
+        a[max(1, int(rng.integers(0, d + 1))):] *= rng.integers(0, 2)  # top
+        if flat and not rows:
+            a[:] = 0.0
+        rows.append([c] + a.tolist())
+        c = sympl._poly_value(rows[-1], float(w)) + jump
+    shift = end - sympl._poly_value(rows[-1], float(1.0 - knots[-2]))
+    pieces, r = [], 3.0
+    for row, w in zip(rows, np.diff(knots)):
+        row = [row[0] + shift] + row[1:]
+        pieces.append([x / (p + 1) for p, x in enumerate(row)][::-1] + [r])
+        r = sympl._poly_value([r] + pieces[-1][-2::-1], float(w))
+    return RadialProfile(knots, pieces, delta=delta)
+
+
 def test_level_solver_matches_the_drho_bisection_off_ref():
-    # a cubic profile whose knots sit off the REF layout, from a negative
-    # lower end (mids below 0 read rho'(0)) and from inside a piece
-    prof = RadialProfile.from_json(
+    # a cubic profile whose knots sit off the REF layout, and seeded
+    # profiles of 2 to 6 coefficients a piece whose rho' rows hold interior
+    # and trailing zeros, from a negative lower end (mids below 0 read
+    # rho'(0)), from a knot and from inside a piece, with targets at rho' of
+    # both pieces at each knot
+    profs = [RadialProfile.from_json(
         {"knots": [0.0, 0.3, 0.7, 1.0],
          "pieces": [list(2.0 * np.poly1d([-1.0, 1.0 - x]) ** 3)
-                    for x in (0.0, 0.3, 0.7)]})
-    for target in np.linspace(-5.9, -1e-3, 97).tolist():
-        for lo in (-0.4, 0.0, 0.35):
-            assert prof.drho_level(target, lo).hex() == \
-                _level_by_drho(prof, target, lo).hex()
+                    for x in (0.0, 0.3, 0.7)]})]
+    rng = np.random.default_rng(47)
+    profs += [_piecewise_profile(rng, 2 + i % 5, convex=bool(i % 3))
+              for i in range(30)]
+    # a knot far below 0: s^2 overflows on the first piece, so its rho' row
+    # keeps the zero coefficients (0.0 * inf reads nan, as `read` sums it)
+    profs.append(RadialProfile([-1e200, 0.5, 1.0], [[0.0, 0.0, -2.0, 1.0],
+                                                   [0.0, 1.0, -2.0, 0.75]]))
+    solved = 0
+    for prof in profs:
+        knots = prof.knots.tolist()
+        at_knots = [prof.drho(x) for x in knots[1:-1]] + [
+            sympl._poly_value(row, w) for row, w in
+            zip(prof._cols[1].T.tolist(), np.diff(knots)[:-1].tolist())]
+        targets = np.linspace(prof.drho(0.0), -1e-3, 37).tolist() + at_knots
+        for lo in [-0.4, 0.0] + knots[1:-1] + [0.5 * (knots[-2] + 1.0)]:
+            for target in targets:
+                assert prof.drho_level(target, lo).hex() == \
+                    _level_by_drho(prof, target, lo).hex()
+                solved += 1
+    assert solved > 5000
+
+
+def _grid_passes(rho, lo):
+    try:
+        sympl._check_monotone(rho, lo, 1.0)
+    except NonMonotoneProfile:
+        return False
+    return True
+
+
+def _shells_or_refusal(amb, rho, k):
+    try:
+        return [(s.l, s.m.hex(), s.value.hex(), s.index)
+                for s in shells(amb, rho, k, lmax=3)]
+    except (DomainError, NonMonotoneProfile) as exc:
+        return "%s: %s" % (type(exc).__name__, exc)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")   # the far knot's grid
+def test_monotone_certificate_passes_nothing_the_grid_refuses(monkeypatch):
+    # The 4001-point grid of `_check_monotone` is the oracle: every profile
+    # the coefficient certificate accepts passes it, and `shells` accepts,
+    # refuses and words its refusals as the grid-only code does.  Seeded:
+    # REF from -0.3 pi to -4000 pi and -1e9; convex and non-convex pieces of
+    # degree 2 to 6; rho' jumping down at the knots; rho'(1-) != 0.
+    rng = np.random.default_rng(48)
+    cases = [("ref", ref_profile(-x * math.pi, float(rng.uniform(0.01, 0.6))))
+             for x in np.geomspace(0.3, 4000.0, 40).tolist() + [1e9 / math.pi]]
+    for i in range(240):
+        kind = ("convex", "non-convex", "jump", "end")[i % 4]
+        cases.append((kind, _piecewise_profile(
+            rng, 3 + i % 5, convex=kind != "non-convex", flat=True,
+            jump=-float(rng.choice([1e-12, 1e-10, 1e-3])) * (kind == "jump"),
+            end=float(rng.choice([-1.0, -1e-11, 1e-11, 1e-3]))
+            * (kind == "end"))))
+    cases.append(("far knot", RadialProfile(       # s^2 overflows on piece 0
+        [-1e200, 0.5, 1.0], [[0.0, 0.0, -2.0, 1.0], [0.0, 1.0, -2.0, 0.75]])))
+    tally = {}
+    for kind, prof in cases:
+        for lo in (0.0, float(rng.uniform(-0.2, 0.9))):
+            rho = RadialProfile(prof.knots, prof.coeffs, c=prof.c, delta=lo)
+            fast = sympl._certify_monotone(rho, lo)
+            grid = _grid_passes(rho, lo)
+            assert grid or not fast, (kind, lo, rho.to_json())
+            key = (kind, fast, grid)
+            tally[key] = tally.get(key, 0) + 1
+            amb = Ambient(n=1, R=float(rng.uniform(0.5, 2.0)))
+            got = _shells_or_refusal(amb, rho, 3)
+            with monkeypatch.context() as mp:
+                mp.setattr(sympl, "_certify_monotone", lambda rho, lo: False)
+                assert _shells_or_refusal(amb, rho, 3) == got
+    # the oracle has profiles the grid refuses and non-REF ones certified
+    assert sum(n for (_, _, grid), n in tally.items() if not grid) >= 50
+    assert sum(n for (kind, fast, _), n in tally.items()
+               if fast and kind != "ref") >= 50
+    fast = sum(n for (_, fast, _), n in tally.items() if fast)
+    print("certified: %d of %d seeded profiles" % (fast, 2 * len(cases)))
+
+
+def test_benchmark_ref_profiles_take_the_certificate(monkeypatch):
+    # every REF(c, delta) of the barcode_family ranges (|c|/pi from 1.05 to
+    # 58, delta from 0.05 to 0.3) and of |c| <= 200 pi is certified, so
+    # `shells` reads no grid for it
+    rng = np.random.default_rng(7)
+    cases = [(x, d) for x in (1.05, 58.0, 200.0) for d in (0.05, 0.3)]
+    cases += zip(rng.uniform(1.05, 58.0, 300).tolist(),
+                 rng.uniform(0.05, 0.3, 300).tolist())
+    cases += zip(rng.uniform(0.3, 200.0, 300).tolist(),
+                 rng.uniform(0.01, 0.9, 300).tolist())
+    for c_over_pi, delta in cases:
+        rho = ref_profile(-c_over_pi * math.pi, delta)
+        assert sympl._certify_monotone(rho, delta), (c_over_pi, delta)
+
+    def refuse(*args):
+        raise AssertionError("the grid ran")
+
+    monkeypatch.setattr(sympl, "_check_monotone", refuse)
+    for k in (1, 3):
+        assert len(shells(Ambient(n=1), ref_profile(-30.5 * math.pi, 0.17),
+                          k)) > 30
 
 
 @pytest.mark.parametrize("n, R", [(1, 1.0), (1, 1.3), (2, 1.0), (2, 1.3)])
