@@ -1,5 +1,6 @@
 """Flows, profiles, shells, contact lifts, translated chains."""
 
+import itertools
 import json
 import math
 
@@ -552,15 +553,22 @@ def _piecewise_profile(rng, ncoef, convex=True, jump=0.0, end=0.0,
 
 
 def test_level_solver_matches_the_drho_bisection_off_ref():
-    # a cubic profile whose knots sit off the REF layout, and seeded
-    # profiles of 2 to 6 coefficients a piece whose rho' rows hold interior
-    # and trailing zeros, from a negative lower end (mids below 0 read
-    # rho'(0)), from a knot and from inside a piece, with targets at rho' of
-    # both pieces at each knot
-    profs = [RadialProfile.from_json(
+    # a cubic profile whose knots sit off the REF layout, from a negative
+    # lower end (mids below 0 read rho'(0)) and from inside a piece
+    cubic = RadialProfile.from_json(
         {"knots": [0.0, 0.3, 0.7, 1.0],
          "pieces": [list(2.0 * np.poly1d([-1.0, 1.0 - x]) ** 3)
-                    for x in (0.0, 0.3, 0.7)]})]
+                    for x in (0.0, 0.3, 0.7)]})
+    for target in np.linspace(-5.9, -1e-3, 97).tolist():
+        for lo in (-0.4, 0.0, 0.35):
+            assert cubic.drho_level(target, lo).hex() == \
+                _level_by_drho(cubic, target, lo).hex()
+    # the cubic again and seeded profiles of 2 to 6 coefficients a piece
+    # whose rho' rows hold interior and trailing zeros, from a negative lower
+    # end, from each knot and from the middle of each piece's part of [0, 1]
+    # (inside the first and every later piece), with targets at rho' of both
+    # pieces at each knot
+    profs = [cubic]
     rng = np.random.default_rng(47)
     profs += [_piecewise_profile(rng, 2 + i % 5, convex=bool(i % 3))
               for i in range(30)]
@@ -568,19 +576,21 @@ def test_level_solver_matches_the_drho_bisection_off_ref():
     # keeps the zero coefficients (0.0 * inf reads nan, as `read` sums it)
     profs.append(RadialProfile([-1e200, 0.5, 1.0], [[0.0, 0.0, -2.0, 1.0],
                                                    [0.0, 1.0, -2.0, 0.75]]))
-    solved = 0
+    solved = inside = 0
     for prof in profs:
         knots = prof.knots.tolist()
         at_knots = [prof.drho(x) for x in knots[1:-1]] + [
             sympl._poly_value(row, w) for row, w in
             zip(prof._cols[1].T.tolist(), np.diff(knots)[:-1].tolist())]
         targets = np.linspace(prof.drho(0.0), -1e-3, 37).tolist() + at_knots
-        for lo in [-0.4, 0.0] + knots[1:-1] + [0.5 * (knots[-2] + 1.0)]:
+        mids = [0.5 * (max(x, 0.0) + y) for x, y in zip(knots, knots[1:])]
+        inside += len(mids) - 1
+        for lo in [-0.4, 0.0] + knots[1:-1] + mids:
             for target in targets:
                 assert prof.drho_level(target, lo).hex() == \
                     _level_by_drho(prof, target, lo).hex()
                 solved += 1
-    assert solved > 5000
+    assert solved > 7000 and inside > 40    # starts inside a non-final piece
 
 
 def _grid_passes(rho, lo):
@@ -638,6 +648,29 @@ def test_monotone_certificate_passes_nothing_the_grid_refuses(monkeypatch):
                if fast and kind != "ref") >= 50
     fast = sum(n for (_, fast, _), n in tally.items() if fast)
     print("certified: %d of %d seeded profiles" % (fast, 2 * len(cases)))
+
+
+def test_monotone_certificate_refuses_where_grid_rounding_decides():
+    # rho'(m) = A (m - c)^p - A (1 - c)^p - 1 on one piece from knot 0, read
+    # from lo = c: rho'' >= 0 by its Bernstein bound and rho' drops at no
+    # knot, but the grid sums rho' from coefficients up to ~1e8 that cancel
+    # to about A (m - c)^p, flat near c, so its rounding noise alone makes
+    # grid steps fall by over 1e-10 there.  Only the certificate's running
+    # error bound on those sums (e <= 1.25e-11) refuses these profiles.
+    refused = 0
+    for p, A, c in itertools.product((5, 6, 7), (2e5, 5e5, 1e6, 2e6),
+                                     (0.1, 0.17, 0.7)):
+        row = [A * math.comb(p, j) * (-c) ** (p - j) for j in range(p + 1)]
+        row[0] -= A * (1.0 - c) ** p + 1.0
+        rho = RadialProfile([0.0, 1.0], [
+            [x / (q + 1) for q, x in enumerate(row)][::-1] + [5.0]], delta=c)
+        grid = _grid_passes(rho, c)
+        assert grid or not sympl._certify_monotone(rho, c), (p, A, c)
+        refused += not grid
+        if not grid:
+            assert _shells_or_refusal(Ambient(n=1), rho, 3) == \
+                "NonMonotoneProfile: rho' is not non-decreasing on [%g, 1]" % c
+    assert refused >= 10
 
 
 def test_benchmark_ref_profiles_take_the_certificate(monkeypatch):
