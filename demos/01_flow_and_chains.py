@@ -63,7 +63,7 @@ print("three iterations return the shell point: |phi^3 p - p| = %g" %
 lift = ContactLift(amb, rho)
 print("\ntranslated chains (k = %d):" % k)
 for ch in translated_chains(amb, rho, k):
-    ok = verify_chain(lift, ch, 1e-9)
+    ok = verify_chain(lift, ch)
     print("  %-9s  t = %.9f  action = k t = %.9f  verified: %s" %
           (ch.orbit_id, ch.t, ch.action, ok))
 

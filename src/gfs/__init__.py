@@ -17,9 +17,8 @@ Layers (bottom to top):
 """
 
 from .errors import (AngleOutOfRange, DomainError, EvenFactorCount, EvenK,
-                     GfsError, NoConvergence, NonFreeStratum,
-                     NonMonotoneProfile, NonPrimeK, NotFibreCritical,
-                     NotNormalized, OrbitRelationViolated,
+                     GfsError, NoConvergence, NonMonotoneProfile, NonPrimeK,
+                     NotFibreCritical, NotNormalized, OrbitRelationViolated,
                      SearchBoundExceeded, ThresholdOnSpectrum)
 from .sympl import (Ambient, ContactLift, ContactPoint, LinearRotation,
                     RadialMap, RadialProfile, ShellDatum, TranslatedChain,

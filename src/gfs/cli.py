@@ -31,8 +31,8 @@ from .crit import (chain_scan, classify_hessian, maslov, seed_from_chain,
                    sharp_critical_seed)
 from .equivar import (GroupRing, ball_complex, barcode, circle_complex,
                       is_prime, lens_complex, limit_barcode)
-from .squeeze import (SqueezeQuery, certificate_json, evidence,
-                      find_obstruction)
+from .squeeze import (DEFAULT_MAX_PRIME, SqueezeQuery, certificate_json,
+                      evidence, find_obstruction)
 
 
 def parse_scalar(text):
@@ -252,9 +252,8 @@ def _suite_chains(seed):
     lift = ContactLift(amb, rho)
     checks = []
     for ch in chains:
-        diag = []
-        ok = verify_chain(lift, ch, 1e-9, diag)
-        checks.append(("chain %s verifies" % ch.orbit_id, ok, 0.0))
+        checks.append(("chain %s verifies" % ch.orbit_id,
+                       verify_chain(lift, ch), 0.0))
     P = contact_p(contact_lift_gf(F), 3)
     seeds = [seed_from_chain(P, ch) for ch in chains]
     fams = chain_scan(P, 3, seeds, chains=chains)
@@ -371,7 +370,8 @@ NONSQUEEZE = {
     "A1": (float, None, "area pi R1^2 of the ball to squeeze (required)"),
     "A2": (float, None, "area pi R2^2 of the target ball (required)"),
     "A3": (float, None, "area of the ambient room, above A1"),
-    "max_prime": (int, 10 ** 4, "largest odd prime k the search tries"),
+    "max_prime": (int, DEFAULT_MAX_PRIME,
+                  "largest odd prime k the search tries"),
     "evidence": (bool, False, "add the limit-barcode ranks behind the "
                               "certificate"),
     "n": (int, 1, "half the real dimension of the evidence balls"),

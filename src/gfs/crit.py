@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import csv
 import io
-import re
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -38,6 +37,13 @@ ZERO_TOL_REL = 1e-8
 # Minimal relative spectral gap between the null cluster and the rest for a
 # critical manifold to be declared Morse-Bott nondegenerate.
 MORSE_BOTT_GAP = 1e-4
+# Newton gates on max(|grad|, |gauge residual|), for newton_critical on F^{#k}
+# and chain_scan on P, and the iteration cap of both.
+NEWTON_TOL = 1e-10
+SCAN_TOL = 1e-9
+NEWTON_MAX_ITER = 100
+# reconstruct's fibre-gradient gate; the cyclic displacement of a free point.
+FIBRE_TOL = FREE_TOL = 1e-8
 
 
 @dataclass
@@ -80,14 +86,14 @@ def classify_hessian(evals):
     return index, nullity, gap, morse_bott
 
 
-def _zk_orbit(G, w, tol=1e-8):
+def _zk_orbit(G, w):
     """"free" when the cyclic permutation moves w, "fixed" otherwise (or when
     G carries no cyclic action)."""
     op = getattr(G, "sym_ops", {}).get("cyclic")
     if op is None:
         return "fixed"
     moved = float(np.max(np.abs(op(w) - w))) if len(w) else 0.0
-    return "free" if moved > tol else "fixed"
+    return "free" if moved > FREE_TOL else "fixed"
 
 
 def _auto_maslov(G, index, nullity):
@@ -119,7 +125,7 @@ def _finite(jet):
     return bool(np.isfinite(jet[1]).all() and np.isfinite(jet[2]).all())
 
 
-def _newton(G, w, tol, max_iter, gauge=None):
+def _newton(G, w, tol, gauge=None):
     """Damped Newton on grad G = 0 from w, subject to the linear gauge
     A w = 0 when the rows A are given; returns (w, value, hess, |grad|,
     iterations) at the limit.
@@ -131,7 +137,7 @@ def _newton(G, w, tol, max_iter, gauge=None):
     jet that shrinks |grad| is the next iterate, any other is halved; when
     8 trials fail the solve has stalled.  Stops when max(|grad|, |A w|) <
     tol; raises NoConvergence on a non-finite jet at the seed, a stall or
-    after max_iter iterations.
+    after NEWTON_MAX_ITER iterations.
     """
     w = np.asarray(w, dtype=float).copy()
     if not np.all(np.isfinite(w)):
@@ -145,9 +151,9 @@ def _newton(G, w, tol, max_iter, gauge=None):
     gnorm = _sup(g)
     it = 0
     while not max(gnorm, _sup(A @ w)) < tol:
-        if it == max_iter:
+        if it == NEWTON_MAX_ITER:
             raise NoConvergence("Newton: |grad| = %.3e after %d iterations"
-                                % (gnorm, max_iter))
+                                % (gnorm, NEWTON_MAX_ITER))
         it += 1
         M = np.block([[H, A.T], [A, border]])
         rhs = -np.concatenate([g, A @ w])
@@ -180,33 +186,33 @@ def _manifold(G, w, value, H, kind=None, **diagnostics):
         morse_bott=morse_bott, diagnostics=diagnostics)
 
 
-def newton_critical(G, seed, tol=1e-10, max_iter=100):
-    """Damped Newton (`_newton`, no gauge) on grad G from seed; classifies
-    the limit as an isolated point or a sphere shell, with its Maslov number
-    on a cyclic self-composition.  Raises NoConvergence when the solve
-    stalls or runs out of iterations."""
-    w, value, H, gnorm, it = _newton(G, seed, tol, max_iter)
+def newton_critical(G, seed):
+    """Damped Newton (`_newton`, no gauge, NEWTON_TOL) on grad G from seed;
+    classifies the limit as an isolated point or a sphere shell, with its
+    Maslov number on a cyclic self-composition.  Raises NoConvergence when
+    the solve stalls or runs out of iterations."""
+    w, value, H, gnorm, it = _newton(G, seed, NEWTON_TOL)
     return _manifold(G, w, value, H, grad_norm=gnorm, iterations=it)
 
 
-def reconstruct(F, k, p, tol=1e-8):
+def reconstruct(F, k, p):
     """k-periodic orbit encoded by a critical point p of F^{#k}.
 
-    Checks fibre-criticality of p, reads off the slot midpoints, maps each
-    through the factor's fibre-critical domain-point chart, and verifies the
-    orbit relation X_{j+1} = phi(X_j) (cyclically, so closure included).
+    Checks fibre-criticality of p (to FIBRE_TOL), reads off the slot
+    midpoints, maps each through the factor's fibre-critical domain-point
+    chart, and verifies the orbit relation X_{j+1} = phi(X_j) (cyclically).
     """
-    return _orbit(F, sharp_k(F, k), k, p, tol)
+    return _orbit(F, sharp_k(F, k), k, p)
 
 
-def _orbit(F, sharp, k, p, tol):
+def _orbit(F, sharp, k, p):
     p = np.asarray(p, dtype=float)
     g = sharp.grad(p)
     fibre_part = g[sharp.base_dim:]
     worst = float(np.max(np.abs(fibre_part))) if fibre_part.size else 0.0
-    if worst > tol:
+    if worst > FIBRE_TOL:
         raise NotFibreCritical(
-            "fibre gradient norm %.3e exceeds %.1e" % (worst, tol))
+            "fibre gradient norm %.3e exceeds %.1e" % (worst, FIBRE_TOL))
 
     if k == 1:
         points = [F.domain_point(p)]
@@ -231,7 +237,7 @@ def check_value(F, k, p):
     """|F^{#k}(p) - sum_j S(X_j)| for the orbit reconstructed from p; the
     correspondence theorem says this is zero for normalized F."""
     sharp = sharp_k(F, k)
-    points = _orbit(F, sharp, k, p, 1e-8)
+    points = _orbit(F, sharp, k, p)
     phi = F.map_handle
     total = sum(float(phi.S(x)) for x in points)
     return abs(float(sharp.value(np.asarray(p, dtype=float))) - total)
@@ -277,7 +283,7 @@ def seed_from_chain(P, chain):
     return w
 
 
-def chain_scan(P, k, seeds, chains=None, tol=1e-9, max_iter=100):
+def chain_scan(P, k, seeds, chains=None):
     """Gauge-fixed Newton scan of the contact composition P from the given
     seeds; one representative per critical family.
 
@@ -285,14 +291,15 @@ def chain_scan(P, k, seeds, chains=None, tol=1e-9, max_iter=100):
     common theta translation, and (on shells) the loop of chain rotations, so
     plain Newton has a rank-deficient Hessian everywhere on a family.  The
     scan fixes the first two with the linear gauges sum_j r_j = 0 and
-    theta_1 = 0 and runs the same damped Newton as `newton_critical` on the
-    bordered system, which leaves motion along the remaining family
-    directions free but convergent.  k must be the period of P.
+    theta_1 = 0 and runs the same damped Newton as `newton_critical` (to
+    SCAN_TOL) on the bordered system, which leaves motion along the
+    remaining family directions free but convergent.  k must be the period
+    of P.
 
     Families are merged by critical value (distance 1e-6); each manifold
     records value = t*k, the measured full-Hessian nullity (the gauge
     dimension of the family), and — when `chains` from the analytic
-    enumeration are supplied — the orbit id of the matching translated chain.
+    enumeration are supplied — the orbit id and l of the matching chain.
     """
     lay, period = _contact_p(P, "chain_scan")
     if k != period:
@@ -304,7 +311,7 @@ def chain_scan(P, k, seeds, chains=None, tol=1e-9, max_iter=100):
 
     found = []
     for seed in seeds:
-        w, value, H, gnorm, it = _newton(P, seed, tol, max_iter, gauge=A)
+        w, value, H, gnorm, it = _newton(P, seed, SCAN_TOL, gauge=A)
         if any(abs(value - m.value) < 1e-6 for m in found):
             continue
         mani = _manifold(P, w, value, H, "chainFamily", t=value / k,
@@ -313,18 +320,16 @@ def chain_scan(P, k, seeds, chains=None, tol=1e-9, max_iter=100):
             for ch in chains:
                 if abs(ch.action - value) < 1e-6:
                     mani.linked_orbit_id = ch.orbit_id
-                    match = re.fullmatch(r"shell-l(\d+)", ch.orbit_id)
-                    mani.l = int(match.group(1)) if match else 0
+                    mani.l = ch.l
                     break
         found.append(mani)
     found.sort(key=lambda m: m.value)
     return found
 
 
-def to_csv(manifolds, path=None):
-    """Write critical data as CSV with columns
-    (kind, l, value, index, nullity, maslov, orbit); returns the text when no
-    path is given."""
+def to_csv(manifolds):
+    """Critical data as CSV text with columns
+    (kind, l, value, index, nullity, maslov, orbit)."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["kind", "l", "value", "index", "nullity", "maslov",
@@ -339,8 +344,4 @@ def to_csv(manifolds, path=None):
             "" if m.maslov is None else m.maslov,
             m.zk_orbit,
         ])
-    text = buf.getvalue()
-    if path is not None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    return text
+    return buf.getvalue()

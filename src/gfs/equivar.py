@@ -14,8 +14,8 @@ expands each ring entry into a k x k circulant over F_k; "equivariant"
 computes homology of the coinvariant quotient, sending each ring generator to
 a single field generator and each entry p(T) to p(1) mod k.  For the free
 strata handled here the coinvariant complex computes equivariant homology,
-which is why non-free shells (l a multiple of k) are refused rather than
-silently included.
+which is why a ball's action window stops below its first non-free shell
+(l a multiple of k).
 
 Barcodes come from one persistence reduction per degree, whose pairs give
 the maximal intervals of constant nonzero rank, in the threshold a, of the
@@ -34,8 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DomainError, NonFreeStratum, NonPrimeK,
-                     ThresholdOnSpectrum)
+from .errors import DomainError, NonPrimeK, ThresholdOnSpectrum
 from .sympl import shells
 
 
@@ -71,8 +70,6 @@ class GroupRing:
                             "got %r" % (k,))
         self.k = k
         self.mod = 2 if k == 1 else k
-        i = np.arange(k)
-        self._shift = (i[:, None] - i) % k      # (i - j) mod k, for circulant
         self.zero, self.one, self.T, self.T_minus_1, self.N = (
             self.elem(c) for c in ([0], [1], [0, 1], [-1, 1], [1] * k))
 
@@ -99,7 +96,8 @@ class GroupRing:
     def circulant(self, a):
         """k x k matrix of multiplication by the ring element a (as made by
         `elem`) on the regular representation: C[i, j] = a[(i - j) mod k]."""
-        return np.asarray(a)[self._shift]
+        i = np.arange(self.k)
+        return np.asarray(a)[(i[:, None] - i) % self.k]
 
     def aug(self, a):
         """Augmentation p(T) -> p(1) mod k: the coinvariant image."""
@@ -264,7 +262,7 @@ def lens_complex(n, k):
     return cx
 
 
-def ball_complex(amb, rho, k, a_window=None):
+def ball_complex(amb, rho, k):
     """Filtered Morse-Bott complex of the k-fold composition over a ball.
 
     One lens block per sphere shell l (2n generators in degrees
@@ -274,44 +272,22 @@ def ball_complex(amb, rho, k, a_window=None):
     shell-(l-1) top generator.  Degrees are already normalized (the raw
     Morse index carries the extra shift k*iota + n(k-1); see meta).
 
-    a_window = (lo, hi) keeps only generators with lo < value < hi.  The
-    default window runs from 0 up to the first non-free obstruction: the
-    smallest of the l = 0 mod k shell values and the origin value (for the
-    plain sentinel k = 1 everything is kept).  An explicit window that
-    includes a non-free shell (l a multiple of k >= 3) raises NonFreeStratum,
-    because the coinvariant computation is only valid on free strata.
-
-    The default window with k > 1 asks `shells` for l <= k only, which is
-    exact: shell l sits where rho'(m_l) = -(l/k) A (A = pi R^2), so its
-    value c_l = l m_l A + k rho(m_l) has dc_l/dl = m_l A > 0 (the rho' terms
-    cancel), and every shell l > k lies above c_k >= hi.  An explicit window
-    and k = 1 bisect every shell, because the NonFreeStratum check scans
-    them all.
+    Only generators with value in the derived action window (0, hi) are
+    kept.  The coinvariant computation is only valid on free strata, so for
+    k > 1, hi is the smallest of the l = 0 mod k shell values and the origin
+    value; for the plain sentinel k = 1, hi = inf.  For k > 1 `shells`
+    bisects only l <= k, which is exact: shell l sits where rho'(m_l) =
+    -(l/k) A (A = pi R^2), so its value c_l = l m_l A + k rho(m_l) has
+    dc_l/dl = m_l A > 0 (the rho' terms cancel), and every shell l > k lies
+    above c_k >= hi.
     """
     ring = GroupRing(k)
-    *shell_data, origin = shells(
-        amb, rho, k, lmax=k if a_window is None and k > 1 else None)
+    *shell_data, origin = shells(amb, rho, k, lmax=k if k > 1 else None)
     n = amb.n
+    hi = (min([s.value for s in shell_data if s.l % k == 0] + [origin.value])
+          if k > 1 else math.inf)
 
-    if a_window is None:
-        if k == 1:
-            hi = math.inf
-        else:
-            nonfree = [s.value for s in shell_data if s.l % k == 0]
-            hi = min(nonfree + [origin.value])
-        lo = 0.0
-    else:
-        lo, hi = float(a_window[0]), float(a_window[1])
-        if k >= 3:
-            for s in shell_data:
-                if s.l % k == 0 and lo < s.value < hi:
-                    raise NonFreeStratum(
-                        "window (%g, %g) crosses the non-free shell l = %d "
-                        "at value %.6g" % (lo, hi, s.l, s.value))
-    if not (lo >= 0.0):
-        raise DomainError("ball_complex window must start at a >= 0")
-
-    kept = [s for s in shell_data if lo < s.value < hi]
+    kept = [s for s in shell_data if 0.0 < s.value < hi]
     gens = []
     block_of = {}
     for s in kept:
@@ -319,9 +295,8 @@ def ball_complex(amb, rho, k, a_window=None):
         for i in range(2 * n):
             gens.append(Generator(2 * n * s.l + i, s.value,
                                   "l%d-%d" % (s.l, i)))
-    keep_origin = lo < origin.value < hi
+    keep_origin = 0.0 < origin.value < hi
     if keep_origin:
-        origin_index = len(gens)
         gens.append(Generator(origin.index, origin.value, "origin"))
 
     cx = GroupRingComplex(ring, gens)
@@ -340,7 +315,7 @@ def ball_complex(amb, rho, k, a_window=None):
         "n": n,
         "k": k,
         "R": amb.R,
-        "window": (lo, hi),
+        "window": (0.0, hi),
         "shells": [(s.l, s.value) for s in kept],
         "origin_value": origin.value if keep_origin else None,
         "degree_normalization":

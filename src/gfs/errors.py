@@ -45,10 +45,6 @@ class NonPrimeK(GfsError):
     """Equivariant coefficients require prime k (or the plain sentinel k = 1)."""
 
 
-class NonFreeStratum(GfsError):
-    """The action window crosses a stratum where the cyclic action is not free."""
-
-
 class ThresholdOnSpectrum(GfsError):
     """The threshold coincides with a bar endpoint; the rank is ambiguous there."""
 

@@ -27,7 +27,7 @@ Conventions fixed here and used by every other module:
 import bisect
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -315,6 +315,7 @@ class RadialProfile:
 
     # -- invariants -------------------------------------------------------
 
+    @np.errstate(over="ignore", invalid="ignore")   # a nan read is refused
     def validate(self):
         """Return a list of invariant violations (empty when valid)."""
         problems = []
@@ -322,6 +323,8 @@ class RadialProfile:
         r = self.rho(m)
         dr = self.drho(m)
         d2r = self.d2rho(m)
+        if not all(np.isfinite(x).all() for x in (r, dr, d2r)):
+            problems.append("rho, rho' or rho'' is not finite on [0, 1]")
         if np.min(r) < -1e-10:
             problems.append("rho takes negative values")
         inner = self.knots[1:-1]    # no grid sees a jump of rho at a knot
@@ -340,7 +343,7 @@ class RadialProfile:
             problems.append("rho is not exactly zero beyond m = 1")
         if self.c is not None and self.delta is not None:
             flat = np.linspace(0.0, self.delta, 101)
-            if np.max(np.abs(self.drho(flat) - self.c)) > 1e-10:
+            if not np.max(np.abs(self.drho(flat) - self.c)) <= 1e-10:
                 problems.append("rho' is not constant = c on [0, delta]")
         return problems
 
@@ -594,9 +597,12 @@ def _certify_monotone(rho, lo):
 
 
 def _check_monotone(rho, lo, hi):
-    """Refuse rho if rho' falls by over 1e-10 on a 4001-point grid step."""
+    """Refuse rho if rho' is not finite or falls by over 1e-10 on a step of a
+    4001-point grid."""
     grid = np.linspace(lo, hi, 4001)
     dr = rho.drho(grid)
+    if not np.isfinite(dr).all():
+        raise NonMonotoneProfile("rho' is not finite on [%g, %g]" % (lo, hi))
     if np.min(np.diff(dr)) < -1e-10:
         raise NonMonotoneProfile(
             "rho' is not non-decreasing on [%g, %g]" % (lo, hi))
@@ -713,6 +719,7 @@ class TranslatedChain:
     t: float
     action: float
     orbit_id: str
+    l: int                  # the index of the chain's shell, 0 at the origin
 
     @property
     def k(self):
@@ -721,10 +728,8 @@ class TranslatedChain:
     def rotated(self):
         """Cyclic rotation by one point (again a valid chain)."""
         pts = self.points[1:] + self.points[:1]
-        return TranslatedChain(points=[ContactPoint(p.base.copy(), p.theta)
-                                       for p in pts],
-                               t=self.t, action=self.action,
-                               orbit_id=self.orbit_id)
+        return replace(self, points=[ContactPoint(p.base.copy(), p.theta)
+                                     for p in pts])
 
 
 def translated_chains(amb, rho, k):
@@ -738,12 +743,11 @@ def translated_chains(amb, rho, k):
     phi = RadialMap(amb, rho, 1.0)
     out = []
     for sh in shells(amb, rho, k):
+        z = np.zeros(amb.dim)
         if sh.kind == "sphereShell":
-            z = np.zeros(amb.dim)
             z[0] = amb.R * math.sqrt(sh.m)
             orbit_id = "shell-l%d" % sh.l
         else:
-            z = np.zeros(amb.dim)
             orbit_id = "origin"
         pts_base = [z]
         svals = [phi.S(z)]
@@ -757,40 +761,35 @@ def translated_chains(amb, rho, k):
             theta = points[-1].theta + t - svals[j]
             points.append(ContactPoint(pts_base[j + 1], theta))
         out.append(TranslatedChain(points=points, t=t, action=t * k,
-                                   orbit_id=orbit_id))
+                                   orbit_id=orbit_id, l=sh.l))
     return out
 
 
-def verify_chain(contact_map, chain, tol=1e-9, diagnostics=None):
-    """Check the translated-chain conditions for `contact_map`:
+# Absolute gate of each translated-chain condition in `verify_chain`.
+CHAIN_TOL = 1e-9
+
+
+def verify_chain(contact_map, chain):
+    """Check the translated-chain conditions for `contact_map`, each to
+    CHAIN_TOL:
 
     * the conformal factors along the chain sum to zero;
     * p_{j+1} = Reeb_t(contact_map(p_j)) cyclically (p_{k+1} = p_1);
-    * action = k t.
+    * action = k t (relative to max(1, |action|)).
 
-    Returns False (never raises) when a condition fails; pass a list as
-    `diagnostics` to collect the violated conditions."""
-    msgs = []
+    Returns False when a condition fails."""
     pts = chain.points
     k = len(pts)
-    gsum = sum(contact_map.conformal_factor(p) for p in pts)
-    if abs(gsum) > tol:
-        msgs.append("conformal factors sum to %g, not 0" % gsum)
+    if abs(sum(contact_map.conformal_factor(p) for p in pts)) > CHAIN_TOL:
+        return False
     for j in range(k):
-        q = contact_map(pts[j])
-        q = reeb_translate(q, chain.t)
+        q = reeb_translate(contact_map(pts[j]), chain.t)
         nxt = pts[(j + 1) % k]
-        base_err = float(np.max(np.abs(q.base - nxt.base)))
-        theta_err = abs(q.theta - nxt.theta)
-        if base_err > tol or theta_err > tol:
-            msgs.append("step %d -> %d violates the chain relation "
-                        "(base error %g, theta error %g)"
-                        % (j + 1, (j + 1) % k + 1, base_err, theta_err))
-    if abs(chain.action - chain.t * k) > tol * max(1.0, abs(chain.action)):
-        msgs.append("action %g is not k*t = %g" % (chain.action, chain.t * k))
-    if diagnostics is not None:
-        diagnostics.extend(msgs)
-    return not msgs
+        if (float(np.max(np.abs(q.base - nxt.base))) > CHAIN_TOL
+                or abs(q.theta - nxt.theta) > CHAIN_TOL):
+            return False
+    return not (abs(chain.action - chain.t * k)
+                > CHAIN_TOL * max(1.0, abs(chain.action)))
 
 
 # ---------------------------------------------------------------------------

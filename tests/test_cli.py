@@ -140,6 +140,20 @@ def test_profile_whose_rho_jumps_at_a_knot_is_a_computation_error(
     assert not (tmp_path / "barcode.json").exists()
 
 
+@pytest.mark.parametrize("k", ["1", "3"])
+def test_profile_that_reads_nan_is_a_computation_error(tmp_path, capsys, k):
+    # (m + 1e200)^2 overflows, and 0.0 * inf is nan: every read of rho on
+    # [0, 1] is nan, which no min/max comparison refuses
+    path = tmp_path / "prof.json"
+    path.write_text(json.dumps({"knots": [-1e200, 0.5, 1], "pieces": [
+        [0, 0, 0], [0, 0, 0]]}))
+    assert main(["barcode", "--k", k, "--profile", str(path),
+                 "--out", str(tmp_path)]) == 3
+    assert capsys.readouterr().err == (
+        "error: invalid profile: rho, rho' or rho'' is not finite on [0, 1]\n")
+    assert not (tmp_path / "barcode.json").exists()
+
+
 @pytest.mark.parametrize("literal", [
     "REF:xpi,0.1",            # not a number
     "REF:-0.9pi",             # one part
@@ -227,12 +241,51 @@ def test_verify_fast_suites(capsys, suite, checks):
     assert "suite %s: %d/%d checks passed" % (suite, checks, checks) in out
 
 
-def test_verify_index_suite(capsys):
-    assert main(["verify", "--suite", "index"]) == 0
-    out = capsys.readouterr().out
-    assert "[FAIL]" not in out
-    assert "[PASS] index (n=1,k=3,l=1): maslov 2 nullity 1 gap 0.053" in out
-    assert "suite index: 8/8 checks passed" in out
+# `gfs verify` stdout (seed 0) for the deterministic suites, byte for byte.
+VERIFY_STDOUT = {
+    "algebra": """\
+[PASS] (T-1)N = 0 in Z_5[T]/(T^5-1) (residual 0.000e+00)
+[PASS] circle complex k=3 (residual 0.000e+00)
+[PASS] circle complex k=5 (residual 0.000e+00)
+[PASS] lens(2,5) plain ranks (1,0,0,1) (residual 0.000e+00)
+[PASS] lens(2,5) coinvariant rank 1 everywhere (residual 0.000e+00)
+[PASS] ball complex d^2 = 0 and filtered (residual 0.000e+00)
+[PASS] two-shell vanishing forces the norm connector (residual 0.000e+00)
+suite algebra: 7/7 checks passed
+""",
+    "values": """\
+[PASS] l=1 shell value = 5pi/6 (residual 7.854e-07)
+[PASS] l=1 shell value = sum of primitives (residual 2.190e-12)
+[PASS] origin value = k*rho(0) (residual 0.000e+00)
+suite values: 3/3 checks passed
+""",
+    "index": """\
+[PASS] index (n=1,k=3,l=1): maslov 2 nullity 1 gap 0.053 (residual 0.000e+00)
+[PASS] index (n=1,k=3,l=2): maslov 4 nullity 1 gap 0.075 (residual 0.000e+00)
+[PASS] index (n=1,k=5,l=1): maslov 2 nullity 1 gap 0.012 (residual 0.000e+00)
+[PASS] index (n=1,k=5,l=2): maslov 4 nullity 1 gap 0.017 (residual 0.000e+00)
+[PASS] index (n=1,k=5,l=3): maslov 6 nullity 1 gap 0.022 (residual 0.000e+00)
+[PASS] index (n=1,k=5,l=4): maslov 8 nullity 1 gap 0.031 (residual 0.000e+00)
+[PASS] index (n=2,k=3,l=1): maslov 4 nullity 3 gap 0.053 (residual 0.000e+00)
+[PASS] index (n=2,k=3,l=2): maslov 8 nullity 3 gap 0.062 (residual 0.000e+00)
+suite index: 8/8 checks passed
+""",
+    "chains": """\
+[PASS] chain shell-l1 verifies (residual 0.000e+00)
+[PASS] chain shell-l2 verifies (residual 0.000e+00)
+[PASS] chain origin verifies (residual 0.000e+00)
+[PASS] chain_scan finds 3 families (expect 3) (residual 0.000e+00)
+[PASS] l=1 family action = 5pi/6 (residual 7.854e-07)
+[PASS] one free Z_3 family at the l=1 action (residual 0.000e+00)
+suite chains: 6/6 checks passed
+""",
+}
+
+
+@pytest.mark.parametrize("suite", sorted(VERIFY_STDOUT))
+def test_verify_output_is_pinned(capsys, suite):
+    assert main(["verify", "--suite", suite, "--seed", "0"]) == 0
+    assert capsys.readouterr().out == VERIFY_STDOUT[suite]
 
 
 def test_nonsqueeze_exit_codes(capsys):

@@ -7,7 +7,8 @@ import pytest
 
 from gfs import (Ambient, DomainError, GenFn, NoConvergence,
                  NotFibreCritical, OrbitRelationViolated, RadialMap,
-                 chain_scan, check_value, gf_time_one, maslov,
+                 chain_scan, check_value, contact_lift_gf, contact_p,
+                 gf_time_one, maslov,
                  newton_critical, reconstruct, seed_from_chain,
                  sharp_critical_seed, sharp_k, shells, to_csv,
                  translated_chains)
@@ -41,12 +42,20 @@ def test_newton_flags_degenerate_direction():
 
 
 def test_newton_no_convergence():
-    # gradient never vanishes: grad = 1 everywhere
+    # gradient never vanishes: grad = 1 everywhere, so every trial stalls
     G = GenFn(base_dim=1, fibre_dim=0,
               jet=lambda w, order: (float(w[0]), np.ones(1), np.zeros((1, 1))),
               quad_part=np.zeros((0, 0)))
-    with pytest.raises(NoConvergence):
-        newton_critical(G, np.array([0.0]), max_iter=8)
+    with pytest.raises(NoConvergence, match="stalled"):
+        newton_critical(G, np.array([0.0]))
+    # grad = w with a claimed Hessian of 1000: each step shrinks |grad| by
+    # 0.1%, so the solve runs out of iterations well above NEWTON_TOL
+    G = GenFn(base_dim=1, fibre_dim=0,
+              jet=lambda w, order: (0.5 * float(w @ w), w.copy(),
+                                    np.full((1, 1), 1e3)),
+              quad_part=np.zeros((0, 0)))
+    with pytest.raises(NoConvergence, match="after 100 iterations"):
+        newton_critical(G, np.array([1.0]))
 
 
 def _half_nan_genfn():
@@ -153,6 +162,17 @@ def test_chain_scan_families(P3, amb1, rho_ref):
     assert by_link["origin"].nullity == 2
 
 
+@pytest.mark.parametrize("k", [3, 5])
+def test_chain_scan_reads_l_off_the_linked_chain(F, P3, amb1, rho_ref, k):
+    P = P3 if k == 3 else contact_p(contact_lift_gf(F), k)
+    chains = translated_chains(amb1, rho_ref, k)
+    assert [ch.l for ch in chains] == list(range(1, k)) + [0]
+    fams = chain_scan(P, k, [seed_from_chain(P, ch) for ch in chains],
+                      chains=chains)
+    assert ({f.linked_orbit_id: f.l for f in fams}
+            == {ch.orbit_id: ch.l for ch in chains})
+
+
 def test_chain_scan_dedups_rotated_seeds(P3, amb1, rho_ref):
     chains = translated_chains(amb1, rho_ref, 3)
     ch = chains[0]
@@ -161,13 +181,11 @@ def test_chain_scan_dedups_rotated_seeds(P3, amb1, rho_ref):
     assert len(fams) == 1
 
 
-def test_csv_rendering(P3, amb1, rho_ref, tmp_path):
+def test_csv_rendering(P3, amb1, rho_ref):
     chains = translated_chains(amb1, rho_ref, 3)
     fams = chain_scan(P3, 3, [seed_from_chain(P3, chains[0])],
                       chains=chains)
-    path = tmp_path / "families.csv"
-    text = to_csv(fams, str(path))
-    assert path.read_text() == text
+    text = to_csv(fams)
     lines = text.strip().splitlines()
     assert lines[0] == "kind,l,value,index,nullity,maslov,orbit"
     assert len(lines) == 2

@@ -2,12 +2,13 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from gfs import (Ambient, Bar, Barcode, DomainError, Generator, GroupRing,
-                 GroupRingComplex, NonFreeStratum, NonPrimeK,
+                 GroupRingComplex, NonPrimeK,
                  ThresholdOnSpectrum, ball_complex, barcode, circle_complex,
                  inclusion_map, is_prime, lens_complex, limit_barcode,
                  rank_mod_p, ref_profile, shells, tensor_circle, thom_shift)
@@ -33,6 +34,18 @@ def test_group_ring_axioms():
     assert ring.aug(ring.one) == 1
     with pytest.raises(NonPrimeK):
         GroupRing(9)
+
+
+def test_group_ring_builds_no_k_by_k_table():
+    # Only the dense `circulant` oracle needs a k x k index; a large ring
+    # holds its k-coefficient constants and nothing quadratic in k.
+    tracemalloc.start()
+    try:
+        GroupRing(10007)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5e6
 
 
 def _elem_oracle(k, mod, coeffs):
@@ -146,19 +159,20 @@ def test_filtration_guard():
 
 
 def test_ball_complex_structure(amb1, rho_ref):
-    # The default window is capped at the origin value, so only the two
-    # shell blocks survive; an explicit wider window adds the isolated
-    # origin generator, which carries no differentials.
+    # For k = 3 the window is capped at the origin value, so only the two
+    # shell blocks survive.  The k = 1 window has no cap, so it keeps the
+    # isolated origin generator, which carries no differentials.
     cx = ball_complex(amb1, rho_ref, 3)
     assert cx.check_d2() == []
     assert cx.check_filtration() == []
     assert sorted(g.degree for g in cx.generators) == [2, 3, 4, 5]
     assert cx.meta["origin_value"] is None
 
-    wide = ball_complex(amb1, rho_ref, 3,
-                        a_window=(0.0, 3 * rho_ref.rho(0.0) + 1.0))
+    rho = ref_profile(-2.5 * math.pi, 0.1)
+    wide = ball_complex(amb1, rho, 1)
+    assert wide.meta["window"] == (0.0, math.inf)
     assert sorted(g.degree for g in wide.generators) == [2, 3, 4, 5, 6]
-    assert wide.meta["origin_value"] == pytest.approx(3 * rho_ref.rho(0.0))
+    assert wide.meta["origin_value"] == rho.rho(0.0)
     oi = [i for i, g in enumerate(wide.generators) if g.degree == 6][0]
     assert not any(t == oi or s == oi for (t, s) in wide.diff)
     assert wide.check_d2() == [] and wide.check_filtration() == []
@@ -196,8 +210,7 @@ def test_ball_barcode_plain_interleaves(amb1, rho_ref, shells3):
 
 def test_ball_default_window_stops_at_non_free_shell():
     # A steep profile for k=3 has shells l = 3, 6, ... whose orbits are not
-    # free; the default window must cap at the first of them, and an
-    # explicit window crossing it must be refused.
+    # free; the window must cap at the first of them.
     from gfs import shells
     amb = Ambient(n=1, R=1.0)
     rho = ref_profile(-3.5 * math.pi, 0.1)
@@ -207,8 +220,6 @@ def test_ball_default_window_stops_at_non_free_shell():
     assert {l for l, _ in cx.meta["shells"]} == {1, 2}
     bc = barcode(cx, "equivariant")
     assert {b.degree for b in bc.bars} <= {2, 3, 4, 5}
-    with pytest.raises(NonFreeStratum):
-        ball_complex(amb, rho, 3, a_window=(0.0, c3 + 0.5))
 
 
 def test_limit_barcodes(amb1):

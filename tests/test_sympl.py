@@ -1,5 +1,6 @@
 """Flows, profiles, shells, contact lifts, translated chains."""
 
+import dataclasses
 import itertools
 import json
 import math
@@ -347,14 +348,37 @@ def test_contact_lift_and_chains(amb1, rho_ref):
         for ch in chains:
             assert ch.k == k
             assert ch.action == pytest.approx(k * ch.t, rel=1e-12)
-            assert verify_chain(lift, ch, 1e-9)
-            assert verify_chain(lift, ch.rotated(), 1e-9)
+            assert verify_chain(lift, ch)
+            assert verify_chain(lift, ch.rotated())
+
+
+def test_verify_chain_refuses_each_broken_condition(amb1, rho_ref):
+    lift = ContactLift(amb1, rho_ref)
+    ch = translated_chains(amb1, rho_ref, 3)[0]
+
+    def moved(dbase, dtheta):
+        pts = [ContactPoint(p.base.copy(), p.theta) for p in ch.points]
+        pts[1].base[0] += dbase
+        pts[1].theta += dtheta
+        return dataclasses.replace(ch, points=pts)
+
+    class Conformal(ContactLift):
+        def conformal_factor(self, p):
+            return 1e-9
+
+    assert verify_chain(lift, moved(1e-10, 1e-10))      # within 1e-9
+    assert not verify_chain(lift, moved(1e-8, 0.0))
+    assert not verify_chain(lift, moved(0.0, 1e-8))
+    assert not verify_chain(lift, dataclasses.replace(ch, action=ch.action
+                                                      + 1e-8))
+    assert not verify_chain(Conformal(amb1, rho_ref), ch)
 
 
 def test_chain_ids_and_actions(amb1, rho_ref, shells3):
     chains = translated_chains(amb1, rho_ref, 3)
     ids = [ch.orbit_id for ch in chains]
     assert ids == ["shell-l1", "shell-l2", "origin"]
+    assert [ch.l for ch in chains] == [1, 2, 0]
     by_id = dict(zip(ids, chains))
     for s in shells3:
         key = "origin" if s.kind == "isolated" else "shell-l%d" % s.l
@@ -648,6 +672,16 @@ def test_monotone_certificate_passes_nothing_the_grid_refuses(monkeypatch):
                if fast and kind != "ref") >= 50
     fast = sum(n for (_, fast, _), n in tally.items() if fast)
     print("certified: %d of %d seeded profiles" % (fast, 2 * len(cases)))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")   # the far knot's grid
+def test_grid_refuses_a_non_finite_drho():
+    # (m + 1e200)^2 overflows on piece 0, so rho' reads 0.0 * inf = nan on
+    # the whole grid, which no comparison of its steps refuses
+    rho = RadialProfile([-1e200, 0.5, 1.0], np.zeros((2, 4)))
+    assert not sympl._certify_monotone(rho, 0.0)
+    with pytest.raises(NonMonotoneProfile, match="rho' is not finite"):
+        shells(Ambient(n=1), rho, 3)
 
 
 def test_monotone_certificate_refuses_where_grid_rounding_decides():
