@@ -16,8 +16,8 @@ Layers (bottom to top):
 * `cli`     -- `gfs` command line driver (barcode / verify / nonsqueeze).
 """
 
-from .errors import (AngleOutOfRange, DomainError, EvenFactorCount, EvenK,
-                     GfsError, NoConvergence, NonMonotoneProfile, NonPrimeK,
+from .errors import (AngleOutOfRange, DomainError, EvenK, GfsError,
+                     NoConvergence, NonMonotoneProfile, NonPrimeK,
                      NotFibreCritical, NotNormalized, OrbitRelationViolated,
                      SearchBoundExceeded, ThresholdOnSpectrum)
 from .sympl import (Ambient, ContactLift, ContactPoint, LinearRotation,
@@ -32,9 +32,9 @@ from .crit import (CriticalManifold, chain_scan, check_value, maslov,
                    newton_critical, reconstruct, seed_from_chain,
                    sharp_critical_seed, to_csv)
 from .equivar import (Bar, Barcode, Generator, GroupRing, GroupRingComplex,
-                      ball_complex, barcode, circle_complex, inclusion_map,
-                      is_prime, lens_complex, limit_barcode, rank_mod_p,
-                      tensor_circle, thom_shift)
+                      ball_complex, barcode, inclusion_map, is_prime,
+                      lens_complex, limit_barcode, rank_mod_p, tensor_circle,
+                      thom_shift)
 from .squeeze import (SqueezeCertificate, SqueezeQuery, certificate_json,
                       evidence, find_obstruction, room_obstruction,
                       room_transform, validate_certificate)

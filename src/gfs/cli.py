@@ -29,8 +29,8 @@ from .genfun import (contact_lift_gf, contact_p, fibre_critical_config,
                      gf_time_one, graph_of, sharp_k)
 from .crit import (chain_scan, classify_hessian, maslov, seed_from_chain,
                    sharp_critical_seed)
-from .equivar import (GroupRing, ball_complex, barcode, circle_complex,
-                      is_prime, lens_complex, limit_barcode)
+from .equivar import (GroupRing, ball_complex, barcode, is_prime,
+                      lens_complex, limit_barcode)
 from .squeeze import (DEFAULT_MAX_PRIME, SqueezeQuery, certificate_json,
                       evidence, find_obstruction)
 
@@ -259,7 +259,7 @@ def _suite_chains(seed):
     fams = chain_scan(P, 3, seeds, chains=chains)
     checks.append(("chain_scan finds %d families (expect %d)"
                    % (len(fams), len(chains)), len(fams) == len(chains), 0.0))
-    hit = [f for f in fams if f.linked_orbit_id == "shell-l1"]
+    hit = [f for f in fams if f.l == 1]
     res = abs(hit[0].value - 5 * math.pi / 6) if hit else math.inf
     checks.append(("l=1 family action = 5pi/6", res < 1e-6, res))
     free = sum(1 for f in fams
@@ -305,7 +305,7 @@ def _suite_algebra(seed):
     prod = ring.mul(ring.N, ring.T_minus_1)
     checks.append(("(T-1)N = 0 in Z_5[T]/(T^5-1)", ring.is_zero(prod), 0.0))
     for k in (3, 5):
-        cx = circle_complex(k)
+        cx = lens_complex(1, k)
         ok = (cx.homology_ranks("plain") == {0: 1, 1: 1}
               and cx.homology_ranks("equivariant") == {0: 1, 1: 1}
               and not cx.check_d2())

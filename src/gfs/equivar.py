@@ -234,14 +234,12 @@ class GroupRingComplex:
         return out
 
 
-def circle_complex(k):
-    """Morse complex of the k-maxima circle function:
-    0 -> R --(T-1)--> R -> 0 in degrees 1, 0."""
-    ring = GroupRing(k)
-    cx = GroupRingComplex(ring, [Generator(0, 0.0, "min"),
-                                 Generator(1, 0.0, "max")])
-    cx.add_diff(0, 1, ring.T_minus_1)
-    return cx
+def _lens_steps(ring, n):
+    """The (i, e) entries of a 2n-generator lens block, generator i - 1 <-
+    generator i: e alternates T - 1 (i odd) and N (i even); zero entries are
+    dropped (T - 1 = 0 when k = 1)."""
+    return [(i, e) for i, e in enumerate([ring.T_minus_1, ring.N] * n, 1)
+            if i < 2 * n and not ring.is_zero(e)]
 
 
 def lens_complex(n, k):
@@ -250,15 +248,15 @@ def lens_complex(n, k):
     (odd -> even) and N (even -> odd).
 
     Plain homology is H(S^{2n-1}; F_k) (ranks 1, 0, ..., 0, 1); coinvariant
-    homology is F_k in every degree (the lens space).
+    homology is F_k in every degree (the lens space); n = 1 is the circle.
     """
     if n < 1:
         raise DomainError("lens_complex needs n >= 1")
     ring = GroupRing(k)
     gens = [Generator(d, 0.0, "e%d" % d) for d in range(2 * n)]
     cx = GroupRingComplex(ring, gens)
-    for d in range(1, 2 * n):
-        cx.add_diff(d - 1, d, ring.T_minus_1 if d % 2 == 1 else ring.N)
+    for i, e in _lens_steps(ring, n):
+        cx.add_diff(i - 1, i, e)
     return cx
 
 
@@ -269,22 +267,23 @@ def ball_complex(amb, rho, k):
     2nl..2nl+2n-1, all at the shell value c_l), one isolated generator for
     the origin (value k*rho(0), degree 2n(L+1), no differentials), and a
     connecting differential N from each shell-l bottom generator to the
-    shell-(l-1) top generator.  Degrees are already normalized (the raw
-    Morse index carries the extra shift k*iota + n(k-1); see meta).
+    shell-(l-1) top generator.  Degrees are already normalized: stored
+    degree = raw Morse index - (k*iota + n(k-1)).
 
     Only generators with value in the derived action window (0, hi) are
     kept.  The coinvariant computation is only valid on free strata, so for
-    k > 1, hi is the smallest of the l = 0 mod k shell values and the origin
-    value; for the plain sentinel k = 1, hi = inf.  For k > 1 `shells`
-    bisects only l <= k, which is exact: shell l sits where rho'(m_l) =
-    -(l/k) A (A = pi R^2), so its value c_l = l m_l A + k rho(m_l) has
-    dc_l/dl = m_l A > 0 (the rho' terms cancel), and every shell l > k lies
-    above c_k >= hi.
+    k > 1, hi is the smallest value of a stratum that is not free (a shell
+    with l = 0 mod k, or the origin); for the plain sentinel k = 1,
+    hi = inf.  For k > 1 `shells` bisects only l <= k, which is exact:
+    shell l sits where rho'(m_l) = -(l/k) A (A = pi R^2), so its value
+    c_l = l m_l A + k rho(m_l) has dc_l/dl = m_l A > 0 (the rho' terms
+    cancel), and every shell l > k lies above c_k >= hi.  `cx.meta` holds
+    the window, the kept (l, c_l) and the kept origin value (or None).
     """
     ring = GroupRing(k)
     *shell_data, origin = shells(amb, rho, k, lmax=k if k > 1 else None)
     n = amb.n
-    hi = (min([s.value for s in shell_data if s.l % k == 0] + [origin.value])
+    hi = (min(s.value for s in [*shell_data, origin] if not s.free_orbit)
           if k > 1 else math.inf)
 
     kept = [s for s in shell_data if 0.0 < s.value < hi]
@@ -293,15 +292,13 @@ def ball_complex(amb, rho, k):
     for s in kept:
         block_of[s.l] = len(gens)
         for i in range(2 * n):
-            gens.append(Generator(2 * n * s.l + i, s.value,
-                                  "l%d-%d" % (s.l, i)))
+            gens.append(Generator(s.index + i, s.value, "l%d-%d" % (s.l, i)))
     keep_origin = 0.0 < origin.value < hi
     if keep_origin:
         gens.append(Generator(origin.index, origin.value, "origin"))
 
     cx = GroupRingComplex(ring, gens)
-    steps = [(i, e) for i, e in enumerate([ring.T_minus_1, ring.N] * n, 1)
-             if i < 2 * n and not ring.is_zero(e)]    # T - 1 = 0 when k = 1
+    steps = _lens_steps(ring, n)
     for s in kept:
         base = block_of[s.l]
         for i, e in steps:
@@ -311,15 +308,9 @@ def ball_complex(amb, rho, k):
             cx.add_diff(top_prev, base, ring.N)
 
     cx.meta = {
-        "kind": "ballComplex",
-        "n": n,
-        "k": k,
-        "R": amb.R,
         "window": (0.0, hi),
         "shells": [(s.l, s.value) for s in kept],
         "origin_value": origin.value if keep_origin else None,
-        "degree_normalization":
-            "stored degree = raw Morse index - (k*iota + n*(k-1))",
     }
     return cx
 
@@ -355,13 +346,9 @@ class Barcode:
     """Per-degree interval decomposition of the relative-homology rank as a
     function of the action threshold a (right-continuous in a)."""
 
-    def __init__(self, bars, field_order, meta=None):
+    def __init__(self, bars, field_order):
         self.bars = sorted(bars, key=lambda b: (b.degree, b.birth))
         self.field = int(field_order)
-        self.meta = meta or {}
-
-    def __iter__(self):
-        return iter(self.bars)
 
     def __len__(self):
         return len(self.bars)
@@ -515,9 +502,7 @@ def barcode(cx, mode):
                 run_rank, run_start = run_rank + steps[q], points[q]
         if run_rank > 0:
             bars.append(Bar(d, run_start, math.inf, run_rank))
-    meta = dict(getattr(cx, "meta", {}))
-    meta["mode"] = mode
-    return Barcode(bars, p, meta)
+    return Barcode(bars, p)
 
 
 def limit_barcode(amb, k, mode, lmax=4):
@@ -550,8 +535,7 @@ def limit_barcode_at_area(n, A, k, mode, lmax=4):
         field_order = 2 if k == 1 else k
     else:
         raise DomainError("mode must be 'plain' or 'equivariant'")
-    return Barcode(bars, field_order,
-                   {"mode": mode, "k": k, "n": n, "A": A, "limit": True})
+    return Barcode(bars, field_order)
 
 
 def thom_shift(bc, q_index, k):
@@ -559,9 +543,7 @@ def thom_shift(bc, q_index, k):
     k factors: shifts every bar degree by k*q_index, nothing else."""
     bars = [Bar(b.degree + k * int(q_index), b.birth, b.death, b.rank)
             for b in bc.bars]
-    meta = dict(bc.meta)
-    meta["thom_shift"] = meta.get("thom_shift", 0) + k * int(q_index)
-    return Barcode(bars, bc.field, meta)
+    return Barcode(bars, bc.field)
 
 
 def tensor_circle(bc):
@@ -570,9 +552,7 @@ def tensor_circle(bc):
     for b in bc.bars:
         bars.append(Bar(b.degree, b.birth, b.death, b.rank))
         bars.append(Bar(b.degree + 1, b.birth, b.death, b.rank))
-    meta = dict(bc.meta)
-    meta["tensor_circle"] = True
-    return Barcode(bars, bc.field, meta)
+    return Barcode(bars, bc.field)
 
 
 def inclusion_map(bc_large, bc_small, degree, a):

@@ -17,12 +17,9 @@ class AngleOutOfRange(GfsError):
     """A rotation angle reached pi, where the twisted graph is not a section."""
 
 
-class EvenFactorCount(GfsError):
-    """Cyclic composition requires an odd number of factors."""
-
-
 class EvenK(GfsError):
-    """This operation requires odd k."""
+    """This operation requires an odd count: an odd k, or an odd number of
+    factors or midpoints in a cyclic composition."""
 
 
 class NotNormalized(GfsError):

@@ -33,8 +33,7 @@ import math
 
 import numpy as np
 
-from .errors import (AngleOutOfRange, DomainError, EvenFactorCount, EvenK,
-                     NotNormalized)
+from .errors import AngleOutOfRange, DomainError, EvenK, NotNormalized
 from .sympl import ComposedMap, LinearRotation, RadialMap, j0_matrix
 
 
@@ -389,7 +388,7 @@ def gf_compose_chain(factors):
     is itself a composition inlined.  K = 1 returns the factor unchanged."""
     K = len(factors)
     if K % 2 == 0:
-        raise EvenFactorCount("cyclic composition requires an odd factor count")
+        raise EvenK("cyclic composition requires an odd factor count")
     if K == 1:
         return factors[0]
     return _cyclic_compose(list(factors))
@@ -474,7 +473,7 @@ def alternating_resolve(mids):
     summed over l in order for all slots at once."""
     K = len(mids)
     if K % 2 == 0:
-        raise EvenFactorCount("alternating resolution needs an odd count")
+        raise EvenK("alternating resolution needs an odd count")
     M = np.asarray(mids, dtype=float)
     acc = np.zeros_like(M)
     for l in range(K):

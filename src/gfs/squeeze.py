@@ -244,12 +244,13 @@ def validate_certificate(cert, A1=None, A2=None):
 def evidence(cert, amb):
     """Barcode evidence for the certificate: the diagram contradiction.
 
-    Computes the limit-barcode ranks at the certificate's threshold and
-    degree for the big ambient ball, the large ball, and the small ball
-    (expected pattern 1, 1, 0), plus the two persistence ranks induced by
-    the inclusions (expected 1 and 0) and the prequantized degrees via the
-    circle tensor.  Only the dimension amb.n is read: each ball is given by
-    its area on the certificate.
+    Returns the threshold `a` and `degree`, the limit-barcode `ranks` there
+    for the big ambient ball, the large ball and the small ball (expected
+    pattern 1, 1, 0), the two `inclusion_ranks` of the inclusions (expected
+    1 and 0) and the `prequantized` degrees and ranks via the circle tensor;
+    a conjugated certificate reads its inner one and adds its `outer_pair`.
+    Only the dimension amb.n is read: each ball is given by its area on the
+    certificate.
     """
     if not cert.found():
         raise DomainError("evidence requires a certificate, got kind 'none'")
@@ -259,10 +260,7 @@ def evidence(cert, amb):
 
     if cert.kind == "conjugated":
         report = evidence(cert.inner, amb)
-        report["kind"] = "conjugated"
-        report["m"] = cert.m
         report["outer_pair"] = {"k": cert.k, "l": cert.l}
-        report["areas"] = dict(cert.areas)
         return report
 
     if cert.kind == "primeFraction":
@@ -305,23 +303,16 @@ def evidence(cert, amb):
             % (ranks, expected))
 
     pre = tensor_circle(bc_large)
-    report = {
-        "kind": cert.kind,
+    return {
         "a": a,
         "degree": degree,
         "ranks": ranks,
         "inclusion_ranks": incl,
-        "areas": dict(cert.areas),
-        "field": bc_large.field,
         "prequantized": {
             "degrees": [degree, degree + 1],
             "ranks": [pre.rank_at(degree, a), pre.rank_at(degree + 1, a)],
         },
-        "contradiction": (
-            "a squeezing would factor the rank-%d inclusion map through the "
-            "rank-%d group of the small ball" % (incl[0], ranks[2])),
     }
-    return report
 
 
 def _certificate_fields(cert):

@@ -141,8 +141,8 @@ class RadialProfile:
     [knots[i], knots[i+1]] in descending powers of (m - knots[i]); rho' and
     rho'' are held the same way.  The first and last pieces extend past the
     end knots; rho, rho', rho'' return exact 0.0 for m >= 1.  Invariants
-    (checked by `validate`): rho >= 0, rho' <= 0, rho'' >= 0, rho' constant
-    = c on [0, delta].
+    (checked by `validate`): rho >= 0, rho' <= 0, rho'' >= 0, rho and rho'
+    tend to 0 as m -> 1, rho' constant = c on [0, delta].
 
     A scalar read (`read`; rho, rho', rho'' at a scalar) makes one piece
     lookup and one running-power pass for all the derivatives it returns,
@@ -337,10 +337,11 @@ class RadialProfile:
             problems.append("rho' takes positive values")
         if np.min(d2r) < -1e-8:
             problems.append("rho'' takes negative values (not convex)")
-        if abs(self.rho(1.0)) > 1e-12 or abs(self.drho(1.0)) > 1e-12:
-            problems.append("rho does not vanish at m = 1")
-        if self.rho(1.5) != 0.0 or self.drho(1.5) != 0.0:
-            problems.append("rho is not exactly zero beyond m = 1")
+        i = bisect.bisect_left(self._inner, 1.0)    # the piece left of m = 1
+        if any(abs(_poly_value(col[:, i], 1.0 - self.knots[i]))
+               > 1e-9 * (1.0 + np.max(np.abs(x)))
+               for col, x in zip(self._cols, (r, dr))):
+            problems.append("rho or rho' does not vanish as m -> 1")
         if self.c is not None and self.delta is not None:
             flat = np.linspace(0.0, self.delta, 101)
             if not np.max(np.abs(self.drho(flat) - self.c)) <= 1e-10:
@@ -614,7 +615,8 @@ def shells(amb, rho, k, lmax=None):
     NonMonotoneProfile when rho' is not non-decreasing there: by the grid of
     `_check_monotone`, which runs unless `_certify_monotone` proves from the
     coefficients that it passes.  DomainError when -rho'(0) k / (pi R^2) is
-    not below 2^53, where (l/k) pi R^2 no longer tells consecutive l apart.
+    not below 2^53, where (l/k) pi R^2 no longer tells consecutive l apart,
+    or when a returned value is not finite.
 
     Returns one ShellDatum per shell (ascending l) followed by the origin
     datum (kind "isolated", value k rho(0), index 2n(L+1), L the number of
@@ -635,16 +637,15 @@ def shells(amb, rho, k, lmax=None):
     def is_shell(l):
         return -(l / k) * area > c0
 
-    d_lo, d_hi = rho.drho(lo), rho.drho(1.0)
+    d_lo = rho.drho(lo)
 
     def bracketed_target(l):
         target = -(l / k) * area
         fa = d_lo - target
-        fb = d_hi - target
         if fa == 0.0:
             raise NonMonotoneProfile(
                 "rho' meets the level on its flat plateau; shell is not isolated")
-        if fa > 0.0 or fb < 0.0:
+        if fa > 0.0:
             raise NonMonotoneProfile("cannot bracket rho' level %g" % target)
         return target
 
@@ -669,6 +670,8 @@ def shells(amb, rho, k, lmax=None):
     out.append(ShellDatum(
         l=0, m=0.0, value=k * rho.rho(0.0), index=2 * amb.n * (L + 1),
         kind="isolated", free_orbit=False, nullity=0))
+    if not all(math.isfinite(s.value) for s in out):
+        raise DomainError("a shell or origin value is not finite")
     return out
 
 
@@ -777,19 +780,19 @@ def verify_chain(contact_map, chain):
     * p_{j+1} = Reeb_t(contact_map(p_j)) cyclically (p_{k+1} = p_1);
     * action = k t (relative to max(1, |action|)).
 
-    Returns False when a condition fails."""
+    Returns False when a condition fails or its error is nan."""
     pts = chain.points
     k = len(pts)
-    if abs(sum(contact_map.conformal_factor(p) for p in pts)) > CHAIN_TOL:
+    if not abs(sum(contact_map.conformal_factor(p) for p in pts)) <= CHAIN_TOL:
         return False
     for j in range(k):
         q = reeb_translate(contact_map(pts[j]), chain.t)
         nxt = pts[(j + 1) % k]
-        if (float(np.max(np.abs(q.base - nxt.base))) > CHAIN_TOL
-                or abs(q.theta - nxt.theta) > CHAIN_TOL):
+        if not (float(np.max(np.abs(q.base - nxt.base))) <= CHAIN_TOL
+                and abs(q.theta - nxt.theta) <= CHAIN_TOL):
             return False
-    return not (abs(chain.action - chain.t * k)
-                > CHAIN_TOL * max(1.0, abs(chain.action)))
+    return bool(abs(chain.action - chain.t * k)
+                <= CHAIN_TOL * max(1.0, abs(chain.action)))
 
 
 # ---------------------------------------------------------------------------

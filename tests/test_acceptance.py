@@ -15,12 +15,12 @@ import numpy as np
 import pytest
 
 from gfs import (Ambient, GroupRing, RadialMap, SqueezeQuery, ball_complex,
-                 barcode, certificate_json, chain_scan, circle_complex,
-                 contact_lift_gf, contact_p, evidence, fibre_critical_config,
-                 find_obstruction, gf_time_one, graph_of, inclusion_map,
-                 lens_complex, limit_barcode, ref_profile, seed_from_chain,
-                 sharp_k, sharp_critical_seed, shells, tensor_circle,
-                 thom_shift, translated_chains, validate_certificate)
+                 barcode, certificate_json, chain_scan, contact_lift_gf,
+                 contact_p, evidence, fibre_critical_config, find_obstruction,
+                 gf_time_one, graph_of, inclusion_map, lens_complex,
+                 limit_barcode, ref_profile, seed_from_chain, sharp_k,
+                 sharp_critical_seed, shells, tensor_circle, thom_shift,
+                 translated_chains, validate_certificate)
 from gfs.cli import main
 
 
@@ -224,7 +224,7 @@ def test_exact_algebra_identities():
     assert lens.homology_ranks("plain") == {0: 1, 1: 0, 2: 0, 3: 1}
     assert lens.homology_ranks("equivariant") == {0: 1, 1: 1, 2: 1, 3: 1}
     for k in (3, 5):
-        cx = circle_complex(k)
+        cx = lens_complex(1, k)
         assert cx.check_d2() == []
         assert cx.homology_ranks("plain") == {0: 1, 1: 1}
         assert cx.homology_ranks("equivariant") == {0: 1, 1: 1}

@@ -38,7 +38,7 @@ def _sweep(cx, mode):
         if run_rank > 0:
             bars.append(Bar(d, run_start, math.inf, run_rank))
     field = 2 if (mode == "plain" and cx.ring.k == 1) else cx.ring.mod
-    return Barcode(bars, field, dict(cx.meta, mode=mode))
+    return Barcode(bars, field)
 
 
 def _bytes(bc):
@@ -175,7 +175,7 @@ def _dense_barcode(cx, mode):
                 run_rank, run_start = rd, a
         if run_rank > 0:
             bars.append(Bar(d, run_start, math.inf, run_rank))
-    return Barcode(bars, p, dict(cx.meta, mode=mode))
+    return Barcode(bars, p)
 
 
 def _formula_tsv(bc):

@@ -1,5 +1,6 @@
 """Command-line driver: exit codes, determinism, config precedence."""
 
+import hashlib
 import json
 import math
 import os
@@ -154,6 +155,24 @@ def test_profile_that_reads_nan_is_a_computation_error(tmp_path, capsys, k):
     assert not (tmp_path / "barcode.json").exists()
 
 
+@pytest.mark.parametrize("knots, pieces", [
+    ([0, 1], [[-10, 12]]),                  # rho(1-) = 2, rho'(1-) = -10
+    ([0, 1], [[5.0]]),                      # rho(1-) = 5
+    ([0, 1], [[-1, 2]]),                    # rho(1-) = 1, rho'(1-) = -1
+    ([0, 0.25, 0.6, 1], [[-2, 2], [-2, 1.5], [-2, 0.8]]),  # rho'(1-) = -2
+])
+def test_profile_that_does_not_vanish_at_one_is_refused(
+        tmp_path, capsys, knots, pieces):
+    # every read at m >= 1 is 0.0, so only the left limits at m = 1 see it
+    path = tmp_path / "prof.json"
+    path.write_text(json.dumps({"knots": knots, "pieces": pieces}))
+    assert main(["barcode", "--k", "1", "--profile", str(path),
+                 "--out", str(tmp_path)]) == 3
+    assert capsys.readouterr().err == ("error: invalid profile: rho or "
+                                       "rho' does not vanish as m -> 1\n")
+    assert not (tmp_path / "barcode.json").exists()
+
+
 @pytest.mark.parametrize("literal", [
     "REF:xpi,0.1",            # not a number
     "REF:-0.9pi",             # one part
@@ -286,6 +305,117 @@ suite chains: 6/6 checks passed
 def test_verify_output_is_pinned(capsys, suite):
     assert main(["verify", "--suite", suite, "--seed", "0"]) == 0
     assert capsys.readouterr().out == VERIFY_STDOUT[suite]
+
+
+# The certificate JSON of two --evidence queries, as `gfs nonsqueeze` prints
+# it: a prime fraction, and a conjugated certificate with ambient room.
+NONSQUEEZE_STDOUT = {
+    ("--A1", "1.5", "--A2", "1.2"): """\
+{
+  "schema": "gfs/1",
+  "kind": "primeFraction",
+  "k": 5,
+  "l": 4,
+  "areas": {
+    "A1": 1.5,
+    "A2": 1.2
+  },
+  "evidence": {
+    "degree": 8,
+    "a": 5.0,
+    "ranks": [
+      1,
+      1,
+      0
+    ],
+    "inclusion_ranks": [
+      1,
+      0
+    ],
+    "prequantized": {
+      "degrees": [
+        8,
+        9
+      ],
+      "ranks": [
+        1,
+        1
+      ]
+    }
+  }
+}
+""",
+    ("--A1", "0.45", "--A2", "0.40", "--A3", "0.5"): """\
+{
+  "schema": "gfs/1",
+  "kind": "conjugated",
+  "k": 3,
+  "l": 7,
+  "m": 2,
+  "inner": {
+    "kind": "integerK",
+    "K": 3,
+    "areas": {
+      "A1": 4.500000000000001,
+      "A2": 2.0000000000000004
+    }
+  },
+  "areas": {
+    "A1": 0.45,
+    "A2": 0.4,
+    "A3": 0.5
+  },
+  "evidence": {
+    "degree": 2,
+    "a": 3.0,
+    "ranks": [
+      1,
+      1,
+      0
+    ],
+    "inclusion_ranks": [
+      1,
+      0
+    ],
+    "prequantized": {
+      "degrees": [
+        2,
+        3
+      ],
+      "ranks": [
+        1,
+        1
+      ]
+    }
+  }
+}
+""",
+}
+
+
+@pytest.mark.parametrize("query", sorted(NONSQUEEZE_STDOUT))
+def test_nonsqueeze_evidence_output_is_pinned(capsys, query):
+    assert main(["nonsqueeze", *query, "--evidence"]) == 0
+    assert capsys.readouterr().out == NONSQUEEZE_STDOUT[query]
+
+
+# sha256 of the bytes of barcode.json followed by those of barcode.tsv.
+BARCODE_SHA256 = {
+    ("--k", "1", "--profile", "REF:-1000pi,0.1"):
+        "d8f504d692b37a1aaf279316e3d8f27a5a944b307508e662183d72469dff28ca",
+    ("--k", "3"):
+        "fa24367125909700fcf91411cc524506cf451a2d756a0a3c50ad6b274a125bd7",
+    ("--k", "5", "--mode", "plain"):
+        "b206ab71ed398acd47201de224a20a9b3bafd0557be6a3957d08ba0bf551f5b0",
+}
+
+
+@pytest.mark.parametrize("flags", sorted(BARCODE_SHA256))
+def test_barcode_files_are_pinned(tmp_path, capsys, flags):
+    assert main(["barcode", *flags, "--out", str(tmp_path)]) == 0
+    data = b"".join((tmp_path / name).read_bytes()
+                    for name in ("barcode.json", "barcode.tsv"))
+    assert hashlib.sha256(data).hexdigest() == BARCODE_SHA256[flags]
 
 
 def test_nonsqueeze_exit_codes(capsys):

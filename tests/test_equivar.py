@@ -9,8 +9,7 @@ import pytest
 
 from gfs import (Ambient, Bar, Barcode, DomainError, Generator, GroupRing,
                  GroupRingComplex, NonPrimeK,
-                 ThresholdOnSpectrum, ball_complex, barcode, circle_complex,
-                 inclusion_map, is_prime, lens_complex, limit_barcode,
+                 ThresholdOnSpectrum, ball_complex, barcode, inclusion_map, is_prime, lens_complex, limit_barcode,
                  rank_mod_p, ref_profile, shells, tensor_circle, thom_shift)
 
 
@@ -132,7 +131,7 @@ def test_rank_mod_p_exact():
 
 def test_circle_complex_both_modes():
     for k in (3, 5, 7):
-        cx = circle_complex(k)
+        cx = lens_complex(1, k)
         assert cx.check_d2() == []
         assert cx.homology_ranks("plain") == {0: 1, 1: 1}
         assert cx.homology_ranks("equivariant") == {0: 1, 1: 1}
@@ -311,11 +310,8 @@ def _ball_complex_from_all_shells(amb, rho, k):
         if b and kept[b - 1].l == s.l - 1:
             cx.add_diff(b * n2 - 1, b * n2, ring.N)
     cx.meta = {
-        "kind": "ballComplex", "n": amb.n, "k": k, "R": amb.R,
         "window": (0.0, hi), "shells": [(s.l, s.value) for s in kept],
         "origin_value": origin.value if keep_origin else None,
-        "degree_normalization":
-            "stored degree = raw Morse index - (k*iota + n*(k-1))",
     }
     return cx
 

@@ -5,12 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from gfs import (Ambient, AngleOutOfRange, DomainError, EvenFactorCount, EvenK,
-                 LinearRotation, NotNormalized, RadialMap, contact_lift_gf,
-                 contact_p, contact_sharp, fibre_critical_config,
-                 gf_compose_chain, gf_linear_rotation, gf_small_map,
-                 gf_time_one, graph_of, reeb_shift, ref_profile, sharp_k,
-                 shells)
+from gfs import (Ambient, AngleOutOfRange, DomainError, EvenK, LinearRotation,
+                 NotNormalized, RadialMap, contact_lift_gf, contact_p,
+                 contact_sharp, fibre_critical_config, gf_compose_chain,
+                 gf_linear_rotation, gf_small_map, gf_time_one, graph_of,
+                 reeb_shift, ref_profile, sharp_k, shells)
 from gfs.genfun import alternating_resolve, chain_config
 from gfs.sympl import j0_matrix
 
@@ -146,7 +145,7 @@ def test_small_map_jet_runs_no_flow(amb1, rho_ref, monkeypatch):
 def test_compose_chain_parity_guard(amb1, rho_ref):
     phi = RadialMap(amb1, rho_ref, 0.5)
     g = gf_small_map(amb1, phi)
-    with pytest.raises(EvenFactorCount):
+    with pytest.raises(EvenK):
         gf_compose_chain([g, g])
 
 
@@ -157,7 +156,7 @@ def test_alternating_resolve_inverts_midpoints():
     back = alternating_resolve(mids)
     for a, b in zip(ws, back):
         assert np.allclose(a, b, atol=1e-14)
-    with pytest.raises(EvenFactorCount):
+    with pytest.raises(EvenK):
         alternating_resolve(mids[:4])
 
 

@@ -151,7 +151,7 @@ def test_profile_reads_of_another_degree_match_ppoly(degree):
     knots = [0.0, 0.25, 0.6, 1.0]
     pieces = [list(2.0 * np.poly1d([-1.0, 1.0 - x]) ** degree)
               for x in knots[:-1]]
-    prof = RadialProfile.from_json({"knots": knots, "pieces": pieces})
+    prof = RadialProfile(knots, pieces)     # rho' = -2 as m -> 1 at degree 1
     assert prof.coeffs.shape == (3, degree + 1)
     poly = PPoly(np.array(pieces).T, knots)
     rng = np.random.default_rng(degree)
@@ -363,15 +363,35 @@ def test_verify_chain_refuses_each_broken_condition(amb1, rho_ref):
         return dataclasses.replace(ch, points=pts)
 
     class Conformal(ContactLift):
-        def conformal_factor(self, p):
-            return 1e-9
+        factor = 1e-9
 
+        def conformal_factor(self, p):
+            return self.factor
+
+    class NanFactor(Conformal):
+        factor = float("nan")
+
+    nan = float("nan")
     assert verify_chain(lift, moved(1e-10, 1e-10))      # within 1e-9
     assert not verify_chain(lift, moved(1e-8, 0.0))
     assert not verify_chain(lift, moved(0.0, 1e-8))
     assert not verify_chain(lift, dataclasses.replace(ch, action=ch.action
                                                       + 1e-8))
     assert not verify_chain(Conformal(amb1, rho_ref), ch)
+    # a nan error fails every `err <= CHAIN_TOL` gate
+    assert not verify_chain(lift, moved(nan, 0.0))
+    assert not verify_chain(lift, dataclasses.replace(ch, t=nan))
+    assert not verify_chain(lift, dataclasses.replace(ch, action=nan))
+    assert not verify_chain(lift, dataclasses.replace(ch, t=nan, action=nan))
+    assert not verify_chain(NanFactor(amb1, rho_ref), ch)
+
+
+def test_shells_refuse_a_value_that_is_not_finite():
+    # (m + 1e200)^2 overflows, and 0.0 * inf is nan: the origin value
+    # k rho(0) of this profile, built in code, is nan
+    rho = RadialProfile([-1e200, 0.5, 1], np.zeros((2, 3)))
+    with pytest.raises(DomainError, match="not finite"):
+        shells(Ambient(), rho, 1)
 
 
 def test_chain_ids_and_actions(amb1, rho_ref, shells3):
