@@ -180,6 +180,11 @@ def _reference(n=1):
     return amb, rho, gf_time_one(amb, rho)
 
 
+def _worst(*errs):
+    """The largest error, nan when any is nan (`max(0.0, nan)` is 0.0)."""
+    return float(np.max(errs))
+
+
 def _suite_generation(seed):
     _, _, F = _reference()
     phi = F.map_handle
@@ -191,10 +196,10 @@ def _suite_generation(seed):
         w = np.concatenate([base, zeta])
         g = F.grad(w)
         gp = graph_of(phi, zbar)
-        worst = max(worst,
-                    float(np.max(np.abs(g[2:]))) if len(g) > 2 else 0.0,
-                    float(np.max(np.abs(base - gp.base))),
-                    float(np.max(np.abs(g[:2] - gp.covector))))
+        worst = _worst(worst,
+                       float(np.max(np.abs(g[2:]))) if len(g) > 2 else 0.0,
+                       float(np.max(np.abs(base - gp.base))),
+                       float(np.max(np.abs(g[:2] - gp.covector))))
     return [("fibre-critical embedding matches the graph (100 samples)",
              worst < 1e-8, worst)]
 
@@ -276,19 +281,19 @@ def _suite_invariance(seed):
     worst_c = 0.0
     for _ in range(1000):
         w = rng.normal(0.0, 0.5, F3.total_dim)
-        worst_c = max(worst_c, abs(F3.value(F3.sym_ops["cyclic"](w))
-                                   - F3.value(w)))
+        worst_c = _worst(worst_c, abs(F3.value(F3.sym_ops["cyclic"](w))
+                                      - F3.value(w)))
     worst = {"cyclic": 0.0, "r_action": 0.0, "z_shift": 0.0}
     ops = P.sym_ops
     for _ in range(1000):
         w = rng.normal(0.0, 0.5, P.total_dim)
         v = P.value(w)
-        worst["cyclic"] = max(worst["cyclic"],
-                              abs(P.value(ops["cyclic"](w)) - v))
-        worst["r_action"] = max(worst["r_action"],
-                                abs(P.value(ops["r_action"](w, 0.7)) - v))
-        worst["z_shift"] = max(worst["z_shift"],
-                               abs(P.value(ops["z_shift"](w)) - v))
+        worst["cyclic"] = _worst(worst["cyclic"],
+                                 abs(P.value(ops["cyclic"](w)) - v))
+        worst["r_action"] = _worst(worst["r_action"],
+                                   abs(P.value(ops["r_action"](w, 0.7)) - v))
+        worst["z_shift"] = _worst(worst["z_shift"],
+                                  abs(P.value(ops["z_shift"](w)) - v))
     return [
         ("sharp cyclic invariance (1000 pts)", worst_c < 1e-12, worst_c),
         ("P cyclic invariance", worst["cyclic"] < 1e-12, worst["cyclic"]),

@@ -116,7 +116,7 @@ def _auto_maslov(G, index, nullity):
 
 
 def _sup(x):
-    """Sup norm, 0 for an empty vector."""
+    """Sup norm, 0 for an empty vector; nan when an entry is nan."""
     return float(np.max(np.abs(x))) if np.size(x) else 0.0
 
 
@@ -200,17 +200,16 @@ def reconstruct(F, k, p):
 
     Checks fibre-criticality of p (to FIBRE_TOL), reads off the slot
     midpoints, maps each through the factor's fibre-critical domain-point
-    chart, and verifies the orbit relation X_{j+1} = phi(X_j) (cyclically).
+    chart, and verifies the orbit relation X_{j+1} = phi(X_j) (cyclically);
+    a nan residual fails either check.
     """
     return _orbit(F, sharp_k(F, k), k, p)
 
 
 def _orbit(F, sharp, k, p):
     p = np.asarray(p, dtype=float)
-    g = sharp.grad(p)
-    fibre_part = g[sharp.base_dim:]
-    worst = float(np.max(np.abs(fibre_part))) if fibre_part.size else 0.0
-    if worst > FIBRE_TOL:
+    worst = _sup(sharp.grad(p)[sharp.base_dim:])
+    if not worst <= FIBRE_TOL:
         raise NotFibreCritical(
             "fibre gradient norm %.3e exceeds %.1e" % (worst, FIBRE_TOL))
 
@@ -223,11 +222,8 @@ def _orbit(F, sharp, k, p):
     phi = F.map_handle
     if phi is None:
         raise DomainError("reconstruct needs the factor's map handle")
-    worst = 0.0
-    for j in range(k):
-        step = phi(points[j])
-        worst = max(worst, float(np.max(np.abs(step - points[(j + 1) % k]))))
-    if worst > 1e-8:
+    worst = _sup([phi(x) - y for x, y in zip(points, points[1:] + points[:1])])
+    if not worst <= 1e-8:
         raise OrbitRelationViolated(
             "orbit relation residual %.3e exceeds 1e-8" % worst)
     return points

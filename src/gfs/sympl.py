@@ -113,41 +113,31 @@ def _poly_value(ascending, s):
     return res
 
 
-class _Unfused:
-    """The fused table of rho^(lo) .. rho^(hi) until its first read, which
-    puts the table in the slot: later reads index a plain list.  Entry i
-    splits the ascending rows on piece i (longest first) for one running-
-    power pass: the terms of the powers that all three rows have, that only
-    the first two have, and that only the first has."""
-
-    def __init__(self, slot, hi, rows):
-        self.slot, self.hi, self.rows = slot, hi, rows
-
-    def __getitem__(self, i):
-        table = []
-        for piece in zip(*self.rows):
-            r0, r1, r2 = list(piece) + [[]] * (3 - len(piece))
-            table.append((tuple(zip(r0, r1, r2)),
-                          tuple(zip(r0[len(r2):], r1[len(r2):])),
-                          tuple(r0[len(r1):])))
-        self.slot[self.hi] = table
-        return table[i]
+def _trim(row, knot):
+    """The ascending row less its trailing zeros while every power s^p it
+    keeps, s = m - knot with m in [0, 1], stays finite: dropping a 0.0 * z
+    term from a running sum that starts at +0.0 changes no bit while z is
+    finite."""
+    while (len(row) > 1 and row[-1] == 0.0
+           and max(abs(knot), abs(1.0 - knot)) < 1e300 ** (1 / len(row))):
+        row = row[:-1]
+    return row or [0.0]
 
 
 class RadialProfile:
     """Convex, non-increasing profile rho supported in [0, 1].
 
     rho is piecewise polynomial: row i of `coeffs` lists its coefficients on
-    [knots[i], knots[i+1]] in descending powers of (m - knots[i]); rho' and
-    rho'' are held the same way.  The first and last pieces extend past the
-    end knots; rho, rho', rho'' return exact 0.0 for m >= 1.  Invariants
-    (checked by `validate`): rho >= 0, rho' <= 0, rho'' >= 0, rho and rho'
-    tend to 0 as m -> 1, rho' constant = c on [0, delta].
+    [knots[i], knots[i+1]] in descending powers of (m - knots[i]).  The
+    first and last pieces extend past the end knots; rho, rho', rho'' return
+    exact 0.0 for m >= 1.  Invariants (checked by `validate`): rho >= 0,
+    rho' <= 0, rho'' >= 0, rho and rho' tend to 0 as m -> 1, rho' constant
+    = c on [0, delta].
 
-    A scalar read (`read`; rho, rho', rho'' at a scalar) makes one piece
-    lookup and one running-power pass for all the derivatives it returns,
-    each summed as the array path sums it, so the two are bit-equal; the
-    table of each (lo, hi) is fused on its first read.
+    rho, rho' and rho'' on an array of levels are summed from `_cols`, one
+    column of ascending coefficients per piece; at a scalar (`read`) from
+    `_rows`, the same coefficients as one list per piece less its trailing
+    zeros (`_trim`), by the same `_poly_value`, so the two are bit-equal.
     """
 
     def __init__(self, knots, coeffs, c=None, delta=None):
@@ -170,59 +160,40 @@ class RadialProfile:
         # _cols[order][p, i]: coefficient of s^p of rho^(order) on piece i
         self._cols = [np.ascontiguousarray(t[:, ::-1].T)
                       for t in (coeffs, d1, _derivative(d1))]
-        asc = [col.T.tolist() for col in self._cols]
-        # rho' rows less trailing zeros while s^p, x in [0, 1], is finite
-        self._drho_rows = []
-        for row, x in zip(asc[1], knots.tolist()):
-            while (len(row) > 1 and row[-1] == 0.0
-                   and max(abs(x), abs(1.0 - x)) < 1e300 ** (1 / len(row))):
-                row = row[:-1]
-            self._drho_rows.append(row or [0.0])
-        # _pieces[lo][hi][i]: rho^(lo) .. rho^(hi) on piece i, fused
-        self._pieces = [[None] * lo for lo in range(3)]
-        for lo, slot in enumerate(self._pieces):
-            slot += [_Unfused(slot, hi, asc[lo:hi + 1]) for hi in range(lo, 3)]
         self._knot_list = knots.tolist()
+        # _rows[order][i]: ascending coefficients of rho^(order) on piece i
+        self._rows = [[_trim(row, x) for row, x in zip(col.T.tolist(),
+                                                        self._knot_list)]
+                      for col in self._cols]
         self._inner = self._knot_list[1:-1]     # piece i holds m < knots[i+1]
 
     # -- evaluation -------------------------------------------------------
 
     def read(self, m, lo, hi):
         """(rho^(lo)(m), ..., rho^(hi)(m)) at a scalar m, 0 <= lo <= hi <= 2:
-        one piece lookup and one running-power pass; m < 0 reads as 0."""
+        one piece lookup, then each order's row summed by `_poly_value`;
+        m < 0 reads as 0."""
         m = float(m)
         if not m < 1.0:
             return (0.0, 0.0, 0.0)[:hi - lo + 1]
         if m < 0.0:
             m = 0.0
         i = bisect.bisect_right(self._inner, m)
-        threes, twos, ones = self._pieces[lo][hi][i]
-        s = m - self._knot_list[i]
-        r0 = r1 = r2 = 0.0
-        z = 1.0
-        for a0, a1, a2 in threes:
-            r0 = r0 + a0 * z
-            r1 = r1 + a1 * z
-            r2 = r2 + a2 * z
-            z = z * s
-        for a0, a1 in twos:
-            r0 = r0 + a0 * z
-            r1 = r1 + a1 * z
-            z = z * s
-        for a0 in ones:
-            r0 = r0 + a0 * z
-            z = z * s
+        s, rows = m - self._knot_list[i], self._rows
         if hi == lo:
-            return (r0,)
-        return (r0, r1) if hi - lo == 1 else (r0, r1, r2)
+            return (_poly_value(rows[lo][i], s),)
+        r0, r1 = _poly_value(rows[lo][i], s), _poly_value(rows[lo + 1][i], s)
+        if hi - lo == 1:
+            return (r0, r1)
+        return (r0, r1, _poly_value(rows[2][i], s))
 
     def drho_level(self, target, lo):
         """The m in [lo, 1] with rho'(m) = target, by bisection to 1e-12.
-        Each rho'(mid) is summed as `read` sums it, less its trailing +-0.0
-        terms (`<= 0.0` cannot see them), so every m is bit-equal to a
-        bisection over `drho`.  The piece is looked up until a and b share
-        it, as every later mid then does; a linear rho' reads c0 + c1 s."""
-        inner, knots, rows = self._inner, self._knot_list, self._drho_rows
+        Each rho'(mid) is summed from the row `read` sums, so every m is
+        bit-equal to a bisection over `drho`.  The piece is looked up until a
+        and b share it, as every later mid then does; a linear rho' reads
+        c0 + c1 s."""
+        inner, knots, rows = self._inner, self._knot_list, self._rows[1]
         a, b = lo, 1.0
         ia, ib = (bisect.bisect_right(inner, max(x, 0.0)) for x in (a, b))
         while ia != ib and b - a > 1e-12:
@@ -567,7 +538,7 @@ def _bernstein(row, alpha, w):
 
 
 def _certify_monotone(rho, lo):
-    """True only if `_check_monotone(rho, lo, 1)` passes, proved from the
+    """True only if `_check_monotone(rho, lo)` passes, proved from the
     rho' rows.  On each piece's part of [lo, 1), s = x - knot in [alpha,
     beta] (the grid's own rounded differences), rho'' >= -sigma by its
     Bernstein coefficients less their rounding bound (their sums over
@@ -580,7 +551,7 @@ def _certify_monotone(rho, lo):
     h = ((1.0 - lo) / 4000 * 1.001 + (2 * len(ends) + 2) * u
          * (2.0 + abs(lo) + max(map(abs, rho._knot_list))))
     drop, end = 0.0, -math.inf
-    for a, k, x, y in zip(rho._drho_rows, rho._knot_list, ends, ends[1:]):
+    for a, k, x, y in zip(rho._rows[1], rho._knot_list, ends, ends[1:]):
         if not x < y:
             continue
         alpha, beta = x - k, y - k
@@ -597,16 +568,14 @@ def _certify_monotone(rho, lo):
     return drop + max(0.0, end) <= 2.5e-11
 
 
-def _check_monotone(rho, lo, hi):
+def _check_monotone(rho, lo):
     """Refuse rho if rho' is not finite or falls by over 1e-10 on a step of a
-    4001-point grid."""
-    grid = np.linspace(lo, hi, 4001)
-    dr = rho.drho(grid)
+    4001-point grid of [lo, 1]."""
+    dr = rho.drho(np.linspace(lo, 1.0, 4001))
     if not np.isfinite(dr).all():
-        raise NonMonotoneProfile("rho' is not finite on [%g, %g]" % (lo, hi))
+        raise NonMonotoneProfile("rho' is not finite on [%g, 1]" % lo)
     if np.min(np.diff(dr)) < -1e-10:
-        raise NonMonotoneProfile(
-            "rho' is not non-decreasing on [%g, %g]" % (lo, hi))
+        raise NonMonotoneProfile("rho' is not non-decreasing on [%g, 1]" % lo)
 
 
 def shells(amb, rho, k, lmax=None):
@@ -630,7 +599,7 @@ def shells(amb, rho, k, lmax=None):
         raise EvenK("shells requires odd k >= 1")
     lo = rho.delta if rho.delta is not None else 0.0
     if not _certify_monotone(rho, lo):
-        _check_monotone(rho, lo, 1.0)
+        _check_monotone(rho, lo)
     c0 = rho.drho(0.0)
     area = math.pi * amb.R**2
 

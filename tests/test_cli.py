@@ -307,6 +307,37 @@ def test_verify_output_is_pinned(capsys, suite):
     assert capsys.readouterr().out == VERIFY_STDOUT[suite]
 
 
+def test_generation_suite_fails_a_nan_covector(capsys, monkeypatch):
+    # max(0.0, nan) is 0.0: a worst error kept by max would pass this
+    real = gfs.cli.graph_of
+
+    def nan_covector(mp, p):
+        gp = real(mp, p)
+        gp.covector = gp.covector * math.nan
+        return gp
+
+    monkeypatch.setattr(gfs.cli, "graph_of", nan_covector)
+    assert main(["verify", "--suite", "generation"]) == 1
+    assert capsys.readouterr().out == (
+        "[FAIL] fibre-critical embedding matches the graph (100 samples) "
+        "(residual nan)\nsuite generation: 0/1 checks passed\n")
+
+
+def test_invariance_suite_fails_a_nan_value_of_p(capsys, monkeypatch):
+    real = gfs.GenFn.value
+
+    def value(G, w):
+        return math.nan if G.meta.get("kind") == "contactP" else real(G, w)
+
+    monkeypatch.setattr(gfs.GenFn, "value", value)
+    assert main(["verify", "--suite", "invariance"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("[PASS] sharp cyclic invariance")
+    assert [x.split(" (residual ")[1] for x in lines[1:4]] == ["nan)"] * 3
+    assert all(x.startswith("[FAIL] P ") for x in lines[1:4])
+    assert lines[4] == "suite invariance: 1/4 checks passed"
+
+
 # The certificate JSON of two --evidence queries, as `gfs nonsqueeze` prints
 # it: a prime fraction, and a conjugated certificate with ambient room.
 NONSQUEEZE_STDOUT = {

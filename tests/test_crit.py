@@ -120,6 +120,24 @@ def test_reconstruct_round_trip(F, F3, shells3):
         reconstruct(F, 3, bad)
 
 
+def test_reconstruct_refuses_nan(F, F3, shells3, monkeypatch):
+    # a nan fibre gradient or orbit residual passes a gate `worst > tol`
+    s1 = [s for s in shells3 if s.l == 1][0]
+    p = sharp_critical_seed(F, 3, np.array([math.sqrt(s1.m), 0.0]))
+    one_fibre = p.copy()
+    one_fibre[F3.base_dim] = math.nan
+    for bad in (np.full(F3.total_dim, math.nan), one_fibre):
+        for fn in (reconstruct, check_value):
+            with pytest.raises(NotFibreCritical, match="nan"):
+                fn(F, 3, bad)
+    import gfs.crit
+    monkeypatch.setattr(gfs.crit, "sharp_k", lambda G, k: F3)
+    monkeypatch.setattr(F, "map_handle", lambda z: z * math.nan)
+    for fn in (reconstruct, check_value):
+        with pytest.raises(OrbitRelationViolated, match="nan"):
+            fn(F, 3, p)
+
+
 def test_check_value_builds_the_sharp_once(F, shells3, monkeypatch):
     import gfs.crit
     s1 = [s for s in shells3 if s.l == 1][0]

@@ -99,20 +99,27 @@ def _ppoly_eval(poly, m):
     return out
 
 
-def _assert_reads_match(prof, poly, m):
-    """rho, rho', rho'' of `prof` bit-equal to the PPoly `poly` and its
-    derivatives at the levels m: the array path, each scalar read, and every
-    entry of every fused read (lo, hi)."""
-    want = [_ppoly_eval(p, m) for p in (poly, poly.derivative(),
-                                        poly.derivative().derivative())]
+def _assert_scalar_reads_match_arrays(prof, m):
+    """Each scalar rho, rho', rho'' and every entry of every read (lo, hi)
+    of `prof` at the levels m bit-equal to the array path at m, nan
+    included."""
+    want = np.array([prof.rho(m), prof.drho(m), prof.d2rho(m)])
     for order, fn in enumerate((prof.rho, prof.drho, prof.d2rho)):
-        assert fn(m).tobytes() == want[order].tobytes()
         assert np.array([fn(float(x)) for x in m]).tobytes() \
             == want[order].tobytes()
     for lo in range(3):
         for hi in range(lo, 3):
             got = np.array([prof.read(x, lo, hi) for x in m.tolist()])
-            assert got.tobytes() == np.array(want[lo:hi + 1]).T.tobytes()
+            assert got.tobytes() == want[lo:hi + 1].T.tobytes()
+
+
+def _assert_reads_match(prof, poly, m):
+    """rho, rho', rho'' of `prof` on the array of levels m bit-equal to the
+    PPoly `poly` and its derivatives, and every scalar read to the array."""
+    for fn, p in ((prof.rho, poly), (prof.drho, poly.derivative()),
+                  (prof.d2rho, poly.derivative().derivative())):
+        assert fn(m).tobytes() == _ppoly_eval(p, m).tobytes()
+    _assert_scalar_reads_match_arrays(prof, m)
 
 
 def test_profile_matches_ppoly_oracle():
@@ -596,6 +603,7 @@ def _piecewise_profile(rng, ncoef, convex=True, jump=0.0, end=0.0,
     return RadialProfile(knots, pieces, delta=delta)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")   # the far knot's arrays
 def test_level_solver_matches_the_drho_bisection_off_ref():
     # a cubic profile whose knots sit off the REF layout, from a negative
     # lower end (mids below 0 read rho'(0)) and from inside a piece
@@ -629,17 +637,23 @@ def test_level_solver_matches_the_drho_bisection_off_ref():
         targets = np.linspace(prof.drho(0.0), -1e-3, 37).tolist() + at_knots
         mids = [0.5 * (max(x, 0.0) + y) for x, y in zip(knots, knots[1:])]
         inside += len(mids) - 1
-        for lo in [-0.4, 0.0] + knots[1:-1] + mids:
+        starts = [-0.4, 0.0] + knots[1:-1] + mids
+        levels = list(starts)
+        for lo in starts:
             for target in targets:
-                assert prof.drho_level(target, lo).hex() == \
-                    _level_by_drho(prof, target, lo).hex()
+                m = prof.drho_level(target, lo)
+                assert m.hex() == _level_by_drho(prof, target, lo).hex()
+                levels.append(m)
                 solved += 1
+        # the scalar reads at these levels, off scipy's oracle; the far
+        # knot's rows keep their zeros, so they read nan where the array does
+        _assert_scalar_reads_match_arrays(prof, np.array(levels))
     assert solved > 7000 and inside > 40    # starts inside a non-final piece
 
 
 def _grid_passes(rho, lo):
     try:
-        sympl._check_monotone(rho, lo, 1.0)
+        sympl._check_monotone(rho, lo)
     except NonMonotoneProfile:
         return False
     return True
