@@ -6,6 +6,7 @@ degree into bars.  It is cubic in the number of generators; `barcode` must
 give the same bytes without calling it.
 """
 
+import hashlib
 import json
 import math
 
@@ -128,6 +129,29 @@ def test_barcode_rejects_unknown_mode():
         with pytest.raises(DomainError):
             barcode(c, "bogus")
     assert len(barcode(GroupRingComplex(ring, []), "plain")) == 0
+
+
+# sha256 of to_json() + to_tsv() for the plain and equivariant balls of
+# ref_profile(-0.9 pi, 0.1) at large k, where each ring entry expands into a
+# k x k circulant.  A reduction that builds every column costs about k^3
+# here (about 2 s at k = 211), so these also guard the cost.
+LARGE_K_SHA256 = {
+    (53, "plain"):
+        "49f25774bfb8a78844391d9806a9bfba986fa8babc3f9b7d95e162b4c4c14056",
+    (53, "equivariant"):
+        "3cd1e0147d4e81d4f89db15d75e05d57fcc054266d2164c72805e0d34c4c534c",
+    (101, "plain"):
+        "d1eff16b82f41378a16d85e6d8fac4924d0377158a293c54e476122f005d2fcb",
+    (211, "plain"):
+        "518ce6484dbd61c4f1eb5cc92bbb4b02446a13c8191ad8913d70a34133483fae",
+}
+
+
+@pytest.mark.parametrize("k,mode", sorted(LARGE_K_SHA256))
+def test_large_k_ball_barcode_bytes_are_pinned(k, mode):
+    cx = ball_complex(Ambient(n=1), ref_profile(-0.9 * math.pi, 0.1), k)
+    data = _bytes(barcode(cx, mode)).encode()
+    assert hashlib.sha256(data).hexdigest() == LARGE_K_SHA256[k, mode]
 
 
 # The dense reduction and point read-out that `barcode` replaced, pinned as a
