@@ -17,11 +17,11 @@ strata handled here the coinvariant complex computes equivariant homology,
 which is why a ball's action window stops below its first non-free shell
 (l a multiple of k).
 
-Barcodes come from one persistence reduction per degree, whose pairs give
-the maximal intervals of constant nonzero rank, in the threshold a, of the
-homology of the generators with value > a.  Degrees are stored in the
-normalized convention: the raw Morse index minus the composition
-bookkeeping shift k*iota + n(k-1).
+Barcodes come from one persistence reduction, run from the top degree down
+with clearing, whose pairs give the maximal intervals of constant nonzero
+rank, in the threshold a, of the homology of the generators with value > a.
+Degrees are stored in the normalized convention: the raw Morse index minus
+the composition bookkeeping shift k*iota + n(k-1).
 """
 
 from __future__ import annotations
@@ -434,74 +434,82 @@ class Barcode:
         return "\n".join(lines) + "\n"
 
 
+def _column(entries, j, block):
+    """Column j < block of one generator's block of d, as a sparse
+    {row: coefficient} dict: each (row base, nonzero (m, x)) entry puts x at
+    row base + (m + j) mod block, the circulant C[i, j] = e[i - j]."""
+    return {r + (m + j) % block: x for r, nz in entries for m, x in nz}
+
+
 def barcode(cx, mode):
     """Barcode of the filtered complex from one persistence reduction.
 
-    Generators expand into k columns (plain: the nonzero entries of each ring
-    entry's k x k circulant) or one column (equivariant: its augmentation).
-    Per degree d, the columns of d_d are sparse {row: coefficient mod p}
-    dicts, rows and columns ordered by value, reduced left to right over
-    F_p against the column that owns each low row; column operations never
-    mix degrees, so its (low row s, column t) pivots are the pairs of the
-    global reduction.  C_{<=a} is a subcomplex, so H_d(C / C_{<=a}) has rank
-    #{unpaired degree-d t: v_t > a} + #{pairs (s, t), deg t = d: v_s <= a <
-    v_t}, read at 0 and at each positive value.  Each column's interval
-    [born, v_t) is two rank steps on those sorted points; one sweep over the
-    stepped points gives the runs of constant rank, which are the bars."""
+    Generators expand into k columns (plain: each ring entry's k x k
+    circulant) or one column (equivariant: its augmentation), ordered by
+    degree from the top down and by value within a degree.  One pass reduces
+    the columns in that order over F_p, against the column that owns each
+    low row; column operations never mix degrees, so each degree is reduced
+    left to right and its (low row s, column t) pivots are the pairs of the
+    global reduction.  Clearing (Chen-Kerber): a pivot of d_{d+1} at row s
+    marks column s of d_d as cleared, and a cleared column is never built.
+    Since d o d = 0, that pivot's reduced column is a cycle with low s, so
+    column s of d_d is a combination of the columns before it: the full
+    reduction would zero it without a pivot, every other column meets the
+    same owners, and the pairs and bars are the same.
+
+    C_{<=a} is a subcomplex, so H_d(C / C_{<=a}) has rank #{unpaired
+    degree-d t: v_t > a} + #{pairs (s, t), deg t = d: v_s <= a < v_t}, read
+    at 0 and at each positive value.  Each column's interval [born, v_t) is
+    two rank steps on those sorted points; one sweep over the stepped points
+    gives the runs of constant rank, which are the bars."""
     if mode not in ("plain", "equivariant"):
         raise DomainError("mode must be 'plain' or 'equivariant'")
-    ring, gens, degrees, p = cx.ring, cx.generators, cx.degrees(), cx.ring.mod
+    ring, gens, p = cx.ring, cx.generators, cx.ring.mod
     block = ring.k if mode == "plain" else 1
-    order = {e: [] for d in degrees for e in (d - 1, d)}
-    for i in sorted(range(len(gens)), key=lambda i: gens[i].value):
-        order[gens[i].degree].append(i)
-    pos = {i: q * block for idx in order.values() for q, i in enumerate(idx)}
-    value = {d: [gens[i].value for i in idx for _ in range(block)]
-             for d, idx in order.items()}
-    cols = {d: [{} for _ in value[d]] for d in degrees}
-    for (t, s), e in cx.diff.items():
-        into, r, c = cols[gens[s].degree], pos[t], pos[s]
-        coeffs = e if mode == "plain" else [ring.aug(e)]
-        for m, x in enumerate(coeffs):          # circulant: C[i, j] = e[i - j]
-            if x:
-                for j in range(block):
-                    into[c + j][r + (m + j) % block] = x
-    # column t adds one on [born, v_t); born = inf once t is a pivot row
-    born = {d: [-math.inf] * len(v) for d, v in value.items()}
-    for d in degrees:
-        owner = {}          # low row -> (reduced column, 1 / its low entry)
-        for j, col in enumerate(cols[d]):
-            while col:
-                low = max(col)
-                if low not in owner:
-                    owner[low] = col, pow(col[low], -1, p)
-                    born[d][j], born[d - 1][low] = value[d - 1][low], math.inf
-                    break
-                piv, inv = owner[low]
-                f = col[low] * inv % p
-                for r, x in piv.items():
-                    y = (col.get(r, 0) - f * x) % p
-                    if y:
-                        col[r] = y
-                    else:
-                        del col[r]
     points = [0.0] + sorted({g.value for g in gens if g.value > 0.0})
-    bars = []
-    for d in degrees:
-        steps = {}          # point index -> net change of the rank there
-        for b, v in zip(born[d], value[d]):
-            lo, hi = bisect_left(points, b), bisect_left(points, v)
-            if lo < hi:
-                steps[lo] = steps.get(lo, 0) + 1
-                steps[hi] = steps.get(hi, 0) - 1
-        run_rank, run_start = 0, 0.0
-        for q in sorted(steps):
-            if steps[q]:
-                if run_rank > 0:
-                    bars.append(Bar(d, run_start, points[q], run_rank))
-                run_rank, run_start = run_rank + steps[q], points[q]
-        if run_rank > 0:
-            bars.append(Bar(d, run_start, math.inf, run_rank))
+    idx = sorted(range(len(gens)), key=lambda i: (-gens[i].degree,
+                                                   gens[i].value))
+    pos = {i: q for q, i in enumerate(idx)}
+    at = [bisect_left(points, gens[i].value) for i in idx]
+    entries = [[] for _ in idx]     # source -> (row base, nonzero (m, x))
+    for (t, s), e in cx.diff.items():
+        coeffs = e if mode == "plain" else [ring.aug(e)]
+        entries[pos[s]].append(
+            (pos[t] * block, [(m, x) for m, x in enumerate(coeffs) if x]))
+    # column j adds one on [points[born[j]], its value); None once cleared
+    born = [0] * (len(idx) * block)
+    owner = {}              # low row -> (reduced column, 1 / its low entry)
+    for j in range(len(born)):
+        if born[j] is None:
+            continue
+        col = _column(entries[j // block], j % block, block)
+        while col:
+            low = max(col)
+            if low not in owner:
+                owner[low] = col, pow(col[low], -1, p)
+                born[j], born[low] = at[low // block], None
+                break
+            piv, inv = owner[low]
+            f = col[low] * inv % p
+            for r, x in piv.items():
+                y = (col.get(r, 0) - f * x) % p
+                if y:
+                    col[r] = y
+                else:
+                    del col[r]
+    steps = {}      # (degree, point index) -> net change of the rank there
+    for q, i in enumerate(idx):
+        for lo in born[q * block:(q + 1) * block]:
+            if lo is not None and lo < at[q]:
+                d = gens[i].degree
+                steps[d, lo] = steps.get((d, lo), 0) + 1
+                steps[d, at[q]] = steps.get((d, at[q]), 0) - 1
+    bars, rank = [], 0      # each degree's steps sum to 0: no bar spans two
+    for d, q in sorted(steps):
+        if steps[d, q]:
+            if rank > 0:
+                bars.append(Bar(d, start, points[q], rank))
+            rank, start = rank + steps[d, q], points[q]
     return Barcode(bars, p)
 
 

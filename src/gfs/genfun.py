@@ -169,9 +169,9 @@ def gf_small_map(amb, mp):
     whose denominator is dh/dm; every order is zero where H(q) >= 1."""
     if not (isinstance(mp, RadialMap) and mp.amb == amb):
         raise DomainError("gf_small_map needs a RadialMap on %r" % (amb,))
-    if mp.max_rotation() >= math.pi:
-        raise AngleOutOfRange("the map rotates by pi or more; its midpoint "
-                              "map (id + phi)/2 is not invertible")
+    if not mp.max_rotation() < math.pi:
+        raise AngleOutOfRange("the map does not rotate by less than pi; its "
+                              "midpoint map (id + phi)/2 is not invertible")
     n2, R2, t, rho = amb.dim, amb.R**2, mp.t, mp.rho
 
     def jet(q, order):
@@ -415,6 +415,9 @@ def gf_time_one(amb, rho):
     below pi/2 (so each slice admits the fibreless midpoint form)."""
     max_angle = math.pi / 2
     peak = RadialMap(amb, rho, 1.0).max_rotation()
+    if not math.isfinite(peak):
+        raise AngleOutOfRange("the time-one map's peak rotation %r is not "
+                              "finite" % (peak,))
     K = max(1, int(math.ceil(peak / max_angle)))
     if K % 2 == 0:
         K += 1

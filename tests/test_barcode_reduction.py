@@ -52,7 +52,7 @@ def filtered_complexes(draw):
     generators, under random value-respecting unitriangular changes of
     basis g_i -> g_i + c g_j (same degree, v_j <= v_i), so d o d = 0 and the
     filtration hold by construction while the matrices fill in."""
-    k = draw(st.sampled_from([1, 3, 5]))
+    k = draw(st.sampled_from([1, 3, 5, 7]))
     ring = GroupRing(k)
     elems = st.lists(st.integers(0, ring.mod - 1), min_size=k, max_size=k)
     gens, D = [], {}
@@ -134,7 +134,7 @@ def test_barcode_rejects_unknown_mode():
 # sha256 of to_json() + to_tsv() for the plain and equivariant balls of
 # ref_profile(-0.9 pi, 0.1) at large k, where each ring entry expands into a
 # k x k circulant.  A reduction that builds every column costs about k^3
-# here (about 2 s at k = 211), so these also guard the cost.
+# here, against about k^2 with clearing, so these also guard the cost.
 LARGE_K_SHA256 = {
     (53, "plain"):
         "49f25774bfb8a78844391d9806a9bfba986fa8babc3f9b7d95e162b4c4c14056",
@@ -152,6 +152,27 @@ def test_large_k_ball_barcode_bytes_are_pinned(k, mode):
     cx = ball_complex(Ambient(n=1), ref_profile(-0.9 * math.pi, 0.1), k)
     data = _bytes(barcode(cx, mode)).encode()
     assert hashlib.sha256(data).hexdigest() == LARGE_K_SHA256[k, mode]
+
+
+def test_reduction_builds_no_cleared_column(monkeypatch):
+    """Each shell of the plain k = 53 ball is a lens pair (T - 1, rank k - 1)
+    under a connecting N (rank 1) from the shell above.  Top down, the lens
+    pivots clear k - 1 columns of the shell's bottom generator and the N
+    pivot clears one of its top generator's, except on the top shell: L k + 1
+    of the 2 L k columns are built."""
+    cx = ball_complex(Ambient(n=1), ref_profile(-0.9 * math.pi, 0.1), 53)
+    shells = len(cx.generators) // 2
+    assert len(cx.generators) == 2 * shells == 94
+    built = []
+    column = equivar._column
+
+    def counted(entries, j, block):
+        built.append(j)
+        return column(entries, j, block)
+
+    monkeypatch.setattr(equivar, "_column", counted)
+    barcode(cx, "plain")
+    assert len(built) == shells * 53 + 1
 
 
 # The dense reduction and point read-out that `barcode` replaced, pinned as a

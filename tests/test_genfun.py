@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from gfs import (Ambient, AngleOutOfRange, DomainError, EvenK, LinearRotation,
-                 NotNormalized, RadialMap, contact_lift_gf, contact_p,
-                 contact_sharp, fibre_critical_config, gf_compose_chain,
-                 gf_linear_rotation, gf_small_map, gf_time_one, graph_of,
-                 reeb_shift, ref_profile, sharp_k, shells)
+                 NotNormalized, RadialMap, RadialProfile, contact_lift_gf,
+                 contact_p, contact_sharp, fibre_critical_config,
+                 gf_compose_chain, gf_linear_rotation, gf_small_map,
+                 gf_time_one, graph_of, reeb_shift, ref_profile, sharp_k,
+                 shells)
 from gfs.genfun import alternating_resolve, chain_config
 from gfs.sympl import j0_matrix
 
@@ -52,6 +53,25 @@ def test_small_map_rejects_rotation_of_pi(amb1, rho_ref):
     for t in (1.0, 0.6):
         with pytest.raises(AngleOutOfRange):
             gf_small_map(amb1, RadialMap(amb1, rho_ref, t))
+
+
+# An unvalidated profile whose far knot overflows: rho' reads nan on
+# [0, 0.5), so every rotation of its maps is nan.
+_NAN_ROTATION = ([-1e200, 0.5, 1.0], [[0, 0, -2, 1], [0, 1, -2, 0.75]])
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")   # the far knot's arrays
+def test_small_map_rejects_a_nan_rotation(amb1):
+    mp = RadialMap(amb1, RadialProfile(*_NAN_ROTATION), 0.01)
+    assert math.isnan(mp.max_rotation())
+    with pytest.raises(AngleOutOfRange):
+        gf_small_map(amb1, mp)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")   # the far knot's arrays
+def test_time_one_rejects_a_nan_peak(amb1):
+    with pytest.raises(AngleOutOfRange):
+        gf_time_one(amb1, RadialProfile(*_NAN_ROTATION))
 
 
 @pytest.mark.parametrize("amb, radial", [
