@@ -3,18 +3,21 @@
 From critical data to barcodes.
 
 The critical manifolds of the k-fold composition assemble into a filtered
-chain complex over the group ring Z_k[T]/(T^k - 1): one lens block of 2n
-generators per shell, a lone generator for the origin, with differentials
-T - 1 (inside blocks) and the norm N = 1 + T + ... + T^{k-1} (between
-blocks), all in exact integer arithmetic.
+chain complex over the group ring Z_k[T]/(T^k - 1) = F_k[x]/(x^k), x = T - 1:
+one lens block of 2n generators per shell, a lone generator for the origin,
+with differentials T - 1 = x (inside blocks) and the norm
+N = 1 + T + ... + T^{k-1} = x^{k-1} (between blocks).  Each entry is stored
+as its exponent, and d o d = 0 is the check that the exponents along every
+path of two entries add up to at least k.
 
-Reading the complex two ways gives two barcodes:
-  * plain      -- expand every generator to k copies (circulant blocks);
+Reading the complex two ways gives two barcodes, each in closed form:
+  * plain      -- every generator is k copies, and x^v pairs k - v of them;
                   over F_2 with k = 1 this is the classical picture, where
                   the degree-2nl group lives on [(l-1) pi R^2, l pi R^2);
-  * equivariant - collapse each ring element through the augmentation; every
-                  shell block contributes rank 1 on (0, c_l), which is what
-                  the non-squeezing argument consumes.
+  * equivariant - collapse each entry through the augmentation (x^v -> 0
+                  for v > 0); every shell block contributes rank 1 on
+                  (0, c_l), which is what the non-squeezing argument
+                  consumes.
 
 As the profile steepens the endpoints c_l climb to the areas l pi R^2 of the
 ideal ball, which the limit barcodes encode exactly.

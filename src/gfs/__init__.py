@@ -9,9 +9,10 @@ Layers (bottom to top):
                corrected composition P.
 * `crit`    -- critical-point solving and classification, orbit
                reconstruction, Maslov normalization, translated-chain scans.
-* `equivar` -- exact homological algebra over Z_k[T]/(T^k - 1): lens/ball
-               complexes, persistence barcodes (finite-stage and limit),
-               stabilization, inclusion ranks.
+* `equivar` -- exact homological algebra over Z_k[T]/(T^k - 1) =
+               F_k[x]/(x^k), entries stored as valuations: lens/ball
+               complexes, closed-form persistence barcodes (finite-stage
+               and limit), stabilization, inclusion ranks.
 * `squeeze` -- non-squeezing certificate search and barcode evidence.
 * `cli`     -- `gfs` command line driver (barcode / verify / nonsqueeze).
 """
@@ -31,7 +32,7 @@ from .genfun import (GenFn, GraphPoint, contact_lift_gf, contact_p,
 from .crit import (CriticalManifold, chain_scan, check_value, maslov,
                    newton_critical, reconstruct, seed_from_chain,
                    sharp_critical_seed, to_csv)
-from .equivar import (Bar, Barcode, Generator, GroupRing, GroupRingComplex,
+from .equivar import (Bar, Barcode, Generator, GroupRingComplex,
                       ball_complex, barcode, inclusion_map, is_prime,
                       lens_complex, limit_barcode, rank_mod_p, tensor_circle,
                       thom_shift)

@@ -5,23 +5,26 @@ chain complexes with group-ring coefficients: each sphere shell contributes a
 lens-type block of 2n generators whose differentials alternate between
 multiplication by T - 1 and by the norm element N = 1 + T + ... + T^{k-1},
 consecutive blocks are connected by N, and the origin contributes one
-isolated generator.  Everything here is exact integer arithmetic mod k
-(mod 2 for the plain sentinel k = 1); ranks come from Gaussian elimination
-over the prime field, never from floating point.
+isolated generator.
 
-Homology is read in two modes.  "plain" forgets the module structure and
-expands each ring entry into a k x k circulant over F_k; "equivariant"
-computes homology of the coinvariant quotient, sending each ring generator to
-a single field generator and each entry p(T) to p(1) mod k.  For the free
-strata handled here the coinvariant complex computes equivariant homology,
-which is why a ball's action window stops below its first non-free shell
-(l a multiple of k).
+For k prime, T^k - 1 = (T - 1)^k mod k, so the ring is F_k[x]/(x^k) with
+x = T - 1, and N = x^{k-1} since C(k-1, i) = (-1)^i mod k.  Each entry x^v
+is stored as its valuation v in [0, k).  The plain sentinel k = 1 is F_2
+with T = 1, where the only nonzero entry is x^0 = N = 1.
 
-Barcodes come from one persistence reduction, run from the top degree down
-with clearing, whose pairs give the maximal intervals of constant nonzero
-rank, in the threshold a, of the homology of the generators with value > a.
-Degrees are stored in the normalized convention: the raw Morse index minus
-the composition bookkeeping shift k*iota + n(k-1).
+Homology is read in two modes.  "plain" forgets the module structure: each
+generator is a block of k field generators, on which x^v has rank k - v;
+"equivariant" computes homology of the coinvariant quotient, one field
+generator per generator, with x^v sent to its augmentation [v == 0].  For
+the free strata handled here the coinvariant complex computes equivariant
+homology, which is why a ball's action window stops below its first
+non-free shell (l a multiple of k).
+
+Each generator has at most one entry in and one out, so the boundary matrix
+is already reduced and `barcode` reads its pairs off the entries in closed
+form; `matrix`, `rank_mod_p` and `homology_ranks` keep the dense expansion
+over F_p as an oracle.  Degrees are stored in the normalized convention:
+the raw Morse index minus the composition bookkeeping shift k*iota + n(k-1).
 """
 
 from __future__ import annotations
@@ -54,54 +57,13 @@ def is_prime(k):
     return True
 
 
-class GroupRing:
-    """Z_k[T]/(T^k - 1) with exact coefficient arithmetic mod k.
-
-    An element is the immutable tuple of its k integer coefficients, each in
-    [0, mod).  The sentinel k = 1 is the plain mode: length-1 coefficient
-    tuples over F_2, under which T and N both become 1 and T - 1 becomes 0,
-    so the same complex constructions specialize to ordinary F_2 chain
-    complexes.  The constants zero, one, T, T_minus_1 and N are built once.
-    """
-
-    def __init__(self, k):
-        if k != 1 and not is_prime(k):
-            raise NonPrimeK("group ring needs k prime (or the sentinel 1), "
-                            "got %r" % (k,))
-        self.k = k
-        self.mod = 2 if k == 1 else k
-        self.zero, self.one, self.T, self.T_minus_1, self.N = (
-            self.elem(c) for c in ([0], [1], [0, 1], [-1, 1], [1] * k))
-
-    def elem(self, coeffs):
-        """Ring element of a coefficient sequence: T^i -> T^(i mod k), then
-        every coefficient mod `mod`."""
-        c = [0] * self.k
-        for i, x in enumerate(coeffs):
-            c[i % self.k] += x
-        return tuple(int(x) % self.mod for x in c)
-
-    def add(self, a, b):
-        return tuple((x + y) % self.mod for x, y in zip(a, b))
-
-    def sub(self, a, b):
-        return tuple((x - y) % self.mod for x, y in zip(a, b))
-
-    def mul(self, a, b):
-        return self.elem(np.convolve(a, b).tolist())
-
-    def is_zero(self, a):
-        return not any(x % self.mod for x in a)
-
-    def circulant(self, a):
-        """k x k matrix of multiplication by the ring element a (as made by
-        `elem`) on the regular representation: C[i, j] = a[(i - j) mod k]."""
-        i = np.arange(self.k)
-        return np.asarray(a)[(i[:, None] - i) % self.k]
-
-    def aug(self, a):
-        """Augmentation p(T) -> p(1) mod k: the coinvariant image."""
-        return sum(a) % self.mod
+def _field(k):
+    """The prime p of the homology field F_p: k, or 2 for the sentinel 1;
+    NonPrimeK for any other k."""
+    if k != 1 and not is_prime(k):
+        raise NonPrimeK("group ring needs k prime (or the sentinel 1), "
+                        "got %r" % (k,))
+    return 2 if k == 1 else k
 
 
 def rank_mod_p(M, p):
@@ -142,37 +104,44 @@ class Generator:
 class GroupRingComplex:
     """Chain complex of free Z_k[T]/(T^k-1) modules, filtered by value.
 
-    Differentials are stored as ring elements indexed by (target, source)
-    generator positions; d(target.degree) = source.degree - 1 always.  All
-    checks (d o d = 0, filtration compatibility) are exact.
+    Differentials are stored as the valuation v of the entry x^v, x = T - 1,
+    indexed by (target, source) generator positions; d(target.degree) =
+    source.degree - 1 always, and a generator is the source of at most one
+    entry and the target of at most one.  Homology is over F_field.
     """
 
-    def __init__(self, ring, generators):
-        self.ring = ring
+    def __init__(self, k, generators):
+        self.k, self.field = k, _field(k)
         self.generators = list(generators)
-        self.diff = {}  # (target_index, source_index) -> ring elem
+        self.diff = {}  # (target_index, source_index) -> valuation v
+        self._sources, self._targets = set(), set()
         self.meta = {}
 
-    def add_diff(self, target, source, elem):
+    def add_diff(self, target, source, v):
+        """Store the entry x^v from source to target.  DomainError unless v
+        is an int in [0, k), the degree drops by one, the value does not
+        rise, and neither end has an entry on that side yet."""
+        if not (type(v) is int and 0 <= v < self.k):
+            raise DomainError("entry must be a valuation v in [0, %d), got %r"
+                              % (self.k, v))
         gt, gs = self.generators[target], self.generators[source]
         if gt.degree != gs.degree - 1:
             raise DomainError("differential must drop degree by one")
         if not self._filtered(target, source):
             raise DomainError("differential must not increase value")
-        elem = self.ring.elem(elem)
-        if not self.ring.is_zero(elem):
-            self.diff[(target, source)] = elem
+        if source in self._sources or target in self._targets:
+            raise DomainError("a generator takes one entry in and one out")
+        self._sources.add(source)
+        self._targets.add(target)
+        self.diff[target, source] = v
 
     def indices_of_degree(self, d, alive=None):
         return [i for i, g in enumerate(self.generators)
                 if g.degree == d and (alive is None or alive[i])]
 
     def degrees(self):
-        if not self.generators:
-            return []
-        lo = min(g.degree for g in self.generators)
-        hi = max(g.degree for g in self.generators)
-        return list(range(lo, hi + 1))
+        ds = [g.degree for g in self.generators]
+        return list(range(min(ds), max(ds) + 1)) if ds else []
 
     def _filtered(self, target, source):
         """An entry from source to target does not raise the value."""
@@ -180,66 +149,57 @@ class GroupRingComplex:
                 <= self.generators[source].value + 1e-12)
 
     def check_d2(self):
-        """d o d = 0 in exact ring arithmetic; returns the violations."""
-        ring = self.ring
-        by_source = {}
-        for (t, s), e in self.diff.items():
-            by_source.setdefault(s, []).append((t, e))
-        totals = {}
-        for (mid, s), e1 in self.diff.items():
-            for t, e2 in by_source.get(mid, []):
-                totals[t, s] = ring.add(totals.get((t, s), ring.zero),
-                                        ring.mul(e2, e1))
-        return [key for key, tot in totals.items() if not ring.is_zero(tot)]
+        """d o d = 0: x^a x^b = x^(a+b) vanishes iff a + b >= k, so each path
+        u -> s -> t needs v(u -> s) + v(s -> t) >= k.  Returns the (t, u) of
+        every path that fails."""
+        out = {s: (t, v) for (t, s), v in self.diff.items()}
+        return [(out[s][0], u) for (s, u), v in self.diff.items()
+                if s in out and v + out[s][1] < self.k]
 
     def check_filtration(self):
         """Differential entries must not increase the critical value."""
         return [key for key in self.diff if not self._filtered(*key)]
 
     def matrix(self, d, mode, alive=None):
-        """Expanded F_p matrix of d_d : C_d -> C_{d-1} restricted to alive
-        generators; block size k in plain mode, 1 in equivariant mode."""
-        ring = self.ring
+        """Dense F_p matrix of d_d : C_d -> C_{d-1} restricted to alive
+        generators.  Plain: the k x k block of x^v on the basis T^i, the
+        circulant of the row C(v, j)(-1)^(v-j); equivariant: the
+        augmentation, 1 if v = 0 and 0 otherwise."""
         rows = self.indices_of_degree(d - 1, alive)
         cols = self.indices_of_degree(d, alive)
-        block = ring.k if mode == "plain" else 1
+        block = self.k if mode == "plain" else 1
         M = np.zeros((block * len(rows), block * len(cols)), dtype=np.int64)
-        pos_r = {g: i for i, g in enumerate(rows)}
-        pos_c = {g: i for i, g in enumerate(cols)}
-        for (t, s), e in self.diff.items():
+        pos_r = {g: i * block for i, g in enumerate(rows)}
+        pos_c = {g: i * block for i, g in enumerate(cols)}
+        i = np.arange(block)
+        for (t, s), v in self.diff.items():
             if t in pos_r and s in pos_c:
-                i, j = pos_r[t], pos_c[s]
-                if mode == "plain":
-                    M[i * block:(i + 1) * block,
-                      j * block:(j + 1) * block] = ring.circulant(e)
-                else:
-                    M[i, j] = ring.aug(e)
+                row = [math.comb(v, j) * (-1) ** (v - j) % self.field
+                       for j in range(block)] if mode == "plain" else [v == 0]
+                M[pos_r[t]:pos_r[t] + block, pos_c[s]:pos_c[s] + block] = \
+                    np.asarray(row)[(i[:, None] - i) % block]
         return M
 
     def homology_ranks(self, mode, alive=None):
         """F_p-dimension of H_d of the (restricted) complex, per degree."""
         if mode not in ("plain", "equivariant"):
             raise DomainError("mode must be 'plain' or 'equivariant'")
-        p = self.ring.mod
-        block = self.ring.k if mode == "plain" else 1
+        block = self.k if mode == "plain" else 1
         out = {}
         for d in self.degrees():
             dim = block * len(self.indices_of_degree(d, alive))
-            if dim == 0:
-                out[d] = 0
-                continue
-            r_in = rank_mod_p(self.matrix(d, mode, alive), p)
-            r_out = rank_mod_p(self.matrix(d + 1, mode, alive), p)
+            r_in = rank_mod_p(self.matrix(d, mode, alive), self.field)
+            r_out = rank_mod_p(self.matrix(d + 1, mode, alive), self.field)
             out[d] = dim - r_in - r_out
         return out
 
 
-def _lens_steps(ring, n):
-    """The (i, e) entries of a 2n-generator lens block, generator i - 1 <-
-    generator i: e alternates T - 1 (i odd) and N (i even); zero entries are
-    dropped (T - 1 = 0 when k = 1)."""
-    return [(i, e) for i, e in enumerate([ring.T_minus_1, ring.N] * n, 1)
-            if i < 2 * n and not ring.is_zero(e)]
+def _lens_steps(k, n):
+    """The (i, v) entries of a 2n-generator lens block, generator i - 1 <-
+    generator i: v alternates 1 (T - 1, i odd) and k - 1 (N, i even); v >= k
+    is zero and dropped (T - 1 when k = 1)."""
+    return [(i, v) for i, v in enumerate([1, k - 1] * n, 1)
+            if i < 2 * n and v < k]
 
 
 def lens_complex(n, k):
@@ -252,11 +212,10 @@ def lens_complex(n, k):
     """
     if n < 1:
         raise DomainError("lens_complex needs n >= 1")
-    ring = GroupRing(k)
     gens = [Generator(d, 0.0, "e%d" % d) for d in range(2 * n)]
-    cx = GroupRingComplex(ring, gens)
-    for i, e in _lens_steps(ring, n):
-        cx.add_diff(i - 1, i, e)
+    cx = GroupRingComplex(k, gens)
+    for i, v in _lens_steps(k, n):
+        cx.add_diff(i - 1, i, v)
     return cx
 
 
@@ -280,7 +239,7 @@ def ball_complex(amb, rho, k):
     cancel), and every shell l > k lies above c_k >= hi.  `cx.meta` holds
     the window, the kept (l, c_l) and the kept origin value (or None).
     """
-    ring = GroupRing(k)
+    _field(k)           # refuse a bad k before bisecting any shell
     *shell_data, origin = shells(amb, rho, k, lmax=k if k > 1 else None)
     n = amb.n
     hi = (min(s.value for s in [*shell_data, origin] if not s.free_orbit)
@@ -297,15 +256,14 @@ def ball_complex(amb, rho, k):
     if keep_origin:
         gens.append(Generator(origin.index, origin.value, "origin"))
 
-    cx = GroupRingComplex(ring, gens)
-    steps = _lens_steps(ring, n)
+    cx = GroupRingComplex(k, gens)
+    steps = _lens_steps(k, n)
     for s in kept:
         base = block_of[s.l]
-        for i, e in steps:
-            cx.add_diff(base + i - 1, base + i, e)
+        for i, v in steps:
+            cx.add_diff(base + i - 1, base + i, v)
         if s.l - 1 in block_of:
-            top_prev = block_of[s.l - 1] + 2 * n - 1
-            cx.add_diff(top_prev, base, ring.N)
+            cx.add_diff(block_of[s.l - 1] + 2 * n - 1, base, k - 1)
 
     cx.meta = {
         "window": (0.0, hi),
@@ -434,83 +392,49 @@ class Barcode:
         return "\n".join(lines) + "\n"
 
 
-def _column(entries, j, block):
-    """Column j < block of one generator's block of d, as a sparse
-    {row: coefficient} dict: each (row base, nonzero (m, x)) entry puts x at
-    row base + (m + j) mod block, the circulant C[i, j] = e[i - j]."""
-    return {r + (m + j) % block: x for r, nz in entries for m, x in nz}
-
-
 def barcode(cx, mode):
-    """Barcode of the filtered complex from one persistence reduction.
+    """Barcode of the filtered complex, read off its entries in closed form.
 
-    Generators expand into k columns (plain: each ring entry's k x k
-    circulant) or one column (equivariant: its augmentation), ordered by
-    degree from the top down and by value within a degree.  One pass reduces
-    the columns in that order over F_p, against the column that owns each
-    low row; column operations never mix degrees, so each degree is reduced
-    left to right and its (low row s, column t) pivots are the pairs of the
-    global reduction.  Clearing (Chen-Kerber): a pivot of d_{d+1} at row s
-    marks column s of d_d as cleared, and a cleared column is never built.
-    Since d o d = 0, that pivot's reduced column is a cycle with low s, so
-    column s of d_d is a combination of the columns before it: the full
-    reduction would zero it without a pivot, every other column meets the
-    same owners, and the pairs and bars are the same.
+    With block size b = k (plain) or 1 (equivariant), an entry x^v from s to
+    t pairs max(b - v, 0) basis vectors x^i of s with as many of t, as x^v
+    sends x^i to x^(i+v).  Each generator has at most one entry in and one
+    out, so the boundary matrix is already reduced and these are the
+    persistence pairs; the rest of each block, b - r_in - r_out, is unpaired.
 
     C_{<=a} is a subcomplex, so H_d(C / C_{<=a}) has rank #{unpaired
-    degree-d t: v_t > a} + #{pairs (s, t), deg t = d: v_s <= a < v_t}, read
-    at 0 and at each positive value.  Each column's interval [born, v_t) is
-    two rank steps on those sorted points; one sweep over the stepped points
-    gives the runs of constant rank, which are the bars."""
+    degree-d vectors of value > a} + #{pairs (s, t), deg s = d: c_t <= a <
+    c_s}, read at 0 and at each positive value.  Each pair's [c_t, c_s) and
+    each unpaired vector's [0, c) is two rank steps on those sorted points;
+    one sweep over the stepped points gives the runs of constant rank, which
+    are the bars.  DomainError unless d o d = 0."""
     if mode not in ("plain", "equivariant"):
         raise DomainError("mode must be 'plain' or 'equivariant'")
-    ring, gens, p = cx.ring, cx.generators, cx.ring.mod
-    block = ring.k if mode == "plain" else 1
+    bad = cx.check_d2()
+    if bad:
+        raise DomainError("d o d != 0 on the paths (t, u) %r" % (bad,))
+    gens = cx.generators
+    b = cx.k if mode == "plain" else 1
     points = [0.0] + sorted({g.value for g in gens if g.value > 0.0})
-    idx = sorted(range(len(gens)), key=lambda i: (-gens[i].degree,
-                                                   gens[i].value))
-    pos = {i: q for q, i in enumerate(idx)}
-    at = [bisect_left(points, gens[i].value) for i in idx]
-    entries = [[] for _ in idx]     # source -> (row base, nonzero (m, x))
-    for (t, s), e in cx.diff.items():
-        coeffs = e if mode == "plain" else [ring.aug(e)]
-        entries[pos[s]].append(
-            (pos[t] * block, [(m, x) for m, x in enumerate(coeffs) if x]))
-    # column j adds one on [points[born[j]], its value); None once cleared
-    born = [0] * (len(idx) * block)
-    owner = {}              # low row -> (reduced column, 1 / its low entry)
-    for j in range(len(born)):
-        if born[j] is None:
-            continue
-        col = _column(entries[j // block], j % block, block)
-        while col:
-            low = max(col)
-            if low not in owner:
-                owner[low] = col, pow(col[low], -1, p)
-                born[j], born[low] = at[low // block], None
-                break
-            piv, inv = owner[low]
-            f = col[low] * inv % p
-            for r, x in piv.items():
-                y = (col.get(r, 0) - f * x) % p
-                if y:
-                    col[r] = y
-                else:
-                    del col[r]
+    at = [bisect_left(points, g.value) for g in gens]
+    free = [b] * len(gens)
+    runs = []       # (degree, first point index, end point index, rank)
+    for (t, s), v in cx.diff.items():
+        r = max(b - v, 0)
+        free[t], free[s] = free[t] - r, free[s] - r
+        runs.append((gens[s].degree, at[t], at[s], r))
+    runs += [(g.degree, 0, q, r) for g, q, r in zip(gens, at, free)]
     steps = {}      # (degree, point index) -> net change of the rank there
-    for q, i in enumerate(idx):
-        for lo in born[q * block:(q + 1) * block]:
-            if lo is not None and lo < at[q]:
-                d = gens[i].degree
-                steps[d, lo] = steps.get((d, lo), 0) + 1
-                steps[d, at[q]] = steps.get((d, at[q]), 0) - 1
+    for d, lo, hi, r in runs:
+        if r and lo < hi:
+            steps[d, lo] = steps.get((d, lo), 0) + r
+            steps[d, hi] = steps.get((d, hi), 0) - r
     bars, rank = [], 0      # each degree's steps sum to 0: no bar spans two
     for d, q in sorted(steps):
         if steps[d, q]:
             if rank > 0:
                 bars.append(Bar(d, start, points[q], rank))
             rank, start = rank + steps[d, q], points[q]
-    return Barcode(bars, p)
+    return Barcode(bars, cx.field)
 
 
 def limit_barcode(amb, k, mode, lmax=4):

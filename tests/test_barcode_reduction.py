@@ -1,4 +1,4 @@
-"""The persistence reduction behind `barcode` against the threshold sweep.
+"""The closed-form `barcode` against the threshold sweep.
 
 The oracle is the definition: at a = 0 and at every positive generator value,
 `homology_ranks` of the generators with value > a, run-length encoded per
@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gfs import (Ambient, Bar, Barcode, DomainError, Generator, GroupRing,
+from gfs import (Ambient, Bar, Barcode, DomainError, Generator,
                  GroupRingComplex, ball_complex, barcode, equivar,
                  ref_profile)
 
@@ -39,8 +39,7 @@ def _sweep(cx, mode):
                 run_rank, run_start = r.get(d, 0), a
         if run_rank > 0:
             bars.append(Bar(d, run_start, math.inf, run_rank))
-    field = 2 if (mode == "plain" and cx.ring.k == 1) else cx.ring.mod
-    return Barcode(bars, field)
+    return Barcode(bars, cx.field)
 
 
 def _bytes(bc):
@@ -49,38 +48,29 @@ def _bytes(bc):
 
 @st.composite
 def filtered_complexes(draw):
-    """A direct sum of elementary pairs s --e--> t (v_s <= v_t) and single
-    generators, under random value-respecting unitriangular changes of
-    basis g_i -> g_i + c g_j (same degree, v_j <= v_i), so d o d = 0 and the
-    filtration hold by construction while the matrices fill in."""
+    """Chains g_0 <- g_1 <- ... in consecutive degrees, values not falling as
+    the degree rises, each link an entry x^v with v_in + v_out >= k at every
+    inner generator, so d o d = 0; v_in + v_out > k leaves a free rank that
+    no ball has.  A chain may be a lone generator, and the generators are
+    listed in a random order."""
     k = draw(st.sampled_from([1, 3, 5, 7]))
-    ring = GroupRing(k)
-    elems = st.lists(st.integers(0, ring.mod - 1), min_size=k, max_size=k)
-    gens, D = [], {}
-    for _ in range(draw(st.integers(1, 7))):
-        q, v = draw(st.integers(0, 3)), draw(st.integers(0, 5))
-        if draw(st.booleans()):
-            gens.append(Generator(q, float(v)))
-            continue
-        gens += [Generator(q, float(v)),
-                 Generator(q + 1, float(draw(st.integers(v, 5))))]
-        D[(len(gens) - 2, len(gens) - 1)] = ring.elem(draw(elems))
-    for _ in range(draw(st.integers(0, 15))):
-        i = draw(st.integers(0, len(gens) - 1))
-        j = draw(st.integers(0, len(gens) - 1))
-        if i == j or gens[i].degree != gens[j].degree \
-                or gens[j].value > gens[i].value:
-            continue
-        c = ring.elem(draw(elems))
-        for (t, s), e in list(D.items()):      # d(g_i) += c d(g_j)
-            if s == j:
-                D[(t, i)] = ring.add(D.get((t, i), ring.zero), ring.mul(c, e))
-        for (t, s), e in list(D.items()):      # x_j -= c x_i
-            if t == i:
-                D[(j, s)] = ring.sub(D.get((j, s), ring.zero), ring.mul(c, e))
-    cx = GroupRingComplex(ring, gens)
-    for (t, s), e in D.items():
-        cx.add_diff(t, s, e)
+    gens, links = [], []
+    for _ in range(draw(st.integers(1, 5))):
+        q, c = draw(st.integers(0, 3)), draw(st.integers(0, 5))
+        gens.append(Generator(q, float(c)))
+        v_in = k                    # the chain's first generator has no entry in
+        for _ in range(draw(st.integers(0, 3))):
+            if v_in == 0:           # v_out would need v_out >= k
+                break
+            v_in = draw(st.integers(k - v_in, k - 1))
+            q, c = q + 1, draw(st.integers(c, 5))
+            gens.append(Generator(q, float(c)))
+            links.append((len(gens) - 2, len(gens) - 1, v_in))
+    order = draw(st.permutations(range(len(gens))))
+    pos = {old: new for new, old in enumerate(order)}
+    cx = GroupRingComplex(k, [gens[i] for i in order])
+    for t, s, v in links:
+        cx.add_diff(pos[t], pos[s], v)
     return cx
 
 
@@ -103,8 +93,13 @@ def test_ball_barcode_bytes_match_sweep(n, k):
 
 
 def test_steep_k1_barcode_matches_sweep_without_ranking(monkeypatch):
+    """`barcode` ranks nothing: not on the steep k = 1 ball, checked against
+    `homology_ranks` at a few thresholds, and not on the plain k = 211 ball,
+    whose dense expansion has a 211 x 211 block per entry, checked against
+    its pinned bytes."""
     cx = ball_complex(Ambient(n=1, R=1.0), ref_profile(-200 * math.pi, 0.1), 1)
     assert len(cx.generators) == 399
+    wide = ball_complex(Ambient(n=1), ref_profile(-0.9 * math.pi, 0.1), 211)
 
     def refuse(*args, **kwargs):
         raise AssertionError("barcode must not rank threshold complexes")
@@ -114,6 +109,9 @@ def test_steep_k1_barcode_matches_sweep_without_ranking(monkeypatch):
         m.setattr(GroupRingComplex, "matrix", refuse)
         m.setattr(equivar, "rank_mod_p", refuse)
         bc = barcode(cx, "plain")
+        wide_bytes = _bytes(barcode(wide, "plain")).encode()
+    assert hashlib.sha256(wide_bytes).hexdigest() == \
+        LARGE_K_SHA256[211, "plain"]
     values = sorted({g.value for g in cx.generators})
     for q in (0.2, 0.45, 0.7, 0.9):
         i = int(q * len(values))
@@ -123,19 +121,28 @@ def test_steep_k1_barcode_matches_sweep_without_ranking(monkeypatch):
 
 
 def test_barcode_rejects_unknown_mode():
-    ring = GroupRing(3)
-    cx = GroupRingComplex(ring, [Generator(0, 1.0), Generator(1, 2.0)])
-    cx.add_diff(0, 1, ring.T_minus_1)
-    for c in (cx, GroupRingComplex(ring, [])):
+    cx = GroupRingComplex(3, [Generator(0, 1.0), Generator(1, 2.0)])
+    cx.add_diff(0, 1, 1)
+    for c in (cx, GroupRingComplex(3, [])):
         with pytest.raises(DomainError):
             barcode(c, "bogus")
-    assert len(barcode(GroupRingComplex(ring, []), "plain")) == 0
+    assert len(barcode(GroupRingComplex(3, []), "plain")) == 0
+
+
+def test_barcode_refuses_a_non_complex():
+    # x^0 x^0 = 1 on the path 2 -> 1 -> 0, so d o d != 0 for k = 3
+    cx = GroupRingComplex(3, [Generator(d, d + 1.0) for d in range(3)])
+    cx.add_diff(0, 1, 0)
+    cx.add_diff(1, 2, 0)
+    assert cx.check_d2() == [(0, 2)]
+    for mode in MODES:
+        with pytest.raises(DomainError):
+            barcode(cx, mode)
 
 
 # sha256 of to_json() + to_tsv() for the plain and equivariant balls of
-# ref_profile(-0.9 pi, 0.1) at large k, where each ring entry expands into a
-# k x k circulant.  A reduction that builds every column costs about k^3
-# here, against about k^2 with clearing, so these also guard the cost.
+# ref_profile(-0.9 pi, 0.1) at large k, where each plain entry stands for a
+# k x k block.
 LARGE_K_SHA256 = {
     (53, "plain"):
         "49f25774bfb8a78844391d9806a9bfba986fa8babc3f9b7d95e162b4c4c14056",
@@ -173,45 +180,22 @@ def test_ball_grid_barcode_bytes_are_pinned():
     assert digest.hexdigest() == GRID_SHA256
 
 
-def test_reduction_builds_no_cleared_column(monkeypatch):
-    """Each shell of the plain k = 53 ball is a lens pair (T - 1, rank k - 1)
-    under a connecting N (rank 1) from the shell above.  Top down, the lens
-    pivots clear k - 1 columns of the shell's bottom generator and the N
-    pivot clears one of its top generator's, except on the top shell: L k + 1
-    of the 2 L k columns are built."""
-    cx = ball_complex(Ambient(n=1), ref_profile(-0.9 * math.pi, 0.1), 53)
-    shells = len(cx.generators) // 2
-    assert len(cx.generators) == 2 * shells == 94
-    built = []
-    column = equivar._column
-
-    def counted(entries, j, block):
-        built.append(j)
-        return column(entries, j, block)
-
-    monkeypatch.setattr(equivar, "_column", counted)
-    barcode(cx, "plain")
-    assert len(built) == shells * 53 + 1
-
-
-# The dense reduction and point read-out that `barcode` replaced, pinned as a
-# second oracle: numpy matrices per degree, every column compared with every
-# point.  Quadratic, but independent of the sparse columns and event sweep.
+# A dense column reduction and point read-out as a second oracle: the numpy
+# `matrix` of each degree, every column compared with every point.
+# Quadratic, but independent of the closed form and its event sweep.
 
 def _dense_barcode(cx, mode):
-    ring, gens, degrees, p = cx.ring, cx.generators, cx.degrees(), cx.ring.mod
-    block = ring.k if mode == "plain" else 1
-    order = {e: [] for d in degrees for e in (d - 1, d)}
-    for i in sorted(range(len(gens)), key=lambda i: gens[i].value):
-        order[gens[i].degree].append(i)
-    pos = {i: q * block for idx in order.values() for q, i in enumerate(idx)}
-    value = {d: np.repeat([gens[i].value for i in idx], block)
-             for d, idx in order.items()}
-    mats = {d: np.zeros((len(value[d - 1]), len(value[d])), dtype=np.int64)
+    gens, degrees, p = cx.generators, cx.degrees(), cx.field
+    block = cx.k if mode == "plain" else 1
+    order, value = {}, {}       # rows of `matrix` by value; their values
+    for d in {e for d in degrees for e in (d - 1, d)}:
+        idx = cx.indices_of_degree(d)
+        q = np.array(sorted(range(len(idx)), key=lambda q: gens[idx[q]].value),
+                     dtype=int)
+        order[d] = (q[:, None] * block + np.arange(block)).ravel()
+        value[d] = np.repeat([gens[idx[j]].value for j in q], block)
+    mats = {d: cx.matrix(d, mode)[np.ix_(order[d - 1], order[d])]
             for d in degrees}
-    for (t, s), e in cx.diff.items():
-        mats[gens[s].degree][pos[t]:pos[t] + block, pos[s]:pos[s] + block] = (
-            ring.circulant(e) if mode == "plain" else int(np.sum(e)) % p)
     born = {d: np.full(len(v), -np.inf) for d, v in value.items()}
     for d, M in mats.items():
         column_of = {}
@@ -269,7 +253,7 @@ def test_barcode_bytes_match_the_dense_reduction():
         for mode in MODES:
             bc, want = barcode(cx, mode), _dense_barcode(cx, mode)
             assert bc.to_json() + bc.to_tsv() == \
-                want.to_json() + _formula_tsv(want), (cx.ring.k, mode)
+                want.to_json() + _formula_tsv(want), (cx.k, mode)
 
 
 # Bars over a few degrees with shared endpoints, ranks above 1, infinite

@@ -1,5 +1,6 @@
 """Exact group-ring algebra, filtered complexes, barcodes."""
 
+import itertools
 import json
 import math
 import tracemalloc
@@ -7,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from gfs import (Ambient, Bar, Barcode, DomainError, Generator, GroupRing,
+from gfs import (Ambient, Bar, Barcode, DomainError, Generator,
                  GroupRingComplex, NonPrimeK,
                  ThresholdOnSpectrum, ball_complex, barcode, inclusion_map, is_prime, lens_complex, limit_barcode,
                  rank_mod_p, ref_profile, shells, tensor_circle, thom_shift)
@@ -19,109 +20,80 @@ def test_is_prime():
     assert not is_prime(1) and not is_prime(0)
 
 
+def _block(k, v, mode="plain"):
+    """The `matrix` block of one entry x^v."""
+    cx = GroupRingComplex(k, [Generator(0), Generator(1)])
+    cx.add_diff(0, 1, v)
+    return cx.matrix(1, mode)
+
+
 def test_group_ring_axioms():
-    ring = GroupRing(5)
-    T = ring.T
-    acc = ring.one
-    for _ in range(5):
-        acc = ring.mul(acc, T)
-    assert np.array_equal(acc, ring.one)          # T^5 = 1 exactly
-    assert ring.is_zero(ring.mul(ring.N, ring.T_minus_1))
-    assert ring.is_zero(ring.mul(ring.T_minus_1, ring.N))
-    assert ring.aug(ring.N) == 0                  # k = 0 mod k
-    assert ring.aug(ring.T_minus_1) == 0
-    assert ring.aug(ring.one) == 1
+    # Z_5[T]/(T^5 - 1) through the dense blocks: T - 1 = x^1, N = x^4
+    T = np.eye(5, dtype=np.int64) + _block(5, 1)
+    assert np.array_equal(np.linalg.matrix_power(T, 5) % 5, np.eye(5))
+    assert not (_block(5, 4) @ _block(5, 1) % 5).any()    # N (T - 1) = 0
+    assert not (_block(5, 1) @ _block(5, 4) % 5).any()
+    assert _block(5, 4, "equivariant").tolist() == [[0]]  # N(1) = k = 0
+    assert _block(5, 1, "equivariant").tolist() == [[0]]
+    assert _block(5, 0, "equivariant").tolist() == [[1]]
     with pytest.raises(NonPrimeK):
-        GroupRing(9)
+        GroupRingComplex(9, [])
 
 
 def test_group_ring_builds_no_k_by_k_table():
-    # Only the dense `circulant` oracle needs a k x k index; a large ring
-    # holds its k-coefficient constants and nothing quadratic in k.
+    # Only the dense `matrix` oracle expands an entry into a k x k block; a
+    # large-k complex stores one int per entry, far less than one k-tuple.
+    k = 10007
     tracemalloc.start()
     try:
-        GroupRing(10007)
+        cx = lens_complex(2, k)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 5e6
+    assert cx.diff == {(0, 1): 1, (1, 2): k - 1, (2, 3): 1}
+    assert peak < 8 * k / 2
 
 
-def _elem_oracle(k, mod, coeffs):
-    """The coefficient-by-coefficient reduction, written out as a loop."""
-    c = [0] * k
-    for i, a in enumerate(coeffs):
-        c[i % k] = (c[i % k] + int(a)) % mod
-    return c
+GRID_AXES = ((1, 2), (1.0, 1.3), (-0.9, -1.25, -3.3, -10, -40.5), (0.1, 0.2))
 
 
-def _mul_oracle(k, mod, a, b):
-    """The cyclic convolution, written out as a double loop."""
-    c = [0] * k
-    for i in range(k):
-        for j in range(k):
-            c[(i + j) % k] = (c[(i + j) % k] + a[i] * b[j]) % mod
-    return c
-
-
-@pytest.mark.parametrize("k", [1, 3, 5, 23])
+@pytest.mark.parametrize("k", [1, 3, 5, 7, 23, 53])
 def test_group_ring_vectorised_ops(k):
-    ring = GroupRing(k)
-    mod = ring.mod
-    rng = np.random.default_rng(k)
-    for _ in range(20):
-        raw = rng.integers(-50, 50, rng.integers(1, 3 * k + 2))
-        assert list(ring.elem(raw)) == _elem_oracle(k, mod, raw)
-        a = ring.elem(rng.integers(0, mod, k))
-        b = ring.elem(rng.integers(0, mod, k))
-        assert np.array_equal(ring.circulant(a) @ b % mod, ring.mul(a, b))
-        C = ring.circulant(a)
-        assert all(C[i, j] == a[(i - j) % k]
-                   for i in range(k) for j in range(k))
-        for got, want in (
-                (ring.add(a, b), [(a[i] + b[i]) % mod for i in range(k)]),
-                (ring.sub(a, b), [(a[i] - b[i]) % mod for i in range(k)]),
-                (ring.mul(a, b), _mul_oracle(k, mod, a, b))):
-            assert type(got) is tuple and list(got) == want
-            assert all(type(x) is int for x in got)
-        assert ring.aug(a) == sum(a[i] for i in range(k)) % mod
-        assert ring.is_zero(list(a)) == all(x == 0 for x in a)
-        assert ring.is_zero([(x - y) * mod for x, y in zip(a, b)])
-    # add_diff stores the normalised tuple of a raw list with negative
-    # entries, entries >= mod and more than k entries; of a zero one, nothing
-    for raw, stored in (([-1] * (k + 1) + [mod + 1], True),
-                        ([mod, -mod] * (k + 1), False)):
-        cx = GroupRingComplex(ring, [Generator(0, 0.0), Generator(1, 0.0)])
-        cx.add_diff(0, 1, raw)
-        want = tuple(_elem_oracle(k, mod, raw))
-        assert cx.diff == ({(0, 1): want} if stored else {})
-        assert all(type(x) is int for e in cx.diff.values() for x in e)
+    """The plain `matrix` block of x^v, built from the binomial row, is the
+    power (S - I)^v over F_p of the shift S, multiplication by T on the
+    basis T^i; x^(k-1) is the all-ones N.  On the lens complexes and on the
+    balls of a grid, the dense d o d vanishes in both modes."""
+    p = 2 if k == 1 else k
+    eye = np.eye(k, dtype=np.int64)
+    x, power = np.roll(eye, 1, axis=0) - eye, eye
+    for v in range(k):
+        assert np.array_equal(_block(k, v), power % p), v
+        power = power @ x % p
+    assert not power.any()                                # x^k = 0
+    assert np.array_equal(_block(k, k - 1), np.ones((k, k)))
+    balls = [ball_complex(Ambient(n=n, R=R), ref_profile(c * math.pi, delta), k)
+             for n, R, c, delta in itertools.product(*GRID_AXES)]
+    for cx in [lens_complex(1, k), lens_complex(2, k)] + balls:
+        for mode in ("plain", "equivariant"):
+            for d in cx.degrees():
+                dd = cx.matrix(d, mode) @ cx.matrix(d + 1, mode)
+                assert not (dd % cx.field).any(), (d, mode)
 
 
 def test_sentinel_ring_collapses_the_action():
-    ring = GroupRing(1)
-    assert ring.mod == 2
-    assert np.array_equal(ring.T, ring.one)
-    assert ring.is_zero(ring.T_minus_1)
-    assert np.array_equal(ring.N, ring.one)
-
-
-@pytest.mark.parametrize("k", [1, 3, 5, 23])
-def test_group_ring_constants_are_built_once_and_read_only(k):
-    ring = GroupRing(k)
-    assert np.array_equal(ring.T_minus_1, ring.elem([-1, 1]))
-    assert np.array_equal(ring.N, ring.elem([1] * k))
-    assert np.array_equal(ring.T, ring.elem([0, 1]))
-    assert ring.N is ring.N
-    for const in (ring.zero, ring.one, ring.T, ring.T_minus_1, ring.N):
-        with pytest.raises(TypeError):
-            const[0] = 1
+    # k = 1 is F_2 with T = 1: T - 1 = x^1 is zero and no valid entry, and
+    # N = x^0 is the identity, the one entry a lens block keeps
+    cx = lens_complex(2, 1)
+    assert cx.field == 2 and cx.diff == {(1, 2): 0}
+    for mode in ("plain", "equivariant"):
+        assert _block(1, 0, mode).tolist() == [[1]]
+    with pytest.raises(DomainError):
+        _block(1, 1)
 
 
 def test_rank_mod_p_exact():
-    ring = GroupRing(5)
-    assert rank_mod_p(ring.circulant(ring.T_minus_1), 5) == 4
-    assert rank_mod_p(ring.circulant(ring.N), 5) == 1
+    assert rank_mod_p(_block(5, 1), 5) == 4
+    assert rank_mod_p(_block(5, 4), 5) == 1
     # a matrix that is full rank over Q but drops rank mod 3
     M = np.array([[1, 2], [2, 1]])    # det = -3
     assert rank_mod_p(M, 3) == 1
@@ -147,14 +119,30 @@ def test_lens_complex_ranks():
 
 
 def test_filtration_guard():
-    ring = GroupRing(3)
-    cx = GroupRingComplex(ring, [Generator(0, 2.0, "low"),
-                                 Generator(1, 1.0, "high")])
+    cx = GroupRingComplex(3, [Generator(0, 2.0, "low"),
+                              Generator(1, 1.0, "high")])
     with pytest.raises(DomainError):
-        cx.add_diff(0, 1, ring.T_minus_1)   # would increase the value
-    cx2 = GroupRingComplex(ring, [Generator(0, 1.0), Generator(2, 2.0)])
+        cx.add_diff(0, 1, 1)                # would increase the value
+    cx2 = GroupRingComplex(3, [Generator(0, 1.0), Generator(2, 2.0)])
     with pytest.raises(DomainError):
-        cx2.add_diff(0, 1, ring.one)        # degree must drop by exactly 1
+        cx2.add_diff(0, 1, 0)               # degree must drop by exactly 1
+
+
+def test_add_diff_refusals():
+    gens = [Generator(0, 1.0), Generator(0, 1.0), Generator(1, 2.0),
+            Generator(1, 2.0)]
+    for v in (-1, 3, 1.0, True, np.int64(1), None):     # not an int in [0, 3)
+        with pytest.raises(DomainError):
+            GroupRingComplex(3, gens).add_diff(0, 2, v)
+    cx = GroupRingComplex(3, gens)
+    cx.add_diff(0, 2, 1)
+    with pytest.raises(DomainError):
+        cx.add_diff(1, 2, 2)                # a second entry out of 2
+    with pytest.raises(DomainError):
+        cx.add_diff(0, 3, 2)                # a second entry into 0
+    assert cx.diff == {(0, 2): 1}
+    cx.add_diff(1, 3, 2)
+    assert cx.diff == {(0, 2): 1, (1, 3): 2}
 
 
 def test_ball_complex_structure(amb1, rho_ref):
@@ -291,7 +279,6 @@ def test_bar_rank_at_is_half_open():
 
 def _ball_complex_from_all_shells(amb, rho, k):
     """The default-window ball complex, built from the full shell list."""
-    ring = GroupRing(k)
     *shell_data, origin = shells(amb, rho, k)
     hi = min([s.value for s in shell_data if s.l % k == 0] + [origin.value])
     kept = [s for s in shell_data if 0.0 < s.value < hi]
@@ -302,13 +289,12 @@ def _ball_complex_from_all_shells(amb, rho, k):
     if keep_origin:
         gens.append(Generator(n2 * (len(shell_data) + 1), origin.value,
                               "origin"))
-    cx = GroupRingComplex(ring, gens)
+    cx = GroupRingComplex(k, gens)
     for b, s in enumerate(kept):
         for i in range(1, n2):
-            cx.add_diff(b * n2 + i - 1, b * n2 + i,
-                        ring.T_minus_1 if i % 2 == 1 else ring.N)
+            cx.add_diff(b * n2 + i - 1, b * n2 + i, 1 if i % 2 == 1 else k - 1)
         if b and kept[b - 1].l == s.l - 1:
-            cx.add_diff(b * n2 - 1, b * n2, ring.N)
+            cx.add_diff(b * n2 - 1, b * n2, k - 1)
     cx.meta = {
         "window": (0.0, hi), "shells": [(s.l, s.value) for s in kept],
         "origin_value": origin.value if keep_origin else None,
@@ -328,9 +314,7 @@ def test_default_window_matches_the_full_shell_list(n, k):
             got = ball_complex(amb, rho, k)
             want = _ball_complex_from_all_shells(amb, rho, k)
             assert got.generators == want.generators
-            assert got.diff.keys() == want.diff.keys()
-            assert all(np.array_equal(e, want.diff[key])
-                       for key, e in got.diff.items())
+            assert got.diff == want.diff
             assert got.meta == want.meta
             for mode in ("plain", "equivariant"):
                 a, b = barcode(got, mode), barcode(want, mode)
@@ -340,24 +324,26 @@ def test_default_window_matches_the_full_shell_list(n, k):
 
 def _diff_from_every_entry(cx):
     """The differential of `cx` rebuilt with `add_diff` on every lens and
-    connecting entry of its blocks, zero ring elements included."""
-    ring, again = cx.ring, GroupRingComplex(cx.ring, cx.generators)
+    connecting entry of its blocks, read off the labels: T - 1 = x^1 and
+    N = x^(k-1), with x^v = 0 for v >= k (T - 1 when k = 1) left out."""
+    k, again = cx.k, GroupRingComplex(cx.k, cx.generators)
     top = {}
     for j, g in enumerate(cx.generators):
         if g.label == "origin":
             continue
         l, i = map(int, g.label[1:].split("-"))
         top[l] = j
-        if i:
-            again.add_diff(j - 1, j, ring.T_minus_1 if i % 2 else ring.N)
-        elif l - 1 in top:
-            again.add_diff(top[l - 1], j, ring.N)
+        v = 1 if i % 2 else k - 1
+        if i and v < k:
+            again.add_diff(j - 1, j, v)
+        elif not i and l - 1 in top:
+            again.add_diff(top[l - 1], j, k - 1)
     return again.diff
 
 
 def test_ball_complex_differential_on_the_benchmark_balls():
-    # `ball_complex` passes no zero entry (T - 1 when k = 1) to `add_diff`;
-    # the differential stays the one every entry gives on the barcode_family
+    # `ball_complex` passes no zero entry (T - 1 when k = 1) to `add_diff`,
+    # which refuses one; the differential stays the one every entry gives on the barcode_family
     # ball ranges
     rng = np.random.default_rng(21)
     balls = [(n, 1, c) for n, top in ((1, 60), (2, 52)) for c in
