@@ -5,13 +5,14 @@ The expensive objects (time-1 composition, k-fold sharps, the contact
 composition) are session-scoped so the whole suite builds each exactly once.
 """
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from gfs import (Ambient, contact_lift_gf, contact_p, gf_time_one,
-                 ref_profile, sharp_k, shells)
+from gfs import (Ambient, ball_complex, contact_lift_gf, contact_p,
+                 gf_time_one, ref_profile, sharp_k, shells)
 
 
 @pytest.fixture(scope="session")
@@ -43,6 +44,17 @@ def P3(F):
 @pytest.fixture(scope="session")
 def shells3(amb1, rho_ref):
     return shells(amb1, rho_ref, 3)
+
+
+@pytest.fixture(scope="session")
+def ball_grid():
+    """240 ball complexes, keyed (n, R, c/pi, delta, k) in the product order
+    of their axes."""
+    axes = ((1, 2), (1.0, 1.3), (-0.9, -1.25, -3.3, -10, -40.5), (0.1, 0.2),
+            (1, 3, 5, 7, 23, 53))
+    return {(n, R, c, delta, k): ball_complex(
+                Ambient(n=n, R=R), ref_profile(c * math.pi, delta), k)
+            for n, R, c, delta, k in itertools.product(*axes)}
 
 
 def fd_grad(fn, w, h=1e-6):

@@ -7,7 +7,6 @@ give the same bytes without calling it.
 """
 
 import hashlib
-import itertools
 import json
 import math
 
@@ -162,19 +161,15 @@ def test_large_k_ball_barcode_bytes_are_pinned(k, mode):
     assert hashlib.sha256(data).hexdigest() == LARGE_K_SHA256[k, mode]
 
 
-# sha256 of to_json() + to_tsv() over a grid of 240 balls, both modes, taken
-# in the product order of the axes below (mode last).
-GRID_AXES = ((1, 2), (1.0, 1.3), (-0.9, -1.25, -3.3, -10, -40.5), (0.1, 0.2),
-             (1, 3, 5, 7, 23, 53))
+# sha256 of to_json() + to_tsv() over the conftest ball grid, both modes,
+# taken in the grid's order (mode last).
 GRID_SHA256 = \
     "b12266ea3ef5d64da88787ea1e506c4ea552193ca8886decaf0123a10d5a1cbd"
 
 
-def test_ball_grid_barcode_bytes_are_pinned():
+def test_ball_grid_barcode_bytes_are_pinned(ball_grid):
     digest = hashlib.sha256()
-    for n, R, c_over_pi, delta, k in itertools.product(*GRID_AXES):
-        cx = ball_complex(Ambient(n=n, R=R),
-                          ref_profile(c_over_pi * math.pi, delta), k)
+    for cx in ball_grid.values():
         for mode in MODES:
             digest.update(_bytes(barcode(cx, mode)).encode())
     assert digest.hexdigest() == GRID_SHA256

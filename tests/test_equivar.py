@@ -1,6 +1,5 @@
 """Exact group-ring algebra, filtered complexes, barcodes."""
 
-import itertools
 import json
 import math
 import tracemalloc
@@ -54,15 +53,13 @@ def test_group_ring_builds_no_k_by_k_table():
     assert peak < 8 * k / 2
 
 
-GRID_AXES = ((1, 2), (1.0, 1.3), (-0.9, -1.25, -3.3, -10, -40.5), (0.1, 0.2))
-
-
 @pytest.mark.parametrize("k", [1, 3, 5, 7, 23, 53])
-def test_group_ring_vectorised_ops(k):
+def test_group_ring_vectorised_ops(k, ball_grid):
     """The plain `matrix` block of x^v, built from the binomial row, is the
     power (S - I)^v over F_p of the shift S, multiplication by T on the
     basis T^i; x^(k-1) is the all-ones N.  On the lens complexes and on the
-    balls of a grid, the dense d o d vanishes in both modes."""
+    balls of the grid with this k, the dense d o d vanishes in both
+    modes."""
     p = 2 if k == 1 else k
     eye = np.eye(k, dtype=np.int64)
     x, power = np.roll(eye, 1, axis=0) - eye, eye
@@ -71,8 +68,7 @@ def test_group_ring_vectorised_ops(k):
         power = power @ x % p
     assert not power.any()                                # x^k = 0
     assert np.array_equal(_block(k, k - 1), np.ones((k, k)))
-    balls = [ball_complex(Ambient(n=n, R=R), ref_profile(c * math.pi, delta), k)
-             for n, R, c, delta in itertools.product(*GRID_AXES)]
+    balls = [cx for key, cx in ball_grid.items() if key[-1] == k]
     for cx in [lens_complex(1, k), lens_complex(2, k)] + balls:
         for mode in ("plain", "equivariant"):
             for d in cx.degrees():
