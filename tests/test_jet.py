@@ -107,6 +107,26 @@ def test_contact_jets_are_bit_identical_to_the_golden_hashes(F, name, n):
     assert _golden_digest(G) == GOLDEN_JETS[name, n]
 
 
+# sha256 of `_golden_digest` for compositions whose leaves are not all one
+# small map: the uneven chain (a rotation, a Reeb-shifted composition and a
+# small map of another time) and a sharp of a sharp (nested inlining),
+# recorded with numpy 2.4 on x86-64.
+GOLDEN_MIXED_JETS = {
+    ("uneven", 1): "1175ad1eb2914612d4d0df3897dd164780b2252d2cf510133631a035b3533263",
+    ("uneven", 2): "e5037a76a79fd53a6408353e27aee4fd211c167a375e7afbb85fd7f1a01e5b19",
+    ("F33", 1): "96d2660cad02559087cdc7c8401219e328cecfe5c2021b93496e287c379e61e5",
+    ("F33", 2): "9944cc87022b46f5e0b1f434f11a92f3f99541db5afcee2544c62f44e84a042c",
+}
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_mixed_leaf_jets_are_bit_identical_to_the_golden_hashes(F, rho_ref, n):
+    cases = _layout_cases(F, rho_ref, n)
+    for name, G in (("uneven", cases["uneven"]),
+                    ("F33", sharp_k(cases["F3"], 3))):
+        assert _golden_digest(G) == GOLDEN_MIXED_JETS[name, n], (name, n)
+
+
 def _layout_cases(F, rho_ref, n):
     """The compositions whose fibre form and symmetry actions the slot layout
     builds: sharps, an uneven chain (a fibred leaf between two fibreless
