@@ -144,7 +144,9 @@ def _newton(G, w, tol, gauge=None):
         raise DomainError("Newton needs a finite seed")
     dim = len(w)
     A = np.zeros((0, dim)) if gauge is None else gauge
-    border = np.zeros((len(A), len(A)))
+    # the bordered matrix [[H, A^T], [A, 0]], each iterate's H written in
+    M = np.zeros((dim + len(A), dim + len(A)))
+    M[dim:, :dim], M[:dim, dim:] = A, A.T
     value, g, H = jet = G.jet(w, 2)
     if not _finite(jet):
         raise NoConvergence("Newton: non-finite jet at the seed")
@@ -155,7 +157,7 @@ def _newton(G, w, tol, gauge=None):
             raise NoConvergence("Newton: |grad| = %.3e after %d iterations"
                                 % (gnorm, NEWTON_MAX_ITER))
         it += 1
-        M = np.block([[H, A.T], [A, border]])
+        M[:dim, :dim] = H
         rhs = -np.concatenate([g, A @ w])
         step = np.linalg.lstsq(M, rhs, rcond=None)[0][:dim]
         scale = 1.0

@@ -114,7 +114,10 @@ class GroupRingComplex:
         self.k, self.field = k, _field(k)
         self.generators = list(generators)
         self.diff = {}  # (target_index, source_index) -> valuation v
-        self._sources, self._targets = set(), set()
+        self._out, self._targets = {}, set()  # source -> (target, v)
+        self._of_degree, self._blocks = {}, {}
+        for i, g in enumerate(self.generators):
+            self._of_degree.setdefault(g.degree, []).append(i)
         self.meta = {}
 
     def add_diff(self, target, source, v):
@@ -129,18 +132,18 @@ class GroupRingComplex:
             raise DomainError("differential must drop degree by one")
         if not self._filtered(target, source):
             raise DomainError("differential must not increase value")
-        if source in self._sources or target in self._targets:
+        if source in self._out or target in self._targets:
             raise DomainError("a generator takes one entry in and one out")
-        self._sources.add(source)
+        self._out[source] = target, v
         self._targets.add(target)
         self.diff[target, source] = v
 
     def indices_of_degree(self, d, alive=None):
-        return [i for i, g in enumerate(self.generators)
-                if g.degree == d and (alive is None or alive[i])]
+        return [i for i in self._of_degree.get(d, ())
+                if alive is None or alive[i]]
 
     def degrees(self):
-        ds = [g.degree for g in self.generators]
+        ds = self._of_degree
         return list(range(min(ds), max(ds) + 1)) if ds else []
 
     def _filtered(self, target, source):
@@ -152,7 +155,7 @@ class GroupRingComplex:
         """d o d = 0: x^a x^b = x^(a+b) vanishes iff a + b >= k, so each path
         u -> s -> t needs v(u -> s) + v(s -> t) >= k.  Returns the (t, u) of
         every path that fails."""
-        out = {s: (t, v) for (t, s), v in self.diff.items()}
+        out = self._out
         return [(out[s][0], u) for (s, u), v in self.diff.items()
                 if s in out and v + out[s][1] < self.k]
 
@@ -167,17 +170,18 @@ class GroupRingComplex:
         augmentation, 1 if v = 0 and 0 otherwise."""
         rows = self.indices_of_degree(d - 1, alive)
         cols = self.indices_of_degree(d, alive)
-        block = self.k if mode == "plain" else 1
-        M = np.zeros((block * len(rows), block * len(cols)), dtype=np.int64)
-        pos_r = {g: i * block for i, g in enumerate(rows)}
-        pos_c = {g: i * block for i, g in enumerate(cols)}
-        i = np.arange(block)
-        for (t, s), v in self.diff.items():
-            if t in pos_r and s in pos_c:
+        b = self.k if mode == "plain" else 1
+        M = np.zeros((b * len(rows), b * len(cols)), dtype=np.int64)
+        pos_r, i = {g: j * b for j, g in enumerate(rows)}, np.arange(b)
+        for c, s in enumerate(cols):
+            t, v = self._out.get(s, (None, None))
+            if t not in pos_r:
+                continue
+            if (v, mode) not in self._blocks:       # once per complex
                 row = [math.comb(v, j) * (-1) ** (v - j) % self.field
-                       for j in range(block)] if mode == "plain" else [v == 0]
-                M[pos_r[t]:pos_r[t] + block, pos_c[s]:pos_c[s] + block] = \
-                    np.asarray(row)[(i[:, None] - i) % block]
+                       for j in range(b)] if mode == "plain" else [v == 0]
+                self._blocks[v, mode] = np.asarray(row)[(i[:, None] - i) % b]
+            M[pos_r[t]:pos_r[t] + b, c * b:(c + 1) * b] = self._blocks[v, mode]
         return M
 
     def homology_ranks(self, mode, alive=None):

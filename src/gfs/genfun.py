@@ -26,7 +26,8 @@ Variable layouts (relied on by `crit`):
 All derivatives are exact: the small-map jet is a closed form in the level
 m of the inverted midpoint, and a cyclic composition is read through its flat
 form sum_i f_i(A_i w) + 0.5 w^T T w over its leaves, nested compositions
-inlined.  Finite differences are only used in the test suite to check them.
+inlined, each distinct leaf read once on the stack of its arguments.  Finite
+differences are only used in the test suite to check them.
 """
 
 import math
@@ -166,33 +167,45 @@ def gf_small_map(amb, mp):
         hess F = 2 tan(b) I + (4/R^2) (d tan b/dh) q q^T,
         d tan b/dh = (beta'/(2 cos^2 b)) / (cos^2 b - 0.5 m sin 2b beta'),
 
-    whose denominator is dh/dm; every order is zero where H(q) >= 1."""
+    whose denominator is dh/dm; every order is zero where H(q) >= 1.  The
+    jet reads a stack (N, 2n) of points q as `jet.stack`: one
+    `midpoint_inverse` of the stack, the scalars of each row, then the
+    gradients and Hessians of all rows at once; `jet` is its one-row case."""
     if not (isinstance(mp, RadialMap) and mp.amb == amb):
         raise DomainError("gf_small_map needs a RadialMap on %r" % (amb,))
     if not mp.max_rotation() < math.pi:
         raise AngleOutOfRange("the map does not rotate by less than pi; its "
                               "midpoint map (id + phi)/2 is not invertible")
-    n2, R2, t, rho = amb.dim, amb.R**2, mp.t, mp.rho
+    diag, R2, t, rho = np.arange(amb.dim), amb.R**2, mp.t, mp.rho
+
+    def stack(Q, order):
+        value, a, c = [], [], []
+        for z in mp.midpoint_inverse(Q):
+            m = float(np.dot(z, z)) / R2        # amb.H(z), bit for bit
+            r, dr, d2r = rho.read(m, 0, 2)
+            b = t * dr / R2
+            s2b = math.sin(2.0 * b)
+            value.append(t * (r - m * dr) + 0.5 * R2 * m * s2b)
+            if order >= 1:
+                a.append(2.0 * math.tan(b))
+            if order >= 2:
+                dbeta, cos2 = 2.0 * t * d2r / R2, math.cos(b) ** 2
+                dtb = 0.5 * dbeta / cos2 / (cos2 - 0.5 * m * s2b * dbeta)
+                c.append(4.0 * dtb / R2)
+        a, c = np.array(a), np.array(c)
+        G = a[:, None] * Q if order >= 1 else None
+        H = None
+        if order >= 2:
+            H = c[:, None, None] * (Q[:, :, None] * Q[:, None, :])
+            H[:, diag, diag] += a[:, None]
+        return np.array(value), G, H
 
     def jet(q, order):
-        m = amb.H(mp.midpoint_inverse(q))
-        r, dr, d2r = rho.read(m, 0, 2)
-        b = t * dr / R2
-        s2b = math.sin(2.0 * b)
-        value = t * (r - m * dr) + 0.5 * R2 * m * s2b
-        g = H = None
-        if order >= 1:
-            tb = math.tan(b)
-            g = 2.0 * tb * q
-        if order >= 2:
-            dbeta, cos2 = 2.0 * t * d2r / R2, math.cos(b) ** 2
-            dtb = 0.5 * dbeta / cos2 / (cos2 - 0.5 * m * s2b * dbeta)
-            H = (4.0 * dtb / R2) * np.outer(q, q)
-            H.flat[::n2 + 1] += 2.0 * tb
-        return value, g, H
+        return [x if x is None else x[0] for x in stack(q[None], order)]
 
+    jet.stack = stack
     # normalized: where phi = id, S = 0 and the cross term is 0
-    return GenFn(base_dim=n2, fibre_dim=0, jet=jet,
+    return GenFn(base_dim=amb.dim, fibre_dim=0, jet=jet,
                  quad_part=np.zeros((0, 0)), normalized=True, map_handle=mp,
                  domain_point=mp.midpoint_inverse,
                  meta={"kind": "smallMap"})
@@ -310,37 +323,54 @@ def _flat_of(f):
         [f], np.arange(d)[None], np.eye(d)[None], np.zeros((d, d)))
 
 
+def _stacked(f):
+    """f's jet on a stack of rows: its `_jet.stack` (a small map has one),
+    else one `_jet` per row."""
+    return getattr(f._jet, "stack", None) or (lambda X, order: [
+        None if p[0] is None else np.array(p)
+        for p in zip(*(f._jet(x, order) for x in X))])
+
+
 def _flat_jet(flat, rows):
     """Per-row jets of a flat form sum_i f_i(A_i y) + 0.5 y^T T y at the rows
-    y of a (rows, D) array: one gather, one `_jet` per leaf and row, the leaf
-    values of a row summed by math.fsum, one scatter per order."""
+    y of a (rows, D) array: one gather, one `_stacked` read per distinct leaf
+    on the stack of all its rows (a time-one F repeats one slice K times, so
+    every leaf of F^{#k} or P is one read), the leaf values of a row summed
+    by math.fsum, one scatter per order."""
     leaves, cols, A, T = flat
     L, depth, width = A.shape
     D = len(T)
-    leaves, A = leaves * rows, np.tile(A, (rows, 1, 1))
-    even = all(f.total_dim == depth for f in leaves)
+    A = np.tile(A, (rows, 1, 1))
+    groups = {}
+    for i, f in enumerate(leaves * rows):
+        groups.setdefault(f, []).append(i)
+    groups = [(f.total_dim, np.array(i), _stacked(f)) for f, i in groups.items()]
     at = cols + D * np.arange(rows)[:, None, None]   # row r's columns in Y.flat
     pairs = (at[..., None] * D + cols[:, None, :]).ravel()
     at = at.reshape(-1, width)
 
-    def stack(parts):               # leaf gradients or Hessians, zero-padded
-        return np.array(parts if even else [
-            np.pad(p, [(0, depth - s) for s in p.shape]) for p in parts])
-
     def jet(Y, order):
         X = A @ Y.ravel()[at][:, :, None]
-        jets = [f._jet(x[:f.total_dim, 0], order) for f, x in zip(leaves, X)]
+        V = np.empty(len(X))            # leaf jets, zero-padded to depth
+        Gs = np.zeros((len(X), depth)) if order >= 1 else None
+        Hs = np.zeros((len(X), depth, depth)) if order >= 2 else None
+        for d, idx, stack in groups:
+            V[idx], g, H = stack(X[idx, :d, 0], order)
+            if order >= 1:
+                Gs[idx, :d] = g
+            if order >= 2:
+                Hs[idx, :d, :d] = H
+        V = V.tolist()
         TY = T @ Y[..., None]
-        value = np.array([math.fsum([v for v, _, _ in jets[i:i + L]])
-                          for i in range(0, len(jets), L)])
+        value = np.array([math.fsum(V[i:i + L]) for i in range(0, len(V), L)])
         value += 0.5 * (Y[:, None, :] @ TY)[:, 0, 0]
         g = H = None
         if order >= 1:
-            G = stack([j[1] for j in jets])[:, None, :] @ A
+            G = Gs[:, None, :] @ A
             g = np.bincount(at.ravel(), G.ravel(), rows * D)
             g = g.reshape(rows, D) + TY[..., 0]
         if order >= 2:
-            B = A.transpose(0, 2, 1) @ stack([j[2] for j in jets]) @ A
+            B = A.transpose(0, 2, 1) @ Hs @ A
             H = np.bincount(pairs, B.ravel(), rows * T.size).reshape(rows, D, D) + T
         return value, g, H
 
@@ -410,9 +440,10 @@ def sharp_k(F, k):
 
 
 def gf_time_one(amb, rho):
-    """Generating function of the time-1 truncated radial map, built from the
-    smallest odd number K of equal time slices whose per-slice rotation stays
-    below pi/2 (so each slice admits the fibreless midpoint form)."""
+    """Generating function of the time-1 truncated radial map: the cyclic
+    composition of one small-map slice, shared K times, K the smallest odd
+    number of equal time slices whose per-slice rotation stays below pi/2
+    (so each slice admits the fibreless midpoint form)."""
     max_angle = math.pi / 2
     peak = RadialMap(amb, rho, 1.0).max_rotation()
     if not math.isfinite(peak):
@@ -423,8 +454,8 @@ def gf_time_one(amb, rho):
         K += 1
     while peak / K >= max_angle:
         K += 2
-    slices = [gf_small_map(amb, RadialMap(amb, rho, 1.0 / K)) for _ in range(K)]
-    return gf_compose_chain(slices)
+    slice_ = gf_small_map(amb, RadialMap(amb, rho, 1.0 / K))
+    return gf_compose_chain([slice_] * K)
 
 
 def fibre_critical_config(F, zbar):
@@ -478,9 +509,9 @@ def alternating_resolve(mids):
     if K % 2 == 0:
         raise EvenK("alternating resolution needs an odd count")
     M = np.asarray(mids, dtype=float)
-    acc = np.zeros_like(M)
+    acc, idx = np.zeros_like(M), np.arange(K)
     for l in range(K):
-        acc += ((-1) ** l) * np.roll(M, -l, axis=0)
+        acc += ((-1) ** l) * M[(idx + l) % K]
     return list(acc)
 
 
@@ -533,8 +564,8 @@ def contact_sharp(F, k):
         sum_j [ e^{r_j} F(e^{-r_j/2}(z_j+z_{j+1})/2, theta_{j+1}, zeta_j)
                 + 0.5 <z_j, J0 z_{j+1}> + e^{r_{j-1}}(theta_j - theta_{j+1}) ]
 
-    (cyclic indices, r_0 = r_k): one gather of every slot, one `_jet` loop
-    over the leaves of k groups of F's flat form at u_j = e^{-r_j/2} mid_j,
+    (cyclic indices, r_0 = r_k): one gather of every slot, one `_flat_jet`
+    read of the k groups of F's flat form at u_j = e^{-r_j/2} mid_j,
     the chain rule through u_j and r_j vectorised over the groups, one
     scatter per order, then the theta-differences.  Exactly homogeneous
     under the R-action (z |-> e^{a/2} z, r |-> r + a): the value scales by

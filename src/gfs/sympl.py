@@ -416,20 +416,30 @@ class RadialMap:
         return self.t * (self.rho.rho(m) - m * self.rho.drho(m))
 
     def midpoint_inverse(self, q):
-        """The z with (z + phi(z))/2 = q.
+        """The z with (z + phi(z))/2 = q, for one point q or a stack (N, 2n)
+        of points, one per row.
 
         phi(z) = e^{i beta(m)} z with beta(m) = 2 t rho'(m) / R^2, m = H(z),
         so H(q) = m cos^2(beta(m)/2), strictly increasing in m on [H(q), 1]
         while |beta| < pi (rho'' >= 0): a bracketed Newton iteration finds m,
-        then z = q - tan(beta/2) J0 q.  For H(q) >= 1, z = q exactly.  Each
-        Newton step takes (rho', rho'') from one `rho.read`: one piece
-        lookup, bit-equal to the array path."""
+        row by row, then z = q - tan(beta/2) J0 q for all rows at once.  For
+        H(q) >= 1, z = q exactly.  Each Newton step takes (rho', rho'') from
+        one `rho.read`: one piece lookup, bit-equal to the array path."""
         q = np.asarray(q, dtype=float)
+        Q = q.reshape(-1, q.shape[-1])
         R2 = self.amb.R**2
-        h = float(np.dot(q, q)) / R2
-        if not h < 1.0:
-            return q.copy()
-        scale = 2.0 * self.t / R2
+        h = [float(np.dot(row, row)) / R2 for row in Q]
+        tans = [math.tan(0.5 * self._level_beta(x)) if x < 1.0 else 0.0
+                for x in h]
+        Z = Q - np.array(tans)[:, None] * (Q[:, self._swap] * self._sign)
+        outside = [i for i, x in enumerate(h) if not x < 1.0]
+        if outside:
+            Z[outside] = Q[outside]
+        return Z.reshape(q.shape)
+
+    def _level_beta(self, h):
+        """beta(m) at the level m in [h, 1) with m cos^2(beta(m)/2) = h."""
+        scale = 2.0 * self.t / self.amb.R**2
         read = self.rho.read
         lo, hi = h, 1.0
         m = min(h / math.cos(0.5 * scale * read(h, 1, 1)[0]) ** 2, hi)
@@ -449,8 +459,7 @@ class RadialMap:
             if abs(m - m_old) <= 1e-16 * m_old or m in (lo, hi):
                 break
         # f == 0.0 only on a break at the level just read, whose rho' is dr
-        beta = scale * (dr if f == 0.0 else read(m, 1, 1)[0])
-        return q - math.tan(0.5 * beta) * (q[self._swap] * self._sign)
+        return scale * (dr if f == 0.0 else read(m, 1, 1)[0])
 
     def max_rotation(self):
         """Upper bound for the rotation angle |2 t rho'(m) / R^2| over all m."""

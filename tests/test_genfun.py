@@ -12,7 +12,7 @@ from gfs import (Ambient, AngleOutOfRange, DomainError, EvenK, LinearRotation,
                  gf_time_one, graph_of, reeb_shift, ref_profile, sharp_k,
                  shells)
 from gfs.genfun import alternating_resolve, chain_config
-from gfs.sympl import j0_matrix
+from gfs.sympl import j0_apply, j0_matrix
 
 from conftest import fd_grad, fd_hess
 
@@ -129,6 +129,76 @@ def test_small_map_jet_matches_the_flow(n, R, steep):
         scale = max(np.max(np.abs(jet[i])) for jet in closed)
         err = max(np.max(np.abs(a[i] - b[i])) for a, b in zip(closed, oracle))
         assert err <= 1e-13 * scale, name
+
+
+def _row_midpoint(mp, q):
+    """One midpoint inverse the scalar way: q itself where H(q) >= 1."""
+    h = mp.amb.H(q)
+    if not h < 1.0:
+        return q.copy()
+    return q - math.tan(0.5 * mp._level_beta(h)) * j0_apply(q)
+
+
+def _row_small_map_jet(mp, q, order):
+    """One small-map jet the scalar way: np.outer and a diagonal walk."""
+    amb, t, R2 = mp.amb, mp.t, mp.amb.R**2
+    m = amb.H(_row_midpoint(mp, q))
+    r, dr, d2r = mp.rho.read(m, 0, 2)
+    b = t * dr / R2
+    s2b = math.sin(2.0 * b)
+    value, tb = t * (r - m * dr) + 0.5 * R2 * m * s2b, math.tan(b)
+    dbeta, cos2 = 2.0 * t * d2r / R2, math.cos(b) ** 2
+    dtb = 0.5 * dbeta / cos2 / (cos2 - 0.5 * m * s2b * dbeta)
+    H = (4.0 * dtb / R2) * np.outer(q, q)
+    H.flat[::len(q) + 1] += 2.0 * tb
+    return value, 2.0 * tb * q, H
+
+
+def _one_ulp_inside(amb):
+    """A point (x, y, 0, ..) with H one ulp below 1."""
+    x = amb.R
+    for _ in range(8):
+        x = np.nextafter(x, 0.0)
+        for j in range(200):
+            q = np.zeros(amb.dim)
+            q[:2] = x, j * 2.0**-28
+            if amb.H(q) == np.nextafter(1.0, 0.0):
+                return q
+    raise AssertionError("no point one ulp inside the ball")
+
+
+@pytest.mark.parametrize("n, R", [(1, 1.0), (2, 1.3)])
+def test_stacked_small_map_reads_equal_row_by_row_reads(rho_ref, n, R):
+    # rows inside the ball, on and beyond its boundary, with -0.0 entries
+    # inside and outside, and one at H(q) one ulp below 1: the stacked
+    # inversion and jet match the scalar reads of each row bit for bit
+    amb = Ambient(n=n, R=R)
+    rng = np.random.default_rng(41 + n)
+    rows = list(rng.normal(0.0, 0.5 * R, (6, 2 * n))) + list(
+        rng.normal(0.0, 1.5 * R, (3, 2 * n)))
+    for head in ([-0.0, 0.3 * R], [-0.0, -1.5 * R], [R, -0.0], [-0.0, -0.0]):
+        rows.append(np.array(head + [-0.0] * (2 * n - 2)))
+    Q = np.array(rows + [_one_ulp_inside(amb)])
+    hs = [amb.H(q) for q in Q]
+    assert 1.0 in hs and max(hs) > 1.0
+    for t in (0.2, 0.75 * math.pi * R**2 / (2.0 * 0.9 * math.pi)):
+        mp = RadialMap(amb, rho_ref, t)
+        G = gf_small_map(amb, mp)
+        Z = mp.midpoint_inverse(Q)
+        assert Z.shape == Q.shape
+        for q, z in zip(Q, Z):
+            assert z.tobytes() == mp.midpoint_inverse(q).tobytes()
+            assert z.tobytes() == _row_midpoint(mp, q).tobytes()
+        assert np.signbit(Z[-4, 0]) and np.signbit(Z[-4, 2:]).all()
+        for order in (0, 1, 2):
+            stacked = G._jet.stack(Q, order)
+            for i, q in enumerate(Q):
+                want = _row_small_map_jet(mp, q, order)
+                one = G.jet(q, order)
+                for k in range(order + 1):
+                    got = np.asarray(stacked[k][i]).tobytes()
+                    assert got == np.asarray(want[k]).tobytes(), (i, order, k)
+                    assert got == np.asarray(one[k]).tobytes(), (i, order, k)
 
 
 @pytest.mark.parametrize("n, R, steep", SMALL_MAP_CASES)
@@ -458,7 +528,7 @@ def _theta_factor(n, seed):
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_contact_sharp_of_a_theta_dependent_factor(n):
-    from gfs.sympl import j0_matrix
+    from gfs.sympl import j0_apply, j0_matrix
     fac = _theta_factor(n, seed=n)
     k = 3
     G = contact_sharp(fac, k)

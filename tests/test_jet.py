@@ -45,23 +45,44 @@ def test_jet_orders_agree_bitwise(every_kind):
 
 def test_each_order_inverts_every_midpoint_once(F, F3, P3, monkeypatch):
     # P3 and F^{#3} have k = 3 slots over a five-slice F, F^{#5} has five:
-    # k*K slice midpoints per pass, whichever order is asked for
+    # k*K slice midpoints inverted per pass, whichever order is asked for
     slices = P3.meta["factor"].meta["factor"].meta["K"]
     assert slices == 5
-    calls = []
+    rows = []
     real = RadialMap.midpoint_inverse
 
     def counting(mp, q):
-        calls.append(1)
+        rows.append(len(np.atleast_2d(q)))
         return real(mp, q)
 
     monkeypatch.setattr(RadialMap, "midpoint_inverse", counting)
     for G, k in ((P3, 3), (F3, 3), (sharp_k(F, 5), 5)):
         w = np.random.default_rng(3).normal(0.0, 0.5, G.total_dim)
         for read in (G.value, G.grad, G.hess):
-            calls.clear()
+            rows.clear()
             read(w)
-            assert len(calls) == k * slices, (G.meta["kind"], read.__name__)
+            assert sum(rows) == k * slices, (G.meta["kind"], read.__name__)
+
+
+def test_a_sharp_reads_its_slices_as_one_stack(F, monkeypatch):
+    # the five slices of F are one small map, so all fifteen leaves of
+    # F^{#3} are one group: one stacked small-map jet per read, not fifteen
+    small = F.meta["factors"][0]
+    assert F.meta["factors"] == [small] * 5
+    calls = []
+    real = small._jet.stack
+
+    def counting(Q, order):
+        calls.append(len(Q))
+        return real(Q, order)
+
+    monkeypatch.setattr(small._jet, "stack", counting)
+    F3 = sharp_k(F, 3)
+    w = np.random.default_rng(5).normal(0.0, 0.5, F3.total_dim)
+    for order in (0, 1, 2):
+        calls.clear()
+        F3.jet(w, order)
+        assert calls == [15], order
 
 
 # sha256 of value, grad.tobytes() and hess.tobytes() at twelve seeded points
