@@ -298,6 +298,18 @@ suite index: 8/8 checks passed
 [PASS] one free Z_3 family at the l=1 action (residual 0.000e+00)
 suite chains: 6/6 checks passed
 """,
+    "generation": """\
+[PASS] fibre-critical embedding matches the graph (100 samples) \
+(residual 4.441e-16)
+suite generation: 1/1 checks passed
+""",
+    "invariance": """\
+[PASS] sharp cyclic invariance (1000 pts) (residual 8.882e-16)
+[PASS] P cyclic invariance (residual 1.776e-15)
+[PASS] P scale invariance (a=0.7) (residual 2.665e-15)
+[PASS] P integer theta-shift invariance (residual 1.776e-15)
+suite invariance: 4/4 checks passed
+""",
 }
 
 
