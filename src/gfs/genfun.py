@@ -169,7 +169,8 @@ def gf_small_map(amb, mp):
 
     whose denominator is dh/dm; every order is zero where H(q) >= 1.  The
     jet reads a stack (N, 2n) of points q as `jet.stack`: one
-    `midpoint_inverse` of the stack, the scalars of each row, then the
+    `midpoint_inverse` of the stack (which solves each distinct level once,
+    reusing the previous stack's solves), the scalars of each row, then the
     gradients and Hessians of all rows at once; `jet` is its one-row case."""
     if not (isinstance(mp, RadialMap) and mp.amb == amb):
         raise DomainError("gf_small_map needs a RadialMap on %r" % (amb,))

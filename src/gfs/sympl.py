@@ -27,7 +27,7 @@ Conventions fixed here and used by every other module:
 import bisect
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -389,6 +389,7 @@ class RadialMap:
         # J0 as a signed permutation: J0 q = q[_swap] * _sign, as j0_apply
         self._swap = np.arange(amb.dim) ^ 1
         self._sign = np.tile([-1.0, 1.0], amb.n)
+        self._tans = {}     # h -> tan(beta/2) of the last midpoint_inverse
 
     def __call__(self, z):
         return flow(self.amb, self.rho, self.t, z)
@@ -424,14 +425,25 @@ class RadialMap:
         while |beta| < pi (rho'' >= 0): a bracketed Newton iteration finds m,
         row by row, then z = q - tan(beta/2) J0 q for all rows at once.  For
         H(q) >= 1, z = q exactly.  Each Newton step takes (rho', rho'') from
-        one `rho.read`: one piece lookup, bit-equal to the array path."""
+        one `rho.read`: one piece lookup, bit-equal to the array path.
+
+        tan(beta/2) is a function of the map and the exact float h alone, so
+        each distinct h is solved once per stack, and not at all if the
+        previous stack (the previous call) already solved it: symmetric
+        configurations and a point read right after its image repeat levels
+        bit for bit.  Only those two stacks are kept."""
         q = np.asarray(q, dtype=float)
         Q = q.reshape(-1, q.shape[-1])
         R2 = self.amb.R**2
         h = [float(np.dot(row, row)) / R2 for row in Q]
-        tans = [math.tan(0.5 * self._level_beta(x)) if x < 1.0 else 0.0
-                for x in h]
-        Z = Q - np.array(tans)[:, None] * (Q[:, self._swap] * self._sign)
+        prev, tans = self._tans, {}
+        for x in h:
+            if x < 1.0 and x not in tans:
+                t = prev.get(x)
+                tans[x] = math.tan(0.5 * self._level_beta(x)) if t is None else t
+        self._tans = tans
+        Z = Q - (np.array([tans.get(x, 0.0) for x in h])[:, None]
+                 * (Q[:, self._swap] * self._sign))
         outside = [i for i, x in enumerate(h) if not x < 1.0]
         if outside:
             Z[outside] = Q[outside]
@@ -705,12 +717,6 @@ class TranslatedChain:
     @property
     def k(self):
         return len(self.points)
-
-    def rotated(self):
-        """Cyclic rotation by one point (again a valid chain)."""
-        pts = self.points[1:] + self.points[:1]
-        return replace(self, points=[ContactPoint(p.base.copy(), p.theta)
-                                     for p in pts])
 
 
 def translated_chains(amb, rho, k):

@@ -576,3 +576,96 @@ def test_help_names_every_option(capsys, command):
     _, table, _ = COMMANDS[command]
     for flag in ["--" + name.replace("_", "-") for name in table] + ["--config"]:
         assert flag in out, flag
+
+
+HELP = {
+    "barcode": """\
+usage: gfs barcode [-h] [--n N] [--R R] [--k K] [--profile PROFILE]
+                   [--mode MODE] [--limit] [--lmax LMAX] [--out OUT]
+                   [--config CONFIG]
+
+options:
+  -h, --help         show this help message and exit
+  --n N              half the real dimension of the ball B^2n(R)
+  --R R              radius of the ball
+  --k K              1 or an odd prime (required)
+  --profile PROFILE  REF:c,delta (scalars may end in 'pi') or a JSON profile
+                     file
+  --mode MODE        equivariant or plain
+  --limit            emit the idealized steep-profile limit barcode
+  --lmax LMAX        number of shells in the plain limit barcode
+  --out OUT          directory for barcode.json and barcode.tsv
+  --config CONFIG    key=value file of option values
+""",
+    "verify": """\
+usage: gfs verify [-h] [--suite SUITE] [--seed SEED] [--config CONFIG]
+
+options:
+  -h, --help       show this help message and exit
+  --suite SUITE    one of: algebra, chains, generation, index, invariance,
+                   values (required)
+  --seed SEED      seed of the random suites, at least 0
+  --config CONFIG  key=value file of option values
+""",
+    "nonsqueeze": """\
+usage: gfs nonsqueeze [-h] [--A1 A1] [--A2 A2] [--A3 A3]
+                      [--max-prime MAX_PRIME] [--evidence] [--n N] [--out OUT]
+                      [--config CONFIG]
+
+options:
+  -h, --help            show this help message and exit
+  --A1 A1               area pi R1^2 of the ball to squeeze (required)
+  --A2 A2               area pi R2^2 of the target ball (required)
+  --A3 A3               area of the ambient room, above A1
+  --max-prime MAX_PRIME
+                        largest odd prime k the search tries
+  --evidence            add the limit-barcode ranks behind the certificate
+  --n N                 half the real dimension of the evidence balls
+  --out OUT             also write certificate.json to this directory
+  --config CONFIG       key=value file of option values
+""",
+}
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_help_text_is_pinned(capsys, monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert main([command, "--help"]) == 0
+    assert capsys.readouterr().out == HELP[command]
+
+
+def _barcode_json(tmp_path, name, *flags):
+    out = tmp_path / name
+    assert main(["barcode", "--out", str(out)] + list(flags)) == 0
+    return (out / "barcode.json").read_bytes()
+
+
+def _k_is_required(tmp_path, capsys):
+    capsys.readouterr()
+    out = tmp_path / "nok"
+    assert main(["barcode", "--limit", "--out", str(out)]) == 2
+    assert "--k is required" in capsys.readouterr().err
+    return not (out / "barcode.json").exists()
+
+
+def test_a_flag_does_not_outlive_its_call(tmp_path, capsys):
+    # main() builds its state per call: a later call sees none of the flags
+    # of an earlier one
+    first = _barcode_json(tmp_path, "first", "--k", "3", "--limit")
+    other = _barcode_json(tmp_path, "other", "--k", "5", "--limit",
+                          "--mode", "plain", "--lmax", "2")
+    assert other != first
+    assert _barcode_json(tmp_path, "again", "--k", "3", "--limit") == first
+    assert _k_is_required(tmp_path, capsys)
+
+
+def test_a_config_value_does_not_outlive_its_call(tmp_path, capsys):
+    conf = tmp_path / "gfs.conf"
+    conf.write_text("k=7\nmode=plain\nlmax=2\nlimit=yes\n")
+    limit = _barcode_json(tmp_path, "limit", "--k", "3", "--limit")
+    finite = _barcode_json(tmp_path, "finite", "--k", "3")
+    obj = json.loads(_barcode_json(tmp_path, "conf", "--config", str(conf)))
+    assert obj["field"] == 7 and len(obj["bars"]) == 2
+    assert _barcode_json(tmp_path, "limit2", "--k", "3", "--limit") == limit
+    assert _barcode_json(tmp_path, "finite2", "--k", "3") == finite
+    assert _k_is_required(tmp_path, capsys)

@@ -1,11 +1,12 @@
 """Critical-point solving, classification, orbit reconstruction, chain scans."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from gfs import (Ambient, DomainError, GenFn, NoConvergence,
+from gfs import (Ambient, ContactPoint, DomainError, GenFn, NoConvergence,
                  NotFibreCritical, OrbitRelationViolated, RadialMap,
                  chain_scan, check_value, contact_lift_gf, contact_p,
                  gf_time_one, maslov,
@@ -194,7 +195,10 @@ def test_chain_scan_reads_l_off_the_linked_chain(F, P3, amb1, rho_ref, k):
 def test_chain_scan_dedups_rotated_seeds(P3, amb1, rho_ref):
     chains = translated_chains(amb1, rho_ref, 3)
     ch = chains[0]
-    seeds = [seed_from_chain(P3, ch), seed_from_chain(P3, ch.rotated())]
+    pts = ch.points[1:] + ch.points[:1]
+    rotated = dataclasses.replace(ch, points=[
+        ContactPoint(p.base.copy(), p.theta) for p in pts])
+    seeds = [seed_from_chain(P3, ch), seed_from_chain(P3, rotated)]
     fams = chain_scan(P3, 3, seeds)
     assert len(fams) == 1
 

@@ -13,7 +13,7 @@ from gfs import (Ambient, ContactLift, ContactPoint, DomainError, EvenK,
                  flow, phi_m, ref_profile, room_transform, shells,
                  translated_chains, verify_chain)
 from gfs import sympl
-from gfs.sympl import (BLEND_WIDTH, ComposedMap, action_density,
+from gfs.sympl import (BLEND_WIDTH, ComposedMap, action_density, j0_apply,
                        reeb_translate)
 
 
@@ -272,6 +272,68 @@ def test_radial_midpoint_inverse(n, R):
                 assert np.array_equal(mp.midpoint_inverse(q), q)
 
 
+def _level_stacks(amb, rng):
+    """Seeded stacks whose rows repeat levels: a row, its J0 images and
+    permutations of them, levels one ulp and 1e-13 apart, rows at H = 1 and
+    beyond, and -0.0 entries inside and outside."""
+    R, n2 = amb.R, amb.dim
+    base = list(rng.normal(0.0, 0.5 * R, (5, n2)))
+    near = [q * s for q in base[:2] for s in (1.0 + 2.0**-52, 1.0 + 1e-13)]
+    turns = [j0_apply(base[0]), -base[0], -j0_apply(base[0])]
+    edge = [np.array(head + [-0.0] * (n2 - 2)) for head in (
+        [-0.0, 0.3 * R], [R, -0.0], [-0.0, -1.5 * R], [-0.0, -0.0])]
+    rows = base + near + turns + edge
+    first = np.array(rows + [rows[i] for i in rng.permutation(len(rows))])
+    other = rng.normal(0.0, 0.5 * R, (4, n2))
+    return [first, first[::-1], other, first[3:9], first]
+
+
+@pytest.mark.parametrize("n, R", [(1, 1.0), (2, 1.3)])
+def test_midpoint_inverse_reuses_levels_bit_for_bit(rho_ref, n, R):
+    # two maps on one profile read the same stacks alternately: every row
+    # equals a freshly built map's read and q - tan(beta(h)/2) J0 q
+    amb = Ambient(n=n, R=R)
+    times = (0.2, 0.75 * math.pi * R**2 / (2.0 * 0.9 * math.pi))
+    maps = [RadialMap(amb, rho_ref, t) for t in times]
+    hs = []
+    for Q in _level_stacks(amb, np.random.default_rng(5 + n)):
+        for mp, t in zip(maps, times):
+            Z = mp.midpoint_inverse(Q)
+            fresh = RadialMap(amb, rho_ref, t)
+            assert Z.tobytes() == fresh.midpoint_inverse(Q).tobytes()
+            for q, z in zip(Q, Z):
+                h = amb.H(q)
+                want = (q - math.tan(0.5 * fresh._level_beta(h)) * j0_apply(q)
+                        if h < 1.0 else q)
+                assert z.tobytes() == want.tobytes()
+                hs.append(h)
+    assert 1.0 in hs and max(hs) > 1.0
+
+
+def test_midpoint_inverse_solves_each_level_once_per_two_stacks(amb1,
+                                                                 rho_ref):
+    mp = RadialMap(amb1, rho_ref, 0.2)
+    solved = []
+    level_beta = mp._level_beta
+    mp._level_beta = lambda h: solved.append(h) or level_beta(h)
+
+    def solves(*rows):
+        del solved[:]
+        mp.midpoint_inverse(np.array(rows, dtype=float))
+        return len(solved)
+
+    # a level is reused within its stack and by the next stack only; the
+    # rows at H >= 1 solve nothing
+    x = 0.4
+    assert solves((x, 0.0), (0.0, x), (-x, 0.0)) == 1
+    assert solves((x, 0.0), (0.0, x), (-x, 0.0)) == 0
+    assert solves((0.5, 0.0), (1.0, 0.0), (2.0, 0.0)) == 1
+    assert solves((0.6, 0.0)) == 1
+    assert solves((0.0, -0.5)) == 1         # 0.25 again, two stacks on
+    assert solves((0.0, -x)) == 1
+    assert solves((x, 0.0), (0.6, 0.0), (0.0, x)) == 1     # 0.16 reused
+
+
 def test_linear_rotation_midpoint_inverse():
     rng = np.random.default_rng(23)
     for n in (1, 2):
@@ -342,6 +404,13 @@ def test_shell_levels_are_periodic_points(amb1, rho_ref, shells3):
         assert np.allclose(w, z, atol=1e-9)
 
 
+def _rotated(ch):
+    """The chain started one point later (again a valid chain)."""
+    pts = ch.points[1:] + ch.points[:1]
+    return dataclasses.replace(ch, points=[
+        ContactPoint(p.base.copy(), p.theta) for p in pts])
+
+
 def test_contact_lift_and_chains(amb1, rho_ref):
     lift = ContactLift(amb1, rho_ref)
     p = ContactPoint(np.array([0.3, 0.4]), 0.25)
@@ -356,7 +425,7 @@ def test_contact_lift_and_chains(amb1, rho_ref):
             assert ch.k == k
             assert ch.action == pytest.approx(k * ch.t, rel=1e-12)
             assert verify_chain(lift, ch)
-            assert verify_chain(lift, ch.rotated())
+            assert verify_chain(lift, _rotated(ch))
 
 
 def test_verify_chain_refuses_each_broken_condition(amb1, rho_ref):
