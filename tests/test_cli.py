@@ -564,20 +564,7 @@ def test_removed_flags_are_rejected(tmp_path, capsys, argv):
     assert not (tmp_path / "barcode.json").exists()
 
 
-def test_help_and_no_command(capsys):
-    assert main([]) == 2
-    assert main(["--help"]) == 0
-    assert "barcode" in capsys.readouterr().out
-
-@pytest.mark.parametrize("command", sorted(COMMANDS))
-def test_help_names_every_option(capsys, command):
-    assert main([command, "--help"]) == 0
-    out = capsys.readouterr().out
-    _, table, _ = COMMANDS[command]
-    for flag in ["--" + name.replace("_", "-") for name in table] + ["--config"]:
-        assert flag in out, flag
-
-
+# each command's --help with COLUMNS=80: argparse wraps to the terminal width
 HELP = {
     "barcode": """\
 usage: gfs barcode [-h] [--n N] [--R R] [--k K] [--profile PROFILE]
@@ -627,11 +614,20 @@ options:
 }
 
 
+def test_help_and_no_command(capsys):
+    assert main([]) == 2
+    assert main(["--help"]) == 0
+    assert "barcode" in capsys.readouterr().out
+
 @pytest.mark.parametrize("command", sorted(COMMANDS))
-def test_help_text_is_pinned(capsys, monkeypatch, command):
+def test_help_names_every_option(capsys, monkeypatch, command):
     monkeypatch.setenv("COLUMNS", "80")
     assert main([command, "--help"]) == 0
-    assert capsys.readouterr().out == HELP[command]
+    out = capsys.readouterr().out
+    _, table, _ = COMMANDS[command]
+    for flag in ["--" + name.replace("_", "-") for name in table] + ["--config"]:
+        assert flag in out, flag
+    assert out == HELP[command]
 
 
 def _barcode_json(tmp_path, name, *flags):
@@ -640,12 +636,10 @@ def _barcode_json(tmp_path, name, *flags):
     return (out / "barcode.json").read_bytes()
 
 
-def _k_is_required(tmp_path, capsys):
+def _assert_k_is_required(tmp_path, capsys):
     capsys.readouterr()
-    out = tmp_path / "nok"
-    assert main(["barcode", "--limit", "--out", str(out)]) == 2
+    assert main(["barcode", "--limit", "--out", str(tmp_path / "nok")]) == 2
     assert "--k is required" in capsys.readouterr().err
-    return not (out / "barcode.json").exists()
 
 
 def test_a_flag_does_not_outlive_its_call(tmp_path, capsys):
@@ -656,7 +650,7 @@ def test_a_flag_does_not_outlive_its_call(tmp_path, capsys):
                           "--mode", "plain", "--lmax", "2")
     assert other != first
     assert _barcode_json(tmp_path, "again", "--k", "3", "--limit") == first
-    assert _k_is_required(tmp_path, capsys)
+    _assert_k_is_required(tmp_path, capsys)
 
 
 def test_a_config_value_does_not_outlive_its_call(tmp_path, capsys):
@@ -668,4 +662,4 @@ def test_a_config_value_does_not_outlive_its_call(tmp_path, capsys):
     assert obj["field"] == 7 and len(obj["bars"]) == 2
     assert _barcode_json(tmp_path, "limit2", "--k", "3", "--limit") == limit
     assert _barcode_json(tmp_path, "finite2", "--k", "3") == finite
-    assert _k_is_required(tmp_path, capsys)
+    _assert_k_is_required(tmp_path, capsys)
