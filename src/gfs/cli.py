@@ -29,7 +29,7 @@ from .genfun import (contact_lift_gf, contact_p, fibre_critical_config,
                      gf_time_one, graph_of, sharp_k)
 from .crit import (chain_scan, classify_hessian, maslov, seed_from_chain,
                    sharp_critical_seed)
-from .equivar import (ball_complex, barcode, is_prime, lens_complex,
+from .equivar import (_block, _field, ball_complex, barcode, lens_complex,
                       limit_barcode)
 from .squeeze import (DEFAULT_MAX_PRIME, SqueezeQuery, certificate_json,
                       evidence, find_obstruction)
@@ -138,10 +138,8 @@ def cmd_barcode(opts):
     k = opts["k"]
     if k is None:
         raise FlagError("--k is required")
-    if k != 1 and (k % 2 == 0 or not is_prime(k)):
-        raise FlagError("k must be 1 or an odd prime, got %d" % k)
-    if opts["mode"] not in ("equivariant", "plain"):
-        raise FlagError("mode must be equivariant or plain")
+    flag_value(_field, k)
+    flag_value(_block, k, opts["mode"])
     if opts["lmax"] < 1:
         raise FlagError("lmax must be at least 1, got %d" % opts["lmax"])
     amb = flag_value(Ambient, n=opts["n"], R=opts["R"])
@@ -321,9 +319,9 @@ def _suite_algebra(seed):
     ok = lens.homology_ranks("equivariant") == {0: 1, 1: 1, 2: 1, 3: 1}
     checks.append(("lens(2,5) coinvariant rank 1 everywhere", ok, 0.0))
     amb, rho, _ = _reference()
-    cx = ball_complex(amb, rho, 3)
-    checks.append(("ball complex d^2 = 0 and filtered",
-                   not cx.check_d2() and not cx.check_filtration(), 0.0))
+    cx = ball_complex(amb, rho, 3)     # add_diff refuses a rising entry
+    checks.append(("ball complex d^2 = 0 and filtered", not cx.check_d2(),
+                   0.0))
     # Plain two-shell relative homology vanishes between the shells, which
     # pins the connecting map to the norm element.
     alive = [g.value > 0 for g in cx.generators]

@@ -42,8 +42,11 @@ MORSE_BOTT_GAP = 1e-4
 NEWTON_TOL = 1e-10
 SCAN_TOL = 1e-9
 NEWTON_MAX_ITER = 100
-# reconstruct's fibre-gradient gate; the cyclic displacement of a free point.
-FIBRE_TOL = FREE_TOL = 1e-8
+# reconstruct's gates on the fibre gradient and on the orbit relation; the
+# cyclic displacement of a free point.
+FIBRE_TOL = ORBIT_TOL = FREE_TOL = 1e-8
+# chain_scan's value distance within one family, and to a chain it links.
+FAMILY_TOL = 1e-6
 
 
 @dataclass
@@ -225,9 +228,9 @@ def _orbit(F, sharp, k, p):
     if phi is None:
         raise DomainError("reconstruct needs the factor's map handle")
     worst = _sup([phi(x) - y for x, y in zip(points, points[1:] + points[:1])])
-    if not worst <= 1e-8:
+    if not worst <= ORBIT_TOL:
         raise OrbitRelationViolated(
-            "orbit relation residual %.3e exceeds 1e-8" % worst)
+            "orbit relation residual %.3e exceeds %.1e" % (worst, ORBIT_TOL))
     return points
 
 
@@ -294,7 +297,7 @@ def chain_scan(P, k, seeds, chains=None):
     remaining family directions free but convergent.  k must be the period
     of P.
 
-    Families are merged by critical value (distance 1e-6); each manifold
+    Families are merged by critical value (distance FAMILY_TOL); each manifold
     records value = t*k, the measured full-Hessian nullity (the gauge
     dimension of the family), and — when `chains` from the analytic
     enumeration are supplied — the orbit id and l of the matching chain.
@@ -310,13 +313,13 @@ def chain_scan(P, k, seeds, chains=None):
     found = []
     for seed in seeds:
         w, value, H, gnorm, it = _newton(P, seed, SCAN_TOL, gauge=A)
-        if any(abs(value - m.value) < 1e-6 for m in found):
+        if any(abs(value - m.value) < FAMILY_TOL for m in found):
             continue
         mani = _manifold(P, w, value, H, "chainFamily", t=value / k,
                          grad_norm=gnorm, iterations=it)
         if chains is not None:
             for ch in chains:
-                if abs(ch.action - value) < 1e-6:
+                if abs(ch.action - value) < FAMILY_TOL:
                     mani.linked_orbit_id = ch.orbit_id
                     mani.l = ch.l
                     break

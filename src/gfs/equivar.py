@@ -7,18 +7,19 @@ multiplication by T - 1 and by the norm element N = 1 + T + ... + T^{k-1},
 consecutive blocks are connected by N, and the origin contributes one
 isolated generator.
 
-For k prime, T^k - 1 = (T - 1)^k mod k, so the ring is F_k[x]/(x^k) with
+Every reading needs k = 1 or an odd prime k, the one rule of `_field`.  For
+k prime, T^k - 1 = (T - 1)^k mod k, so the ring is F_k[x]/(x^k) with
 x = T - 1, and N = x^{k-1} since C(k-1, i) = (-1)^i mod k.  Each entry x^v
 is stored as its valuation v in [0, k).  The plain sentinel k = 1 is F_2
 with T = 1, where the only nonzero entry is x^0 = N = 1.
 
-Homology is read in two modes.  "plain" forgets the module structure: each
-generator is a block of k field generators, on which x^v has rank k - v;
-"equivariant" computes homology of the coinvariant quotient, one field
-generator per generator, with x^v sent to its augmentation [v == 0].  For
-the free strata handled here the coinvariant complex computes equivariant
-homology, which is why a ball's action window stops below its first
-non-free shell (l a multiple of k).
+Homology is read in two modes, the one rule of `_block`.  "plain" forgets
+the module structure: each generator is a block of k field generators, on
+which x^v has rank k - v; "equivariant" computes homology of the
+coinvariant quotient, one field generator per generator, with x^v sent to
+its augmentation [v == 0].  For the free strata handled here the
+coinvariant complex computes equivariant homology, which is why a ball's
+action window stops below its first non-free shell (l a multiple of k).
 
 Each generator has at most one entry in and one out, so the boundary matrix
 is already reduced and `barcode` reads its pairs off the entries in closed
@@ -59,11 +60,19 @@ def is_prime(k):
 
 def _field(k):
     """The prime p of the homology field F_p: k, or 2 for the sentinel 1;
-    NonPrimeK for any other k."""
-    if k != 1 and not is_prime(k):
-        raise NonPrimeK("group ring needs k prime (or the sentinel 1), "
-                        "got %r" % (k,))
+    NonPrimeK unless k is 1 or an odd prime."""
+    if k != 1 and (k % 2 == 0 or not is_prime(k)):
+        raise NonPrimeK("k must be 1 or an odd prime, got %r" % (k,))
     return 2 if k == 1 else k
+
+
+def _block(k, mode):
+    """Field generators per group-ring generator in the reading `mode`: k
+    for "plain", 1 for "equivariant"; DomainError for any other mode."""
+    if mode in ("plain", "equivariant"):
+        return k if mode == "plain" else 1
+    raise DomainError("mode must be 'plain' or 'equivariant', got %r"
+                      % (mode,))
 
 
 def rank_mod_p(M, p):
@@ -130,7 +139,7 @@ class GroupRingComplex:
         gt, gs = self.generators[target], self.generators[source]
         if gt.degree != gs.degree - 1:
             raise DomainError("differential must drop degree by one")
-        if not self._filtered(target, source):
+        if not gt.value <= gs.value + 1e-12:
             raise DomainError("differential must not increase value")
         if source in self._out or target in self._targets:
             raise DomainError("a generator takes one entry in and one out")
@@ -146,11 +155,6 @@ class GroupRingComplex:
         ds = self._of_degree
         return list(range(min(ds), max(ds) + 1)) if ds else []
 
-    def _filtered(self, target, source):
-        """An entry from source to target does not raise the value."""
-        return (self.generators[target].value
-                <= self.generators[source].value + 1e-12)
-
     def check_d2(self):
         """d o d = 0: x^a x^b = x^(a+b) vanishes iff a + b >= k, so each path
         u -> s -> t needs v(u -> s) + v(s -> t) >= k.  Returns the (t, u) of
@@ -159,10 +163,6 @@ class GroupRingComplex:
         return [(out[s][0], u) for (s, u), v in self.diff.items()
                 if s in out and v + out[s][1] < self.k]
 
-    def check_filtration(self):
-        """Differential entries must not increase the critical value."""
-        return [key for key in self.diff if not self._filtered(*key)]
-
     def matrix(self, d, mode, alive=None):
         """Dense F_p matrix of d_d : C_d -> C_{d-1} restricted to alive
         generators.  Plain: the k x k block of x^v on the basis T^i, the
@@ -170,7 +170,7 @@ class GroupRingComplex:
         augmentation, 1 if v = 0 and 0 otherwise."""
         rows = self.indices_of_degree(d - 1, alive)
         cols = self.indices_of_degree(d, alive)
-        b = self.k if mode == "plain" else 1
+        b = _block(self.k, mode)
         M = np.zeros((b * len(rows), b * len(cols)), dtype=np.int64)
         pos_r, i = {g: j * b for j, g in enumerate(rows)}, np.arange(b)
         for c, s in enumerate(cols):
@@ -186,9 +186,7 @@ class GroupRingComplex:
 
     def homology_ranks(self, mode, alive=None):
         """F_p-dimension of H_d of the (restricted) complex, per degree."""
-        if mode not in ("plain", "equivariant"):
-            raise DomainError("mode must be 'plain' or 'equivariant'")
-        block = self.k if mode == "plain" else 1
+        block = _block(self.k, mode)
         out = {}
         for d in self.degrees():
             dim = block * len(self.indices_of_degree(d, alive))
@@ -342,8 +340,8 @@ class Barcode:
     @classmethod
     def from_json(cls, text):
         """Barcode from its JSON text.  DomainError unless it is a gfs/1
-        object whose bars each have an integer degree, a finite birth before
-        the death (null for infinite) and an integer rank >= 1."""
+        object of prime field whose bars each have an integer degree, a
+        finite birth before the death (null for infinite) and rank >= 1."""
         try:
             obj = json.loads(text)
         except ValueError as exc:
@@ -360,6 +358,8 @@ class Barcode:
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise DomainError("invalid barcode: %s: %s"
                               % (type(exc).__name__, exc))
+        if not is_prime(field):
+            raise DomainError("invalid barcode: field %d is not prime" % field)
         for b in bars:
             if not (math.isfinite(b.birth) and b.birth < b.death
                     and b.rank >= 1):
@@ -411,13 +411,11 @@ def barcode(cx, mode):
     each unpaired vector's [0, c) is two rank steps on those sorted points;
     one sweep over the stepped points gives the runs of constant rank, which
     are the bars.  DomainError unless d o d = 0."""
-    if mode not in ("plain", "equivariant"):
-        raise DomainError("mode must be 'plain' or 'equivariant'")
+    b = _block(cx.k, mode)
     bad = cx.check_d2()
     if bad:
         raise DomainError("d o d != 0 on the paths (t, u) %r" % (bad,))
     gens = cx.generators
-    b = cx.k if mode == "plain" else 1
     points = [0.0] + sorted({g.value for g in gens if g.value > 0.0})
     at = [bisect_left(points, g.value) for g in gens]
     free = [b] * len(gens)
@@ -456,22 +454,20 @@ def limit_barcode_at_area(n, A, k, mode, lmax=4):
     equivariant (coinvariant) reading the surviving groups sit in the shell
     degrees 2nl for 0 < l < k, each alive on (0, l*A); in the plain reading
     the connecting norm maps collapse each pair of adjacent shells, leaving
-    the degree-2nl group alive exactly on [(l-1)*A, l*A).
+    the degree-2nl group alive exactly on [(l-1)*A, l*A).  The sentinel
+    k = 1 has no equivariant limit (NonPrimeK).
     """
-    bars = []
-    if mode == "equivariant":
-        if k < 3 or not is_prime(k):
-            raise NonPrimeK("equivariant limit barcode needs k an odd prime")
-        for l in range(1, k):
-            bars.append(Bar(2 * n * l, 0.0, l * A, 1))
-        field_order = k
-    elif mode == "plain":
-        for l in range(1, lmax + 1):
-            bars.append(Bar(2 * n * l, (l - 1) * A, l * A, 1))
-        field_order = 2 if k == 1 else k
+    field = _field(k)
+    _block(k, mode)                 # refuse a bad mode
+    if mode == "plain":
+        bars = [Bar(2 * n * l, (l - 1) * A, l * A, 1)
+                for l in range(1, lmax + 1)]
+    elif k == 1:
+        raise NonPrimeK("the equivariant limit barcode needs k an odd prime, "
+                        "got 1")
     else:
-        raise DomainError("mode must be 'plain' or 'equivariant'")
-    return Barcode(bars, field_order)
+        bars = [Bar(2 * n * l, 0.0, l * A, 1) for l in range(1, k)]
+    return Barcode(bars, field)
 
 
 def thom_shift(bc, q_index, k):

@@ -126,6 +126,7 @@ def graph_of(mp, p):
     covector per coordinate (phi_y - y, x - phi_x)."""
     z = np.asarray(p, dtype=float)
     X = mp(z)
+    # -J0 (X - z) written out: -j0_apply(X - z) would turn 0.0 into -0.0
     cov = np.empty_like(z)
     cov[0::2] = X[1::2] - z[1::2]
     cov[1::2] = z[0::2] - X[0::2]

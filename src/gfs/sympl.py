@@ -3,7 +3,9 @@
 Conventions fixed here and used by every other module:
 
 * Phase space is R^{2n} with interleaved coordinates (x_1, y_1, ..., x_n, y_n);
-  z_j = x_j + i y_j gives the complex view.
+  z_j = x_j + i y_j gives the complex view.  `complex_view` and `interleave`
+  convert between the two, and `j0_apply` is J0 (x, y) = (-y, x) on them;
+  every other module reads the convention through these three.
 * H(z) = sum_j |z_j|^2 / R^2, the scaled squared radius of the ambient ball.
 * A radial profile rho (supported in [0, 1], convex, non-increasing) generates
   the truncated radial flow
@@ -61,15 +63,19 @@ class Ambient:
         z = np.asarray(z, dtype=float)
         return float(np.dot(z, z)) / self.R**2
 
-    def complex_view(self, z):
-        z = np.asarray(z, dtype=float)
-        return z[0::2] + 1j * z[1::2]
 
-    def interleave(self, zc):
-        out = np.empty(2 * len(zc))
-        out[0::2] = zc.real
-        out[1::2] = zc.imag
-        return out
+def complex_view(z):
+    """(z_1, ..., z_n), z_j = x_j + i y_j, of an interleaved vector."""
+    z = np.asarray(z, dtype=float)
+    return z[0::2] + 1j * z[1::2]
+
+
+def interleave(zc):
+    """The interleaved vector (x_1, y_1, ..., x_n, y_n) of (z_1, ..., z_n)."""
+    out = np.empty(2 * len(zc))
+    out[0::2] = zc.real
+    out[1::2] = zc.imag
+    return out
 
 
 def j0_matrix(n2):
@@ -83,11 +89,11 @@ def j0_matrix(n2):
 
 
 def j0_apply(v):
-    """Apply J0 to an interleaved vector without building the matrix."""
+    """J0 on the last axis: one interleaved vector, or a stack of rows."""
     v = np.asarray(v, dtype=float)
     out = np.empty_like(v)
-    out[0::2] = -v[1::2]
-    out[1::2] = v[0::2]
+    out[..., 0::2] = -v[..., 1::2]
+    out[..., 1::2] = v[..., 0::2]
     return out
 
 
@@ -364,7 +370,7 @@ def flow(amb, rho, t, z):
     Total on R^{2n}; conserves H to round-off; fixes every z with H >= 1
     exactly (rho' is exactly zero there)."""
     ang = 2.0 * t * rho.drho(amb.H(z)) / amb.R**2
-    return amb.interleave(amb.complex_view(z) * np.exp(1j * ang))
+    return interleave(complex_view(z) * np.exp(1j * ang))
 
 
 def action_density(rho, m):
@@ -386,9 +392,6 @@ class RadialMap:
         self.amb = amb
         self.rho = rho
         self.t = float(t)
-        # J0 as a signed permutation: J0 q = q[_swap] * _sign, as j0_apply
-        self._swap = np.arange(amb.dim) ^ 1
-        self._sign = np.tile([-1.0, 1.0], amb.n)
         self._tans = {}     # h -> tan(beta/2) of the last midpoint_inverse
 
     def __call__(self, z):
@@ -443,7 +446,7 @@ class RadialMap:
                 tans[x] = math.tan(0.5 * self._level_beta(x)) if t is None else t
         self._tans = tans
         Z = Q - (np.array([tans.get(x, 0.0) for x in h])[:, None]
-                 * (Q[:, self._swap] * self._sign))
+                 * j0_apply(Q))
         outside = [i for i, x in enumerate(h) if not x < 1.0]
         if outside:
             Z[outside] = Q[outside]
@@ -490,8 +493,7 @@ class LinearRotation:
             raise DomainError("need one rotation angle per complex coordinate")
 
     def __call__(self, z):
-        return self.amb.interleave(
-            self.amb.complex_view(z) * np.exp(1j * self.angles))
+        return interleave(complex_view(z) * np.exp(1j * self.angles))
 
     def midpoint_inverse(self, q):
         """The z with (z + phi(z))/2 = q: per coordinate plane
@@ -613,9 +615,9 @@ def shells(amb, rho, k, lmax=None):
     shells).  With `lmax`, only the shells l <= lmax are bisected and
     returned, bit-equal to the first entries of the full list; L still counts
     every shell, in O(1) steps from the estimate -rho'(0) k / (pi R^2).  The
-    bracket check, whose slack rho'(lo) - target grows with l, is also run on
-    the deepest level, so a truncated call refuses every profile the full
-    call refuses."""
+    bracket rho'(lo) < target is checked once, at the deepest level L, before
+    any bisection: rho'(lo) + (l/k) pi R^2 is non-decreasing in l in floating
+    point, so a truncated call refuses every profile the full call refuses."""
     if k < 1 or k % 2 == 0:
         raise EvenK("shells requires odd k >= 1")
     lo = rho.delta if rho.delta is not None else 0.0
@@ -627,18 +629,6 @@ def shells(amb, rho, k, lmax=None):
     def is_shell(l):
         return -(l / k) * area > c0
 
-    d_lo = rho.drho(lo)
-
-    def bracketed_target(l):
-        target = -(l / k) * area
-        fa = d_lo - target
-        if fa == 0.0:
-            raise NonMonotoneProfile(
-                "rho' meets the level on its flat plateau; shell is not isolated")
-        if fa > 0.0:
-            raise NonMonotoneProfile("cannot bracket rho' level %g" % target)
-        return target
-
     estimate = -c0 * k / area
     if not (math.isfinite(estimate) and estimate < 2.0**53):
         raise DomainError("%g shells: the ball area pi R^2 = %g is too small "
@@ -648,15 +638,21 @@ def shells(amb, rho, k, lmax=None):
         L += 1
     while L > 0 and not is_shell(L):
         L -= 1
+    if L > 0:
+        deepest = -(L / k) * area
+        fa = rho.drho(lo) - deepest
+        if fa == 0.0:
+            raise NonMonotoneProfile(
+                "rho' meets the level on its flat plateau; shell is not isolated")
+        if fa > 0.0:
+            raise NonMonotoneProfile("cannot bracket rho' level %g" % deepest)
     out = []
     for l in range(1, L + 1 if lmax is None else min(L, lmax) + 1):
-        m = rho.drho_level(bracketed_target(l), lo)
+        m = rho.drho_level(-(l / k) * area, lo)
         value = l * m * area + k * rho.rho(m)
         out.append(ShellDatum(
             l=l, m=m, value=value, index=2 * amb.n * l, kind="sphereShell",
             free_orbit=math.gcd(l, k) == 1, nullity=2 * amb.n - 1))
-    if len(out) < L:
-        bracketed_target(L)
     out.append(ShellDatum(
         l=0, m=0.0, value=k * rho.rho(0.0), index=2 * amb.n * (L + 1),
         kind="isolated", free_orbit=False, nullity=0))
@@ -792,10 +788,6 @@ def phi_m(m, p):
     if m < 0 or int(m) != m:
         raise DomainError("phi_m requires a non-negative integer m")
     z = np.asarray(p.base, dtype=float)
-    zc = z[0::2] + 1j * z[1::2]
-    zc = zc * np.exp(2j * math.pi * m * p.theta)
+    zc = complex_view(z) * np.exp(2j * math.pi * m * p.theta)
     zc = zc / math.sqrt(1.0 + m * math.pi * float(np.dot(z, z)))
-    out = np.empty_like(z)
-    out[0::2] = zc.real
-    out[1::2] = zc.imag
-    return ContactPoint(out, p.theta)
+    return ContactPoint(interleave(zc), p.theta)

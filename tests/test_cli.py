@@ -13,6 +13,13 @@ import gfs
 from gfs.cli import COMMANDS, main, parse_profile, parse_scalar
 
 
+def test_pyproject_version_is_the_package_version():
+    tomllib = pytest.importorskip("tomllib")
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "pyproject.toml")
+    with open(path, "rb") as fh:
+        assert tomllib.load(fh)["project"]["version"] == gfs.__version__
+
+
 def test_parse_scalar_pi_suffix():
     assert parse_scalar("-0.9pi") == pytest.approx(-0.9 * math.pi)
     assert parse_scalar("2.5") == 2.5

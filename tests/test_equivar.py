@@ -7,10 +7,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from gfs import (Ambient, Bar, Barcode, DomainError, Generator,
+from gfs import (Ambient, Bar, Barcode, DomainError, EvenK, Generator,
                  GroupRingComplex, NonPrimeK,
-                 ThresholdOnSpectrum, ball_complex, barcode, inclusion_map, is_prime, lens_complex, limit_barcode,
-                 rank_mod_p, ref_profile, shells, tensor_circle, thom_shift)
+                 ThresholdOnSpectrum, ball_complex, barcode, gf_compose_chain,
+                 inclusion_map, is_prime, lens_complex, limit_barcode,
+                 rank_mod_p, ref_profile, sharp_k, shells, tensor_circle,
+                 thom_shift)
+from gfs.cli import main
 
 
 def test_is_prime():
@@ -147,7 +150,6 @@ def test_ball_complex_structure(amb1, rho_ref):
     # isolated origin generator, which carries no differentials.
     cx = ball_complex(amb1, rho_ref, 3)
     assert cx.check_d2() == []
-    assert cx.check_filtration() == []
     assert sorted(g.degree for g in cx.generators) == [2, 3, 4, 5]
     assert cx.meta["origin_value"] is None
 
@@ -158,7 +160,7 @@ def test_ball_complex_structure(amb1, rho_ref):
     assert wide.meta["origin_value"] == rho.rho(0.0)
     oi = [i for i, g in enumerate(wide.generators) if g.degree == 6][0]
     assert not any(t == oi or s == oi for (t, s) in wide.diff)
-    assert wide.check_d2() == [] and wide.check_filtration() == []
+    assert wide.check_d2() == []
 
 
 def test_ball_barcode_equivariant(amb1, rho_ref, shells3):
@@ -368,8 +370,11 @@ def _barcode_text(**bar):
     _barcode_text(birth=3.0, death=1.0),
     _barcode_text(birth=1.0, death=1.0),
     _barcode_text(rank=0),
+    json.dumps({"schema": "gfs/1", "field": 4, "bars": []}),
+    json.dumps({"schema": "gfs/1", "field": 0, "bars": []}),
+    json.dumps({"schema": "gfs/1", "field": -3, "bars": []}),
 ], ids=["missing-bars", "not-json", "degree-not-int", "birth-after-death",
-        "birth-at-death", "rank-zero"])
+        "birth-at-death", "rank-zero", "field-4", "field-0", "field-minus-3"])
 def test_barcode_from_json_rejects_bad_input(text):
     with pytest.raises(DomainError):
         Barcode.from_json(text)
@@ -379,3 +384,45 @@ def test_barcode_from_json_accepts_its_own_output(amb1, rho_ref):
     bc = barcode(ball_complex(amb1, rho_ref, 3), "equivariant")
     assert Barcode.from_json(bc.to_json()).to_json() == bc.to_json()
     assert len(Barcode.from_json(_barcode_text(death=None))) == 1
+
+
+@pytest.mark.parametrize("k", [-3, 0, 2, 4, 9, 15])
+def test_every_reading_refuses_the_same_k(k, amb1, rho_ref, F, tmp_path):
+    """A homology reading needs k = 1 or an odd prime, in every entry point:
+    the complexes, both limit barcodes and `gfs barcode` (exit 2, before it
+    writes anything).  The odd-count operations need an odd k, not a
+    field, and keep their own EvenK rule."""
+    for read in (lambda: GroupRingComplex(k, []),
+                 lambda: lens_complex(1, k),
+                 lambda: ball_complex(amb1, rho_ref, k),
+                 lambda: limit_barcode(amb1, k, "plain"),
+                 lambda: limit_barcode(amb1, k, "equivariant")):
+        with pytest.raises(NonPrimeK, match="odd prime"):
+            read()
+    for flags in ([], ["--limit"], ["--mode", "plain"],
+                  ["--limit", "--mode", "plain"]):
+        assert main(["barcode", "--k", str(k), "--out", str(tmp_path),
+                     *flags]) == 2
+    assert not (tmp_path / "barcode.json").exists()
+    for count in (lambda: shells(amb1, rho_ref, k), lambda: sharp_k(F, k),
+                  lambda: gf_compose_chain([F] * k)):
+        if k in (9, 15):
+            count()
+        else:
+            with pytest.raises(EvenK):
+                count()
+
+
+def test_every_reading_refuses_the_same_mode(amb1, rho_ref, tmp_path):
+    cx = ball_complex(amb1, rho_ref, 3)
+    for read in (lambda: barcode(cx, "bogus"),
+                 lambda: cx.homology_ranks("bogus"),
+                 lambda: cx.matrix(2, "bogus"),
+                 lambda: limit_barcode(amb1, 3, "bogus"),
+                 lambda: limit_barcode(amb1, 1, "bogus")):
+        with pytest.raises(DomainError, match="mode must be"):
+            read()
+    for flags in ([], ["--limit"]):
+        assert main(["barcode", "--k", "3", "--mode", "bogus",
+                     "--out", str(tmp_path), *flags]) == 2
+    assert not (tmp_path / "barcode.json").exists()
