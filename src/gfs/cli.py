@@ -29,8 +29,8 @@ from .genfun import (contact_lift_gf, contact_p, fibre_critical_config,
                      gf_time_one, graph_of, sharp_k)
 from .crit import (chain_scan, classify_hessian, maslov, seed_from_chain,
                    sharp_critical_seed)
-from .equivar import (_block, _field, ball_complex, barcode, lens_complex,
-                      limit_barcode)
+from .equivar import (Generator, GroupRingComplex, _block, _field,
+                      ball_complex, barcode, lens_complex, limit_barcode)
 from .squeeze import (DEFAULT_MAX_PRIME, SqueezeQuery, certificate_json,
                       evidence, find_obstruction)
 
@@ -303,10 +303,10 @@ def _suite_invariance(seed):
 
 
 def _suite_algebra(seed):
-    checks = []
-    prod = np.convolve([-1, 1], [1] * 5)          # (T - 1) N over Z
-    folded = [int(sum(prod[i::5])) % 5 for i in range(5)]   # T^5 = 1
-    checks.append(("(T-1)N = 0 in Z_5[T]/(T^5-1)", not any(folded), 0.0))
+    path = GroupRingComplex(5, [Generator(d) for d in (0, 1, 2)])
+    path.add_diff(1, 2, 4)          # N = x^4 into the middle generator
+    path.add_diff(0, 1, 1)          # T - 1 = x out of it: x^4 x = 0
+    checks = [("(T-1)N = 0 in Z_5[T]/(T^5-1)", not path.check_d2(), 0.0)]
     for k in (3, 5):
         cx = lens_complex(1, k)
         ok = (cx.homology_ranks("plain") == {0: 1, 1: 1}

@@ -7,11 +7,11 @@ multiplication by T - 1 and by the norm element N = 1 + T + ... + T^{k-1},
 consecutive blocks are connected by N, and the origin contributes one
 isolated generator.
 
-Every reading needs k = 1 or an odd prime k, the one rule of `_field`.  For
-k prime, T^k - 1 = (T - 1)^k mod k, so the ring is F_k[x]/(x^k) with
-x = T - 1, and N = x^{k-1} since C(k-1, i) = (-1)^i mod k.  Each entry x^v
-is stored as its valuation v in [0, k).  The plain sentinel k = 1 is F_2
-with T = 1, where the only nonzero entry is x^0 = N = 1.
+Every reading needs the integer 1 or an odd prime k (`is_odd_prime`), the
+one rule of `_field`.  For k prime, T^k - 1 = (T - 1)^k mod k, so the ring
+is F_k[x]/(x^k) with x = T - 1, and N = x^{k-1} since C(k-1, i) = (-1)^i
+mod k.  Each entry x^v is stored as its valuation v in [0, k).  The plain
+sentinel k = 1 is F_2 with T = 1, where the only nonzero entry is x^0 = N = 1.
 
 Homology is read in two modes, the one rule of `_block`.  "plain" forgets
 the module structure: each generator is a block of k field generators, on
@@ -33,6 +33,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import operator
 from bisect import bisect_left
 from dataclasses import dataclass
 
@@ -58,10 +59,24 @@ def is_prime(k):
     return True
 
 
+def _integer(k):
+    """k as an int; None for a bool or any k that `operator.index` refuses."""
+    try:
+        return None if isinstance(k, bool) else operator.index(k)
+    except TypeError:
+        return None
+
+
+def is_odd_prime(k):
+    """The one odd-prime rule, of the readings and the certificates alike."""
+    k = _integer(k)
+    return k is not None and k % 2 == 1 and is_prime(k)
+
+
 def _field(k):
     """The prime p of the homology field F_p: k, or 2 for the sentinel 1;
-    NonPrimeK unless k is 1 or an odd prime."""
-    if k != 1 and (k % 2 == 0 or not is_prime(k)):
+    NonPrimeK unless k is the integer 1 or an odd prime (3.0 is neither)."""
+    if _integer(k) != 1 and not is_odd_prime(k):
         raise NonPrimeK("k must be 1 or an odd prime, got %r" % (k,))
     return 2 if k == 1 else k
 

@@ -32,7 +32,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .equivar import is_prime, limit_barcode_at_area, tensor_circle
+from .equivar import is_odd_prime, limit_barcode_at_area, tensor_circle
 from .errors import DomainError, SearchBoundExceeded
 
 DEFAULT_MAX_PRIME = 10 ** 4
@@ -99,10 +99,10 @@ def _integer_k_admissible(K, A1, A2):
 
 
 def _prime_fraction_admissible(k, l, A1, A2):
-    """The primeFraction rule: k an odd prime, 0 < l < k and
-    l*A2 <= k < l*A1, with the arithmetic tested before the primality."""
+    """The primeFraction rule: k an odd prime (`is_odd_prime`), 0 < l < k
+    and l*A2 <= k < l*A1, with the arithmetic tested before the primality."""
     return (k is not None and l is not None and 0 < l < k
-            and l * A2 <= k < l * A1 and k % 2 == 1 and is_prime(k))
+            and l * A2 <= k < l * A1 and is_odd_prime(k))
 
 
 def _equal_radii_admissible(A1, A2):
@@ -264,28 +264,17 @@ def evidence(cert, amb):
         return report
 
     if cert.kind == "primeFraction":
-        k, l = cert.k, cert.l
-        a = float(k)
-        degree = 2 * n * l
+        k, a, degree = cert.k, float(cert.k), 2 * n * cert.l
         mode = "equivariant"
-    elif cert.kind == "integerK":
-        k, l = 1, 1
-        a = float(cert.K)
-        degree = 2 * n
-        mode = "plain"
-    elif cert.kind == "equalRadii":
-        k, l = 1, 1
-        a = 0.75 * A1
-        degree = 2 * n
-        mode = "plain"
+    elif cert.kind in ("integerK", "equalRadii"):
+        k, degree, mode = 1, 2 * n, "plain"
+        a = float(cert.K) if cert.kind == "integerK" else 0.75 * A1
     else:
         raise DomainError("no evidence scheme for kind %r" % cert.kind)
 
     big_area = A3 if A3 is not None else A1 + 1.0
-    lmax = max(4, l + 1)
-    bc_big, bc_large, bc_small = (
-        limit_barcode_at_area(n, A, k, mode, lmax=lmax)
-        for A in (big_area, A1, A2))
+    bc_big, bc_large, bc_small = (limit_barcode_at_area(n, A, k, mode)
+                                  for A in (big_area, A1, A2))
 
     ranks = [bc.rank_at(degree, a) for bc in (bc_big, bc_large, bc_small)]
     # Persistence ranks of the inclusions big <- large and big <- small; the
@@ -293,10 +282,7 @@ def evidence(cert, amb):
     # valid even when a sits on a bar endpoint.
     incl = [min(ranks[0], ranks[1]), min(ranks[0], ranks[2])]
 
-    if cert.kind == "equalRadii":
-        expected = [1, 1, 1]
-    else:
-        expected = [1, 1, 0]
+    expected = [1, 1, 1] if cert.kind == "equalRadii" else [1, 1, 0]
     if ranks != expected:
         raise DomainError(
             "evidence ranks %r do not reproduce the expected pattern %r"

@@ -140,10 +140,10 @@ class RadialProfile:
     rho' <= 0, rho'' >= 0, rho and rho' tend to 0 as m -> 1, rho' constant
     = c on [0, delta].
 
-    rho, rho' and rho'' on an array of levels are summed from `_cols`, one
-    column of ascending coefficients per piece; at a scalar (`read`) from
-    `_rows`, the same coefficients as one list per piece less its trailing
-    zeros (`_trim`), by the same `_poly_value`, so the two are bit-equal.
+    Every read (`read`, at one level or on an array of levels) sums `_rows`
+    by `_poly_value`: one list of ascending coefficients per order and piece,
+    less trailing zeros that change no sum (`_trim`).  So a level reads the
+    same bits alone as in an array, those of the full polynomial.
     """
 
     def __init__(self, knots, coeffs, c=None, delta=None):
@@ -163,22 +163,32 @@ class RadialProfile:
         self.c = c
         self.delta = delta
         d1 = _derivative(coeffs)
-        # _cols[order][p, i]: coefficient of s^p of rho^(order) on piece i
-        self._cols = [np.ascontiguousarray(t[:, ::-1].T)
-                      for t in (coeffs, d1, _derivative(d1))]
         self._knot_list = knots.tolist()
         # _rows[order][i]: ascending coefficients of rho^(order) on piece i
-        self._rows = [[_trim(row, x) for row, x in zip(col.T.tolist(),
+        self._rows = [[_trim(row, x) for row, x in zip(t[:, ::-1].tolist(),
                                                         self._knot_list)]
-                      for col in self._cols]
+                      for t in (coeffs, d1, _derivative(d1))]
         self._inner = self._knot_list[1:-1]     # piece i holds m < knots[i+1]
 
     # -- evaluation -------------------------------------------------------
 
     def read(self, m, lo, hi):
-        """(rho^(lo)(m), ..., rho^(hi)(m)) at a scalar m, 0 <= lo <= hi <= 2:
-        one piece lookup, then each order's row summed by `_poly_value`;
-        m < 0 reads as 0."""
+        """(rho^(lo)(m), ..., rho^(hi)(m)), 0 <= lo <= hi <= 2, at a level m
+        or on an array of levels (one array per order): each level's piece
+        looked up, then that piece's row of each order summed by
+        `_poly_value`; m < 0 reads as 0, and m >= 1 (or nan) reads 0.0."""
+        if not (isinstance(m, float) or np.ndim(m) == 0):
+            m = np.asarray(m, dtype=float)
+            x, inside = np.clip(m, 0.0, 1.0), m < 1.0
+            i = np.where(inside, np.searchsorted(self.knots[1:-1], x,
+                                                 side="right"), -1)
+            out = np.zeros((hi - lo + 1,) + m.shape)
+            for p in np.flatnonzero(np.bincount(i[inside])).tolist():
+                at = i == p
+                s = x[at] - self._knot_list[p]
+                for res, rows in zip(out, self._rows[lo:hi + 1]):
+                    res[at] = _poly_value(rows[p], s)
+            return tuple(out)
         m = float(m)
         if not m < 1.0:
             return (0.0, 0.0, 0.0)[:hi - lo + 1]
@@ -222,30 +232,14 @@ class RadialProfile:
                 b = mid
         return 0.5 * (a + b)
 
-    def _eval(self, order, m):
-        """rho^(order) on an array of levels."""
-        m = np.asarray(m, dtype=float)
-        out = np.zeros_like(m)
-        inside = m < 1.0
-        x = np.clip(m[inside], 0.0, 1.0)
-        i = np.searchsorted(self.knots[1:-1], x, side="right")
-        out[inside] = _poly_value(self._cols[order][:, i], x - self.knots[i])
-        return out
-
     def rho(self, m):
-        if isinstance(m, float) or np.ndim(m) == 0:
-            return self.read(m, 0, 0)[0]
-        return self._eval(0, m)
+        return self.read(m, 0, 0)[0]
 
     def drho(self, m):
-        if isinstance(m, float) or np.ndim(m) == 0:
-            return self.read(m, 1, 1)[0]
-        return self._eval(1, m)
+        return self.read(m, 1, 1)[0]
 
     def d2rho(self, m):
-        if isinstance(m, float) or np.ndim(m) == 0:
-            return self.read(m, 2, 2)[0]
-        return self._eval(2, m)
+        return self.read(m, 2, 2)[0]
 
     # -- serialization ----------------------------------------------------
 
@@ -296,17 +290,14 @@ class RadialProfile:
     def validate(self):
         """Return a list of invariant violations (empty when valid)."""
         problems = []
-        m = np.linspace(0.0, 1.0, 2001)
-        r = self.rho(m)
-        dr = self.drho(m)
-        d2r = self.d2rho(m)
+        r, dr, d2r = self.read(np.linspace(0.0, 1.0, 2001), 0, 2)
         if not all(np.isfinite(x).all() for x in (r, dr, d2r)):
             problems.append("rho, rho' or rho'' is not finite on [0, 1]")
         if np.min(r) < -1e-10:
             problems.append("rho takes negative values")
-        inner = self.knots[1:-1]    # no grid sees a jump of rho at a knot
-        jump = self._cols[0][0, 1:] - _poly_value(self._cols[0][:, :-1],
-                                                  np.diff(self.knots)[:-1])
+        inner, r0 = self.knots[1:-1], self._rows[0]  # no grid sees a jump
+        jump = np.array([b[0] - _poly_value(a, w) for a, b, w in
+                         zip(r0, r0[1:], np.diff(self.knots).tolist())])
         bad = inner[(abs(jump) > 1e-9 * (1.0 + np.max(np.abs(r))))
                     & (inner > 0.0) & (inner < 1.0)]
         problems += ["rho is discontinuous at knot %g" % x for x in bad[:1]]
@@ -315,9 +306,9 @@ class RadialProfile:
         if np.min(d2r) < -1e-8:
             problems.append("rho'' takes negative values (not convex)")
         i = bisect.bisect_left(self._inner, 1.0)    # the piece left of m = 1
-        if any(abs(_poly_value(col[:, i], 1.0 - self.knots[i]))
+        if any(abs(_poly_value(rows[i], 1.0 - self._knot_list[i]))
                > 1e-9 * (1.0 + np.max(np.abs(x)))
-               for col, x in zip(self._cols, (r, dr))):
+               for rows, x in zip(self._rows, (r, dr))):
             problems.append("rho or rho' does not vanish as m -> 1")
         if self.c is not None and self.delta is not None:
             flat = np.linspace(0.0, self.delta, 101)
@@ -428,7 +419,7 @@ class RadialMap:
         while |beta| < pi (rho'' >= 0): a bracketed Newton iteration finds m,
         row by row, then z = q - tan(beta/2) J0 q for all rows at once.  For
         H(q) >= 1, z = q exactly.  Each Newton step takes (rho', rho'') from
-        one `rho.read`: one piece lookup, bit-equal to the array path.
+        one `rho.read`, one piece lookup.
 
         tan(beta/2) is a function of the map and the exact float h alone, so
         each distinct h is solved once per stack, and not at all if the
@@ -562,9 +553,9 @@ def _bernstein(row, alpha, w):
 
 def _certify_monotone(rho, lo):
     """True only if `_check_monotone(rho, lo)` passes, proved from the
-    rho' rows.  On each piece's part of [lo, 1), s = x - knot in [alpha,
-    beta] (the grid's own rounded differences), rho'' >= -sigma by its
-    Bernstein coefficients less their rounding bound (their sums over
+    rho' and rho'' rows.  On each piece's part of [lo, 1), s = x - knot in
+    [alpha, beta] (the grid's own rounded differences), rho'' >= -sigma by
+    its Bernstein coefficients less their rounding bound (their sums over
     |coefficients|, at most the value at t = 1), the grid's rho' sums err by
     at most e, and rho' drops by `drop` in all at the knots and at m = 1
     (read as 0.0); so each grid step changes rho' by at least -(sigma h +
@@ -574,12 +565,11 @@ def _certify_monotone(rho, lo):
     h = ((1.0 - lo) / 4000 * 1.001 + (2 * len(ends) + 2) * u
          * (2.0 + abs(lo) + max(map(abs, rho._knot_list))))
     drop, end = 0.0, -math.inf
-    for a, k, x, y in zip(rho._rows[1], rho._knot_list, ends, ends[1:]):
+    for a, d2, k, x, y in zip(*rho._rows[1:], rho._knot_list, ends, ends[1:]):
         if not x < y:
             continue
         alpha, beta = x - k, y - k
         e = 2 * (len(a) + 1) * u * _poly_value(map(abs, a), max(-alpha, beta))
-        d2 = [p * c for p, c in enumerate(a)][1:] or [0.0]
         w = (beta - alpha) * (1 + 4 * u)
         bound = 2 * (3 * len(d2) + 7) * u * _poly_value(map(abs, d2),
                                                          abs(alpha) + w)
@@ -720,9 +710,8 @@ def translated_chains(amb, rho, k):
     the time-1 map: each shell contributes a free S^1-family (representative
     starting at (R sqrt(m), 0, ..., 0)), the origin an isolated chain.
 
-    For each chain, t = (1/k) sum_j S(z_j) and action = k t = sum_j S(z_j)."""
-    if k < 1 or k % 2 == 0:
-        raise EvenK("translated_chains requires odd k >= 1")
+    For each chain, t = (1/k) sum_j S(z_j) and action = k t = sum_j S(z_j).
+    EvenK (from `shells`) unless k is odd and >= 1."""
     phi = RadialMap(amb, rho, 1.0)
     out = []
     for sh in shells(amb, rho, k):

@@ -1,8 +1,10 @@
 """Every narrated demo runs to completion as a script; the barcode demo's
-output is pinned byte for byte."""
+output is pinned byte for byte; the README's Library example runs and
+holds to its comments."""
 
 import glob
 import hashlib
+import math
 import os
 import subprocess
 import sys
@@ -38,3 +40,16 @@ def test_barcode_demo_output_is_pinned():
     proc = _run(os.path.join(ROOT, "demos", "04_barcodes.py"))
     assert hashlib.sha256(proc.stdout.encode()).hexdigest() == \
         "c07e2cd86a76786010d7dd695b1c657110cee7696f4f5eb9fba802009f17c4ef"
+
+
+def test_readme_library_example_holds():
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        library = fh.read().split("\n## Library\n", 1)[1]
+    code = library.split("```python\n", 1)[1].split("```", 1)[0]
+    ns = {}
+    exec(compile(code, "README.md", "exec"), ns)
+    cert, m = ns["cert"], ns["m"]
+    assert (cert.kind, cert.k, cert.l) == ("primeFraction", 5, 4)
+    assert ns["report"]["ranks"] == [1, 1, 0]
+    assert m.maslov == 2 and m.zk_orbit == "free"
+    assert abs(m.value - 5 * math.pi / 6) < 1e-6

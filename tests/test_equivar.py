@@ -386,12 +386,7 @@ def test_barcode_from_json_accepts_its_own_output(amb1, rho_ref):
     assert len(Barcode.from_json(_barcode_text(death=None))) == 1
 
 
-@pytest.mark.parametrize("k", [-3, 0, 2, 4, 9, 15])
-def test_every_reading_refuses_the_same_k(k, amb1, rho_ref, F, tmp_path):
-    """A homology reading needs k = 1 or an odd prime, in every entry point:
-    the complexes, both limit barcodes and `gfs barcode` (exit 2, before it
-    writes anything).  The odd-count operations need an odd k, not a
-    field, and keep their own EvenK rule."""
+def _assert_every_reading_refuses(k, amb1, rho_ref, tmp_path):
     for read in (lambda: GroupRingComplex(k, []),
                  lambda: lens_complex(1, k),
                  lambda: ball_complex(amb1, rho_ref, k),
@@ -404,6 +399,15 @@ def test_every_reading_refuses_the_same_k(k, amb1, rho_ref, F, tmp_path):
         assert main(["barcode", "--k", str(k), "--out", str(tmp_path),
                      *flags]) == 2
     assert not (tmp_path / "barcode.json").exists()
+
+
+@pytest.mark.parametrize("k", [-3, 0, 2, 4, 9, 15])
+def test_every_reading_refuses_the_same_k(k, amb1, rho_ref, F, tmp_path):
+    """A homology reading needs k = 1 or an odd prime, in every entry point:
+    the complexes, both limit barcodes and `gfs barcode` (exit 2, before it
+    writes anything).  The odd-count operations need an odd k, not a
+    field, and keep their own EvenK rule."""
+    _assert_every_reading_refuses(k, amb1, rho_ref, tmp_path)
     for count in (lambda: shells(amb1, rho_ref, k), lambda: sharp_k(F, k),
                   lambda: gf_compose_chain([F] * k)):
         if k in (9, 15):
@@ -411,6 +415,14 @@ def test_every_reading_refuses_the_same_k(k, amb1, rho_ref, F, tmp_path):
         else:
             with pytest.raises(EvenK):
                 count()
+
+
+@pytest.mark.parametrize("k", [3.0, True])
+def test_every_reading_refuses_a_k_that_is_no_integer(k, amb1, rho_ref,
+                                                      tmp_path):
+    """3.0 passes the arithmetic of an odd prime and True that of the
+    sentinel 1, but a reading takes only an integer k."""
+    _assert_every_reading_refuses(k, amb1, rho_ref, tmp_path)
 
 
 def test_every_reading_refuses_the_same_mode(amb1, rho_ref, tmp_path):

@@ -8,9 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gfs import (Ambient, DomainError, SearchBoundExceeded, SqueezeQuery,
-                 certificate_json, evidence, find_obstruction,
-                 room_obstruction, room_transform, validate_certificate)
+from gfs import (Ambient, DomainError, NonPrimeK, SearchBoundExceeded,
+                 SqueezeCertificate, SqueezeQuery, certificate_json, evidence,
+                 find_obstruction, room_obstruction, room_transform,
+                 validate_certificate)
 
 
 def test_query_validation():
@@ -115,6 +116,13 @@ def test_tampered_certificate_rejected():
     cert.l = 4
     cert.k = 9                       # not prime
     assert not validate_certificate(cert, 1.5, 1.2)
+    # 3.0 passes the arithmetic for (k, l) = (3, 2), but k is no integer
+    floaty = SqueezeCertificate(kind="primeFraction", k=3.0, l=2,
+                                areas={"A1": 1.6, "A2": 1.45})
+    assert not validate_certificate(floaty)
+    assert validate_certificate(_tampered(floaty, k=3))
+    with pytest.raises(NonPrimeK, match="odd prime"):
+        evidence(floaty, Ambient(1, 1.0))
 
 
 def test_tampered_integer_certificate_rejected_at_both_ends():
@@ -237,10 +245,10 @@ def test_certificate_json_deterministic():
     assert obj["evidence"]["ranks"] == [1, 1, 0]
 
 def test_equal_radii_scans_no_primes(monkeypatch):
-    import gfs.squeeze
+    import gfs.equivar                 # whose is_odd_prime the search reads
     calls = []
-    real = gfs.squeeze.is_prime
-    monkeypatch.setattr(gfs.squeeze, "is_prime",
+    real = gfs.equivar.is_prime
+    monkeypatch.setattr(gfs.equivar, "is_prime",
                         lambda k: calls.append(k) or real(k))
     assert find_obstruction(SqueezeQuery(1.5, 1.2)).kind == "primeFraction"
     assert calls                       # the counter sees the prime scan

@@ -388,6 +388,8 @@ def test_shells_reference_values(amb1, rho_ref, shells3):
     assert s1.free_orbit and s2.free_orbit and not s0.free_orbit
     with pytest.raises(EvenK):
         shells(amb1, rho_ref, 4)
+    with pytest.raises(EvenK):
+        translated_chains(amb1, rho_ref, 4)
 
 
 def test_shell_levels_are_periodic_points(amb1, rho_ref, shells3):
@@ -702,7 +704,7 @@ def test_level_solver_matches_the_drho_bisection_off_ref():
         knots = prof.knots.tolist()
         at_knots = [prof.drho(x) for x in knots[1:-1]] + [
             sympl._poly_value(row, w) for row, w in
-            zip(prof._cols[1].T.tolist(), np.diff(knots)[:-1].tolist())]
+            zip(prof._rows[1], np.diff(knots)[:-1].tolist())]
         targets = np.linspace(prof.drho(0.0), -1e-3, 37).tolist() + at_knots
         mids = [0.5 * (max(x, 0.0) + y) for x, y in zip(knots, knots[1:])]
         inside += len(mids) - 1
