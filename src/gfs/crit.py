@@ -8,8 +8,9 @@ primitive sum_j S(X_j).  Critical points of the scale-normalized contact
 composition P encode translated chains, with critical value t*k.
 
 `newton_critical` (on F^{#k}) and `chain_scan` (on P, gauge-fixed) share one
-damped-Newton solver, `_newton`: least-squares steps on the bordered system,
-halved while they fail to shrink the gradient.
+damped-Newton solver, `_newton`: LU steps on the bordered system (the
+least-squares minimum-norm step only where it is exactly singular), halved
+while they fail to shrink the gradient.
 
 The classifiers here measure Morse data honestly: eigenvalues of the full
 Hessian, a relative zero threshold (1e-8 times the spectral radius), and a
@@ -133,9 +134,11 @@ def _newton(G, w, tol, gauge=None):
     A w = 0 when the rows A are given; returns (w, value, hess, |grad|,
     iterations) at the limit.
 
-    Each step solves the bordered system [[H, A^T], [A, 0]] s = -(g, A w) in
-    the least-squares sense (with no gauge rows, H s = -g), so singular
-    Hessian directions (critical manifolds) take the minimum-norm step.
+    Each step solves the bordered system [[H, A^T], [A, 0]] s = -(g, A w)
+    (with no gauge rows, H s = -g) by one LU solve: where the system is
+    nonsingular its solution is unique, so minimum-norm.  Only where LU meets
+    an exactly zero pivot (an exactly singular H, as on a critical manifold)
+    does the step fall back to the least-squares minimum-norm solution.
     Each point is evaluated once, by one order-2 jet: a trial with a finite
     jet that shrinks |grad| is the next iterate, any other is halved; when
     8 trials fail the solve has stalled.  Stops when max(|grad|, |A w|) <
@@ -162,7 +165,10 @@ def _newton(G, w, tol, gauge=None):
         it += 1
         M[:dim, :dim] = H
         rhs = -np.concatenate([g, A @ w])
-        step = np.linalg.lstsq(M, rhs, rcond=None)[0][:dim]
+        try:
+            step = np.linalg.solve(M, rhs)[:dim]
+        except np.linalg.LinAlgError:
+            step = np.linalg.lstsq(M, rhs, rcond=None)[0][:dim]
         scale = 1.0
         for _ in range(8):
             trial = w + scale * step

@@ -182,8 +182,8 @@ def gf_small_map(amb, mp):
 
     def stack(Q, order):
         value, a, c = [], [], []
-        for z in mp.midpoint_inverse(Q):
-            m = float(np.dot(z, z)) / R2        # amb.H(z), bit for bit
+        # each row's m by the stacked rule of amb.H, bit for bit its row rule
+        for m in amb.H(mp.midpoint_inverse(Q)).tolist():
             r, dr, d2r = rho.read(m, 0, 2)
             b = t * dr / R2
             s2b = math.sin(2.0 * b)

@@ -32,7 +32,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .equivar import is_odd_prime, limit_barcode_at_area, tensor_circle
+from .equivar import (_integer, is_odd_prime, limit_barcode_at_area,
+                      tensor_circle)
 from .errors import DomainError, SearchBoundExceeded
 
 DEFAULT_MAX_PRIME = 10 ** 4
@@ -94,15 +95,16 @@ def _room_inverse(m, A):
 
 
 def _integer_k_admissible(K, A1, A2):
-    """The integerK rule: K is an integer with A2 < K < A1."""
-    return K is not None and K == int(K) and A2 < K < A1
+    """The integerK rule: K an integer (`equivar._integer`), A2 < K < A1."""
+    return _integer(K) is not None and A2 < K < A1
 
 
 def _prime_fraction_admissible(k, l, A1, A2):
-    """The primeFraction rule: k an odd prime (`is_odd_prime`), 0 < l < k
-    and l*A2 <= k < l*A1, with the arithmetic tested before the primality."""
+    """The primeFraction rule: k an odd prime and l an integer (`equivar`'s
+    rules), 0 < l < k and l*A2 <= k < l*A1, the arithmetic tested first."""
     return (k is not None and l is not None and 0 < l < k
-            and l * A2 <= k < l * A1 and is_odd_prime(k))
+            and l * A2 <= k < l * A1 and _integer(l) is not None
+            and is_odd_prime(k))
 
 
 def _equal_radii_admissible(A1, A2):
@@ -227,17 +229,19 @@ def validate_certificate(cert, A1=None, A2=None):
     if cert.kind == "equalRadii":
         return _equal_radii_admissible(A1, A2)
     if cert.kind == "conjugated":
-        A3 = cert.areas.get("A3")
+        A3, m = cert.areas.get("A3"), _integer(cert.m)
         if (cert.inner is None or A3 is None
-                or cert.m not in _conjugation_indices(A1, A2, A3)):
+                or m not in _conjugation_indices(A1, A2, A3)):
             return False
         try:
-            t1 = _room_inverse(cert.m, A1)
-            t2 = _room_inverse(cert.m, A2)
+            t1 = _room_inverse(m, A1)
+            t2 = _room_inverse(m, A2)
         except DomainError:
             return False
+        outer = (cert.k, cert.l)
         return (validate_certificate(cert.inner, t1, t2)
-                and (cert.k, cert.l) == _outer_pair(cert.inner, cert.m))
+                and outer == _outer_pair(cert.inner, m)
+                and all(x is None or _integer(x) is not None for x in outer))
     return False
 
 

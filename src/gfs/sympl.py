@@ -59,9 +59,12 @@ class Ambient:
         return 2 * self.n
 
     def H(self, z):
-        """Scaled squared radius sum |z_j|^2 / R^2."""
+        """Scaled squared radius sum |z_j|^2 / R^2: a float for one point, an
+        array for a stack (N, 2n), one per row; one batched product, which
+        rounds each row as np.dot(z, z) does."""
         z = np.asarray(z, dtype=float)
-        return float(np.dot(z, z)) / self.R**2
+        h = (z[..., None, :] @ z[..., :, None])[..., 0, 0] / self.R**2
+        return float(h) if z.ndim == 1 else h
 
 
 def complex_view(z):
@@ -428,8 +431,7 @@ class RadialMap:
         bit for bit.  Only those two stacks are kept."""
         q = np.asarray(q, dtype=float)
         Q = q.reshape(-1, q.shape[-1])
-        R2 = self.amb.R**2
-        h = [float(np.dot(row, row)) / R2 for row in Q]
+        h = self.amb.H(Q).tolist()
         prev, tans = self._tans, {}
         for x in h:
             if x < 1.0 and x not in tans:

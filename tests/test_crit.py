@@ -397,7 +397,8 @@ chainFamily,0,4.66526509058,22,2,,fixed
 """
 
 
-def test_newton_outputs_are_pinned(F, P3, amb1, rho_ref):
+def _pinned_batch(F, P3, amb1, rho_ref):
+    """The seeded batch of solves that GOLDEN_CSV pins."""
     rng = np.random.default_rng(7)
     found = []
     for n, k in ((1, 3), (1, 5), (2, 3)):
@@ -417,5 +418,56 @@ def test_newton_outputs_are_pinned(F, P3, amb1, rho_ref):
         seed = seed_from_chain(P3, ch)
         found += chain_scan(P3, 3, [seed + 1e-4 * rng.normal(size=len(seed))],
                             chains=chains)
+    return found
+
+
+def test_newton_outputs_are_pinned(F, P3, amb1, rho_ref):
+    found = _pinned_batch(F, P3, amb1, rho_ref)
     assert to_csv(found) == GOLDEN_CSV
     assert [m.diagnostics["iterations"] for m in found] == [2] * 11
+
+
+def _bordered_solves(monkeypatch, F, P3, amb1, rho_ref):
+    """(M, rhs, LU solution) of every Newton step of the pinned batch, run
+    with np.linalg.lstsq patched to fail the test if it is called."""
+    solves = []
+    solve = np.linalg.solve
+
+    def recording(M, rhs):
+        x = solve(M, rhs)
+        solves.append((M.copy(), rhs.copy(), x))
+        return x
+
+    def refused(*args, **kwargs):
+        raise AssertionError("lstsq called on a nonsingular bordered system")
+
+    monkeypatch.setattr(np.linalg, "solve", recording)
+    monkeypatch.setattr(np.linalg, "lstsq", refused)
+    found = _pinned_batch(F, P3, amb1, rho_ref)
+    monkeypatch.undo()
+    return found, solves
+
+
+def test_newton_steps_never_fall_back_to_lstsq(F, P3, amb1, rho_ref,
+                                                monkeypatch):
+    # every step of the batch is one LU solve, bordered (2 gauge rows) on P3
+    found, solves = _bordered_solves(monkeypatch, F, P3, amb1, rho_ref)
+    assert to_csv(found) == GOLDEN_CSV
+    assert len(solves) == 2 * len(found)
+    dims = [len(M) - len(m.representative)
+            for (M, _, _), m in zip(solves[::2], found)]
+    assert dims == [0] * 8 + [2] * 3
+
+
+def test_newton_lu_step_matches_the_min_norm_step(F, P3, amb1, rho_ref,
+                                                  monkeypatch):
+    # where M is nonsingular its solution is unique: the least-squares
+    # minimum-norm solution of the same M agrees with the LU one to within
+    # round-off, cond(M) eps.  The 22 systems (cond 16 to 2.8e8) read a
+    # relative difference of at most 0.82 cond(M) eps (2.8e-8 at worst).
+    _, solves = _bordered_solves(monkeypatch, F, P3, amb1, rho_ref)
+    eps = np.finfo(float).eps
+    for M, rhs, x in solves:
+        ref = np.linalg.lstsq(M, rhs, rcond=None)[0]
+        diff = np.linalg.norm(x - ref) / np.linalg.norm(ref)
+        assert diff <= 10.0 * np.linalg.cond(M) * eps

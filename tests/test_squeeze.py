@@ -154,6 +154,29 @@ def test_tampered_conjugated_certificate_rejected():
         assert not validate_certificate(bad)
 
 
+def test_certificate_integers_refuse_floats_and_bools():
+    # every integer slot reads the readings' integer rule: 2.0 and True
+    # pass each slot's arithmetic, and are refused for not being integers
+    K1, K2 = (find_obstruction(SqueezeQuery(1.5, 0.5)),
+              find_obstruction(SqueezeQuery(2.5, 1.7)))
+    P1 = SqueezeCertificate(kind="primeFraction", k=3, l=1,
+                            areas={"A1": 3.5, "A2": 2.9})
+    P2 = SqueezeCertificate(kind="primeFraction", k=3, l=2,
+                            areas={"A1": 1.6, "A2": 1.45})
+    C1, C2 = (find_obstruction(SqueezeQuery(0.8, 0.7, 0.9)),
+              find_obstruction(SqueezeQuery(0.45, 0.40, 0.5)))
+    assert (K1.K, K2.K, C1.m, C2.m) == (1, 2, 1, 2)
+    assert (C2.k, C2.l) == (3, 7)
+    for cert in (K1, K2, P1, P2, C1, C2):
+        assert validate_certificate(cert)
+    for bad in (_tampered(K1, K=True), _tampered(K2, K=2.0),
+                _tampered(P1, l=True), _tampered(P2, l=2.0),
+                _tampered(P1, k=True), _tampered(P2, k=3.0),
+                _tampered(C1, m=True), _tampered(C2, m=2.0),
+                _tampered(C2, k=3.0), _tampered(C2, l=7.0)):
+        assert not validate_certificate(bad)
+
+
 def _is_odd_prime(k):
     return k > 2 and all(k % d for d in range(2, int(k ** 0.5) + 1))
 

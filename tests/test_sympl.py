@@ -28,6 +28,41 @@ def test_ambient_basics():
         Ambient(n=1, R=-1.0)
 
 
+def _rows_at_the_boundary(R, dim, rng):
+    """Rows z with float(np.dot(z, z)) / R^2 one ulp below and one above 1."""
+    want, rows = (np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0)), {}
+    while len(rows) < 2:
+        u = rng.normal(size=dim)
+        u /= np.linalg.norm(u)
+        for j in range(-40, 41):
+            z = (R * (1.0 + j * 2.0**-53)) * u
+            h = float(np.dot(z, z)) / R**2
+            if h in want:
+                rows.setdefault(h, z)
+    return [rows[h] for h in want]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_stacked_h_is_the_dot_rule_bit_for_bit(n):
+    # H reads a stack by one batched product; each row must round as
+    # np.dot(z, z) does, which `midpoint_inverse` and the small-map stack
+    # rely on to read the same levels as a one-row read (element-wise sums
+    # and einsum round differently)
+    rng = np.random.default_rng(17 + n)
+    for R in (1.0, 1.3, 0.7, 2.5):
+        amb = Ambient(n=n, R=R)
+        Q = np.vstack([rng.normal(0.0, 0.6 * R, (3000, 2 * n))
+                       * rng.uniform(0.0, 2.0, (3000, 1)),
+                       _rows_at_the_boundary(R, 2 * n, rng)])
+        want = np.array([float(np.dot(z, z)) / R**2 for z in Q])
+        assert want[-2] < 1.0 < want[-1]
+        got = amb.H(Q)
+        assert got.shape == (len(Q),)
+        assert got.tobytes() == want.tobytes()
+        assert [amb.H(z) for z in Q] == want.tolist()
+        assert type(amb.H(Q[0])) is float
+
+
 def test_ref_profile_shape(rho_ref):
     # rho' == c on [0, delta] then climbs linearly to 0, so
     # rho(0) = -integral of rho' = -c (1 + delta) / 2 up to blend corrections
