@@ -214,10 +214,7 @@ def reconstruct(F, k, p):
     chart, and verifies the orbit relation X_{j+1} = phi(X_j) (cyclically);
     a nan residual fails either check.
     """
-    return _orbit(F, sharp_k(F, k), k, p)
-
-
-def _orbit(F, sharp, k, p):
+    sharp = sharp_k(F, k)
     p = np.asarray(p, dtype=float)
     worst = _sup(sharp.grad(p)[sharp.base_dim:])
     if not worst <= FIBRE_TOL:
@@ -238,16 +235,6 @@ def _orbit(F, sharp, k, p):
         raise OrbitRelationViolated(
             "orbit relation residual %.3e exceeds %.1e" % (worst, ORBIT_TOL))
     return points
-
-
-def check_value(F, k, p):
-    """|F^{#k}(p) - sum_j S(X_j)| for the orbit reconstructed from p; the
-    correspondence theorem says this is zero for normalized F."""
-    sharp = sharp_k(F, k)
-    points = _orbit(F, sharp, k, p)
-    phi = F.map_handle
-    total = sum(float(phi.S(x)) for x in points)
-    return abs(float(sharp.value(np.asarray(p, dtype=float))) - total)
 
 
 def maslov(index_of_hessian, k, iota, n):

@@ -39,8 +39,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NonPrimeK, ThresholdOnSpectrum
-from .sympl import shells
+from .errors import DomainError, NonPrimeK
+from .sympl import shell_count, shells
+
+# The most generators `ball_complex` builds for one ball.
+MAX_BALL_GENERATORS = 10 ** 5
 
 
 def is_prime(k):
@@ -253,12 +256,21 @@ def ball_complex(amb, rho, k):
     hi = inf.  For k > 1 `shells` bisects only l <= k, which is exact:
     shell l sits where rho'(m_l) = -(l/k) A (A = pi R^2), so its value
     c_l = l m_l A + k rho(m_l) has dc_l/dl = m_l A > 0 (the rho' terms
-    cancel), and every shell l > k lies above c_k >= hi.  `cx.meta` holds
-    the window, the kept (l, c_l) and the kept origin value (or None).
+    cancel), and every shell l > k lies above c_k >= hi.  DomainError, before
+    any bisection, when 2n generators per shell to bisect plus the origin
+    exceed MAX_BALL_GENERATORS.  `cx.meta` holds the window, the kept
+    (l, c_l) and the kept origin value (or None).
     """
     _field(k)           # refuse a bad k before bisecting any shell
-    *shell_data, origin = shells(amb, rho, k, lmax=k if k > 1 else None)
     n = amb.n
+    lmax = k if k > 1 else None
+    count = min(shell_count(amb, rho, k), lmax or math.inf)
+    size = 2 * n * count + 1
+    if size > MAX_BALL_GENERATORS:
+        raise DomainError("the ball needs %d generators (2n = %d for each of "
+                          "%d shells, plus the origin), above the bound %d"
+                          % (size, 2 * n, count, MAX_BALL_GENERATORS))
+    *shell_data, origin = shells(amb, rho, k, lmax=lmax)
     hi = (min(s.value for s in [*shell_data, origin] if not s.free_orbit)
           if k > 1 else math.inf)
 
@@ -335,9 +347,8 @@ class Barcode:
         return sum(b.rank for b in self.bars
                    if b.degree == degree and b.birth <= a < b.death)
 
-    def endpoints(self, degree=None):
-        return _breakpoints(b for b in self.bars
-                            if degree is None or b.degree == degree)
+    def endpoints(self, degree):
+        return _breakpoints(b for b in self.bars if b.degree == degree)
 
     def to_json(self):
         """{schema, field, bars} as `json.dumps(obj, indent=2)` writes it,
@@ -501,21 +512,3 @@ def tensor_circle(bc):
         bars.append(Bar(b.degree + 1, b.birth, b.death, b.rank))
     return Barcode(bars, bc.field)
 
-
-def inclusion_map(bc_large, bc_small, degree, a):
-    """Rank of the persistence map induced by including the small ball into
-    the large one, read at threshold a in the given degree.
-
-    The monotone-family mechanism matches bars by interval: the map is onto
-    whatever survives on both sides, so its rank is the minimum of the two
-    live ranks.  The threshold must avoid all bar endpoints (the rank
-    function jumps there).
-    """
-    if not a > 0:
-        raise DomainError("inclusion_map needs a threshold a > 0")
-    for bc in (bc_large, bc_small):
-        for e in bc.endpoints():
-            if abs(a - e) < 1e-12:
-                raise ThresholdOnSpectrum(
-                    "threshold a = %.12g sits on a bar endpoint" % a)
-    return min(bc_large.rank_at(degree, a), bc_small.rank_at(degree, a))

@@ -42,9 +42,5 @@ class NonPrimeK(GfsError):
     """Equivariant coefficients require prime k (or the plain sentinel k = 1)."""
 
 
-class ThresholdOnSpectrum(GfsError):
-    """The threshold coincides with a bar endpoint; the rank is ambiguous there."""
-
-
 class SearchBoundExceeded(GfsError):
     """A certificate provably exists but the prime search bound is too small."""

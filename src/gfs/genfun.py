@@ -506,15 +506,16 @@ def chain_config(factors, points):
 def alternating_resolve(mids):
     """Given K midpoints (K odd), return the unique w_1..w_K with
     (w_s + w_{s+1})/2 = mids_s cyclically: w_s = sum_l (-1)^l mids_{s+l},
-    summed over l in order for all slots at once."""
+    accumulated over l in order from 0.0 for all slots at once."""
     K = len(mids)
     if K % 2 == 0:
         raise EvenK("alternating resolution needs an odd count")
     M = np.asarray(mids, dtype=float)
-    acc, idx = np.zeros_like(M), np.arange(K)
-    for l in range(K):
-        acc += ((-1) ** l) * M[(idx + l) % K]
-    return list(acc)
+    idx = np.arange(K)
+    terms = np.zeros((K, K + 1) + M.shape[1:])
+    terms[:, 1:] = M[(idx[:, None] + idx) % K]
+    terms[:, 2::2] *= -1.0
+    return list(np.cumsum(terms, axis=1)[:, -1])
 
 
 # ---------------------------------------------------------------------------

@@ -17,10 +17,10 @@ Conventions fixed here and used by every other module:
 
       S_t(z) = t * (rho(m) - m rho'(m)) = t * a(m) >= 0,   m = H(z),
 
-  where a = action_density.  This sign makes translated-chain actions
-  positive and the small-map formula in `genfun` (S + half the symplectic
-  cross term) an honest generating function of flow_t with the graph
-  covector used by `genfun.graph_of`.
+  where a(m) is the action density of `RadialMap.S`.  This sign makes
+  translated-chain actions positive and the small-map formula in `genfun`
+  (S + half the symplectic cross term) an honest generating function of
+  flow_t with the graph covector used by `genfun.graph_of`.
 * The contact lift of the time-1 map acts on R^{2n} x S^1 by
   (z, theta) |-> (flow_1(z), theta - S_1(z)) and has conformal factor g == 0.
   The Reeb flow is translation in theta.
@@ -63,8 +63,9 @@ class Ambient:
         array for a stack (N, 2n), one per row; one batched product, which
         rounds each row as np.dot(z, z) does."""
         z = np.asarray(z, dtype=float)
-        h = (z[..., None, :] @ z[..., :, None])[..., 0, 0] / self.R**2
-        return float(h) if z.ndim == 1 else h
+        if z.ndim == 1:
+            return float(np.dot(z, z)) / self.R**2
+        return (z[..., None, :] @ z[..., :, None])[..., 0, 0] / self.R**2
 
 
 def complex_view(z):
@@ -355,7 +356,7 @@ def ref_profile(c, delta):
 
 
 # ---------------------------------------------------------------------------
-# flow, action density, maps
+# flow and maps
 # ---------------------------------------------------------------------------
 
 def flow(amb, rho, t, z):
@@ -365,13 +366,6 @@ def flow(amb, rho, t, z):
     exactly (rho' is exactly zero there)."""
     ang = 2.0 * t * rho.drho(amb.H(z)) / amb.R**2
     return interleave(complex_view(z) * np.exp(1j * ang))
-
-
-def action_density(rho, m):
-    """a(m) = rho(m) - m rho'(m): the per-step action of a point on level m.
-
-    Non-negative, non-increasing; a(m) = 0 for m >= 1; a(0) = rho(0)."""
-    return rho.rho(m) - np.asarray(m, dtype=float) * rho.drho(m)
 
 
 class RadialMap:
@@ -593,28 +587,10 @@ def _check_monotone(rho, lo):
         raise NonMonotoneProfile("rho' is not non-decreasing on [%g, 1]" % lo)
 
 
-def shells(amb, rho, k, lmax=None):
-    """Solve rho'(m) = -(l/k) pi R^2 for every integer l with
-    0 < l/k < -rho'(0) / (pi R^2), each by `rho.drho_level` on [delta, 1].
-    NonMonotoneProfile when rho' is not non-decreasing there: by the grid of
-    `_check_monotone`, which runs unless `_certify_monotone` proves from the
-    coefficients that it passes.  DomainError when -rho'(0) k / (pi R^2) is
-    not below 2^53, where (l/k) pi R^2 no longer tells consecutive l apart,
-    or when a returned value is not finite.
-
-    Returns one ShellDatum per shell (ascending l) followed by the origin
-    datum (kind "isolated", value k rho(0), index 2n(L+1), L the number of
-    shells).  With `lmax`, only the shells l <= lmax are bisected and
-    returned, bit-equal to the first entries of the full list; L still counts
-    every shell, in O(1) steps from the estimate -rho'(0) k / (pi R^2).  The
-    bracket rho'(lo) < target is checked once, at the deepest level L, before
-    any bisection: rho'(lo) + (l/k) pi R^2 is non-decreasing in l in floating
-    point, so a truncated call refuses every profile the full call refuses."""
-    if k < 1 or k % 2 == 0:
-        raise EvenK("shells requires odd k >= 1")
-    lo = rho.delta if rho.delta is not None else 0.0
-    if not _certify_monotone(rho, lo):
-        _check_monotone(rho, lo)
+def shell_count(amb, rho, k):
+    """L, the number of integers l > 0 with -(l/k) pi R^2 > rho'(0), in O(1)
+    steps from the estimate -rho'(0) k / (pi R^2); DomainError unless that is
+    below 2^53, where (l/k) pi R^2 no longer tells consecutive l apart."""
     c0 = rho.drho(0.0)
     area = math.pi * amb.R**2
 
@@ -630,6 +606,32 @@ def shells(amb, rho, k, lmax=None):
         L += 1
     while L > 0 and not is_shell(L):
         L -= 1
+    return L
+
+
+def shells(amb, rho, k, lmax=None):
+    """Solve rho'(m) = -(l/k) pi R^2 for every integer l with
+    0 < l/k < -rho'(0) / (pi R^2), each by `rho.drho_level` on [delta, 1].
+    NonMonotoneProfile when rho' is not non-decreasing there: by the grid of
+    `_check_monotone`, which runs unless `_certify_monotone` proves from the
+    coefficients that it passes.  DomainError from `shell_count`, or when a
+    returned value is not finite.
+
+    Returns one ShellDatum per shell (ascending l) followed by the origin
+    datum (kind "isolated", value k rho(0), index 2n(L+1), L the number of
+    shells).  With `lmax`, only the shells l <= lmax are bisected and
+    returned, bit-equal to the first entries of the full list; L still counts
+    every shell (`shell_count`).  The bracket rho'(lo) < target is checked
+    once, at the deepest level L, before any bisection: rho'(lo) + (l/k) pi
+    R^2 is non-decreasing in l in floating point, so a truncated call refuses
+    every profile the full call refuses."""
+    if k < 1 or k % 2 == 0:
+        raise EvenK("shells requires odd k >= 1")
+    lo = rho.delta if rho.delta is not None else 0.0
+    if not _certify_monotone(rho, lo):
+        _check_monotone(rho, lo)
+    area = math.pi * amb.R**2
+    L = shell_count(amb, rho, k)
     if L > 0:
         deepest = -(L / k) * area
         fa = rho.drho(lo) - deepest
@@ -765,20 +767,3 @@ def verify_chain(contact_map, chain):
     return bool(abs(chain.action - chain.t * k)
                 <= CHAIN_TOL * max(1.0, abs(chain.action)))
 
-
-# ---------------------------------------------------------------------------
-# room conjugation on the contact side
-# ---------------------------------------------------------------------------
-
-def phi_m(m, p):
-    """Contact embedding (z, theta) |-> (e^{2 pi i m theta} z / sqrt(1 + m pi |z|^2), theta).
-
-    Conjugation by phi_m turns Reeb-translation obstructions for large balls
-    into obstructions for small balls (area A / (1 + m A), see
-    `squeeze.room_transform`)."""
-    if m < 0 or int(m) != m:
-        raise DomainError("phi_m requires a non-negative integer m")
-    z = np.asarray(p.base, dtype=float)
-    zc = complex_view(z) * np.exp(2j * math.pi * m * p.theta)
-    zc = zc / math.sqrt(1.0 + m * math.pi * float(np.dot(z, z)))
-    return ContactPoint(interleave(zc), p.theta)

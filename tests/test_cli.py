@@ -1,11 +1,13 @@
 """Command-line driver: exit codes, determinism, config precedence."""
 
+import ast
 import hashlib
 import json
 import math
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -64,6 +66,39 @@ def test_barcode_flag_validation(tmp_path, capsys):
     assert "odd prime" in capsys.readouterr().err
     assert main(["barcode", "--limit", "--out", str(tmp_path)]) == 2
     assert main(["barcode", "--k", "3", "--mode", "bogus"]) == 2
+
+
+def test_a_ball_above_the_generator_bound_exits_3_at_once(tmp_path, capsys):
+    # k = 1000003 has about 900,000 shells below k: refused before any of
+    # them is bisected
+    start = time.perf_counter()
+    assert main(["barcode", "--k", "1000003", "--out", str(tmp_path)]) == 3
+    assert time.perf_counter() - start < 0.1
+    err = capsys.readouterr().err
+    assert "1800005 generators" in err and "bound 100000" in err
+    assert not (tmp_path / "barcode.json").exists()
+
+
+def test_every_error_class_has_a_raise_site():
+    # an error class that nothing raises documents a refusal that never
+    # happens; collect the name at every `raise X` and `raise X(...)`
+    from gfs import errors
+    from gfs.cli import FlagError
+    package = os.path.dirname(gfs.__file__)
+    raised = set()
+    for name in os.listdir(package):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name), encoding="utf-8") as fh:
+                tree = ast.parse(fh.read())
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Raise) and node.exc is not None:
+                    exc = getattr(node.exc, "func", node.exc)
+                    raised.add(getattr(exc, "id", getattr(exc, "attr", None)))
+    classes = [cls for cls in vars(errors).values()
+               if isinstance(cls, type) and issubclass(cls, errors.GfsError)
+               and cls is not errors.GfsError] + [FlagError]
+    assert [cls.__name__ for cls in classes
+            if cls.__name__ not in raised] == []
 
 
 def test_equivariant_limit_with_k_one_is_a_flag_error(tmp_path, capsys):
@@ -357,9 +392,46 @@ def test_invariance_suite_fails_a_nan_value_of_p(capsys, monkeypatch):
     assert lines[4] == "suite invariance: 1/4 checks passed"
 
 
-# The certificate JSON of two --evidence queries, as `gfs nonsqueeze` prints
-# it: a prime fraction, and a conjugated certificate with ambient room.
+# The certificate JSON of three --evidence queries, as `gfs nonsqueeze` prints
+# it: two prime fractions, the second with l*A2 = k, so that the threshold
+# a = k sits on the small ball's bar endpoint (inclusion ranks [1, 0]), and a
+# conjugated certificate with ambient room.
 NONSQUEEZE_STDOUT = {
+    ("--A1", "1.3", "--A2", "1.25"): """\
+{
+  "schema": "gfs/1",
+  "kind": "primeFraction",
+  "k": 5,
+  "l": 4,
+  "areas": {
+    "A1": 1.3,
+    "A2": 1.25
+  },
+  "evidence": {
+    "degree": 8,
+    "a": 5.0,
+    "ranks": [
+      1,
+      1,
+      0
+    ],
+    "inclusion_ranks": [
+      1,
+      0
+    ],
+    "prequantized": {
+      "degrees": [
+        8,
+        9
+      ],
+      "ranks": [
+        1,
+        1
+      ]
+    }
+  }
+}
+""",
     ("--A1", "1.5", "--A2", "1.2"): """\
 {
   "schema": "gfs/1",

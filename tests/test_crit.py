@@ -8,7 +8,7 @@ import pytest
 
 from gfs import (Ambient, ContactPoint, DomainError, GenFn, NoConvergence,
                  NotFibreCritical, OrbitRelationViolated, RadialMap,
-                 chain_scan, check_value, contact_lift_gf, contact_p,
+                 chain_scan, contact_lift_gf, contact_p,
                  gf_time_one, maslov,
                  newton_critical, reconstruct, seed_from_chain,
                  sharp_critical_seed, sharp_k, shells, to_csv,
@@ -113,7 +113,9 @@ def test_reconstruct_round_trip(F, F3, shells3):
     amb = Ambient(n=1, R=1.0)
     for X in orbit:
         assert amb.H(X) == pytest.approx(s1.m, abs=1e-9)
-    assert check_value(F, 3, p) < 1e-9
+    # the correspondence identity F^{#k}(p) = sum_j S(X_j)
+    total = sum(float(F.map_handle.S(X)) for X in orbit)
+    assert abs(float(F3.value(p)) - total) < 1e-9
     # a corrupted configuration is not fibre-critical
     bad = p.copy()
     bad[3] += 0.2
@@ -128,31 +130,13 @@ def test_reconstruct_refuses_nan(F, F3, shells3, monkeypatch):
     one_fibre = p.copy()
     one_fibre[F3.base_dim] = math.nan
     for bad in (np.full(F3.total_dim, math.nan), one_fibre):
-        for fn in (reconstruct, check_value):
-            with pytest.raises(NotFibreCritical, match="nan"):
-                fn(F, 3, bad)
+        with pytest.raises(NotFibreCritical, match="nan"):
+            reconstruct(F, 3, bad)
     import gfs.crit
     monkeypatch.setattr(gfs.crit, "sharp_k", lambda G, k: F3)
     monkeypatch.setattr(F, "map_handle", lambda z: z * math.nan)
-    for fn in (reconstruct, check_value):
-        with pytest.raises(OrbitRelationViolated, match="nan"):
-            fn(F, 3, p)
-
-
-def test_check_value_builds_the_sharp_once(F, shells3, monkeypatch):
-    import gfs.crit
-    s1 = [s for s in shells3 if s.l == 1][0]
-    p = sharp_critical_seed(F, 3, np.array([math.sqrt(s1.m), 0.0]))
-    built = []
-    real = gfs.crit.sharp_k
-
-    def counting(G, k):
-        built.append(k)
-        return real(G, k)
-
-    monkeypatch.setattr(gfs.crit, "sharp_k", counting)
-    assert check_value(F, 3, p) < 1e-9
-    assert built == [3]
+    with pytest.raises(OrbitRelationViolated, match="nan"):
+        reconstruct(F, 3, p)
 
 
 def test_maslov_normalization():

@@ -8,9 +8,8 @@ import numpy as np
 import pytest
 
 from gfs import (Ambient, Bar, Barcode, DomainError, EvenK, Generator,
-                 GroupRingComplex, NonPrimeK,
-                 ThresholdOnSpectrum, ball_complex, barcode, gf_compose_chain,
-                 inclusion_map, is_prime, lens_complex, limit_barcode,
+                 GroupRingComplex, NonPrimeK, ball_complex, barcode,
+                 gf_compose_chain, is_prime, lens_complex, limit_barcode,
                  rank_mod_p, ref_profile, sharp_k, shells, tensor_circle,
                  thom_shift)
 from gfs.cli import main
@@ -233,24 +232,6 @@ def test_thom_shift_and_tensor_circle(amb1):
     for b in bc.bars:
         assert pre.rank_at(b.degree, 0.5 * b.death) >= 1
         assert pre.rank_at(b.degree + 1, 0.5 * b.death) >= 1
-
-
-def test_inclusion_map_and_spectrum_guard():
-    big = Ambient(n=1, R=1.0)
-    small = Ambient(n=1, R=0.8)
-    bc1 = limit_barcode(big, 5, "equivariant")
-    bc2 = limit_barcode(small, 5, "equivariant")
-    l = 2
-    a_small = l * math.pi * 0.8 ** 2    # ~4.02: small-ball bar dies here
-    a_large = l * math.pi               # ~6.28: large-ball bar dies here
-    # thresholds chosen between spectrum points of both barcodes
-    assert inclusion_map(bc1, bc2, 2 * l, 1.9) == 1      # both alive
-    assert inclusion_map(bc1, bc2, 2 * l, 5.0) == 0      # small one dead
-    assert a_small < 5.0 < a_large
-    with pytest.raises(ThresholdOnSpectrum):
-        inclusion_map(bc1, bc2, 2 * l, a_small)
-    with pytest.raises(DomainError):
-        inclusion_map(bc1, bc2, 2 * l, -1.0)
 
 
 def test_barcode_serialization_round_trip(amb1):

@@ -10,11 +10,10 @@ import pytest
 
 from gfs import (Ambient, ContactLift, ContactPoint, DomainError, EvenK,
                  LinearRotation, NonMonotoneProfile, RadialMap, RadialProfile,
-                 flow, phi_m, ref_profile, room_transform, shells,
+                 flow, ref_profile, room_transform, shells,
                  translated_chains, verify_chain)
 from gfs import sympl
-from gfs.sympl import (BLEND_WIDTH, ComposedMap, action_density, j0_apply,
-                       reeb_translate)
+from gfs.sympl import BLEND_WIDTH, ComposedMap, j0_apply, reeb_translate
 
 
 def test_ambient_basics():
@@ -386,8 +385,8 @@ def test_primitive_matches_action_density(amb1, rho_ref):
     phi = RadialMap(amb1, rho_ref, 0.37)
     for m in (0.0, 0.2, 0.5, 0.9):
         z = np.array([math.sqrt(m), 0.0])
-        assert phi.S(z) == pytest.approx(0.37 * action_density(rho_ref, m),
-                                         rel=1e-12, abs=1e-15)
+        a = rho_ref.rho(m) - m * rho_ref.drho(m)
+        assert phi.S(z) == pytest.approx(0.37 * a, rel=1e-12, abs=1e-15)
         assert phi.S(z) >= -1e-15
     # gradient of S, -t m rho''(m) (2/R^2) z, vs finite differences
     z = np.array([0.41, -0.33])
@@ -519,14 +518,6 @@ def test_chain_ids_and_actions(amb1, rho_ref, shells3):
 
 
 def test_room_conjugation_map():
-    # phi_m contracts toward the squeezed radius and is injective on a ball.
-    p = ContactPoint(np.array([0.5, 0.1]), 0.3)
-    q = phi_m(2, p)
-    assert float(np.dot(q.base, q.base)) == pytest.approx(
-        float(np.dot(p.base, p.base)) / (1.0 + 2 * math.pi * float(np.dot(p.base, p.base))))
-    assert q.theta == p.theta
-    with pytest.raises(DomainError):
-        phi_m(-1, p)
     assert room_transform(2, 1.0) == pytest.approx(1.0 / 3.0)
     assert room_transform(3, math.inf) == pytest.approx(1.0 / 3.0)
     assert room_transform(2, 0.0) == 0.0
