@@ -698,6 +698,41 @@ def test_help_and_no_command(capsys):
     assert main(["--help"]) == 0
     assert "barcode" in capsys.readouterr().out
 
+
+# `gfs` itself with COLUMNS=80: its help, usage line and errors
+PROGRAM_USAGE = "usage: gfs [-h] [--version] {barcode,verify,nonsqueeze} ...\n"
+PROGRAM_HELP = PROGRAM_USAGE + """
+Generating-function homology toolkit: barcodes, verification suites, and non-
+squeezing certificates.
+
+positional arguments:
+  {barcode,verify,nonsqueeze}
+    barcode             emit barcode JSON and TSV step plot
+    verify              run a verification suite
+    nonsqueeze          search for a non-squeezing obstruction certificate
+
+options:
+  -h, --help            show this help message and exit
+  --version             show program's version number and exit
+"""
+PROGRAM_SURFACE = {
+    (): (2, PROGRAM_HELP, ""),
+    ("--help",): (0, PROGRAM_HELP, ""),
+    ("--version",): (0, gfs.__version__ + "\n", ""),
+    ("bogus",): (2, "", PROGRAM_USAGE + "gfs: error: argument command: "
+                 "invalid choice: 'bogus' (choose from 'barcode', 'verify', "
+                 "'nonsqueeze')\n"),
+}
+
+
+@pytest.mark.parametrize("argv", sorted(PROGRAM_SURFACE))
+def test_program_surface_is_pinned(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == PROGRAM_SURFACE[argv]
+
+
 @pytest.mark.parametrize("command", sorted(COMMANDS))
 def test_help_names_every_option(capsys, monkeypatch, command):
     monkeypatch.setenv("COLUMNS", "80")
