@@ -7,7 +7,9 @@ bound exceeded.  All JSON output carries schema "gfs/1" with fixed key
 order; outputs are bit-identical for fixed flags and seed.  Computing is
 single-threaded.  Each command declares its options once, in a table of
 name -> (type, default, help) that yields both its flags and its config
-keys.  Config files are line-based key=value; precedence flags > config >
+keys.  A call builds only the parser of the command it names; any other
+argv (help, --version, no or an unknown command) goes to `build_parser`.
+Config files are line-based key=value; precedence flags > config >
 defaults, and an unreadable or malformed config file, or a key that names
 no option, is a flag error.
 """
@@ -391,12 +393,12 @@ def cmd_nonsqueeze(opts):
     cert = find_obstruction(q)
     report = evidence(cert, amb) if opts["evidence"] and cert.found() else None
     text = certificate_json(cert, report)
-    sys.stdout.write(text)
-    if opts["out"]:
+    if opts["out"]:     # first, so that a failed write prints nothing
         os.makedirs(opts["out"], exist_ok=True)
         path = os.path.join(opts["out"], "certificate.json")
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
+    sys.stdout.write(text)
     return 0 if cert.found() else 1
 
 
@@ -415,6 +417,20 @@ EXIT_CODES = ((FlagError, 2), (SearchBoundExceeded, 4),
               ((GfsError, OSError), 3))
 
 
+def _add_options(parser, table):
+    """A flag for each option of `table`, then --config; returns parser."""
+    for name, (kind, _, help_text) in table.items():
+        flag = "--" + name.replace("_", "-")
+        if kind is bool:
+            parser.add_argument(flag, action="store_true", default=None,
+                                help=help_text)
+        else:
+            parser.add_argument(flag, type=kind, help=help_text)
+    parser.add_argument("--config", type=str,
+                        help="key=value file of option values")
+    return parser
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="gfs",
@@ -423,21 +439,19 @@ def build_parser():
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command")
     for command, (_, table, text) in COMMANDS.items():
-        p = sub.add_parser(command, help=text)
-        for name, (kind, _, help_text) in table.items():
-            flag = "--" + name.replace("_", "-")
-            if kind is bool:
-                p.add_argument(flag, action="store_true", default=None,
-                               help=help_text)
-            else:
-                p.add_argument(flag, type=kind, help=help_text)
-        p.add_argument("--config", type=str,
-                       help="key=value file of option values")
+        _add_options(sub.add_parser(command, help=text), table)
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    if argv and argv[0] in COMMANDS:    # only the named command's parser
+        parser = _add_options(argparse.ArgumentParser(prog="gfs " + argv[0]),
+                              COMMANDS[argv[0]][1])
+        parser.set_defaults(command=argv[0])
+        argv = argv[1:]
+    else:
+        parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -246,6 +246,21 @@ def test_non_finite_ref_slope_is_a_flag_error(tmp_path):
     assert not (tmp_path / "barcode.json").exists()
 
 
+def test_the_module_entry_point_reads_sys_argv(capsys):
+    # `python -m gfs.cli` calls main() with no argv, as the gfs script does
+    src = os.path.dirname(os.path.dirname(gfs.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    argv = ["nonsqueeze", "--A1", "1.5", "--A2", "1.2", "--evidence"]
+    proc = subprocess.run([sys.executable, "-m", "gfs.cli", *argv],
+                          env=env, capture_output=True)
+    assert main(argv) == 0
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert proc.stdout == capsys.readouterr().out.encode()
+    proc = subprocess.run([sys.executable, "-m", "gfs.cli"], env=env,
+                          capture_output=True)
+    assert proc.returncode == 2
+
+
 @pytest.mark.parametrize("R", ["1e-160", "1e-150"])
 def test_ball_too_small_for_the_shell_count_is_a_computation_error(tmp_path,
                                                                     R):
@@ -529,6 +544,8 @@ BARCODE_SHA256 = {
         "fa24367125909700fcf91411cc524506cf451a2d756a0a3c50ad6b274a125bd7",
     ("--k", "5", "--mode", "plain"):
         "b206ab71ed398acd47201de224a20a9b3bafd0557be6a3957d08ba0bf551f5b0",
+    ("--k", "3", "--limit"):
+        "959e842e855e166920579347d340729c0a68604a85e3febbf932d7d2ae4d3752",
 }
 
 
@@ -584,6 +601,19 @@ def test_nonsqueeze_evidence_and_determinism(capsys):
     obj = json.loads(first)
     assert obj["evidence"]["ranks"] == [1, 1, 0]
     assert obj["evidence"]["inclusion_ranks"] == [1, 0]
+
+
+def test_nonsqueeze_out_onto_a_file_prints_no_certificate(tmp_path, capsys):
+    # certificate.json is written before stdout: a failed --out prints none
+    out = tmp_path / "taken"
+    out.write_text("")
+    assert main(["nonsqueeze", "--A1", "1.5", "--A2", "1.2",
+                 "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert captured.out == "" and len(lines) == 1
+    assert lines[0].startswith("error:")
+    assert out.read_text() == ""
 
 
 def test_config_file_and_flag_precedence(tmp_path):
@@ -723,14 +753,52 @@ PROGRAM_SURFACE = {
                  "invalid choice: 'bogus' (choose from 'barcode', 'verify', "
                  "'nonsqueeze')\n"),
 }
+# after a command, its own usage and name: "gfs nonsqueeze: error: ..."
+for _argv, _error in [
+        (("barcode", "--k", "3", "--bogus"),
+         "unrecognized arguments: --bogus"),
+        (("verify", "--suite", "algebra", "extra"),
+         "unrecognized arguments: extra"),
+        (("nonsqueeze", "--A1", "1.5", "--A2", "1.2", "--bogus", "1"),
+         "unrecognized arguments: --bogus 1"),
+        (("nonsqueeze", "--A1", "x"),
+         "argument --A1: invalid float value: 'x'")]:
+    PROGRAM_SURFACE[_argv] = (2, "", "%s\ngfs %s: error: %s\n" % (
+        HELP[_argv[0]].split("\n\n")[0], _argv[0], _error))
 
 
-@pytest.mark.parametrize("argv", sorted(PROGRAM_SURFACE))
+@pytest.mark.parametrize("argv", sorted(PROGRAM_SURFACE),
+                         ids=lambda argv: " ".join(argv) or "no-arguments")
 def test_program_surface_is_pinned(capsys, monkeypatch, argv):
     monkeypatch.setenv("COLUMNS", "80")
     code = main(list(argv))
     captured = capsys.readouterr()
     assert (code, captured.out, captured.err) == PROGRAM_SURFACE[argv]
+
+
+def test_a_command_builds_only_its_own_parser(tmp_path, capsys, monkeypatch):
+    def refuse():
+        raise AssertionError("a named command built the program parser")
+
+    monkeypatch.setattr(gfs.cli, "build_parser", refuse)
+    monkeypatch.setenv("COLUMNS", "80")
+    assert main(["barcode", "--k", "3", "--limit", "--out",
+                 str(tmp_path)]) == 0
+    assert capsys.readouterr().out == "wrote %s (2 bars over F_3) and %s\n" % (
+        tmp_path / "barcode.json", tmp_path / "barcode.tsv")
+    data = b"".join((tmp_path / name).read_bytes()
+                    for name in ("barcode.json", "barcode.tsv"))
+    assert hashlib.sha256(data).hexdigest() == \
+        BARCODE_SHA256[("--k", "3", "--limit")]
+    assert main(["verify", "--suite", "algebra"]) == 0
+    assert capsys.readouterr().out == VERIFY_STDOUT["algebra"]
+    assert main(["nonsqueeze", "--A1", "1.5", "--A2", "1.2"]) == 0
+    assert capsys.readouterr().out == (
+        '{\n  "schema": "gfs/1",\n  "kind": "primeFraction",\n  "k": 5,\n'
+        '  "l": 4,\n  "areas": {\n    "A1": 1.5,\n    "A2": 1.2\n  }\n}\n')
+    for command in COMMANDS:
+        assert main([command, "--help"]) == 0
+        assert capsys.readouterr().out == HELP[command]
 
 
 @pytest.mark.parametrize("command", sorted(COMMANDS))

@@ -13,7 +13,10 @@ from gfs import (Ambient, ContactLift, ContactPoint, DomainError, EvenK,
                  flow, ref_profile, room_transform, shells,
                  translated_chains, verify_chain)
 from gfs import sympl
+from gfs.cli import _reference
 from gfs.sympl import BLEND_WIDTH, ComposedMap, j0_apply, reeb_translate
+
+from exact import exact_level, exact_read, magnitude
 
 
 def test_ambient_basics():
@@ -199,6 +202,32 @@ def test_profile_reads_of_another_degree_match_ppoly(degree):
     m = np.concatenate([knots, rng.uniform(-0.1, 1.1, 60),
                         [-0.0, -0.5, np.nextafter(1.0, 0.0), 1.5]])
     _assert_reads_match(prof, poly, m)
+
+
+@pytest.mark.parametrize("c, seed", [(-0.9, 3), (-1000.0, 4)])
+def test_profile_reads_are_within_four_ulps_of_exact(c, seed):
+    # uniform levels and levels inside each corner blend; an ulp is scaled
+    # by the row's magnitude sum |a_p| |s|^p (worst measured: 0.87)
+    rho = ref_profile(c * math.pi, 0.1)
+    rng = np.random.default_rng(seed)
+    m = np.concatenate([rng.uniform(0.0, 1.0, 1000),
+                        rng.uniform(0.1, 0.1 + BLEND_WIDTH, 100),
+                        rng.uniform(1.0 - BLEND_WIDTH, 1.0, 100)])
+    eps = np.finfo(float).eps
+    for order, got in enumerate(rho.read(m, 0, 2)):
+        for x, value in zip(m.tolist(), got.tolist()):
+            assert abs(value - exact_read(rho, x, order)) \
+                <= 4 * eps * magnitude(rho, x, order), (order, x)
+
+
+@pytest.mark.parametrize("k", [3, 5, 7])
+def test_shell_levels_are_within_the_bisection_stop_of_exact(k):
+    # drho_level bisects to b - a <= 1e-12 (worst measured: 3.5e-13)
+    amb, rho, _ = _reference()
+    area = math.pi * amb.R**2
+    for s in shells(amb, rho, k)[:-1]:
+        root = exact_level(rho, -(s.l / k) * area, rho.delta)
+        assert abs(s.m - root) <= 1e-12, s.l
 
 
 @pytest.mark.parametrize("knots, pieces", [
