@@ -7,11 +7,11 @@ bound exceeded.  All JSON output carries schema "gfs/1" with fixed key
 order; outputs are bit-identical for fixed flags and seed.  Computing is
 single-threaded.  Each command declares its options once, in a table of
 name -> (type, default, help) that yields both its flags and its config
-keys.  A call builds only the parser of the command it names; any other
-argv (help, --version, no or an unknown command) goes to `build_parser`.
-Config files are line-based key=value; precedence flags > config >
-defaults, and an unreadable or malformed config file, or a key that names
-no option, is a flag error.
+keys.  A call builds only the parser of the command it names; help,
+--version, no or an unknown command go to `build_parser`.  Config files
+are line-based key=value; precedence flags > config > defaults, and an
+unreadable or malformed config file, or a key that names no option, is a
+flag error.
 """
 
 from __future__ import annotations
@@ -418,7 +418,7 @@ EXIT_CODES = ((FlagError, 2), (SearchBoundExceeded, 4),
 
 
 def _add_options(parser, table):
-    """A flag for each option of `table`, then --config; returns parser."""
+    """A flag on `parser` for each option of `table`, then --config."""
     for name, (kind, _, help_text) in table.items():
         flag = "--" + name.replace("_", "-")
         if kind is bool:
@@ -428,7 +428,6 @@ def _add_options(parser, table):
             parser.add_argument(flag, type=kind, help=help_text)
     parser.add_argument("--config", type=str,
                         help="key=value file of option values")
-    return parser
 
 
 def build_parser():
@@ -446,8 +445,8 @@ def build_parser():
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
     if argv and argv[0] in COMMANDS:    # only the named command's parser
-        parser = _add_options(argparse.ArgumentParser(prog="gfs " + argv[0]),
-                              COMMANDS[argv[0]][1])
+        parser = argparse.ArgumentParser(prog="gfs " + argv[0])
+        _add_options(parser, COMMANDS[argv[0]][1])
         parser.set_defaults(command=argv[0])
         argv = argv[1:]
     else:

@@ -745,6 +745,14 @@ options:
   -h, --help            show this help message and exit
   --version             show program's version number and exit
 """
+
+
+def _command_error(command, error):
+    """stderr of a flag error after `command`: its usage, then its name."""
+    return "%s\ngfs %s: error: %s\n" % (HELP[command].split("\n\n")[0],
+                                        command, error)
+
+
 PROGRAM_SURFACE = {
     (): (2, PROGRAM_HELP, ""),
     ("--help",): (0, PROGRAM_HELP, ""),
@@ -752,19 +760,16 @@ PROGRAM_SURFACE = {
     ("bogus",): (2, "", PROGRAM_USAGE + "gfs: error: argument command: "
                  "invalid choice: 'bogus' (choose from 'barcode', 'verify', "
                  "'nonsqueeze')\n"),
+    ("barcode", "--k", "3", "--bogus"): (2, "", _command_error(
+        "barcode", "unrecognized arguments: --bogus")),
+    ("verify", "--suite", "algebra", "extra"): (2, "", _command_error(
+        "verify", "unrecognized arguments: extra")),
+    ("nonsqueeze", "--A1", "1.5", "--A2", "1.2", "--bogus", "1"): (
+        2, "", _command_error("nonsqueeze",
+                              "unrecognized arguments: --bogus 1")),
+    ("nonsqueeze", "--A1", "x"): (2, "", _command_error(
+        "nonsqueeze", "argument --A1: invalid float value: 'x'")),
 }
-# after a command, its own usage and name: "gfs nonsqueeze: error: ..."
-for _argv, _error in [
-        (("barcode", "--k", "3", "--bogus"),
-         "unrecognized arguments: --bogus"),
-        (("verify", "--suite", "algebra", "extra"),
-         "unrecognized arguments: extra"),
-        (("nonsqueeze", "--A1", "1.5", "--A2", "1.2", "--bogus", "1"),
-         "unrecognized arguments: --bogus 1"),
-        (("nonsqueeze", "--A1", "x"),
-         "argument --A1: invalid float value: 'x'")]:
-    PROGRAM_SURFACE[_argv] = (2, "", "%s\ngfs %s: error: %s\n" % (
-        HELP[_argv[0]].split("\n\n")[0], _argv[0], _error))
 
 
 @pytest.mark.parametrize("argv", sorted(PROGRAM_SURFACE),

@@ -4,6 +4,7 @@ import dataclasses
 import itertools
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -221,13 +222,19 @@ def test_profile_reads_are_within_four_ulps_of_exact(c, seed):
 
 
 @pytest.mark.parametrize("k", [3, 5, 7])
-def test_shell_levels_are_within_the_bisection_stop_of_exact(k):
-    # drho_level bisects to b - a <= 1e-12 (worst measured: 3.5e-13)
+def test_shells_are_within_the_bisection_stop_and_round_off_of_exact(k):
+    # each level within drho_level's stop b - a <= 1e-12 of the exact root
+    # (worst measured: 3.5e-13), and each value within four ulps of
+    # l m A + k rho(m) at that level, scaled as the reads are (worst: 0.27)
     amb, rho, _ = _reference()
-    area = math.pi * amb.R**2
+    area, eps = math.pi * amb.R**2, np.finfo(float).eps
     for s in shells(amb, rho, k)[:-1]:
         root = exact_level(rho, -(s.l / k) * area, rho.delta)
         assert abs(s.m - root) <= 1e-12, s.l
+        value = s.l * Fraction(s.m) * Fraction(area) \
+            + k * exact_read(rho, s.m, 0)
+        assert abs(s.value - value) <= 4 * eps * (
+            s.l * s.m * area + k * magnitude(rho, s.m, 0)), s.l
 
 
 @pytest.mark.parametrize("knots, pieces", [
