@@ -171,8 +171,9 @@ def gf_small_map(amb, mp):
     whose denominator is dh/dm; every order is zero where H(q) >= 1.  The
     jet reads a stack (N, 2n) of points q as `jet.stack`: one
     `midpoint_inverse` of the stack (which solves each distinct level once,
-    reusing the previous stack's solves), the scalars of each row, then the
-    gradients and Hessians of all rows at once; `jet` is its one-row case."""
+    reusing the solves of the map's recent stacks), the scalars of each row
+    from (rho, rho') and, at order 2, rho'', then the gradients and Hessians
+    of all rows at once; `jet` is its one-row case."""
     if not (isinstance(mp, RadialMap) and mp.amb == amb):
         raise DomainError("gf_small_map needs a RadialMap on %r" % (amb,))
     if not mp.max_rotation() < math.pi:
@@ -181,24 +182,26 @@ def gf_small_map(amb, mp):
     diag, R2, t, rho = np.arange(amb.dim), amb.R**2, mp.t, mp.rho
 
     def stack(Q, order):
-        value, a, c = [], [], []
+        value, a, c, top = [], [], [], max(order, 1)
         # each row's m by the stacked rule of amb.H, bit for bit its row rule
         for m in amb.H(mp.midpoint_inverse(Q)).tolist():
-            r, dr, d2r = rho.read(m, 0, 2)
+            rd = rho.read(m, 0, top)
+            r, dr = rd[0], rd[1]
             b = t * dr / R2
             s2b = math.sin(2.0 * b)
             value.append(t * (r - m * dr) + 0.5 * R2 * m * s2b)
             if order >= 1:
                 a.append(2.0 * math.tan(b))
             if order >= 2:
-                dbeta, cos2 = 2.0 * t * d2r / R2, math.cos(b) ** 2
+                dbeta, cos2 = 2.0 * t * rd[2] / R2, math.cos(b) ** 2
                 dtb = 0.5 * dbeta / cos2 / (cos2 - 0.5 * m * s2b * dbeta)
                 c.append(4.0 * dtb / R2)
-        a, c = np.array(a), np.array(c)
-        G = a[:, None] * Q if order >= 1 else None
-        H = None
+        G = H = None
+        if order >= 1:
+            a = np.array(a)
+            G = a[:, None] * Q
         if order >= 2:
-            H = c[:, None, None] * (Q[:, :, None] * Q[:, None, :])
+            H = np.array(c)[:, None, None] * (Q[:, :, None] * Q[:, None, :])
             H[:, diag, diag] += a[:, None]
         return np.array(value), G, H
 

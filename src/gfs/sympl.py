@@ -380,7 +380,8 @@ class RadialMap:
         self.amb = amb
         self.rho = rho
         self.t = float(t)
-        self._tans = {}     # h -> tan(beta/2) of the last midpoint_inverse
+        # h -> tan(beta/2), in a current and an old generation of levels
+        self._tans, self._old = {}, {}
 
     def __call__(self, z):
         return flow(self.amb, self.rho, self.t, z)
@@ -419,19 +420,24 @@ class RadialMap:
         one `rho.read`, one piece lookup.
 
         tan(beta/2) is a function of the map and the exact float h alone, so
-        each distinct h is solved once per stack, and not at all if the
-        previous stack (the previous call) already solved it: symmetric
-        configurations and a point read right after its image repeat levels
-        bit for bit.  Only those two stacks are kept."""
+        each distinct h is solved once, and not at all if a recent stack
+        already solved it: symmetric configurations and a point read a few
+        calls after its image repeat levels bit for bit.  The levels are kept
+        in two generations; a level found in the old one is copied into the
+        current one, and once the current one holds twice as many levels as
+        the stack has rows, it becomes the old one and a new one starts.  So
+        at least this stack and the previous one are kept, and the memo holds
+        at most a small multiple of the recent stack sizes."""
         q = np.asarray(q, dtype=float)
         Q = q.reshape(-1, q.shape[-1])
         h = self.amb.H(Q).tolist()
-        prev, tans = self._tans, {}
+        if len(self._tans) >= 2 * len(h):
+            self._old, self._tans = self._tans, {}
+        tans, old = self._tans, self._old
         for x in h:
             if x < 1.0 and x not in tans:
-                t = prev.get(x)
+                t = old.get(x)
                 tans[x] = math.tan(0.5 * self._level_beta(x)) if t is None else t
-        self._tans = tans
         Z = Q - (np.array([tans.get(x, 0.0) for x in h])[:, None]
                  * j0_apply(Q))
         outside = [i for i, x in enumerate(h) if not x < 1.0]
@@ -444,7 +450,8 @@ class RadialMap:
         scale = 2.0 * self.t / self.amb.R**2
         read = self.rho.read
         lo, hi = h, 1.0
-        m = min(h / math.cos(0.5 * scale * read(h, 1, 1)[0]) ** 2, hi)
+        dlo, dhi = read(h, 1, 1)[0], 0.0    # rho' at lo and at hi
+        m = min(h / math.cos(0.5 * scale * dlo) ** 2, hi)
         for _ in range(100):
             dr, d2r = read(m, 1, 2)
             half = 0.5 * scale * dr
@@ -452,7 +459,8 @@ class RadialMap:
             f = m * cos2 - h
             if f == 0.0:
                 break
-            lo, hi = (m, hi) if f < 0.0 else (lo, m)
+            lo, dlo, hi, dhi = ((m, dr, hi, dhi) if f < 0.0
+                                else (lo, dlo, m, dr))
             slope = cos2 - 0.5 * m * math.sin(2.0 * half) * scale * d2r
             m_new = m - f / slope
             if not lo < m_new < hi:
@@ -460,8 +468,11 @@ class RadialMap:
             m, m_old = m_new, m
             if abs(m - m_old) <= 1e-16 * m_old or m in (lo, hi):
                 break
-        # f == 0.0 only on a break at the level just read, whose rho' is dr
-        return scale * (dr if f == 0.0 else read(m, 1, 1)[0])
+        # f == 0.0 only on a break at the level just read, whose rho' is dr;
+        # every other break leaves m on a bracket end, already read
+        if f != 0.0:
+            dr = dlo if m == lo else dhi if m == hi else read(m, 1, 1)[0]
+        return scale * dr
 
     def max_rotation(self):
         """Upper bound for the rotation angle |2 t rho'(m) / R^2| over all m."""

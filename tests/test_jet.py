@@ -85,6 +85,50 @@ def test_a_sharp_reads_its_slices_as_one_stack(F, monkeypatch):
         assert calls == [15], order
 
 
+def _shared_slice_pair(amb, rho):
+    F = gf_time_one(amb, rho)
+    return {"F3": sharp_k(F, 3), "P3": contact_p(contact_lift_gf(F), 3)}, F
+
+
+def test_interleaved_jets_read_the_level_memo_bit_for_bit(amb1, rho_ref,
+                                                          monkeypatch):
+    # F^{#3} and P3 over one F share its slice map and so its level memo.
+    # Read them interleaved at orders 0-2: at new points (some slices at
+    # H >= 1), at points read 1-7 reads of the same kind back, and at their
+    # symmetry images.  Every jet equals the same read on freshly built
+    # objects, and the shared map solves fewer levels than the fresh ones.
+    shared, F = _shared_slice_pair(amb1, rho_ref)
+    slice_map = F.meta["factors"][0].map_handle
+    solves = {True: 0, False: 0}
+    real = RadialMap._level_beta
+
+    def counting(mp, h):
+        solves[mp is slice_map] += 1
+        return real(mp, h)
+
+    monkeypatch.setattr(RadialMap, "_level_beta", counting)
+    rng = np.random.default_rng(31)
+    past = {"F3": [], "P3": []}
+    for _ in range(60):
+        name = ("F3", "P3")[int(rng.integers(2))]
+        G, seen, pick = shared[name], past[name], int(rng.integers(3))
+        if pick == 0 or not seen:
+            w = rng.normal(0.0, (0.5, 1.5)[int(rng.integers(2))], G.total_dim)
+        elif pick == 1:
+            w = seen[-int(rng.integers(1, min(7, len(seen)) + 1))]
+        else:
+            op = sorted(G.sym_ops)[int(rng.integers(len(G.sym_ops)))]
+            w = G.sym_ops[op](seen[-1], *((0.7,) if op == "r_action" else ()))
+        seen.append(w)
+        order = int(rng.integers(3))
+        got = G.jet(w, order)
+        want = _shared_slice_pair(amb1, rho_ref)[0][name].jet(w, order)
+        for k in range(order + 1):
+            assert (np.asarray(got[k]).tobytes()
+                    == np.asarray(want[k]).tobytes()), (name, order, k)
+    assert 0 < solves[True] < solves[False], solves
+
+
 # sha256 of value, grad.tobytes() and hess.tobytes() at twelve seeded points
 # (seed 15, scales 0.3, 0.6 and 1.5 in turn: about a quarter of the slice
 # midpoints have H(q) >= 1), recorded with numpy 2.4 on x86-64.  A change to

@@ -392,16 +392,128 @@ def test_midpoint_inverse_solves_each_level_once_per_two_stacks(amb1,
         mp.midpoint_inverse(np.array(rows, dtype=float))
         return len(solved)
 
-    # a level is reused within its stack and by the next stack only; the
-    # rows at H >= 1 solve nothing
+    # a level is solved once within its stack, and reused by later stacks
+    # while either generation of levels holds it; the rows at H >= 1 solve
+    # nothing.  A generation turns old once it holds twice the stack's rows.
     x = 0.4
     assert solves((x, 0.0), (0.0, x), (-x, 0.0)) == 1
     assert solves((x, 0.0), (0.0, x), (-x, 0.0)) == 0
     assert solves((0.5, 0.0), (1.0, 0.0), (2.0, 0.0)) == 1
+    assert solves((0.6, 0.0)) == 1          # {0.16, 0.25} turn old
+    assert solves((0.0, -0.5)) == 0         # 0.25 again, two stacks on
+    assert solves((0.0, -x)) == 1           # {0.36, 0.25} turn old
+    assert solves((x, 0.0), (0.6, 0.0), (0.0, x)) == 0     # 0.36 from the old
+    # one-row stacks turn the generations over every other call: 0.36 is
+    # solved again once they have turned over twice since its last read
+    assert solves((0.7, 0.0)) == 1          # {0.16, 0.36} turn old
+    assert solves((0.8, 0.0)) == 1
+    assert solves((0.9, 0.0)) == 1          # {0.49, 0.64} turn old
     assert solves((0.6, 0.0)) == 1
-    assert solves((0.0, -0.5)) == 1         # 0.25 again, two stacks on
-    assert solves((0.0, -x)) == 1
-    assert solves((x, 0.0), (0.6, 0.0), (0.0, x)) == 1     # 0.16 reused
+    assert solves((0.0, 0.9)) == 0
+
+
+def _stacks_with_returning_levels(amb, rng, count=60):
+    """Seeded stacks whose rows repeat rows (or their negatives, which have
+    the same H bit for bit) of the stack itself and of the six before it,
+    with rows at H >= 1 and every fifth stack a one-point q."""
+    R, n2, stacks = amb.R, amb.dim, []
+    for i in range(count):
+        if i % 5 == 4:
+            stacks.append(rng.normal(0.0, 0.5 * R, n2))
+            continue
+        rows = list(rng.normal(0.0, 0.5 * R, (int(rng.integers(1, 6)), n2)))
+        rows += list(rng.normal(0.0, 2.0 * R, (int(rng.integers(0, 2)), n2)))
+        for back in rng.integers(0, 7, int(rng.integers(1, 6))).tolist():
+            pool = np.atleast_2d(stacks[-back]) if 0 < back <= i else rows
+            row = pool[int(rng.integers(len(pool)))]
+            rows.append(row * rng.choice([-1, 1]))
+        stacks.append(np.array(rows)[rng.permutation(len(rows))])
+    return stacks
+
+
+@pytest.mark.parametrize("n, R", [(1, 1.0), (2, 1.3)])
+def test_midpoint_inverse_memo_is_transparent(rho_ref, n, R):
+    # levels that come back 0-6 stacks later read bit for bit as on a
+    # freshly built map, and more of them are reused than the previous
+    # stack alone would hold
+    amb = Ambient(n=n, R=R)
+    mp = RadialMap(amb, rho_ref, 0.2)
+    solved = []
+    level_beta = mp._level_beta
+    mp._level_beta = lambda h: solved.append(h) or level_beta(h)
+    prev, one_back, hs = set(), 0, []
+    for Q in _stacks_with_returning_levels(amb, np.random.default_rng(3 + n)):
+        Z = mp.midpoint_inverse(Q)
+        assert Z.shape == Q.shape
+        assert Z.tobytes() == RadialMap(amb, rho_ref, 0.2).midpoint_inverse(
+            Q).tobytes()
+        stack_hs = np.atleast_1d(amb.H(Q)).tolist()
+        hs += stack_hs
+        levels = {h for h in stack_hs if h < 1.0}
+        one_back += len(levels - prev)
+        prev = levels
+    assert max(hs) > 1.0
+    assert len(solved) < one_back
+
+
+def test_midpoint_inverse_memo_stays_small(amb1, rho_ref):
+    # 10^4 distinct one-row levels: the two generations hold at most two
+    # levels each
+    mp = RadialMap(amb1, rho_ref, 0.2)
+    sizes = set()
+    for x in np.linspace(0.01, 0.99, 10**4).tolist():
+        mp.midpoint_inverse(np.array([x, 0.0]))
+        sizes.add(len(mp._tans) + len(mp._old))
+    assert max(sizes) <= 4
+
+
+def _rereading_level_beta(mp, h):
+    """`RadialMap._level_beta` as it was when it read rho' at the final
+    level once more: the reference for the solver that keeps the reads at
+    the bracket ends instead."""
+    scale = 2.0 * mp.t / mp.amb.R**2
+    read = mp.rho.read
+    lo, hi = h, 1.0
+    m = min(h / math.cos(0.5 * scale * read(h, 1, 1)[0]) ** 2, hi)
+    for _ in range(100):
+        dr, d2r = read(m, 1, 2)
+        half = 0.5 * scale * dr
+        cos2 = math.cos(half) ** 2
+        f = m * cos2 - h
+        if f == 0.0:
+            break
+        lo, hi = (m, hi) if f < 0.0 else (lo, m)
+        slope = cos2 - 0.5 * m * math.sin(2.0 * half) * scale * d2r
+        m_new = m - f / slope
+        if not lo < m_new < hi:
+            m_new = 0.5 * (lo + hi)
+        m, m_old = m_new, m
+        if abs(m - m_old) <= 1e-16 * m_old or m in (lo, hi):
+            break
+    return scale * (dr if f == 0.0 else read(m, 1, 1)[0])
+
+
+@pytest.mark.parametrize("delta, t, levels", [
+    (0.2, 1.0 / 3.0, np.linspace(0.0, 1.0, 868)[1:-1]),
+    (0.1, 0.2, np.random.default_rng(13).uniform(0.0, 1.0, 500))])
+def test_level_beta_matches_brentq(amb1, delta, t, levels):
+    # beta = scale rho'(m*) at the root m* of m cos^2(scale rho'(m) / 2) = h
+    # on [h, 1], found by scipy's brentq to the last float: measured
+    # 8.9e-16 (delta 0.2) and 3.6e-16 (delta 0.1) at most; and bit for bit
+    # the solver that reads rho' at the final level again
+    brentq = pytest.importorskip("scipy.optimize").brentq
+    rho = ref_profile(-0.9 * math.pi, delta)
+    mp = RadialMap(amb1, rho, t)
+    scale = 2.0 * t / amb1.R**2
+    worst = 0.0
+    for h in levels.tolist():
+        beta = mp._level_beta(h)
+        assert beta.hex() == _rereading_level_beta(mp, h).hex()
+        root = brentq(lambda m: m * math.cos(0.5 * scale * rho.read(
+            m, 1, 1)[0]) ** 2 - h, h, 1.0, xtol=1e-300, rtol=8.9e-16,
+            maxiter=500)
+        worst = max(worst, abs(beta - scale * rho.read(root, 1, 1)[0]))
+    assert worst <= 1e-14
 
 
 def test_linear_rotation_midpoint_inverse():
