@@ -144,10 +144,13 @@ class RadialProfile:
     rho' <= 0, rho'' >= 0, rho and rho' tend to 0 as m -> 1, rho' constant
     = c on [0, delta].
 
-    Every read (`read`, at one level or on an array of levels) sums `_rows`
-    by `_poly_value`: one list of ascending coefficients per order and piece,
+    `read`, at one level or on an array of levels, sums `_rows` by
+    `_poly_value`: one list of ascending coefficients per order and piece,
     less trailing zeros that change no sum (`_trim`).  So a level reads the
-    same bits alone as in an array, those of the full polynomial.
+    same bits alone as in an array, those of the full polynomial.  The
+    per-leaf loops (`RadialMap._level_beta`, the small-map jet) are
+    piece-locked: one `bisect_right` on `_inner` per level, then that
+    piece's rows summed by the same rule, bit-equal to `read`.
     """
 
     def __init__(self, knots, coeffs, c=None, delta=None):
@@ -416,8 +419,9 @@ class RadialMap:
         so H(q) = m cos^2(beta(m)/2), strictly increasing in m on [H(q), 1]
         while |beta| < pi (rho'' >= 0): a bracketed Newton iteration finds m,
         row by row, then z = q - tan(beta/2) J0 q for all rows at once.  For
-        H(q) >= 1, z = q exactly.  Each Newton step takes (rho', rho'') from
-        one `rho.read`, one piece lookup.
+        H(q) >= 1, z = q exactly.  Each Newton step is piece-locked: it looks
+        m's piece up once and sums that piece's rho' and rho'' rows by
+        `_poly_value`'s rule, bit-equal to `rho.read(m, 1, 2)`.
 
         tan(beta/2) is a function of the map and the exact float h alone, so
         each distinct h is solved once, and not at all if a recent stack
@@ -433,27 +437,41 @@ class RadialMap:
         h = self.amb.H(Q).tolist()
         if len(self._tans) >= 2 * len(h):
             self._old, self._tans = self._tans, {}
-        tans, old = self._tans, self._old
-        for x in h:
-            if x < 1.0 and x not in tans:
+        tans, old, col, outside = self._tans, self._old, [], []
+        for i, x in enumerate(h):
+            if not x < 1.0:
+                outside.append(i)
+            elif x not in tans:
                 t = old.get(x)
                 tans[x] = math.tan(0.5 * self._level_beta(x)) if t is None else t
-        Z = Q - (np.array([tans.get(x, 0.0) for x in h])[:, None]
-                 * j0_apply(Q))
-        outside = [i for i, x in enumerate(h) if not x < 1.0]
+            col.append(tans.get(x, 0.0))
+        Z = Q - np.array(col)[:, None] * j0_apply(Q)
         if outside:
             Z[outside] = Q[outside]
         return Z.reshape(q.shape)
 
     def _level_beta(self, h):
-        """beta(m) at the level m in [h, 1) with m cos^2(beta(m)/2) = h."""
+        """beta(m) at the level m in [h, 1) with m cos^2(beta(m)/2) = h, for
+        0 <= h < 1.  rho'(h) and each step's (rho', rho'') are piece-locked:
+        the level's piece looked up once, its rows summed by `_poly_value`'s
+        rule (written out in the step, the hot loop), bit-equal to `read`."""
         scale = 2.0 * self.t / self.amb.R**2
-        read = self.rho.read
+        rho = self.rho
+        inner, knots, (_, d1, d2) = rho._inner, rho._knot_list, rho._rows
+        i = bisect.bisect_right(inner, h)
         lo, hi = h, 1.0
-        dlo, dhi = read(h, 1, 1)[0], 0.0    # rho' at lo and at hi
+        dlo, dhi = _poly_value(d1[i], h - knots[i]), 0.0  # rho' at lo and hi
         m = min(h / math.cos(0.5 * scale * dlo) ** 2, hi)
         for _ in range(100):
-            dr, d2r = read(m, 1, 2)
+            dr = d2r = 0.0
+            if m < 1.0:             # m = 1.0 reads 0.0, as `read` does
+                i = bisect.bisect_right(inner, m)
+                s, z = m - knots[i], 1.0
+                for a in d1[i]:
+                    dr, z = dr + a * z, z * s
+                z = 1.0
+                for a in d2[i]:
+                    d2r, z = d2r + a * z, z * s
             half = 0.5 * scale * dr
             cos2 = math.cos(half) ** 2
             f = m * cos2 - h
@@ -471,7 +489,7 @@ class RadialMap:
         # f == 0.0 only on a break at the level just read, whose rho' is dr;
         # every other break leaves m on a bracket end, already read
         if f != 0.0:
-            dr = dlo if m == lo else dhi if m == hi else read(m, 1, 1)[0]
+            dr = dlo if m == lo else dhi if m == hi else rho.read(m, 1, 1)[0]
         return scale * dr
 
     def max_rotation(self):

@@ -3,13 +3,14 @@ bit-equal to the value-only and gradient-only jets."""
 
 import hashlib
 import struct
+import sys
 
 import numpy as np
 import pytest
 
-from gfs import (Ambient, RadialMap, contact_lift_gf, contact_p, contact_sharp,
-                 gf_compose_chain, gf_linear_rotation, gf_small_map,
-                 gf_time_one, reeb_shift, sharp_k)
+from gfs import (Ambient, RadialMap, RadialProfile, contact_lift_gf, contact_p,
+                 contact_sharp, gf_compose_chain, gf_linear_rotation,
+                 gf_small_map, gf_time_one, reeb_shift, sharp_k)
 
 from test_genfun import _theta_factor
 
@@ -83,6 +84,59 @@ def test_a_sharp_reads_its_slices_as_one_stack(F, monkeypatch):
         calls.clear()
         F3.jet(w, order)
         assert calls == [15], order
+
+
+def test_a_fresh_jet_reads_the_profile_only_in_level_fall_backs(
+        amb1, rho_ref, monkeypatch):
+    # the level solve and the small-map rows sum the profile's rows on the
+    # piece they look up: at points no map has seen, every `read` of an
+    # F^{#3} jet is a level solve's fall-back for a stop between its
+    # bracket ends, at most one per solve
+    F3 = sharp_k(gf_time_one(amb1, rho_ref), 3)
+    reads, solves = [], []
+    read, level_beta = RadialProfile.read, RadialMap._level_beta
+
+    def counting_read(rho, m, lo, hi):
+        reads.append(sys._getframe(1).f_code.co_name)
+        return read(rho, m, lo, hi)
+
+    def counting_solve(mp, h):
+        solves.append(h)
+        return level_beta(mp, h)
+
+    monkeypatch.setattr(RadialProfile, "read", counting_read)
+    monkeypatch.setattr(RadialMap, "_level_beta", counting_solve)
+    rng = np.random.default_rng(43)
+    for order in (0, 1, 2):
+        reads.clear()
+        solves.clear()
+        F3.jet(rng.normal(0.0, 0.5, F3.total_dim), order)
+        assert solves and set(reads) <= {"_level_beta"}, order
+        assert len(reads) <= len(solves), order
+
+
+# sha256 of the repr of the four invariance defects (F^{#3} cyclic, P cyclic,
+# P r-action at a = 0.7, P theta-shift) at 24 points drawn as the
+# symmetry_sweep workload draws them (seed 7, N(0, 0.5^2), REF(-0.9 pi, 0.1)),
+# recorded with numpy 2.4 on x86-64; the workload's own outputs_sha256 hashes
+# no output.
+INVARIANCE_DEFECTS = (
+    "d7ca7c7356bee0e554a22e9352adbb6c5902eefbae5b80dd0e266e30546b06ba")
+
+
+def test_invariance_defects_are_pinned(F3, P3):
+    rng, ops, defects = np.random.default_rng(7), P3.sym_ops, []
+    for _ in range(24):
+        w = rng.normal(0.0, 0.5, F3.total_dim)
+        wp = rng.normal(0.0, 0.5, P3.total_dim)
+        v = P3.value(wp)
+        defects.append((abs(F3.value(F3.sym_ops["cyclic"](w)) - F3.value(w)),
+                        abs(P3.value(ops["cyclic"](wp)) - v),
+                        abs(P3.value(ops["r_action"](wp, 0.7)) - v),
+                        abs(P3.value(ops["z_shift"](wp)) - v)))
+    assert max(map(max, defects)) < 1e-12
+    assert hashlib.sha256(repr(defects).encode()).hexdigest() \
+        == INVARIANCE_DEFECTS
 
 
 def _shared_slice_pair(amb, rho):

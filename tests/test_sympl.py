@@ -1,5 +1,6 @@
 """Flows, profiles, shells, contact lifts, translated chains."""
 
+import bisect
 import dataclasses
 import itertools
 import json
@@ -13,7 +14,7 @@ from gfs import (Ambient, ContactLift, ContactPoint, DomainError, EvenK,
                  LinearRotation, NonMonotoneProfile, RadialMap, RadialProfile,
                  flow, ref_profile, room_transform, shells,
                  translated_chains, verify_chain)
-from gfs import sympl
+from gfs import gf_small_map, sympl
 from gfs.cli import _reference
 from gfs.sympl import BLEND_WIDTH, ComposedMap, j0_apply, reeb_translate
 
@@ -514,6 +515,104 @@ def test_level_beta_matches_brentq(amb1, delta, t, levels):
             maxiter=500)
         worst = max(worst, abs(beta - scale * rho.read(root, 1, 1)[0]))
     assert worst <= 1e-14
+
+
+def _piece_locked(rho, m):
+    """(rho, rho', rho'') at a level m >= 0 by the rule of the per-leaf
+    loops: m's piece looked up once by bisect_right, each of its rows summed
+    with a running power of s = m - knot; 0.0 for m >= 1 and nan."""
+    if not m < 1.0:
+        return (0.0, 0.0, 0.0)
+    i = bisect.bisect_right(rho._inner, m)
+    s, out = m - rho._knot_list[i], []
+    for rows in rho._rows:
+        res, z = 0.0, 1.0
+        for a in rows[i]:
+            res, z = res + a * z, z * s
+        out.append(res)
+    return tuple(out)
+
+
+def _quartic_profile():
+    """Quartic pieces around a zero piece (every row trimmed to [0.0]) and a
+    piece whose top coefficient is zero; rho' jumps at the knots and does
+    not vanish as m -> 1, so it is not validated.  The zero piece starts at
+    0.25, whose mean with the next float rounds to 0.25: a level solve from
+    h = 0.25 that reads the wrong piece there stops on h and returns it."""
+    pieces = [list(2.0 * np.poly1d([-1.0, 0.8]) ** 4), [0.0] * 5,
+              [0.0] + list(3.0 * np.poly1d([-1.0, 0.25]) ** 3),
+              list(2.0 * np.poly1d([-1.0, 0.5]) ** 4)]
+    rho = RadialProfile([0.0, 0.25, 0.55, 0.8, 1.0], pieces)
+    assert all(rows[1] == [0.0] for rows in rho._rows)
+    return rho
+
+
+def _read_rows(mp, Z):
+    """Each row's value, 2 tan(b) and (4/R^2) d tan b/dh of the small-map
+    jet at the inverted midpoints Z, from `RadialProfile.read`."""
+    t, R2, out = mp.t, mp.amb.R**2, []
+    for m in mp.amb.H(Z).tolist():
+        r, dr, d2r = mp.rho.read(m, 0, 2)
+        b = t * dr / R2
+        s2b, dbeta, cos2 = math.sin(2.0 * b), 2.0 * t * d2r / R2, math.cos(b)**2
+        dtb = 0.5 * dbeta / cos2 / (cos2 - 0.5 * m * s2b * dbeta)
+        out.append((t * (r - m * dr) + 0.5 * R2 * m * s2b, 2.0 * math.tan(b),
+                    4.0 * dtb / R2))
+    return np.array(out).T
+
+
+@pytest.mark.parametrize("c, delta, t", [
+    (-0.9, 0.1, 0.2), (-0.9, 0.2, 1.0 / 3.0), (-3.3, 0.4, 0.1),
+    (-40.5, 0.05, 0.01), (None, None, 0.15)])
+def test_piece_locked_reads_match_read_bit_for_bit(amb1, c, delta, t):
+    # every knot and its neighbours one ulp away, 0.0, levels >= 1 and nan:
+    # the piece-locked rule reads (rho, rho', rho'') as `read` does, and so
+    # do the level solve and the small-map rows that sum it
+    rho = _quartic_profile() if c is None else ref_profile(c * math.pi, delta)
+    knots = rho.knots
+    edges = np.concatenate([knots, np.nextafter(knots, -np.inf),
+                            np.nextafter(knots, np.inf),
+                            [0.0, -0.0, 1.5, 2.0, np.inf, np.nan]])
+    edges = [x for x in edges.tolist() if not x < 0.0]
+    for m in edges:
+        assert ([x.hex() for x in _piece_locked(rho, m)]
+                == [x.hex() for x in rho.read(m, 0, 2)]), m
+    mp = RadialMap(amb1, rho, t)
+    for h in (x for x in edges if x < 1.0):
+        assert mp._level_beta(h).hex() == _rereading_level_beta(mp, h).hex()
+    # rows [x, 0] whose levels x*x lie within a few ulps of each edge
+    roots = [math.sqrt(x) for x in edges if x < 1.0]
+    xs = [y for r in roots for y in (np.nextafter(r, -1.0), r,
+                                     np.nextafter(r, 2.0))]
+    Z = np.array([[x, 0.0] for x in xs] + [[1.0, 0.0], [0.9, 0.7],
+                                           [np.nan, 0.5]])
+    G = gf_small_map(amb1, mp)
+    mp.midpoint_inverse = lambda Q: Z
+    value, g, H = G._jet.stack(np.ones_like(Z), 2)
+    want = _read_rows(mp, Z)
+    for got, ref in ((value, want[0]), (g[:, 0], want[1]),
+                     (H[:, 0, 1], want[2])):
+        assert got.tobytes() == ref.tobytes()
+
+
+def test_midpoint_inverse_mixed_stack_reads_row_by_row(amb1, rho_ref):
+    # inside rows, levels repeated (a J0 image, a negative, the row itself),
+    # rows at H = 1 and beyond and a nan row: one call returns every row
+    # bit for bit as a one-point call on a new map, and solves each distinct
+    # inside level once
+    base = list(np.random.default_rng(41).normal(0.0, 0.4, (4, 2)))
+    Q = np.array(base + [j0_apply(base[0]), -base[1], [1.0, -0.0],
+                         [1.5, -0.5], [np.nan, 0.3], base[2]])
+    mp = RadialMap(amb1, rho_ref, 0.2)
+    solved = []
+    level_beta = mp._level_beta
+    mp._level_beta = lambda h: solved.append(h) or level_beta(h)
+    Z = mp.midpoint_inverse(Q)
+    rows = [RadialMap(amb1, rho_ref, 0.2).midpoint_inverse(q) for q in Q]
+    assert Z.tobytes() == np.array(rows).tobytes()
+    inside = [h for h in amb1.H(Q).tolist() if h < 1.0]
+    assert len(inside) == 7 and len(set(inside)) == 4
+    assert sorted(solved) == sorted(set(inside))
 
 
 def test_linear_rotation_midpoint_inverse():
