@@ -30,14 +30,12 @@ inlined, each distinct leaf read once on the stack of its arguments.  Finite
 differences are only used in the test suite to check them.
 """
 
-import bisect
 import math
 
 import numpy as np
 
 from .errors import AngleOutOfRange, DomainError, EvenK, NotNormalized
-from .sympl import (ComposedMap, LinearRotation, RadialMap, _poly_value,
-                    j0_matrix)
+from .sympl import ComposedMap, LinearRotation, RadialMap, j0_matrix
 
 
 # ---------------------------------------------------------------------------
@@ -175,36 +173,28 @@ def gf_small_map(amb, mp):
     `midpoint_inverse` of the stack (which solves each distinct level once,
     reusing the solves of the map's recent stacks), the scalars of each row
     from (rho, rho') and, at order 2, rho'', then the gradients and Hessians
-    of all rows at once; `jet` is its one-row case.  The row reads are
-    piece-locked: m's piece looked up once by `bisect_right` on the
-    profile's `_inner`, its rows summed by `_poly_value`, bit-equal to
-    `rho.read(m, 0, max(order, 1))` (0.0 for m >= 1 or nan)."""
+    of all rows at once; `jet` is its one-row case.  Each row's scalars come
+    from one `rho._scalar`, `read`'s one-level path."""
     if not (isinstance(mp, RadialMap) and mp.amb == amb):
         raise DomainError("gf_small_map needs a RadialMap on %r" % (amb,))
     if not mp.max_rotation() < math.pi:
         raise AngleOutOfRange("the map does not rotate by less than pi; its "
                               "midpoint map (id + phi)/2 is not invertible")
-    diag, R2, t = np.arange(amb.dim), amb.R**2, mp.t
-    inner, knots, (r0, r1, r2) = mp.rho._inner, mp.rho._knot_list, mp.rho._rows
+    diag, R2, t, read = np.arange(amb.dim), amb.R**2, mp.t, mp.rho._scalar
 
     def stack(Q, order):
-        value, a, c = [], [], []
+        value, a, c, top = [], [], [], max(order, 1)
         # each row's m by the stacked rule of amb.H, bit for bit its row rule
         for m in amb.H(mp.midpoint_inverse(Q)).tolist():
-            r = dr = d2r = 0.0
-            if m < 1.0:             # m >= 1 and nan read 0.0, as in `read`
-                i = bisect.bisect_right(inner, m)
-                s = m - knots[i]
-                r, dr = _poly_value(r0[i], s), _poly_value(r1[i], s)
-                if order >= 2:
-                    d2r = _poly_value(r2[i], s)
+            rd = read(m, 0, top)
+            r, dr = rd[0], rd[1]
             b = t * dr / R2
             s2b = math.sin(2.0 * b)
             value.append(t * (r - m * dr) + 0.5 * R2 * m * s2b)
             if order >= 1:
                 a.append(2.0 * math.tan(b))
             if order >= 2:
-                dbeta, cos2 = 2.0 * t * d2r / R2, math.cos(b) ** 2
+                dbeta, cos2 = 2.0 * t * rd[2] / R2, math.cos(b) ** 2
                 dtb = 0.5 * dbeta / cos2 / (cos2 - 0.5 * m * s2b * dbeta)
                 c.append(4.0 * dtb / R2)
         G = H = None

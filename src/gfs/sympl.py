@@ -147,10 +147,10 @@ class RadialProfile:
     `read`, at one level or on an array of levels, sums `_rows` by
     `_poly_value`: one list of ascending coefficients per order and piece,
     less trailing zeros that change no sum (`_trim`).  So a level reads the
-    same bits alone as in an array, those of the full polynomial.  The
-    per-leaf loops (`RadialMap._level_beta`, the small-map jet) are
-    piece-locked: one `bisect_right` on `_inner` per level, then that
-    piece's rows summed by the same rule, bit-equal to `read`.
+    same bits alone as in an array, those of the full polynomial.  Its
+    one-level path is `_scalar`, which the per-leaf loops
+    (`RadialMap._level_beta`, the small-map jet) call straight, without
+    `read`'s array dispatch.
     """
 
     def __init__(self, knots, coeffs, c=None, delta=None):
@@ -196,7 +196,11 @@ class RadialProfile:
                 for res, rows in zip(out, self._rows[lo:hi + 1]):
                     res[at] = _poly_value(rows[p], s)
             return tuple(out)
-        m = float(m)
+        return self._scalar(float(m), lo, hi)
+
+    def _scalar(self, m, lo, hi):
+        """`read` at one float level m, with no array dispatch: m's piece
+        looked up once, then its rows of orders lo..hi summed."""
         if not m < 1.0:
             return (0.0, 0.0, 0.0)[:hi - lo + 1]
         if m < 0.0:
@@ -419,9 +423,8 @@ class RadialMap:
         so H(q) = m cos^2(beta(m)/2), strictly increasing in m on [H(q), 1]
         while |beta| < pi (rho'' >= 0): a bracketed Newton iteration finds m,
         row by row, then z = q - tan(beta/2) J0 q for all rows at once.  For
-        H(q) >= 1, z = q exactly.  Each Newton step is piece-locked: it looks
-        m's piece up once and sums that piece's rho' and rho'' rows by
-        `_poly_value`'s rule, bit-equal to `rho.read(m, 1, 2)`.
+        H(q) >= 1, z = q exactly.  Each Newton step takes (rho', rho'') from
+        one `rho._scalar`, one piece lookup.
 
         tan(beta/2) is a function of the map and the exact float h alone, so
         each distinct h is solved once, and not at all if a recent stack
@@ -439,57 +442,51 @@ class RadialMap:
             self._old, self._tans = self._tans, {}
         tans, old, col, outside = self._tans, self._old, [], []
         for i, x in enumerate(h):
-            if not x < 1.0:
-                outside.append(i)
-            elif x not in tans:
-                t = old.get(x)
-                tans[x] = math.tan(0.5 * self._level_beta(x)) if t is None else t
-            col.append(tans.get(x, 0.0))
+            t = tans.get(x)
+            if t is None:
+                if x < 1.0:
+                    t = old.get(x)
+                    if t is None:
+                        t = math.tan(0.5 * self._level_beta(x))
+                    tans[x] = t
+                else:
+                    t = 0.0
+                    outside.append(i)
+            col.append(t)
         Z = Q - np.array(col)[:, None] * j0_apply(Q)
         if outside:
             Z[outside] = Q[outside]
         return Z.reshape(q.shape)
 
     def _level_beta(self, h):
-        """beta(m) at the level m in [h, 1) with m cos^2(beta(m)/2) = h, for
-        0 <= h < 1.  rho'(h) and each step's (rho', rho'') are piece-locked:
-        the level's piece looked up once, its rows summed by `_poly_value`'s
-        rule (written out in the step, the hot loop), bit-equal to `read`."""
+        """beta(m) at the level m in [h, 1) with m cos^2(beta(m)/2) = h."""
         scale = 2.0 * self.t / self.amb.R**2
-        rho = self.rho
-        inner, knots, (_, d1, d2) = rho._inner, rho._knot_list, rho._rows
-        i = bisect.bisect_right(inner, h)
+        read = self.rho._scalar
         lo, hi = h, 1.0
-        dlo, dhi = _poly_value(d1[i], h - knots[i]), 0.0  # rho' at lo and hi
+        dlo, dhi = read(h, 1, 1)[0], 0.0    # rho' at lo and at hi
         m = min(h / math.cos(0.5 * scale * dlo) ** 2, hi)
         for _ in range(100):
-            dr = d2r = 0.0
-            if m < 1.0:             # m = 1.0 reads 0.0, as `read` does
-                i = bisect.bisect_right(inner, m)
-                s, z = m - knots[i], 1.0
-                for a in d1[i]:
-                    dr, z = dr + a * z, z * s
-                z = 1.0
-                for a in d2[i]:
-                    d2r, z = d2r + a * z, z * s
+            dr, d2r = read(m, 1, 2)
             half = 0.5 * scale * dr
             cos2 = math.cos(half) ** 2
             f = m * cos2 - h
             if f == 0.0:
                 break
-            lo, dlo, hi, dhi = ((m, dr, hi, dhi) if f < 0.0
-                                else (lo, dlo, m, dr))
+            if f < 0.0:
+                lo, dlo = m, dr
+            else:
+                hi, dhi = m, dr
             slope = cos2 - 0.5 * m * math.sin(2.0 * half) * scale * d2r
             m_new = m - f / slope
             if not lo < m_new < hi:
                 m_new = 0.5 * (lo + hi)
             m, m_old = m_new, m
-            if abs(m - m_old) <= 1e-16 * m_old or m in (lo, hi):
+            if abs(m - m_old) <= 1e-16 * m_old or m == lo or m == hi:
                 break
         # f == 0.0 only on a break at the level just read, whose rho' is dr;
         # every other break leaves m on a bracket end, already read
         if f != 0.0:
-            dr = dlo if m == lo else dhi if m == hi else rho.read(m, 1, 1)[0]
+            dr = dlo if m == lo else dhi if m == hi else read(m, 1, 1)[0]
         return scale * dr
 
     def max_rotation(self):

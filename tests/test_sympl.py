@@ -1,6 +1,5 @@
 """Flows, profiles, shells, contact lifts, translated chains."""
 
-import bisect
 import dataclasses
 import itertools
 import json
@@ -517,22 +516,6 @@ def test_level_beta_matches_brentq(amb1, delta, t, levels):
     assert worst <= 1e-14
 
 
-def _piece_locked(rho, m):
-    """(rho, rho', rho'') at a level m >= 0 by the rule of the per-leaf
-    loops: m's piece looked up once by bisect_right, each of its rows summed
-    with a running power of s = m - knot; 0.0 for m >= 1 and nan."""
-    if not m < 1.0:
-        return (0.0, 0.0, 0.0)
-    i = bisect.bisect_right(rho._inner, m)
-    s, out = m - rho._knot_list[i], []
-    for rows in rho._rows:
-        res, z = 0.0, 1.0
-        for a in rows[i]:
-            res, z = res + a * z, z * s
-        out.append(res)
-    return tuple(out)
-
-
 def _quartic_profile():
     """Quartic pieces around a zero piece (every row trimmed to [0.0]) and a
     piece whose top coefficient is zero; rho' jumps at the knots and does
@@ -549,10 +532,11 @@ def _quartic_profile():
 
 def _read_rows(mp, Z):
     """Each row's value, 2 tan(b) and (4/R^2) d tan b/dh of the small-map
-    jet at the inverted midpoints Z, from `RadialProfile.read`."""
+    jet at the inverted midpoints Z, from one array `RadialProfile.read`."""
     t, R2, out = mp.t, mp.amb.R**2, []
-    for m in mp.amb.H(Z).tolist():
-        r, dr, d2r = mp.rho.read(m, 0, 2)
+    ms = mp.amb.H(Z)
+    for m, r, dr, d2r in zip(ms.tolist(), *(x.tolist() for x in
+                                            mp.rho.read(ms, 0, 2))):
         b = t * dr / R2
         s2b, dbeta, cos2 = math.sin(2.0 * b), 2.0 * t * d2r / R2, math.cos(b)**2
         dtb = 0.5 * dbeta / cos2 / (cos2 - 0.5 * m * s2b * dbeta)
@@ -566,17 +550,18 @@ def _read_rows(mp, Z):
     (-40.5, 0.05, 0.01), (None, None, 0.15)])
 def test_piece_locked_reads_match_read_bit_for_bit(amb1, c, delta, t):
     # every knot and its neighbours one ulp away, 0.0, levels >= 1 and nan:
-    # the piece-locked rule reads (rho, rho', rho'') as `read` does, and so
-    # do the level solve and the small-map rows that sum it
+    # the one-level reader that `read`, the level solve and the small-map
+    # rows share sums each order as `read` does on an array of levels
     rho = _quartic_profile() if c is None else ref_profile(c * math.pi, delta)
     knots = rho.knots
     edges = np.concatenate([knots, np.nextafter(knots, -np.inf),
                             np.nextafter(knots, np.inf),
                             [0.0, -0.0, 1.5, 2.0, np.inf, np.nan]])
     edges = [x for x in edges.tolist() if not x < 0.0]
-    for m in edges:
-        assert ([x.hex() for x in _piece_locked(rho, m)]
-                == [x.hex() for x in rho.read(m, 0, 2)]), m
+    for m, (lo, hi) in itertools.product(edges, [(0, 0), (0, 1), (0, 2),
+                                                  (1, 1), (1, 2), (2, 2)]):
+        want = [x[0].hex() for x in rho.read(np.array([m]), lo, hi)]
+        assert [x.hex() for x in rho._scalar(m, lo, hi)] == want, (m, lo, hi)
     mp = RadialMap(amb1, rho, t)
     for h in (x for x in edges if x < 1.0):
         assert mp._level_beta(h).hex() == _rereading_level_beta(mp, h).hex()
