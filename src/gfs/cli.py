@@ -8,7 +8,8 @@ order; outputs are bit-identical for fixed flags and seed.  Computing is
 single-threaded.  Each command declares its options once, in a table of
 name -> (type, default, help) that yields both its flags and its config
 keys.  A call builds only the parser of the command it names; help,
---version, no or an unknown command go to `build_parser`.  Config files
+--version, no or an unknown command go to `build_parser`.  A command's
+parser reads the terminal width once per call.  Config files
 are line-based key=value; precedence flags > config > defaults, and an
 unreadable or malformed config file, or a key that names no option, is a
 flag error.
@@ -17,8 +18,10 @@ flag error.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
+import shutil
 import sys
 
 import numpy as np
@@ -445,7 +448,10 @@ def build_parser():
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
     if argv and argv[0] in COMMANDS:    # only the named command's parser
-        parser = argparse.ArgumentParser(prog="gfs " + argv[0])
+        parser = argparse.ArgumentParser(   # HelpFormatter's width, read once
+            prog="gfs " + argv[0], formatter_class=functools.partial(
+                argparse.HelpFormatter,
+                width=shutil.get_terminal_size().columns - 2))
         _add_options(parser, COMMANDS[argv[0]][1])
         parser.set_defaults(command=argv[0])
         argv = argv[1:]

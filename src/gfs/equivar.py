@@ -484,16 +484,23 @@ def limit_barcode_at_area(n, A, k, mode, lmax=4):
     k = 1 has no equivariant limit (NonPrimeK).
     """
     field = _field(k)
+    top = lmax if mode == "plain" else k - 1
+    return Barcode(_limit_bars(n, A, k, mode, range(1, top + 1)), field)
+
+
+def _limit_bars(n, A, k, mode, ls):
+    """The bars of `limit_barcode_at_area` in the shell degrees 2nl, l in
+    ls: [(l-1)*A, l*A) plain, [0, l*A) equivariant where l is in
+    range(1, k).  Refuses what the barcode refuses, once per call."""
+    _field(k)
     _block(k, mode)                 # refuse a bad mode
     if mode == "plain":
-        bars = [Bar(2 * n * l, (l - 1) * A, l * A, 1)
-                for l in range(1, lmax + 1)]
-    elif k == 1:
+        return [Bar(2 * n * l, (l - 1) * A, l * A, 1) for l in ls]
+    if k == 1:
         raise NonPrimeK("the equivariant limit barcode needs k an odd prime, "
                         "got 1")
-    else:
-        bars = [Bar(2 * n * l, 0.0, l * A, 1) for l in range(1, k)]
-    return Barcode(bars, field)
+    alive = range(1, k)
+    return [Bar(2 * n * l, 0.0, l * A, 1) for l in ls if l in alive]
 
 
 def thom_shift(bc, q_index, k):

@@ -22,7 +22,7 @@ The evidence for a certificate is the barcode diagram contradiction: at
 threshold a = k (or K) and degree 2nl (or 2n), the group for the big ambient
 ball and for the large ball both have rank 1 and the small ball's group
 vanishes, so a squeezing would factor an isomorphism through zero.  It
-reads the limit barcodes at the certificate's own areas.
+reads each ball's one limit bar in that degree, at its area on the certificate.
 """
 
 from __future__ import annotations
@@ -32,8 +32,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .equivar import (_integer, is_odd_prime, limit_barcode_at_area,
-                      tensor_circle)
+from .equivar import _integer, _limit_bars, is_odd_prime
 from .errors import DomainError, SearchBoundExceeded
 
 DEFAULT_MAX_PRIME = 10 ** 4
@@ -250,9 +249,11 @@ def evidence(cert, amb):
 
     Returns the threshold `a` and `degree`, the limit-barcode `ranks` there
     for the big ambient ball, the large ball and the small ball (expected
-    pattern 1, 1, 0), the two `inclusion_ranks` of the inclusions (expected
-    1 and 0) and the `prequantized` degrees and ranks via the circle tensor;
-    a conjugated certificate reads its inner one and adds its `outer_pair`.
+    pattern 1, 1, 0), each off the ball's one limit bar in that degree, the
+    two `inclusion_ranks` of the inclusions (expected 1 and 0) and the
+    `prequantized` ranks at `degree` and `degree + 1`, both the large ball's
+    by Kunneth with the circle (every limit bar sits in an even degree); a
+    conjugated certificate reads its inner one and adds its `outer_pair`.
     Only the dimension amb.n is read: each ball is given by its area on the
     certificate.
     """
@@ -268,19 +269,18 @@ def evidence(cert, amb):
         return report
 
     if cert.kind == "primeFraction":
-        k, a, degree = cert.k, float(cert.k), 2 * n * cert.l
-        mode = "equivariant"
+        k, l, a, mode = cert.k, cert.l, float(cert.k), "equivariant"
     elif cert.kind in ("integerK", "equalRadii"):
-        k, degree, mode = 1, 2 * n, "plain"
+        k, l, mode = 1, 1, "plain"
         a = float(cert.K) if cert.kind == "integerK" else 0.75 * A1
     else:
         raise DomainError("no evidence scheme for kind %r" % cert.kind)
+    degree = 2 * n * l
 
     big_area = A3 if A3 is not None else A1 + 1.0
-    bc_big, bc_large, bc_small = (limit_barcode_at_area(n, A, k, mode)
-                                  for A in (big_area, A1, A2))
-
-    ranks = [bc.rank_at(degree, a) for bc in (bc_big, bc_large, bc_small)]
+    # each ball's one bar in this degree, read by `Barcode.rank_at`'s rule
+    ranks = [sum(b.rank for b in _limit_bars(n, A, k, mode, [l])
+                 if b.birth <= a < b.death) for A in (big_area, A1, A2)]
     # Persistence ranks of the inclusions big <- large and big <- small; the
     # rank functions are right-continuous so reading them directly stays
     # valid even when a sits on a bar endpoint.
@@ -292,7 +292,6 @@ def evidence(cert, amb):
             "evidence ranks %r do not reproduce the expected pattern %r"
             % (ranks, expected))
 
-    pre = tensor_circle(bc_large)
     return {
         "a": a,
         "degree": degree,
@@ -300,7 +299,7 @@ def evidence(cert, amb):
         "inclusion_ranks": incl,
         "prequantized": {
             "degrees": [degree, degree + 1],
-            "ranks": [pre.rank_at(degree, a), pre.rank_at(degree + 1, a)],
+            "ranks": [ranks[1], ranks[1]],
         },
     }
 

@@ -1,12 +1,20 @@
-"""Exact rational reads of a `RadialProfile`: the oracle of its round-off.
+"""Exact oracles: rational reads of a `RadialProfile`, and the Z_k symmetry
+of a flat form.
 
 A float coefficient and a float level are exact rationals, so summing the
 `_rows` polynomial that `read` sums, in `fractions.Fraction`, gives the true
 value of what `read` rounds: the same piece and coefficients, no rounding.
+
+A cyclic composition is sum_i f_i(A_i w) + 0.5 w^T T w.  Its Z_k action
+w |-> w[perm] fixes it when the leaf maps A_i, read through the permutation,
+are the same leaves' maps again and P^T T P == T; both are checked with ==,
+without evaluating a leaf.
 """
 
 import bisect
 from fractions import Fraction
+
+import numpy as np
 
 
 def _row(rho, m, order):
@@ -40,3 +48,31 @@ def exact_level(rho, target, lo, halvings=80):
         else:
             b = mid
     return (a + b) / 2
+
+
+def _dense(cols, A, D):
+    """The packed leaf map (columns `cols`, block `A`) as a dense
+    (depth, D) matrix; a padding column adds an exact zero."""
+    M = np.zeros((A.shape[0], D))
+    np.add.at(M.T, cols, A.T)
+    return M
+
+
+def fixed_by_cyclic(flat, perm):
+    """Whether w |-> w[perm] fixes the flat form (leaves, cols, A, T)
+    exactly: T[perm][:, perm] == T, and each leaf's dense map read at
+    w[perm] is the map of one leaf equal to it, one to one."""
+    leaves, cols, A, T = flat
+    D, perm = len(T), np.asarray(perm)
+    if not np.array_equal(T[np.ix_(perm, perm)], T):
+        return False
+    maps = [_dense(c, a, D) for c, a in zip(cols, A)]
+    free = list(range(len(leaves)))
+    for f, c, a in zip(leaves, cols, A):
+        moved = _dense(perm[c], a, D)
+        hit = next((j for j in free if leaves[j] == f
+                    and np.array_equal(maps[j], moved)), None)
+        if hit is None:
+            return False
+        free.remove(hit)
+    return True

@@ -1,10 +1,12 @@
 """Command-line driver: exit codes, determinism, config precedence."""
 
+import argparse
 import ast
 import hashlib
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 import time
@@ -12,7 +14,8 @@ import time
 import pytest
 
 import gfs
-from gfs.cli import COMMANDS, main, parse_profile, parse_scalar
+from gfs.cli import (COMMANDS, _add_options, main, parse_profile,
+                     parse_scalar)
 
 
 def test_pyproject_version_is_the_package_version():
@@ -802,6 +805,49 @@ def test_a_command_builds_only_its_own_parser(tmp_path, capsys, monkeypatch):
     for command in COMMANDS:
         assert main([command, "--help"]) == 0
         assert capsys.readouterr().out == HELP[command]
+
+
+def test_a_command_reads_the_terminal_width_once(capsys, monkeypatch):
+    # argparse's HelpFormatter reads it on each add_argument unless it is
+    # given a width: 9 reads per nonsqueeze call
+    reads = []
+    real = shutil.get_terminal_size
+    monkeypatch.setattr(shutil, "get_terminal_size",
+                        lambda *a: reads.append(a) or real(*a))
+    assert main(["nonsqueeze", "--A1", "1.5", "--A2", "1.2",
+                 "--evidence"]) == 0
+    capsys.readouterr()
+    assert len(reads) == 1
+
+
+def _default_parser(command):
+    """The command's parser as argparse builds it with the default
+    HelpFormatter, which reads the terminal width itself."""
+    parser = argparse.ArgumentParser(prog="gfs " + command)
+    _add_options(parser, COMMANDS[command][1])
+    return parser
+
+
+@pytest.mark.parametrize("columns", ["40", "80", "200"])
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_help_wraps_as_the_default_formatter_does(capsys, monkeypatch,
+                                                  command, columns):
+    monkeypatch.setenv("COLUMNS", columns)
+    assert main([command, "--help"]) == 0
+    assert capsys.readouterr().out == _default_parser(command).format_help()
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_a_usage_error_wraps_as_the_default_formatter_does(capsys,
+                                                           monkeypatch,
+                                                           command):
+    monkeypatch.setenv("COLUMNS", "40")
+    assert main([command, "--bogus"]) == 2
+    err = capsys.readouterr().err
+    with pytest.raises(SystemExit):
+        _default_parser(command).parse_args(["--bogus"])
+    assert capsys.readouterr().err == err
+    assert err.index("unrecognized arguments") > err.index("\n  ")
 
 
 @pytest.mark.parametrize("command", sorted(COMMANDS))

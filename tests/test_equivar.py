@@ -8,11 +8,12 @@ import numpy as np
 import pytest
 
 from gfs import (Ambient, Bar, Barcode, DomainError, EvenK, Generator,
-                 GroupRingComplex, NonPrimeK, ball_complex, barcode,
+                 GfsError, GroupRingComplex, NonPrimeK, ball_complex, barcode,
                  gf_compose_chain, is_prime, lens_complex, limit_barcode,
                  rank_mod_p, ref_profile, sharp_k, shells, tensor_circle,
                  thom_shift)
 from gfs.cli import main
+from gfs.equivar import _limit_bars, limit_barcode_at_area
 
 
 def test_is_prime():
@@ -218,6 +219,35 @@ def test_limit_barcodes(amb1):
     for k in (1, 2, 9):
         with pytest.raises(NonPrimeK):
             limit_barcode(amb1, k, "equivariant")
+
+
+@pytest.mark.parametrize("k", [1, 3, 5, 23])
+def test_limit_bars_are_the_barcode_bars(k):
+    # the one bar in each shell degree, and none where the barcode has none
+    modes = (("plain", 6),) + ((("equivariant", k - 1),) if k > 1 else ())
+    for n, A in ((1, math.pi), (2, 0.7), (3, 2.5)):
+        for mode, top in modes:
+            bars = limit_barcode_at_area(n, A, k, mode, lmax=6).bars
+            assert len(bars) == top
+            for l in range(1, top + 1):
+                assert _limit_bars(n, A, k, mode, [l]) == [bars[l - 1]]
+            if mode == "equivariant":
+                for l in (0, k, k + 1, 1.5):
+                    assert _limit_bars(n, A, k, mode, [l]) == []
+
+
+def _refusal(read):
+    with pytest.raises(GfsError) as err:
+        read()
+    return type(err.value), str(err.value)
+
+
+@pytest.mark.parametrize("k, mode", [(1, "equivariant"), (9, "plain"),
+                                     (3.0, "equivariant"), (3, "bogus"),
+                                     (1, "bogus")])
+def test_limit_bars_refuse_what_the_barcode_refuses(k, mode):
+    assert _refusal(lambda: _limit_bars(1, 1.0, k, mode, [1])) == \
+        _refusal(lambda: limit_barcode_at_area(1, 1.0, k, mode))
 
 
 def test_thom_shift_and_tensor_circle(amb1):

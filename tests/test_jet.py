@@ -11,6 +11,7 @@ from gfs import (Ambient, RadialMap, RadialProfile, contact_lift_gf, contact_p,
                  contact_sharp, gf_compose_chain, gf_linear_rotation,
                  gf_small_map, gf_time_one, reeb_shift, sharp_k)
 
+from exact import fixed_by_cyclic
 from test_genfun import _theta_factor
 
 KINDS = {"linearRotation", "smallMap", "cyclicComposition", "sharp",
@@ -297,3 +298,61 @@ GOLDEN_LAYOUTS = {
 def test_layout_forms_and_actions_are_bit_identical(F, rho_ref, n):
     for name, G in _layout_cases(F, rho_ref, n).items():
         assert _layout_digest(G) == GOLDEN_LAYOUTS[name, n], (name, n)
+
+
+def _contact_form(P):
+    """P's terms as a flat form on its layout, each term a leaf that reads
+    its columns as they are: slot j (the columns `cols[j]`), the theta
+    difference e^{r_{j-1}}(theta_j - theta_{j+1}), the conformal e^{r_j},
+    and the twist."""
+    lay = P.meta["layout"]
+    k, th, r = lay.K, lay.th, lay.r
+    terms = ([("slot", c) for c in lay.cols]
+             + [("theta", np.array([th[j], th[(j + 1) % k], r[j - 1]]))
+                for j in range(k)]
+             + [("exp", r[j:j + 1]) for j in range(k)])
+    return ([name for name, _ in terms], [c for _, c in terms],
+            [np.eye(len(c)) for _, c in terms], lay.twist())
+
+
+def _zk_cases(F, rho_ref, n):
+    """(name, flat form, the Z_k permutation of its layout), the
+    permutation read off the layout's own cyclic action."""
+    cases = _layout_cases(F, rho_ref, n)
+    Fn, F3 = cases["F"], cases["F3"]
+    lift = contact_lift_gf(Fn)
+    forms = {"F": Fn, "F33": sharp_k(F3, 3), "uneven": cases["uneven"],
+             **{"F%d" % k: sharp_k(Fn, k) for k in (3, 5, 7)}}
+    contact = {"P%d" % k: contact_p(lift, k) for k in (3, 5)}
+    out = [(name, G._jet.flat, G.meta["layout"]) for name, G in forms.items()]
+    out += [(name, _contact_form(P), P.meta["layout"])
+            for name, P in contact.items()]
+    return [(name, form, lay.cyclic(np.arange(lay.total)).astype(int))
+            for name, form, lay in out]
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_flat_forms_are_exactly_zk_symmetric(F, rho_ref, n):
+    # a time-one F and every sharp of it repeat one slice, so the layout's
+    # cyclic action permutes their leaf maps; the uneven chain's three
+    # leaves differ, so no rotation of its slots can fix it
+    for name, form, perm in _zk_cases(F, rho_ref, n):
+        assert fixed_by_cyclic(form, perm) == (name != "uneven"), (name, n)
+
+
+def test_a_miswired_column_or_twist_entry_is_refused(F, rho_ref):
+    rng = np.random.default_rng(29)
+    for name, (leaves, cols, A, T), perm in _zk_cases(F, rho_ref, 1):
+        if name == "uneven":
+            continue
+        for _ in range(3):
+            i = int(rng.integers(len(leaves)))
+            c = int(rng.integers(np.count_nonzero(np.any(A[i], axis=0))))
+            wired = [np.array(x) for x in cols]
+            wired[i][c] = (wired[i][c] + 1 + rng.integers(len(T) - 1)) \
+                % len(T)
+            assert not fixed_by_cyclic((leaves, wired, A, T), perm), name
+        twisted = T.copy()
+        a, b = np.argwhere(T)[rng.integers(np.count_nonzero(T))]
+        twisted[a, b] *= 1.5
+        assert not fixed_by_cyclic((leaves, cols, A, twisted), perm), name

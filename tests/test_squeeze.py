@@ -4,6 +4,7 @@ import copy
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,7 +12,8 @@ from hypothesis import strategies as st
 from gfs import (Ambient, DomainError, NonPrimeK, SearchBoundExceeded,
                  SqueezeCertificate, SqueezeQuery, certificate_json, evidence,
                  find_obstruction, room_obstruction, room_transform,
-                 validate_certificate)
+                 tensor_circle, validate_certificate)
+from gfs.equivar import limit_barcode_at_area
 
 
 def test_query_validation():
@@ -281,3 +283,68 @@ def test_equal_radii_scans_no_primes(monkeypatch):
     assert certificate_json(cert) == (
         '{\n  "schema": "gfs/1",\n  "kind": "equalRadii",\n  "areas": {\n'
         '    "A1": 2.0,\n    "A2": 2.0\n  }\n}\n')
+
+
+def _reference_evidence(cert, amb):
+    """`evidence` read the long way: the three whole limit barcodes, their
+    `rank_at`, and `tensor_circle` of the large ball's barcode."""
+    if cert.kind == "conjugated":
+        report = _reference_evidence(cert.inner, amb)
+        report["outer_pair"] = {"k": cert.k, "l": cert.l}
+        return report
+    n, A1, A2 = amb.n, cert.areas["A1"], cert.areas["A2"]
+    A3 = cert.areas.get("A3")
+    if cert.kind == "primeFraction":
+        k, a, degree, mode = cert.k, float(cert.k), 2 * n * cert.l, \
+            "equivariant"
+    else:
+        k, degree, mode = 1, 2 * n, "plain"
+        a = float(cert.K) if cert.kind == "integerK" else 0.75 * A1
+    big = A3 if A3 is not None else A1 + 1.0
+    bcs = [limit_barcode_at_area(n, A, k, mode) for A in (big, A1, A2)]
+    ranks = [bc.rank_at(degree, a) for bc in bcs]
+    pre = tensor_circle(bcs[1])
+    return {"a": a, "degree": degree, "ranks": ranks,
+            "inclusion_ranks": [min(ranks[0], ranks[1]),
+                                min(ranks[0], ranks[2])],
+            "prequantized": {"degrees": [degree, degree + 1],
+                             "ranks": [pre.rank_at(degree, a),
+                                       pre.rank_at(degree + 1, a)]}}
+
+
+def _evidence_grid():
+    """Seeded queries of every certificate kind: integer gaps, prime
+    fractions, near-critical ratios (k in the hundreds), equal radii and
+    sub-unit areas with ambient room."""
+    rng = np.random.default_rng(37)
+    for _ in range(12):
+        A2 = float(rng.integers(1, 8)) + rng.uniform(0.05, 0.95)
+        yield A2 + 1.0 + rng.uniform(0.0, 1.0), A2, None
+        k = int(rng.choice([3, 5, 7, 11, 13]))
+        x = k / int(rng.integers(1, k))
+        yield x * (1.0 + rng.uniform(1e-3, 0.05)), max(1.0, x * 0.999), None
+        A2 = 1.0 + rng.uniform(0.0, 2.0)
+        yield A2 * (1.0 + rng.uniform(2e-3, 1e-2)), A2, None
+        A = float(rng.integers(1, 6)) + rng.choice([0.0, 0.5])
+        yield A, A, None
+        A2 = rng.uniform(0.1, 0.45)
+        A1 = A2 * (1.0 + rng.uniform(0.01, 0.2))
+        yield A1, A2, A1 * (1.0 + rng.uniform(0.01, 0.3))
+
+
+def test_evidence_matches_the_whole_limit_barcodes():
+    kinds, big_k = set(), 0
+    for A1, A2, A3 in _evidence_grid():
+        cert = find_obstruction(SqueezeQuery(A1, A2, A3))
+        if not cert.found():
+            continue
+        kinds.add(cert.kind)
+        big_k = max(big_k, cert.k or 0)
+        for n in (1, 2, 3):
+            amb = Ambient(n=n, R=1.0)
+            report, want = evidence(cert, amb), _reference_evidence(cert, amb)
+            assert report == want, (A1, A2, A3, n)
+            assert certificate_json(cert, report) == \
+                certificate_json(cert, want)
+    assert kinds == {"integerK", "primeFraction", "equalRadii", "conjugated"}
+    assert big_k > 100
