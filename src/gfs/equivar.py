@@ -42,7 +42,7 @@ import numpy as np
 from .errors import DomainError, NonPrimeK
 from .sympl import shell_count, shells
 
-# The most generators `ball_complex` builds for one ball.
+# The most generators of one ball complex, and bars of one limit barcode.
 MAX_BALL_GENERATORS = 10 ** 5
 
 
@@ -309,16 +309,6 @@ def _json_number(x):
     return json.dumps(x)
 
 
-def _breakpoints(bars):
-    """Sorted births and finite deaths of the bars."""
-    pts = set()
-    for b in bars:
-        pts.add(b.birth)
-        if math.isfinite(b.death):
-            pts.add(b.death)
-    return sorted(pts)
-
-
 @dataclass
 class Bar:
     """One barcode bar: rank `rank` on the half-open interval
@@ -348,7 +338,14 @@ class Barcode:
                    if b.degree == degree and b.birth <= a < b.death)
 
     def endpoints(self, degree):
-        return _breakpoints(b for b in self.bars if b.degree == degree)
+        """Sorted births and finite deaths of the degree's bars."""
+        pts = set()
+        for b in self.bars:
+            if b.degree == degree:
+                pts.add(b.birth)
+                if math.isfinite(b.death):
+                    pts.add(b.death)
+        return sorted(pts)
 
     def to_json(self):
         """{schema, field, bars} as `json.dumps(obj, indent=2)` writes it,
@@ -366,8 +363,9 @@ class Barcode:
     @classmethod
     def from_json(cls, text):
         """Barcode from its JSON text.  DomainError unless it is a gfs/1
-        object of prime field whose bars each have an integer degree, a
-        finite birth before the death (null for infinite) and rank >= 1."""
+        object of integer prime field whose bars each have an integer
+        degree, a finite birth before the death (null for infinite) and an
+        integer rank >= 1, integers by `_integer` (1.5 and true are not)."""
         try:
             obj = json.loads(text)
         except ValueError as exc:
@@ -376,22 +374,23 @@ class Barcode:
         if schema != "gfs/1":
             raise DomainError("unrecognized barcode schema %r" % (schema,))
         try:
-            bars = [Bar(int(b["degree"]), float(b["birth"]),
+            bars = [Bar(_integer(b["degree"]), float(b["birth"]),
                         math.inf if b["death"] is None else float(b["death"]),
-                        int(b["rank"]))
+                        _integer(b["rank"]))
                     for b in obj["bars"]]
-            field = int(obj["field"])
+            field = _integer(obj["field"])
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise DomainError("invalid barcode: %s: %s"
                               % (type(exc).__name__, exc))
-        if not is_prime(field):
-            raise DomainError("invalid barcode: field %d is not prime" % field)
+        if field is None or not is_prime(field):
+            raise DomainError("invalid barcode: field %r is not prime"
+                              % (obj["field"],))
         for b in bars:
             if not (math.isfinite(b.birth) and b.birth < b.death
-                    and b.rank >= 1):
-                raise DomainError("invalid barcode: bar %r needs a finite "
-                                  "birth before its death and rank >= 1"
-                                  % (b,))
+                    and None not in (b.degree, b.rank) and b.rank >= 1):
+                raise DomainError("invalid barcode: bar %r needs an integer "
+                                  "degree, a finite birth before its death "
+                                  "and an integer rank >= 1" % (b,))
         return cls(bars, field)
 
     def to_tsv(self):
@@ -399,25 +398,23 @@ class Barcode:
         every degree, the right-continuous rank just after it.
 
         The breakpoints of a degree are its births and finite deaths, with
-        0.0 put first when none is <= 0.  One sweep per degree keeps a
-        running rank: a bar adds its rank at its birth and takes it off at
-        its death.  A bar with birth >= death adds its endpoints but never
-        its rank, as in `rank_at`."""
+        0.0 put first when none is <= 0.  One dict per degree, filled in bar
+        order (so it keeps the zero `endpoints` keeps), maps each to its net
+        rank change, summed in one sweep of the sorted keys: a bar adds its
+        rank at its birth and takes it off at its death if birth < death."""
         lines = ["a\tdegree\trank"]
         for d, group in itertools.groupby(self.bars, lambda b: b.degree):
-            group = list(group)
-            pts = _breakpoints(group)
+            steps = {}      # breakpoint -> net change of the rank there
+            for b in group:
+                r = b.rank if b.birth < b.death else 0
+                steps[b.birth] = steps.get(b.birth, 0) + r
+                if math.isfinite(b.death):
+                    steps[b.death] = steps.get(b.death, 0) - r
+            pts, rank = sorted(steps), 0
             if pts[0] > 0.0:
-                pts = [0.0] + pts
-            live = [b for b in group if b.birth < b.death]
-            births = [(b.birth, b.rank) for b in live]      # sorted already
-            deaths = sorted((b.death, b.rank) for b in live)
-            rank = i = j = 0
+                lines.append("0\t%d\t0" % d)
             for a in pts:
-                while i < len(births) and births[i][0] <= a:
-                    rank, i = rank + births[i][1], i + 1
-                while j < len(deaths) and deaths[j][0] <= a:
-                    rank, j = rank - deaths[j][1], j + 1
+                rank += steps[a]
                 lines.append("%.12g\t%d\t%d" % (a, d, rank))
         return "\n".join(lines) + "\n"
 
@@ -481,10 +478,14 @@ def limit_barcode_at_area(n, A, k, mode, lmax=4):
     degrees 2nl for 0 < l < k, each alive on (0, l*A); in the plain reading
     the connecting norm maps collapse each pair of adjacent shells, leaving
     the degree-2nl group alive exactly on [(l-1)*A, l*A).  The sentinel
-    k = 1 has no equivariant limit (NonPrimeK).
+    k = 1 has no equivariant limit (NonPrimeK).  DomainError, before any bar
+    is built, above MAX_BALL_GENERATORS bars (lmax plain, k - 1 equivariant).
     """
-    field = _field(k)
+    field, _ = _field(k), _block(k, mode)
     top = lmax if mode == "plain" else k - 1
+    if top > MAX_BALL_GENERATORS:
+        raise DomainError("the limit barcode needs %d bars, above the bound "
+                          "%d" % (top, MAX_BALL_GENERATORS))
     return Barcode(_limit_bars(n, A, k, mode, range(1, top + 1)), field)
 
 

@@ -149,8 +149,8 @@ class RadialProfile:
     less trailing zeros that change no sum (`_trim`).  So a level reads the
     same bits alone as in an array, those of the full polynomial.  Its
     one-level path is `_scalar`, which the per-leaf loops
-    (`RadialMap._level_beta`, the small-map jet) call straight, without
-    `read`'s array dispatch.
+    (`RadialMap._level_beta`, the small-map jet) and `shells` call
+    straight, without `read`'s array dispatch.
     """
 
     def __init__(self, knots, coeffs, c=None, delta=None):
@@ -222,7 +222,8 @@ class RadialProfile:
         c0 + c1 s."""
         inner, knots, rows = self._inner, self._knot_list, self._rows[1]
         a, b = lo, 1.0
-        ia, ib = (bisect.bisect_right(inner, max(x, 0.0)) for x in (a, b))
+        ia = bisect.bisect_right(inner, max(a, 0.0))
+        ib = bisect.bisect_right(inner, max(b, 0.0))
         while ia != ib and b - a > 1e-12:
             mid = 0.5 * (a + b)
             x = mid if mid >= 0.0 else 0.0
@@ -666,16 +667,14 @@ def shells(amb, rho, k, lmax=None):
                 "rho' meets the level on its flat plateau; shell is not isolated")
         if fa > 0.0:
             raise NonMonotoneProfile("cannot bracket rho' level %g" % deepest)
-    out = []
+    out, two_n, read = [], 2 * amb.n, rho._scalar
     for l in range(1, L + 1 if lmax is None else min(L, lmax) + 1):
         m = rho.drho_level(-(l / k) * area, lo)
-        value = l * m * area + k * rho.rho(m)
-        out.append(ShellDatum(
-            l=l, m=m, value=value, index=2 * amb.n * l, kind="sphereShell",
-            free_orbit=math.gcd(l, k) == 1, nullity=2 * amb.n - 1))
-    out.append(ShellDatum(
-        l=0, m=0.0, value=k * rho.rho(0.0), index=2 * amb.n * (L + 1),
-        kind="isolated", free_orbit=False, nullity=0))
+        value = l * m * area + k * read(m, 0, 0)[0]
+        out.append(ShellDatum(l, m, value, two_n * l, "sphereShell",
+                              math.gcd(l, k) == 1, two_n - 1))
+    out.append(ShellDatum(0, 0.0, k * rho.rho(0.0), two_n * (L + 1),
+                          "isolated", False, 0))
     if not all(math.isfinite(s.value) for s in out):
         raise DomainError("a shell or origin value is not finite")
     return out

@@ -252,8 +252,8 @@ def test_barcode_bytes_match_the_dense_reduction():
 
 
 # Bars over a few degrees with shared endpoints, ranks above 1, infinite
-# deaths and some with birth >= death.
-_ENDS = st.sampled_from([-1.0, 0.0, 0.5, 1.0, 1.5, 2.0, 3.25])
+# deaths, some with birth >= death, and both zeros.
+_ENDS = st.sampled_from([-1.0, -0.0, 0.0, 0.5, 1.0, 1.5, 2.0, 3.25])
 _BARS = st.lists(st.builds(Bar, st.integers(0, 3), _ENDS,
                            st.one_of(_ENDS, st.just(math.inf)),
                            st.integers(1, 4)), max_size=12)

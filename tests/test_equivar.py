@@ -12,8 +12,10 @@ from gfs import (Ambient, Bar, Barcode, DomainError, EvenK, Generator,
                  gf_compose_chain, is_prime, lens_complex, limit_barcode,
                  rank_mod_p, ref_profile, sharp_k, shells, tensor_circle,
                  thom_shift)
+from gfs import equivar
 from gfs.cli import main
-from gfs.equivar import _limit_bars, limit_barcode_at_area
+from gfs.equivar import (MAX_BALL_GENERATORS, _limit_bars,
+                         limit_barcode_at_area)
 
 
 def test_is_prime():
@@ -250,6 +252,23 @@ def test_limit_bars_refuse_what_the_barcode_refuses(k, mode):
         _refusal(lambda: limit_barcode_at_area(1, 1.0, k, mode))
 
 
+def test_limit_barcode_refuses_more_bars_than_the_bound(tmp_path, capsys,
+                                                        monkeypatch):
+    # lmax bars plain, k - 1 equivariant, refused before any bar is built
+    def build(*args):
+        raise AssertionError("a bar was built")
+
+    monkeypatch.setattr(equivar, "_limit_bars", build)
+    top = MAX_BALL_GENERATORS + 1
+    for k, mode, lmax in ((3, "plain", top), (100003, "equivariant", 4)):
+        with pytest.raises(DomainError, match="above the bound"):
+            limit_barcode_at_area(1, 3.0, k, mode, lmax)
+    assert main(["barcode", "--k", "100003", "--limit",
+                 "--out", str(tmp_path)]) == 2
+    assert "above the bound" in capsys.readouterr().err
+    assert not (tmp_path / "barcode.json").exists()
+
+
 def test_thom_shift_and_tensor_circle(amb1):
     bc = limit_barcode(amb1, 3, "equivariant")
     shifted = thom_shift(bc, 1, 3)
@@ -384,8 +403,13 @@ def _barcode_text(**bar):
     json.dumps({"schema": "gfs/1", "field": 4, "bars": []}),
     json.dumps({"schema": "gfs/1", "field": 0, "bars": []}),
     json.dumps({"schema": "gfs/1", "field": -3, "bars": []}),
+    _barcode_text(degree=1.5),
+    _barcode_text(rank=2.7),
+    _barcode_text(degree=True),
+    json.dumps({"schema": "gfs/1", "field": 3.9, "bars": []}),
 ], ids=["missing-bars", "not-json", "degree-not-int", "birth-after-death",
-        "birth-at-death", "rank-zero", "field-4", "field-0", "field-minus-3"])
+        "birth-at-death", "rank-zero", "field-4", "field-0", "field-minus-3",
+        "degree-1.5", "rank-2.7", "degree-true", "field-3.9"])
 def test_barcode_from_json_rejects_bad_input(text):
     with pytest.raises(DomainError):
         Barcode.from_json(text)

@@ -1093,6 +1093,25 @@ def test_benchmark_ref_profiles_take_the_certificate(monkeypatch):
                           k)) > 30
 
 
+def test_shells_read_the_profile_a_fixed_number_of_times(monkeypatch):
+    # each shell's rho(m_l) is summed by `_scalar` straight, so `read` runs
+    # as often for 59 shells as for 19
+    calls, read = [], RadialProfile.read
+
+    def counted(self, m, lo, hi):
+        calls.append((lo, hi))
+        return read(self, m, lo, hi)
+
+    monkeypatch.setattr(RadialProfile, "read", counted)
+    counts = []
+    for L in (19, 59):
+        calls.clear()
+        rho = ref_profile(-(L + 0.5) * math.pi, 0.1)
+        assert len(shells(Ambient(n=1), rho, 1)) == L + 1
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
+
+
 @pytest.mark.parametrize("n, R", [(1, 1.0), (1, 1.3), (2, 1.0), (2, 1.3)])
 def test_shell_values_increase_with_l(n, R):
     # rho'(m_l) = -(l/k) A gives dc_l/dl = m_l A > 0, with m_l decreasing in
