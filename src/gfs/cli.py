@@ -12,7 +12,9 @@ keys.  A call builds only the parser of the command it names; help,
 parser reads the terminal width once per call.  Config files
 are line-based key=value; precedence flags > config > defaults, and an
 unreadable or malformed config file, or a key that names no option, is a
-flag error.
+flag error.  Each verify check is one record (name, residual, gate), and it
+passes iff residual < gate, so a nan residual fails; an exact check reports
+its count of violations, with gate 1.
 """
 
 from __future__ import annotations
@@ -28,11 +30,11 @@ import numpy as np
 
 from . import __version__
 from .errors import GfsError, SearchBoundExceeded
-from .sympl import (Ambient, ContactLift, RadialMap, RadialProfile,
-                    ref_profile, shells, translated_chains, verify_chain)
+from .sympl import (Ambient, ContactLift, RadialProfile, ref_profile, shells,
+                    translated_chains, verify_chain)
 from .genfun import (contact_lift_gf, contact_p, fibre_critical_config,
                      gf_time_one, graph_of, sharp_k)
-from .crit import (chain_scan, classify_hessian, maslov, seed_from_chain,
+from .crit import (_sup, chain_scan, newton_critical, seed_from_chain,
                    sharp_critical_seed)
 from .equivar import (Generator, GroupRingComplex, _block, _field,
                       ball_complex, barcode, lens_complex, limit_barcode)
@@ -183,96 +185,69 @@ def _reference(n=1):
     return amb, rho, gf_time_one(amb, rho)
 
 
-def _worst(*errs):
-    """The largest error, nan when any is nan (`max(0.0, nan)` is 0.0)."""
-    return float(np.max(errs))
-
-
 def _suite_generation(seed):
     _, _, F = _reference()
-    phi = F.map_handle
     rng = np.random.default_rng(seed)
-    worst = 0.0
+    errs = []
     for _ in range(100):
         zbar = rng.normal(0.0, 0.55, 2)
         base, zeta = fibre_critical_config(F, zbar)
-        w = np.concatenate([base, zeta])
-        g = F.grad(w)
-        gp = graph_of(phi, zbar)
-        worst = _worst(worst,
-                       float(np.max(np.abs(g[2:]))) if len(g) > 2 else 0.0,
-                       float(np.max(np.abs(base - gp.base))),
-                       float(np.max(np.abs(g[:2] - gp.covector))))
+        g = F.grad(np.concatenate([base, zeta]))
+        gp = graph_of(F.map_handle, zbar)
+        errs += [_sup(g[2:]), _sup(base - gp.base), _sup(g[:2] - gp.covector)]
     return [("fibre-critical embedding matches the graph (100 samples)",
-             worst < 1e-8, worst)]
+             _sup(errs), 1e-8)]
 
 
 def _suite_values(seed):
     amb, rho, F = _reference()
     F3 = sharp_k(F, 3)
-    sh = shells(amb, rho, 3)
-    m1 = [s for s in sh if s.l == 1][0].m
-    w = sharp_critical_seed(F, 3, np.array([math.sqrt(m1) * amb.R, 0.0]))
-    v = float(F3.value(w))
-    phi = RadialMap(amb, rho, 1.0)
-    z = np.array([math.sqrt(m1) * amb.R, 0.0])
-    ssum = 0.0
-    for _ in range(3):
-        ssum += float(phi.S(z))
-        z = phi(z)
-    r1 = abs(v - 5 * math.pi / 6)
-    r2 = abs(v - ssum)
-    r3 = abs(float(F3.value(np.zeros(F3.total_dim))) - 3 * rho.rho(0.0))
+    chain = translated_chains(amb, rho, 3)[0]      # the l = 1 shell's chain
+    v = float(F3.value(sharp_critical_seed(F, 3, chain.points[0].base)))
+    origin = float(F3.value(np.zeros(F3.total_dim)))
     return [
-        ("l=1 shell value = 5pi/6", r1 < 1e-6, r1),
-        ("l=1 shell value = sum of primitives", r2 < 1e-6, r2),
-        ("origin value = k*rho(0)", r3 < 1e-9, r3),
+        ("l=1 shell value = 5pi/6", abs(v - 5 * math.pi / 6), 1e-6),
+        ("l=1 shell value = sum of primitives", abs(v - chain.action), 1e-6),
+        ("origin value = k*rho(0)", abs(origin - 3 * rho.rho(0.0)), 1e-9),
     ]
 
 
-def _index_case(n, k):
-    amb, rho, F = _reference(n)
-    Fk = sharp_k(F, k)
-    checks = []
-    for s in shells(amb, rho, k):
-        if s.kind != "sphereShell" or s.l >= k:
-            continue
-        z = np.zeros(2 * n)
-        z[0] = math.sqrt(s.m) * amb.R
-        w = sharp_critical_seed(F, k, z)
-        index, nullity, gap, morse_bott = classify_hessian(
-            np.linalg.eigvalsh(Fk.hess(w)))
-        nu = maslov(index, k, F.quad_index, n)
-        ok = nu == 2 * n * s.l and nullity == 2 * n - 1 and morse_bott
-        checks.append(("index (n=%d,k=%d,l=%d): maslov %d nullity %d gap %.2g"
-                       % (n, k, s.l, nu, nullity, gap), ok,
-                       abs(nu - 2 * n * s.l)))
-    return checks
-
-
 def _suite_index(seed):
-    return [c for n, k in ((1, 3), (1, 5), (2, 3)) for c in _index_case(n, k)]
+    checks = []
+    for n, k in ((1, 3), (1, 5), (2, 3)):
+        amb, rho, F = _reference(n)
+        Fk = sharp_k(F, k)
+        for s in shells(amb, rho, k):
+            if s.kind != "sphereShell" or s.l >= k:
+                continue
+            z = np.zeros(2 * n)
+            z[0] = math.sqrt(s.m) * amb.R
+            m = newton_critical(Fk, sharp_critical_seed(F, k, z))
+            bad = (1 if m.maslov is None else abs(m.maslov - 2 * n * s.l))
+            checks.append(("index (n=%d,k=%d,l=%d): maslov %s nullity %d gap "
+                           "%.2g" % (n, k, s.l, m.maslov, m.nullity, m.gap),
+                           bad + (m.l != s.l) + (not m.morse_bott), 1))
+    return checks
 
 
 def _suite_chains(seed):
     amb, rho, F = _reference()
     chains = translated_chains(amb, rho, 3)
     lift = ContactLift(amb, rho)
-    checks = []
-    for ch in chains:
-        checks.append(("chain %s verifies" % ch.orbit_id,
-                       verify_chain(lift, ch), 0.0))
+    checks = [("chain %s verifies" % ch.orbit_id,
+               not verify_chain(lift, ch), 1) for ch in chains]
     P = contact_p(contact_lift_gf(F), 3)
     seeds = [seed_from_chain(P, ch) for ch in chains]
     fams = chain_scan(P, 3, seeds, chains=chains)
     checks.append(("chain_scan finds %d families (expect %d)"
-                   % (len(fams), len(chains)), len(fams) == len(chains), 0.0))
+                   % (len(fams), len(chains)), abs(len(fams) - len(chains)),
+                   1))
     hit = [f for f in fams if f.l == 1]
     res = abs(hit[0].value - 5 * math.pi / 6) if hit else math.inf
-    checks.append(("l=1 family action = 5pi/6", res < 1e-6, res))
+    checks.append(("l=1 family action = 5pi/6", res, 1e-6))
     free = sum(1 for f in fams
                if f.zk_orbit == "free" and abs(f.value - 5 * math.pi / 6) < 1e-3)
-    checks.append(("one free Z_3 family at the l=1 action", free == 1, 0.0))
+    checks.append(("one free Z_3 family at the l=1 action", abs(free - 1), 1))
     return checks
 
 
@@ -281,58 +256,51 @@ def _suite_invariance(seed):
     F3 = sharp_k(F, 3)
     P = contact_p(contact_lift_gf(F), 3)
     rng = np.random.default_rng(seed)
-    worst_c = 0.0
+    errs = []
     for _ in range(1000):
         w = rng.normal(0.0, 0.5, F3.total_dim)
-        worst_c = _worst(worst_c, abs(F3.value(F3.sym_ops["cyclic"](w))
-                                      - F3.value(w)))
-    worst = {"cyclic": 0.0, "r_action": 0.0, "z_shift": 0.0}
-    ops = P.sym_ops
+        errs.append(F3.value(F3.sym_ops["cyclic"](w)) - F3.value(w))
+    checks = [("sharp cyclic invariance (1000 pts)", _sup(errs), 1e-12)]
+    acts = (("P cyclic invariance", "cyclic", ()),
+            ("P scale invariance (a=0.7)", "r_action", (0.7,)),
+            ("P integer theta-shift invariance", "z_shift", ()))
+    errs = [[] for _ in acts]
     for _ in range(1000):
         w = rng.normal(0.0, 0.5, P.total_dim)
         v = P.value(w)
-        worst["cyclic"] = _worst(worst["cyclic"],
-                                 abs(P.value(ops["cyclic"](w)) - v))
-        worst["r_action"] = _worst(worst["r_action"],
-                                   abs(P.value(ops["r_action"](w, 0.7)) - v))
-        worst["z_shift"] = _worst(worst["z_shift"],
-                                  abs(P.value(ops["z_shift"](w)) - v))
-    return [
-        ("sharp cyclic invariance (1000 pts)", worst_c < 1e-12, worst_c),
-        ("P cyclic invariance", worst["cyclic"] < 1e-12, worst["cyclic"]),
-        ("P scale invariance (a=0.7)", worst["r_action"] < 1e-12,
-         worst["r_action"]),
-        ("P integer theta-shift invariance", worst["z_shift"] < 1e-12,
-         worst["z_shift"]),
-    ]
+        for err, (_, op, args) in zip(errs, acts):
+            err.append(P.value(P.sym_ops[op](w, *args)) - v)
+    return checks + [(name, _sup(err), 1e-12)
+                     for err, (name, _, _) in zip(errs, acts)]
 
 
 def _suite_algebra(seed):
     path = GroupRingComplex(5, [Generator(d) for d in (0, 1, 2)])
     path.add_diff(1, 2, 4)          # N = x^4 into the middle generator
     path.add_diff(0, 1, 1)          # T - 1 = x out of it: x^4 x = 0
-    checks = [("(T-1)N = 0 in Z_5[T]/(T^5-1)", not path.check_d2(), 0.0)]
+    checks = [("(T-1)N = 0 in Z_5[T]/(T^5-1)", len(path.check_d2()), 1)]
     for k in (3, 5):
         cx = lens_complex(1, k)
-        ok = (cx.homology_ranks("plain") == {0: 1, 1: 1}
-              and cx.homology_ranks("equivariant") == {0: 1, 1: 1}
-              and not cx.check_d2())
-        checks.append(("circle complex k=%d" % k, ok, 0.0))
+        bad = sum(cx.homology_ranks(mode) != {0: 1, 1: 1}
+                  for mode in ("plain", "equivariant"))
+        checks.append(("circle complex k=%d" % k, bad + len(cx.check_d2()), 1))
     lens = lens_complex(2, 5)
-    ok = lens.homology_ranks("plain") == {0: 1, 1: 0, 2: 0, 3: 1}
-    checks.append(("lens(2,5) plain ranks (1,0,0,1)", ok, 0.0))
-    ok = lens.homology_ranks("equivariant") == {0: 1, 1: 1, 2: 1, 3: 1}
-    checks.append(("lens(2,5) coinvariant rank 1 everywhere", ok, 0.0))
+    checks.append(("lens(2,5) plain ranks (1,0,0,1)",
+                   lens.homology_ranks("plain") != {0: 1, 1: 0, 2: 0, 3: 1},
+                   1))
+    checks.append(("lens(2,5) coinvariant rank 1 everywhere",
+                   lens.homology_ranks("equivariant")
+                   != {0: 1, 1: 1, 2: 1, 3: 1}, 1))
     amb, rho, _ = _reference()
     cx = ball_complex(amb, rho, 3)     # add_diff refuses a rising entry
-    checks.append(("ball complex d^2 = 0 and filtered", not cx.check_d2(),
-                   0.0))
+    checks.append(("ball complex d^2 = 0 and filtered", len(cx.check_d2()),
+                   1))
     # Plain two-shell relative homology vanishes between the shells, which
     # pins the connecting map to the norm element.
     alive = [g.value > 0 for g in cx.generators]
     ranks = cx.homology_ranks("plain", alive)
-    ok = ranks.get(3, -1) == 0 and ranks.get(4, -1) == 0
-    checks.append(("two-shell vanishing forces the norm connector", ok, 0.0))
+    checks.append(("two-shell vanishing forces the norm connector",
+                   (ranks.get(3, -1) != 0) + (ranks.get(4, -1) != 0), 1))
     return checks
 
 
@@ -362,10 +330,12 @@ def cmd_verify(opts):
     if opts["seed"] < 0:
         raise FlagError("seed must be at least 0, got %d" % opts["seed"])
     checks = SUITES[suite](opts["seed"])
-    for name, ok, residual in checks:
-        print("[%s] %s (residual %.3e)" % ("PASS" if ok else "FAIL",
-                                           name, residual))
-    passed = sum(1 for _, ok, _ in checks if ok)
+    passed = 0
+    for name, residual, gate in checks:
+        ok = bool(residual < gate)      # so a nan residual fails
+        passed += ok
+        print("[%s] %s (residual %.3e)" % ("PASS" if ok else "FAIL", name,
+                                           residual))
     print("suite %s: %d/%d checks passed" % (suite, passed, len(checks)))
     return 0 if passed == len(checks) else 1
 

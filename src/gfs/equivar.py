@@ -33,14 +33,13 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import operator
 from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, NonPrimeK
-from .sympl import shell_count, shells
+from .sympl import _integer, shell_count, shells
 
 # The most generators of one ball complex, and bars of one limit barcode.
 MAX_BALL_GENERATORS = 10 ** 5
@@ -62,12 +61,12 @@ def is_prime(k):
     return True
 
 
-def _integer(k):
-    """k as an int; None for a bool or any k that `operator.index` refuses."""
-    try:
-        return None if isinstance(k, bool) else operator.index(k)
-    except TypeError:
-        return None
+def _number(x):
+    """x as a float when it is a finite JSON number; None for a bool, a
+    string or any other x (an int too large for a float raises
+    OverflowError)."""
+    number = isinstance(x, (int, float)) and not isinstance(x, bool)
+    return float(x) if number and math.isfinite(x) else None
 
 
 def is_odd_prime(k):
@@ -365,7 +364,8 @@ class Barcode:
         """Barcode from its JSON text.  DomainError unless it is a gfs/1
         object of integer prime field whose bars each have an integer
         degree, a finite birth before the death (null for infinite) and an
-        integer rank >= 1, integers by `_integer` (1.5 and true are not)."""
+        integer rank >= 1, integers by `_integer` (1.5 and true are not),
+        birth and death by `_number` ("0.5", Infinity and 1e400 are not)."""
         try:
             obj = json.loads(text)
         except ValueError as exc:
@@ -374,8 +374,8 @@ class Barcode:
         if schema != "gfs/1":
             raise DomainError("unrecognized barcode schema %r" % (schema,))
         try:
-            bars = [Bar(_integer(b["degree"]), float(b["birth"]),
-                        math.inf if b["death"] is None else float(b["death"]),
+            bars = [Bar(_integer(b["degree"]), _number(b["birth"]),
+                        math.inf if b["death"] is None else _number(b["death"]),
                         _integer(b["rank"]))
                     for b in obj["bars"]]
             field = _integer(obj["field"])
@@ -386,11 +386,13 @@ class Barcode:
             raise DomainError("invalid barcode: field %r is not prime"
                               % (obj["field"],))
         for b in bars:
-            if not (math.isfinite(b.birth) and b.birth < b.death
-                    and None not in (b.degree, b.rank) and b.rank >= 1):
+            if not (None not in (b.degree, b.birth, b.death, b.rank)
+                    and b.birth < b.death and b.rank >= 1):
                 raise DomainError("invalid barcode: bar %r needs an integer "
-                                  "degree, a finite birth before its death "
-                                  "and an integer rank >= 1" % (b,))
+                                  "degree, a finite birth before its death, "
+                                  "both JSON numbers (death null for "
+                                  "infinite), and an integer rank >= 1"
+                                  % (b,))
         return cls(bars, field)
 
     def to_tsv(self):
@@ -482,6 +484,8 @@ def limit_barcode_at_area(n, A, k, mode, lmax=4):
     is built, above MAX_BALL_GENERATORS bars (lmax plain, k - 1 equivariant).
     """
     field, _ = _field(k), _block(k, mode)
+    if _integer(lmax) is None:
+        raise DomainError("lmax must be an integer, got %r" % (lmax,))
     top = lmax if mode == "plain" else k - 1
     if top > MAX_BALL_GENERATORS:
         raise DomainError("the limit barcode needs %d bars, above the bound "

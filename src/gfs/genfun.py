@@ -34,8 +34,8 @@ import math
 
 import numpy as np
 
-from .errors import AngleOutOfRange, DomainError, EvenK, NotNormalized
-from .sympl import ComposedMap, LinearRotation, RadialMap, j0_matrix
+from .errors import AngleOutOfRange, DomainError, NotNormalized
+from .sympl import ComposedMap, LinearRotation, RadialMap, _odd, j0_matrix
 
 
 # ---------------------------------------------------------------------------
@@ -424,10 +424,8 @@ def gf_compose_chain(factors):
 
     read through the flat form sum_i f_i(A_i w) + 0.5 w^T T w, a factor that
     is itself a composition inlined.  K = 1 returns the factor unchanged."""
-    K = len(factors)
-    if K % 2 == 0:
-        raise EvenK("cyclic composition requires an odd factor count")
-    if K == 1:
+    if _odd(len(factors), "cyclic composition requires an odd factor "
+            "count") == 1:
         return factors[0]
     return _cyclic_compose(list(factors))
 
@@ -437,8 +435,7 @@ def sharp_k(F, k):
     iterate of F's map and carries the cyclic Z_k symmetry action.
 
     k = 1 returns F itself."""
-    if k % 2 == 0 or k < 1:
-        raise EvenK("sharp_k requires odd k >= 1")
+    k = _odd(k, "sharp_k requires odd k >= 1")
     if k == 1:
         return F
     gf = _cyclic_compose([F] * k)
@@ -513,9 +510,7 @@ def alternating_resolve(mids):
     """Given K midpoints (K odd), return the unique w_1..w_K with
     (w_s + w_{s+1})/2 = mids_s cyclically: w_s = sum_l (-1)^l mids_{s+l},
     accumulated over l in order from 0.0 for all slots at once."""
-    K = len(mids)
-    if K % 2 == 0:
-        raise EvenK("alternating resolution needs an odd count")
+    K = _odd(len(mids), "alternating resolution needs an odd count")
     M = np.asarray(mids, dtype=float)
     idx = np.arange(K)
     terms = np.zeros((K, K + 1) + M.shape[1:])
@@ -579,8 +574,7 @@ def contact_sharp(F, k):
     scatter per order, then the theta-differences.  Exactly homogeneous
     under the R-action (z |-> e^{a/2} z, r |-> r + a): the value scales by
     e^a."""
-    if k % 2 == 0 or k < 1:
-        raise EvenK("contact_sharp requires odd k >= 1")
+    k = _odd(k, "contact_sharp requires odd k >= 1")
     if not F.contact:
         raise DomainError("contact_sharp needs a contact-base factor")
     n2 = F.base_dim - 1

@@ -32,8 +32,9 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .equivar import _integer, _limit_bars, is_odd_prime
+from .equivar import _limit_bars, is_odd_prime
 from .errors import DomainError, SearchBoundExceeded
+from .sympl import _integer
 
 DEFAULT_MAX_PRIME = 10 ** 4
 
@@ -94,7 +95,7 @@ def _room_inverse(m, A):
 
 
 def _integer_k_admissible(K, A1, A2):
-    """The integerK rule: K an integer (`equivar._integer`), A2 < K < A1."""
+    """The integerK rule: K an integer (`sympl._integer`), A2 < K < A1."""
     return _integer(K) is not None and A2 < K < A1
 
 

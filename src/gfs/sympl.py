@@ -29,11 +29,30 @@ Conventions fixed here and used by every other module:
 import bisect
 import json
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, EvenK, NonMonotoneProfile
+
+
+def _integer(k):
+    """k as an int; None for a bool or any k that `operator.index` refuses."""
+    try:
+        return None if isinstance(k, bool) else operator.index(k)
+    except TypeError:
+        return None
+
+
+def _odd(k, message):
+    """k as an int when `_integer` reads it as odd and >= 1; EvenK(message)
+    otherwise (3.0 and True are no count)."""
+    count = _integer(k)
+    if count is None or count < 1 or count % 2 == 0:
+        raise EvenK(message)
+    return count
+
 
 # ---------------------------------------------------------------------------
 # ambient space
@@ -651,9 +670,9 @@ def shells(amb, rho, k, lmax=None):
     every shell (`shell_count`).  The bracket rho'(lo) < target is checked
     once, at the deepest level L, before any bisection: rho'(lo) + (l/k) pi
     R^2 is non-decreasing in l in floating point, so a truncated call refuses
-    every profile the full call refuses."""
-    if k < 1 or k % 2 == 0:
-        raise EvenK("shells requires odd k >= 1")
+    every profile the full call refuses.  EvenK, before any work, unless
+    k is an odd integer >= 1 (`_odd`)."""
+    k = _odd(k, "shells requires odd k >= 1")
     lo = rho.delta if rho.delta is not None else 0.0
     if not _certify_monotone(rho, lo):
         _check_monotone(rho, lo)
@@ -740,7 +759,7 @@ def translated_chains(amb, rho, k):
     starting at (R sqrt(m), 0, ..., 0)), the origin an isolated chain.
 
     For each chain, t = (1/k) sum_j S(z_j) and action = k t = sum_j S(z_j).
-    EvenK (from `shells`) unless k is odd and >= 1."""
+    EvenK (from `shells`) unless k is an odd integer >= 1."""
     phi = RadialMap(amb, rho, 1.0)
     out = []
     for sh in shells(amb, rho, k):

@@ -395,6 +395,32 @@ def test_generation_suite_fails_a_nan_covector(capsys, monkeypatch):
         "(residual nan)\nsuite generation: 0/1 checks passed\n")
 
 
+def test_chains_suite_fails_a_chain_that_does_not_verify(capsys, monkeypatch):
+    # an exact check reports its count of violations against the gate 1
+    monkeypatch.setattr(gfs.cli, "verify_chain", lambda lift, chain: False)
+    assert main(["verify", "--suite", "chains"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "[FAIL] chain shell-l1 verifies (residual 1.000e+00)"
+    assert lines[-1] == "suite chains: 3/6 checks passed"
+
+
+def test_index_suite_fails_a_maslov_number_off_by_two(capsys, monkeypatch):
+    real = gfs.cli.newton_critical
+
+    def off_by_two(G, seed):
+        m = real(G, seed)
+        m.maslov += 2
+        return m
+
+    monkeypatch.setattr(gfs.cli, "newton_critical", off_by_two)
+    assert main(["verify", "--suite", "index"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 9 and lines[-1] == "suite index: 0/8 checks passed"
+    for line in lines[:-1]:
+        assert line.startswith("[FAIL] index ")
+        assert float(line.split(" (residual ")[1][:-1]) >= 2
+
+
 def test_invariance_suite_fails_a_nan_value_of_p(capsys, monkeypatch):
     real = gfs.GenFn.value
 

@@ -7,12 +7,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import gfs
 from gfs import (Ambient, Bar, Barcode, DomainError, EvenK, Generator,
                  GfsError, GroupRingComplex, NonPrimeK, ball_complex, barcode,
-                 gf_compose_chain, is_prime, lens_complex, limit_barcode,
-                 rank_mod_p, ref_profile, sharp_k, shells, tensor_circle,
-                 thom_shift)
+                 contact_lift_gf, contact_p, gf_compose_chain, is_prime,
+                 lens_complex, limit_barcode, rank_mod_p, ref_profile, sharp_k,
+                 shells, tensor_circle, thom_shift, translated_chains)
 from gfs import equivar
+from gfs.genfun import contact_sharp
 from gfs.cli import main
 from gfs.equivar import (MAX_BALL_GENERATORS, _limit_bars,
                          limit_barcode_at_area)
@@ -269,6 +271,13 @@ def test_limit_barcode_refuses_more_bars_than_the_bound(tmp_path, capsys,
     assert not (tmp_path / "barcode.json").exists()
 
 
+@pytest.mark.parametrize("lmax", [2.5, "3", True, None])
+@pytest.mark.parametrize("mode", ["plain", "equivariant"])
+def test_limit_barcode_refuses_an_lmax_that_is_no_integer(lmax, mode):
+    with pytest.raises(DomainError, match="lmax must be an integer"):
+        limit_barcode_at_area(1, 3.0, 3, mode, lmax)
+
+
 def test_thom_shift_and_tensor_circle(amb1):
     bc = limit_barcode(amb1, 3, "equivariant")
     shifted = thom_shift(bc, 1, 3)
@@ -407,9 +416,21 @@ def _barcode_text(**bar):
     _barcode_text(rank=2.7),
     _barcode_text(degree=True),
     json.dumps({"schema": "gfs/1", "field": 3.9, "bars": []}),
+    _barcode_text(birth="0.5"),
+    _barcode_text(death="inf"),
+    _barcode_text(death=math.inf),
+    _barcode_text(birth=-math.inf),
+    _barcode_text(death=1.0).replace("1.0", "1e400"),
+    _barcode_text(birth=10 ** 400),
+    _barcode_text(birth=True, death=2.0),
+    _barcode_text(death=True),
+    _barcode_text(birth=None),
 ], ids=["missing-bars", "not-json", "degree-not-int", "birth-after-death",
         "birth-at-death", "rank-zero", "field-4", "field-0", "field-minus-3",
-        "degree-1.5", "rank-2.7", "degree-true", "field-3.9"])
+        "degree-1.5", "rank-2.7", "degree-true", "field-3.9",
+        "birth-string", "death-string-inf", "death-Infinity",
+        "birth-minus-Infinity", "death-1e400", "birth-int-overflow",
+        "birth-true", "death-true", "birth-null"])
 def test_barcode_from_json_rejects_bad_input(text):
     with pytest.raises(DomainError):
         Barcode.from_json(text)
@@ -453,11 +474,27 @@ def test_every_reading_refuses_the_same_k(k, amb1, rho_ref, F, tmp_path):
 
 
 @pytest.mark.parametrize("k", [3.0, True])
-def test_every_reading_refuses_a_k_that_is_no_integer(k, amb1, rho_ref,
-                                                      tmp_path):
+def test_every_reading_refuses_a_k_that_is_no_integer(k, amb1, rho_ref, F,
+                                                      tmp_path, monkeypatch):
     """3.0 passes the arithmetic of an odd prime and True that of the
-    sentinel 1, but a reading takes only an integer k."""
+    sentinel 1, but a reading takes only an integer k, and an odd-count
+    operation only an integer count, refused before any work."""
     _assert_every_reading_refuses(k, amb1, rho_ref, tmp_path)
+    lift = contact_lift_gf(F)
+
+    def work(*args, **kwargs):
+        raise AssertionError("work began before the refusal")
+
+    for module, name in ((gfs.sympl, "_certify_monotone"),
+                         (gfs.genfun, "_cyclic_compose"),
+                         (gfs.genfun, "_Layout")):
+        monkeypatch.setattr(module, name, work)
+    for count in (lambda: shells(amb1, rho_ref, k),
+                  lambda: translated_chains(amb1, rho_ref, k),
+                  lambda: sharp_k(F, k), lambda: contact_sharp(lift, k),
+                  lambda: contact_p(lift, k)):
+        with pytest.raises(EvenK, match="odd k"):
+            count()
 
 
 def test_every_reading_refuses_the_same_mode(amb1, rho_ref, tmp_path):
