@@ -580,6 +580,30 @@ def test_piece_locked_reads_match_read_bit_for_bit(amb1, c, delta, t):
         assert got.tobytes() == ref.tobytes()
 
 
+@pytest.mark.parametrize("m", [
+    np.array(0.3), np.array(np.nan),                       # 0-d arrays
+    [np.nan, -0.0, -0.5, 0.0, 0.1, 1.0, 2.0],              # a list
+    np.array([np.nan, -0.0, -0.5, 0.0, 0.05, 0.1, 0.1005, 0.5,
+              0.9995, 1.0, 2.0, np.inf]).reshape(3, 4),
+    np.empty(0), np.empty((2, 0))])                        # empty
+@pytest.mark.parametrize("quartic", [False, True])
+def test_read_of_an_array_is_the_per_level_read(rho_ref, m, quartic):
+    # every (lo, hi): one float64 array per order, shaped like m, each
+    # entry bit-equal to `_scalar` at that level
+    rho = _quartic_profile() if quartic else rho_ref
+    flat = np.asarray(m, dtype=float).ravel().tolist()
+    for lo in range(3):
+        for hi in range(lo, 3):
+            got = rho.read(m, lo, hi)
+            assert isinstance(got, tuple) and len(got) == hi - lo + 1
+            want = np.array([rho._scalar(x, lo, hi) for x in flat],
+                            dtype=float).reshape(-1, hi - lo + 1)
+            for order, x in enumerate(got):
+                x = np.asarray(x)
+                assert x.shape == np.shape(m) and x.dtype == np.float64
+                assert x.tobytes() == want[:, order].tobytes(), (lo, hi)
+
+
 def test_midpoint_inverse_mixed_stack_reads_row_by_row(amb1, rho_ref):
     # inside rows, levels repeated (a J0 image, a negative, the row itself),
     # rows at H = 1 and beyond and a nan row: one call returns every row
