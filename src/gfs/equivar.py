@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NonPrimeK
-from .sympl import _integer, shell_count, shells
+from .sympl import _integer, _number, shell_count, shells
 
 # The most generators of one ball complex, and bars of one limit barcode.
 MAX_BALL_GENERATORS = 10 ** 5
@@ -59,14 +59,6 @@ def is_prime(k):
             return False
         d += 2
     return True
-
-
-def _number(x):
-    """x as a float when it is a finite JSON number; None for a bool, a
-    string or any other x (an int too large for a float raises
-    OverflowError)."""
-    number = isinstance(x, (int, float)) and not isinstance(x, bool)
-    return float(x) if number and math.isfinite(x) else None
 
 
 def is_odd_prime(k):
@@ -481,11 +473,12 @@ def limit_barcode_at_area(n, A, k, mode, lmax=4):
     the connecting norm maps collapse each pair of adjacent shells, leaving
     the degree-2nl group alive exactly on [(l-1)*A, l*A).  The sentinel
     k = 1 has no equivariant limit (NonPrimeK).  DomainError, before any bar
-    is built, above MAX_BALL_GENERATORS bars (lmax plain, k - 1 equivariant).
+    is built, unless lmax is an integer >= 1 (in both modes), and above
+    MAX_BALL_GENERATORS bars (lmax plain, k - 1 equivariant).
     """
     field, _ = _field(k), _block(k, mode)
-    if _integer(lmax) is None:
-        raise DomainError("lmax must be an integer, got %r" % (lmax,))
+    if _integer(lmax) is None or lmax < 1:
+        raise DomainError("lmax must be an integer >= 1, got %r" % (lmax,))
     top = lmax if mode == "plain" else k - 1
     if top > MAX_BALL_GENERATORS:
         raise DomainError("the limit barcode needs %d bars, above the bound "

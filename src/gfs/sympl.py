@@ -45,6 +45,14 @@ def _integer(k):
         return None
 
 
+def _number(x):
+    """x as a float when it is a finite JSON number; None for a bool, a
+    string or any other x (an int too large for a float raises
+    OverflowError)."""
+    number = isinstance(x, (int, float)) and not isinstance(x, bool)
+    return float(x) if number and math.isfinite(x) else None
+
+
 def _odd(k, message):
     """k as an int when `_integer` reads it as odd and >= 1; EvenK(message)
     otherwise (3.0 and True are no count)."""
@@ -66,7 +74,8 @@ class Ambient:
     R: float = 1.0
 
     def __post_init__(self):
-        if self.n < 1 or int(self.n) != self.n:
+        n = _integer(self.n)                # 2.0 and True are no dimension
+        if n is None or n < 1:
             raise DomainError("ambient dimension n must be a positive integer")
         if not (self.R > 0 and 0 < math.pi * self.R * self.R < math.inf):
             raise DomainError("ambient radius R must be positive, with the "
@@ -163,13 +172,12 @@ class RadialProfile:
     rho' <= 0, rho'' >= 0, rho and rho' tend to 0 as m -> 1, rho' constant
     = c on [0, delta].
 
-    `read`, at one level or on an array of levels, sums `_rows` by
-    `_poly_value`: one list of ascending coefficients per order and piece,
-    less trailing zeros that change no sum (`_trim`).  So a level reads the
-    same bits alone as in an array, those of the full polynomial.  Its
-    one-level path is `_scalar`, which the per-leaf loops
-    (`RadialMap._level_beta`, the small-map jet) and `shells` call
-    straight, without `read`'s array dispatch.
+    Every read of a level is one `_scalar`: the level's piece looked up,
+    then `_rows` summed by `_poly_value`, one list of ascending coefficients
+    per order and piece, less trailing zeros that change no sum (`_trim`),
+    so it reads the bits of the full polynomial.  `read` calls it once per
+    level of an array; the per-leaf loops (`RadialMap._level_beta`, the
+    small-map jet) and `shells` call it straight.
     """
 
     def __init__(self, knots, coeffs, c=None, delta=None):
@@ -199,23 +207,14 @@ class RadialProfile:
     # -- evaluation -------------------------------------------------------
 
     def read(self, m, lo, hi):
-        """(rho^(lo)(m), ..., rho^(hi)(m)), 0 <= lo <= hi <= 2, at a level m
-        or on an array of levels (one array per order): each level's piece
-        looked up, then that piece's row of each order summed by
-        `_poly_value`; m < 0 reads as 0, and m >= 1 (or nan) reads 0.0."""
-        if not (isinstance(m, float) or np.ndim(m) == 0):
-            m = np.asarray(m, dtype=float)
-            x, inside = np.clip(m, 0.0, 1.0), m < 1.0
-            i = np.where(inside, np.searchsorted(self.knots[1:-1], x,
-                                                 side="right"), -1)
-            out = np.zeros((hi - lo + 1,) + m.shape)
-            for p in np.flatnonzero(np.bincount(i[inside])).tolist():
-                at = i == p
-                s = x[at] - self._knot_list[p]
-                for res, rows in zip(out, self._rows[lo:hi + 1]):
-                    res[at] = _poly_value(rows[p], s)
-            return tuple(out)
-        return self._scalar(float(m), lo, hi)
+        """(rho^(lo)(m), ..., rho^(hi)(m)), 0 <= lo <= hi <= 2, by `_scalar`
+        at a level m, or level by level on an array as one float64 array
+        per order shaped like m; m < 0 reads as 0, m >= 1 (or nan) 0.0."""
+        if isinstance(m, float) or np.ndim(m) == 0:
+            return self._scalar(float(m), lo, hi)
+        m = np.asarray(m, dtype=float)
+        out = np.array([self._scalar(x, lo, hi) for x in m.ravel().tolist()])
+        return tuple(out.T.reshape((hi - lo + 1,) + m.shape))
 
     def _scalar(self, m, lo, hi):
         """`read` at one float level m, with no array dispatch: m's piece
@@ -294,19 +293,23 @@ class RadialProfile:
                                  if isinstance(obj, bytes) else obj)
             except ValueError as exc:           # not UTF-8, or not JSON
                 raise DomainError("invalid profile: not UTF-8 JSON (%s)" % exc)
+
+        def number(x):                  # a finite JSON number, or refused
+            if _number(x) is None:
+                raise ValueError("%r is no finite JSON number" % (x,))
+            return float(x)
+
         try:
-            knots = np.asarray(obj["knots"], dtype=float)
-            coeffs = np.asarray(obj["pieces"], dtype=float)
-        except (KeyError, TypeError, ValueError) as exc:
+            knots = np.array([number(x) for x in obj["knots"]])
+            coeffs = np.array([[number(v) for v in row]
+                               for row in obj["pieces"]])
+            c, delta = (None if obj.get(key) is None else number(obj[key])
+                        for key in ("c", "delta"))
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise DomainError("invalid profile: knots and pieces must be "
-                              "numeric lists, pieces all of one length "
+                              "lists of finite JSON numbers, pieces all of "
+                              "one length, c and delta such numbers or null "
                               "(%s)" % exc)
-        c, delta = obj.get("c"), obj.get("delta")
-        for x in (c, delta):
-            if x is not None and (isinstance(x, bool) or not isinstance(
-                    x, (int, float)) or not math.isfinite(x)):
-                raise DomainError("invalid profile: c and delta must be "
-                                  "finite numbers or null, got %r" % (x,))
         if delta is not None and not 0 <= delta < 1:
             raise DomainError("invalid profile: delta must lie in [0, 1)")
         prof = cls(knots, coeffs, c=c, delta=delta)
@@ -317,7 +320,6 @@ class RadialProfile:
 
     # -- invariants -------------------------------------------------------
 
-    @np.errstate(over="ignore", invalid="ignore")   # a nan read is refused
     def validate(self):
         """Return a list of invariant violations (empty when valid)."""
         problems = []

@@ -147,8 +147,11 @@ def test_barcode_computation_error(tmp_path):
                  "--out", str(tmp_path)]) == 3
 
 
-@pytest.mark.parametrize("content", [b"not json", b"\xff\xfe"],
-                         ids=["not-json", "not-utf8"])
+@pytest.mark.parametrize("content", [
+    b"not json", b"\xff\xfe",
+    b'{"knots": ["0", "1"], "pieces": [[1, -2, 1]]}',
+    b'{"knots": [0, 1], "pieces": [[true, -2, true]]}'],
+    ids=["not-json", "not-utf8", "string-knots", "bool-pieces"])
 def test_unreadable_profile_file_is_a_computation_error(tmp_path, capsys,
                                                         content):
     path = tmp_path / "prof.json"

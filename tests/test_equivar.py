@@ -278,6 +278,17 @@ def test_limit_barcode_refuses_an_lmax_that_is_no_integer(lmax, mode):
         limit_barcode_at_area(1, 3.0, 3, mode, lmax)
 
 
+@pytest.mark.parametrize("lmax", [0, -5])
+@pytest.mark.parametrize("mode", ["plain", "equivariant"])
+def test_limit_barcode_refuses_an_lmax_below_one(monkeypatch, lmax, mode):
+    def build(*args):
+        raise AssertionError("a bar was built")
+
+    monkeypatch.setattr(equivar, "_limit_bars", build)
+    with pytest.raises(DomainError, match="lmax must be an integer >= 1"):
+        limit_barcode_at_area(1, 3.0, 3, mode, lmax)
+
+
 def test_thom_shift_and_tensor_circle(amb1):
     bc = limit_barcode(amb1, 3, "equivariant")
     shifted = thom_shift(bc, 1, 3)

@@ -31,6 +31,13 @@ def test_ambient_basics():
         Ambient(n=1, R=-1.0)
 
 
+@pytest.mark.parametrize("n", [2.0, True, "2", None, 0, -1])
+def test_ambient_refuses_a_dimension_that_is_no_positive_integer(n):
+    with pytest.raises(DomainError, match="positive integer"):
+        Ambient(n=n, R=1.0)
+    assert Ambient(n=np.int64(2)).dim == 4
+
+
 def _rows_at_the_boundary(R, dim, rng):
     """Rows z with float(np.dot(z, z)) / R^2 one ulp below and one above 1."""
     want, rows = (np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0)), {}
@@ -249,6 +256,13 @@ def test_shells_are_within_the_bisection_stop_and_round_off_of_exact(k):
     ([0.0, 0.5, 1.0], [[], []]),                  # empty pieces
     ([0.0, 0.5, 1.0], [0.0, 0.0]),                # pieces not lists
     ([0.0, 0.5, 1.0], [["a"], ["b"]]),            # non-numeric
+    # rho = (1 - m)^2 on [0, 1], valid when its numbers are read as such
+    (["0", "1"], [[1, -2, 1]]),                   # string knots
+    ([0, 1], [["1", "-2", "1"]]),                 # string pieces
+    ([False, True], [[1, -2, 1]]),                # bool knots
+    ([0, 1], [[True, -2, True]]),                 # bool coefficients
+    ([0, 10 ** 400], [[1, -2, 1]]),               # ints beyond a float
+    ([0, 1], [[1, -2, 10 ** 400]]),
 ])
 def test_malformed_profile_shape_rejected(knots, pieces):
     with pytest.raises(DomainError):
@@ -259,6 +273,7 @@ def test_malformed_profile_shape_rejected(knots, pieces):
     ("c", "x"), ("delta", "y"),                   # not numbers
     ("c", True), ("delta", [0.1]),
     ("c", float("inf")), ("delta", float("nan")),  # not finite
+    ("c", 10 ** 400),                             # an int beyond a float
     ("delta", -0.1), ("delta", 1.0),              # delta outside [0, 1)
 ])
 def test_malformed_profile_c_delta_rejected(rho_ref, key, value):
