@@ -294,7 +294,10 @@ def ball_complex(amb, rho, k):
 
 
 def _json_number(x):
-    """x as `json` writes it: float.__repr__ for a finite float."""
+    """x as `json.dumps` writes it: int.__repr__ for an exact int,
+    float.__repr__ for a finite float (np.float64 too), else json.dumps."""
+    if type(x) is int:
+        return int.__repr__(x)
     if isinstance(x, float) and math.isfinite(x):
         return float.__repr__(x)
     return json.dumps(x)

@@ -27,12 +27,11 @@ reads each ball's one limit bar in that degree, at its area on the certificate.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .equivar import _limit_bars, is_odd_prime
+from .equivar import _json_number, _limit_bars, is_odd_prime
 from .errors import DomainError, SearchBoundExceeded
 from .sympl import _integer
 
@@ -305,30 +304,28 @@ def evidence(cert, amb):
     }
 
 
-def _certificate_fields(cert):
-    """The certificate's set fields, its inner certificate and its areas,
-    in schema key order."""
-    obj = {"kind": cert.kind}
-    for key in ("K", "k", "l", "m"):
-        if getattr(cert, key) is not None:
-            obj[key] = getattr(cert, key)
-    if cert.inner is not None:
-        obj["inner"] = _certificate_fields(cert.inner)
-    obj["areas"] = {key: cert.areas[key]
-                    for key in ("A1", "A2", "A3") if key in cert.areas}
-    return obj
-
-
 def certificate_json(cert, report=None):
-    """Deterministic JSON for a certificate (schema gfs/1), with the
-    evidence block when a report is supplied."""
-    obj = {"schema": "gfs/1", **_certificate_fields(cert)}
+    """Deterministic JSON for a certificate (schema gfs/1) and, given an
+    `evidence` report, its evidence: the text of `json.dumps(obj, indent=2)`
+    and a newline, written directly with `_json_number`'s rule for numbers."""
+    text = "".join(',\n  "%s": %s' % (key, _json_number(getattr(cert, key)))
+                   for key in "Kklm" if getattr(cert, key) is not None)
+    if cert.inner is not None:      # its own text without the schema line
+        text += ',\n  "inner": ' + certificate_json(cert.inner).replace(
+            '  "schema": "gfs/1",\n', "", 1)[:-1].replace("\n", "\n  ")
+    areas = ",\n".join('    "%s": %s' % (key, _json_number(cert.areas[key]))
+                       for key in ("A1", "A2", "A3") if key in cert.areas)
+    text += ',\n  "areas": ' + ("{\n%s\n  }" % areas if areas else "{}")
     if report is not None:
-        obj["evidence"] = {
-            "degree": report["degree"],
-            "a": report["a"],
-            "ranks": report["ranks"],
-            "inclusion_ranks": report["inclusion_ranks"],
-            "prequantized": report["prequantized"],
-        }
-    return json.dumps(obj, indent=2) + "\n"
+        pre = report["prequantized"]
+        text += (',\n  "evidence": {\n    "degree": %s,\n    "a": %s,\n'
+                 '    "ranks": [\n      %s,\n      %s,\n      %s\n    ],\n'
+                 '    "inclusion_ranks": [\n      %s,\n      %s\n    ],\n'
+                 '    "prequantized": {\n      "degrees": [\n        %s,\n'
+                 '        %s\n      ],\n      "ranks": [\n        %s,\n'
+                 '        %s\n      ]\n    }\n  }' % tuple(map(_json_number, (
+                     report["degree"], report["a"], *report["ranks"],
+                     *report["inclusion_ranks"], *pre["degrees"],
+                     *pre["ranks"]))))
+    return ('{\n  "schema": "gfs/1",\n  "kind": %s%s\n}\n'
+            % (_json_number(cert.kind), text))

@@ -77,7 +77,11 @@ class Ambient:
         n = _integer(self.n)                # 2.0 and True are no dimension
         if n is None or n < 1:
             raise DomainError("ambient dimension n must be a positive integer")
-        if not (self.R > 0 and 0 < math.pi * self.R * self.R < math.inf):
+        try:                        # True, "2", None and 10**400 are no radius
+            R = _number(self.R)
+        except OverflowError:
+            R = None
+        if R is None or not (R > 0 and 0 < math.pi * R * R < math.inf):
             raise DomainError("ambient radius R must be positive, with the "
                               "area pi R^2 positive and finite")
 
@@ -391,8 +395,10 @@ def ref_profile(c, delta):
 def flow(amb, rho, t, z):
     """Time-t truncated radial flow: z |-> exp(2 i t rho'(H(z)) / R^2) z.
 
-    Total on R^{2n}; conserves H to round-off; fixes every z with H >= 1
-    exactly (rho' is exactly zero there)."""
+    Total on R^{2n}, one point z of shape (2n,) at a time; conserves H to
+    round-off; fixes every z with H >= 1 exactly (rho' is zero there)."""
+    if np.shape(z) != (amb.dim,):
+        raise DomainError("flow maps one point z, of shape (2n,)")
     ang = 2.0 * t * rho.drho(amb.H(z)) / amb.R**2
     return interleave(complex_view(z) * np.exp(1j * ang))
 

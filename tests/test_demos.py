@@ -1,6 +1,6 @@
-"""Every narrated demo runs to completion as a script; the barcode demo's
-output is pinned byte for byte; the README's Library example runs and
-holds to its comments."""
+"""Every narrated demo runs to completion as a script; the barcode and
+certificate demos' outputs are pinned byte for byte; the README's Library
+example runs and holds to its comments."""
 
 import glob
 import hashlib
@@ -40,6 +40,12 @@ def test_barcode_demo_output_is_pinned():
     proc = _run(os.path.join(ROOT, "demos", "04_barcodes.py"))
     assert hashlib.sha256(proc.stdout.encode()).hexdigest() == \
         "c07e2cd86a76786010d7dd695b1c657110cee7696f4f5eb9fba802009f17c4ef"
+
+
+def test_certificate_demo_output_is_pinned():
+    proc = _run(os.path.join(ROOT, "demos", "05_certificates.py"))
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == \
+        "7b12bf3bbfb0b1a29ea4b9e1fccee755d03a9c28ba70c4d3ccd7b43e7a584ba8"
 
 
 def test_readme_library_example_holds():

@@ -348,3 +348,90 @@ def test_evidence_matches_the_whole_limit_barcodes():
                 certificate_json(cert, want)
     assert kinds == {"integerK", "primeFraction", "equalRadii", "conjugated"}
     assert big_k > 100
+
+
+def _certificate_fields(cert):
+    """The oracle's certificate object: set fields, inner certificate and
+    areas in schema key order, as a dict for `json.dumps`."""
+    obj = {"kind": cert.kind}
+    for key in ("K", "k", "l", "m"):
+        if getattr(cert, key) is not None:
+            obj[key] = getattr(cert, key)
+    if cert.inner is not None:
+        obj["inner"] = _certificate_fields(cert.inner)
+    obj["areas"] = {key: cert.areas[key]
+                    for key in ("A1", "A2", "A3") if key in cert.areas}
+    return obj
+
+
+def _dumps_json(cert, report=None):
+    """`certificate_json` by the standard library's indented encoder."""
+    obj = {"schema": "gfs/1", **_certificate_fields(cert)}
+    if report is not None:
+        obj["evidence"] = {key: report[key] for key in (
+            "degree", "a", "ranks", "inclusion_ranks", "prequantized")}
+    return json.dumps(obj, indent=2) + "\n"
+
+
+def _found_certificates():
+    """Searched certificates of every kind (conjugated over an integerK and
+    a primeFraction inner), with and without A3, with int and np.float64
+    areas."""
+    queries = [(2.5, 1.7), (2.5, 1.7, 3.0), (3, 1), (3, 1, 4),
+               (1.5, 1.2), (1.5, 1.2, 2.0), (2.0, 2.0), (2.0, 2.0, 2.5),
+               (0.45, 0.40, 0.5), (0.45, 0.40), (np.float64(2.5), 1.7),
+               (np.float64(1.5), np.float64(1.2), np.float64(2.0))]
+    queries += [q for q in _evidence_grid() if q[2] is not None]
+    return [find_obstruction(SqueezeQuery(*q)) for q in queries]
+
+
+def test_certificate_json_matches_json_dumps():
+    certs = _found_certificates()
+    assert {c.kind for c in certs} == {"integerK", "primeFraction",
+                                       "equalRadii", "conjugated", "none"}
+    conjugated = [c for c in certs if c.kind == "conjugated"]
+    assert {c.inner.kind for c in conjugated} == {"integerK",
+                                                  "primeFraction"}
+    for cert in certs:
+        assert certificate_json(cert) == _dumps_json(cert)
+        for n in (1, 2, 3) if cert.found() else ():
+            report = evidence(cert, Ambient(n=n, R=1.0))
+            assert certificate_json(cert, report) == \
+                _dumps_json(cert, report), (cert, n)
+    # what the search never returns: a doubly conjugated certificate, empty
+    # areas, a bool K and non-finite areas
+    report = evidence(conjugated[0], Ambient(n=1, R=1.0))
+    for cert in [SqueezeCertificate(kind="conjugated", k=3, l=5, m=1,
+                                    inner=conjugated[0], areas={"A1": 0.2}),
+                 SqueezeCertificate(kind="integerK", K=2),
+                 SqueezeCertificate(kind="none"),
+                 SqueezeCertificate(kind="integerK", K=True, areas={
+                     "A1": math.inf, "A2": -math.inf, "A3": math.nan})]:
+        assert certificate_json(cert) == _dumps_json(cert)
+        assert certificate_json(cert, report) == _dumps_json(cert, report)
+    # and what json refuses: a numpy int
+    numpy_k = SqueezeCertificate(kind="integerK", K=np.int64(2))
+    for write in (_dumps_json, certificate_json):
+        with pytest.raises(TypeError):
+            write(numpy_k)
+
+
+# Finite floats of every size: subnormals, +-1e300, -0.0.
+_FLOATS = st.one_of(st.sampled_from([-0.0, 5e-324, -5e-324, 1e300, -1e300]),
+                    st.floats(allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_FLOATS, _FLOATS, st.one_of(st.none(), _FLOATS), _FLOATS,
+       st.integers(-2**70, 2**70))
+def test_certificate_json_matches_json_dumps_on_any_float(A1, A2, A3, a, K):
+    areas = {"A1": A1, "A2": A2, **({} if A3 is None else {"A3": A3})}
+    inner = SqueezeCertificate(kind="integerK", K=K, areas=areas)
+    cert = SqueezeCertificate(kind="conjugated", k=3, l=K, m=1, inner=inner,
+                              areas=areas)
+    report = evidence(find_obstruction(SqueezeQuery(1.5, 1.2)),
+                      Ambient(n=2, R=1.0))
+    report["a"] = a
+    for c in (inner, cert):
+        assert certificate_json(c) == _dumps_json(c)
+        assert certificate_json(c, report) == _dumps_json(c, report)

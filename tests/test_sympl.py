@@ -38,6 +38,14 @@ def test_ambient_refuses_a_dimension_that_is_no_positive_integer(n):
     assert Ambient(n=np.int64(2)).dim == 4
 
 
+@pytest.mark.parametrize("R", [True, "2", None, math.nan, 0, -1.0,
+                               pytest.param(10**400, id="10**400")])
+def test_ambient_refuses_a_radius_that_is_no_positive_number(R):
+    with pytest.raises(DomainError, match="radius"):
+        Ambient(n=1, R=R)
+    assert Ambient(n=1, R=np.float64(2.0)).H([2.0, 0.0]) == 1.0
+
+
 def _rows_at_the_boundary(R, dim, rng):
     """Rows z with float(np.dot(z, z)) / R^2 one ulp below and one above 1."""
     want, rows = (np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0)), {}
@@ -308,6 +316,15 @@ def test_flow_conserves_h_and_composes(amb1, rho_ref):
         z2 = flow(amb1, rho_ref, 0.4, z1)
         z12 = flow(amb1, rho_ref, 0.7, z)
         assert np.allclose(z2, z12, atol=1e-13)
+
+
+def test_flow_refuses_a_stack(amb1, rho_ref):
+    Z = np.array([[0.1, 0.2], [0.3, -0.1]])
+    for move in (lambda z: flow(amb1, rho_ref, 1.0, z),
+                 RadialMap(amb1, rho_ref, 1.0)):
+        with pytest.raises(DomainError, match="one point"):
+            move(Z)
+        assert np.array_equal(move(Z[0]), move(list(Z[0])))
 
 
 def test_radial_map_jacobian_is_symplectic(amb1, rho_ref):
