@@ -221,8 +221,9 @@ def lens_complex(n, k):
     Plain homology is H(S^{2n-1}; F_k) (ranks 1, 0, ..., 0, 1); coinvariant
     homology is F_k in every degree (the lens space); n = 1 is the circle.
     """
-    if n < 1:
-        raise DomainError("lens_complex needs n >= 1")
+    n = _integer(n)
+    if n is None or n < 1:
+        raise DomainError("lens_complex needs n >= 1, an integer")
     gens = [Generator(d, 0.0, "e%d" % d) for d in range(2 * n)]
     cx = GroupRingComplex(k, gens)
     for i, v in _lens_steps(k, n):
@@ -374,7 +375,7 @@ class Barcode:
                         _integer(b["rank"]))
                     for b in obj["bars"]]
             field = _integer(obj["field"])
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise DomainError("invalid barcode: %s: %s"
                               % (type(exc).__name__, exc))
         if field is None or not is_prime(field):
@@ -476,12 +477,15 @@ def limit_barcode_at_area(n, A, k, mode, lmax=4):
     the connecting norm maps collapse each pair of adjacent shells, leaving
     the degree-2nl group alive exactly on [(l-1)*A, l*A).  The sentinel
     k = 1 has no equivariant limit (NonPrimeK).  DomainError, before any bar
-    is built, unless lmax is an integer >= 1 (in both modes), and above
+    is built, unless lmax and n are integers >= 1 and A a number > 0 by
+    `sympl`'s rule (1.5 and nan are not), in both modes, and above
     MAX_BALL_GENERATORS bars (lmax plain, k - 1 equivariant).
     """
     field, _ = _field(k), _block(k, mode)
-    if _integer(lmax) is None or lmax < 1:
-        raise DomainError("lmax must be an integer >= 1, got %r" % (lmax,))
+    if (None in (_integer(lmax), _integer(n), _number(A))
+            or min(lmax, n) < 1 or not A > 0):
+        raise DomainError("lmax must be an integer >= 1, as must n, and A a "
+                          "number > 0, got lmax=%r n=%r A=%r" % (lmax, n, A))
     top = lmax if mode == "plain" else k - 1
     if top > MAX_BALL_GENERATORS:
         raise DomainError("the limit barcode needs %d bars, above the bound "

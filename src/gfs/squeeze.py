@@ -33,28 +33,30 @@ from typing import Optional
 
 from .equivar import _json_number, _limit_bars, is_odd_prime
 from .errors import DomainError, SearchBoundExceeded
-from .sympl import _integer
+from .sympl import _integer, _number
 
 DEFAULT_MAX_PRIME = 10 ** 4
 
 
 @dataclass
 class SqueezeQuery:
-    """Finite areas A1 >= A2 > 0 of the two balls (A_i = pi * R_i^2),
-    optional ambient-room area A3 > A1, and the odd-prime search bound."""
+    """Areas A1 >= A2 > 0 (A_i = pi * R_i^2) and optional ambient room
+    A3 > A1, numbers by `sympl._number` kept as given for the certificate;
+    the odd-prime search bound max_prime, an int >= 3 by `sympl._integer`."""
     A1: float
     A2: float
     A3: Optional[float] = None
     max_prime: int = DEFAULT_MAX_PRIME
 
     def __post_init__(self):
-        if not all(math.isfinite(a) for a in (self.A1, self.A2, self.A3 or 0)):
-            raise DomainError("areas must be finite")
+        if None in map(_number, (self.A1, self.A2, self.A3 or 0)):
+            raise DomainError("areas must be finite numbers")
         if not (self.A1 >= self.A2 > 0):
             raise DomainError("need A1 >= A2 > 0, got A1=%r A2=%r"
                               % (self.A1, self.A2))
         if self.A3 is not None and not self.A3 > self.A1:
             raise DomainError("ambient room requires A3 > A1")
+        self.max_prime = _integer(self.max_prime) or 0
         if self.max_prime < 3:
             raise DomainError("max_prime must be at least 3")
 

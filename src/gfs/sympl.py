@@ -30,6 +30,7 @@ import bisect
 import json
 import math
 import operator
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,11 +47,11 @@ def _integer(k):
 
 
 def _number(x):
-    """x as a float when it is a finite JSON number; None for a bool, a
-    string or any other x (an int too large for a float raises
-    OverflowError)."""
+    """x as a float when it is an int or float (np.float64 too) within the
+    largest float; None, never an exception, for a bool, a string, None, a
+    numpy int, nan, +-inf or an int beyond the largest float."""
     number = isinstance(x, (int, float)) and not isinstance(x, bool)
-    return float(x) if number and math.isfinite(x) else None
+    return float(x) if number and abs(x) <= sys.float_info.max else None
 
 
 def _odd(k, message):
@@ -68,22 +69,20 @@ def _odd(k, message):
 
 @dataclass(frozen=True)
 class Ambient:
-    """Ambient ball data: complex dimension n and finite ball radius R > 0."""
+    """Ambient ball data: complex dimension n and finite ball radius R > 0,
+    kept as the int `_integer(n)` and the float `_number(R)`."""
 
     n: int = 1
     R: float = 1.0
 
     def __post_init__(self):
-        n = _integer(self.n)                # 2.0 and True are no dimension
+        n, R = _integer(self.n), _number(self.R)
         if n is None or n < 1:
             raise DomainError("ambient dimension n must be a positive integer")
-        try:                        # True, "2", None and 10**400 are no radius
-            R = _number(self.R)
-        except OverflowError:
-            R = None
         if R is None or not (R > 0 and 0 < math.pi * R * R < math.inf):
             raise DomainError("ambient radius R must be positive, with the "
                               "area pi R^2 positive and finite")
+        self.__dict__.update(n=n, R=R)      # frozen: store what was read
 
     @property
     def dim(self):
@@ -309,7 +308,7 @@ class RadialProfile:
                                for row in obj["pieces"]])
             c, delta = (None if obj.get(key) is None else number(obj[key])
                         for key in ("c", "delta"))
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise DomainError("invalid profile: knots and pieces must be "
                               "lists of finite JSON numbers, pieces all of "
                               "one length, c and delta such numbers or null "
@@ -360,13 +359,14 @@ def ref_profile(c, delta):
     rho' == c on [0, delta], then follows the straight chord c (1 - m)/(1 - delta)
     to rho'(1) = 0, with C^1 cubic corner blends of width w = BLEND_WIDTH; rho
     is the exact antiderivative with rho(1) = 0.  rho'' >= 0 throughout, so
-    level solving for rho' is monotone on [delta, 1].
+    level solving for rho' is monotone on [delta, 1].  DomainError unless
+    c < 0 and 0 < delta < 1 - 2 w are numbers by `_number`, kept as given.
     """
-    if not -math.inf < c < 0:
+    if _number(c) is None or not c < 0:
         raise DomainError("profile slope c must be negative and finite, "
                           "got %r" % (c,))
     w = BLEND_WIDTH
-    if not 0 < delta < 1 - 2 * w:
+    if _number(delta) is None or not 0 < delta < 1 - 2 * w:
         raise DomainError("delta must lie in (0, 1 - 2*blend)")
     s = -c / (1.0 - delta)          # chord slope, > 0
     knots = np.array([0.0, delta, delta + w, 1.0 - w, 1.0])
@@ -414,7 +414,9 @@ class RadialMap:
     def __init__(self, amb, rho, t=1.0):
         self.amb = amb
         self.rho = rho
-        self.t = float(t)
+        self.t = _number(t)                 # "0.5" and True are no time
+        if self.t is None:
+            raise DomainError("map time t %r is no finite number" % (t,))
         # h -> tan(beta/2), in a current and an old generation of levels
         self._tans, self._old = {}, {}
 

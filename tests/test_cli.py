@@ -923,3 +923,66 @@ def test_a_config_value_does_not_outlive_its_call(tmp_path, capsys):
     assert _barcode_json(tmp_path, "limit2", "--k", "3", "--limit") == limit
     assert _barcode_json(tmp_path, "finite2", "--k", "3") == finite
     _assert_k_is_required(tmp_path, capsys)
+
+
+@pytest.mark.parametrize("argv", [["--A1", "1.5"], ["--A2", "1.2"], []])
+def test_nonsqueeze_needs_both_areas(capsys, argv):
+    assert main(["nonsqueeze", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--A1 and --A2 are required" in captured.err
+
+
+CONJUGATED_EQUAL_RADII = """\
+{
+  "schema": "gfs/1",
+  "kind": "conjugated",
+  "m": 2,
+  "inner": {
+    "kind": "equalRadii",
+    "areas": {
+      "A1": 2.0000000000000004,
+      "A2": 2.0000000000000004
+    }
+  },
+  "areas": {
+    "A1": 0.4,
+    "A2": 0.4,
+    "A3": 0.45
+  }"""
+
+CONJUGATED_EQUAL_RADII_EVIDENCE = """,
+  "evidence": {
+    "degree": 2,
+    "a": 1.5000000000000004,
+    "ranks": [
+      1,
+      1,
+      1
+    ],
+    "inclusion_ranks": [
+      1,
+      1
+    ],
+    "prequantized": {
+      "degrees": [
+        2,
+        3
+      ],
+      "ranks": [
+        1,
+        1
+      ]
+    }
+  }"""
+
+
+def test_nonsqueeze_conjugated_equal_radii_is_pinned(capsys):
+    # the conjugated certificate with no outer pair (k = l = None)
+    query = ["nonsqueeze", "--A1", "0.4", "--A2", "0.4", "--A3", "0.45"]
+    assert main(query) == 0
+    assert capsys.readouterr().out == CONJUGATED_EQUAL_RADII + "\n}\n"
+    assert main(query + ["--evidence"]) == 0
+    assert capsys.readouterr().out == (CONJUGATED_EQUAL_RADII
+                                       + CONJUGATED_EQUAL_RADII_EVIDENCE
+                                       + "\n}\n")

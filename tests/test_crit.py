@@ -9,7 +9,7 @@ import pytest
 from gfs import (Ambient, ContactPoint, DomainError, GenFn, NoConvergence,
                  NotFibreCritical, OrbitRelationViolated, RadialMap,
                  chain_scan, contact_lift_gf, contact_p,
-                 gf_time_one, maslov,
+                 fibre_critical_config, gf_time_one, maslov,
                  newton_critical, reconstruct, seed_from_chain,
                  sharp_critical_seed, sharp_k, shells, to_csv,
                  translated_chains)
@@ -455,3 +455,27 @@ def test_newton_lu_step_matches_the_min_norm_step(F, P3, amb1, rho_ref,
         ref = np.linalg.lstsq(M, rhs, rcond=None)[0]
         diff = np.linalg.norm(x - ref) / np.linalg.norm(ref)
         assert diff <= 10.0 * np.linalg.cond(M) * eps
+
+
+def test_seed_from_chain_refuses_a_chain_of_another_period(P3, amb1,
+                                                           rho_ref):
+    chain = translated_chains(amb1, rho_ref, 5)[0]
+    with pytest.raises(DomainError, match="chain period 5 does not match"):
+        seed_from_chain(P3, chain)
+
+
+def test_reconstruct_reads_a_fixed_point_of_f_itself(F):
+    # k = 1: F^{#1} is F, whose fibre-critical points over the fixed points
+    # of the time-one map (here one outside the ball) are critical
+    zbar = np.array([0.8, -0.9])
+    base, zeta = fibre_critical_config(F, zbar)
+    points = reconstruct(F, 1, np.concatenate([base, zeta]))
+    assert len(points) == 1
+    assert np.allclose(points[0], zbar, atol=1e-12)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_newton_refuses_a_seed_that_is_not_finite(bad):
+    G = _quadratic_genfn([1.0, -2.0])
+    with pytest.raises(DomainError, match="Newton needs a finite seed"):
+        newton_critical(G, np.array([0.3, bad]))

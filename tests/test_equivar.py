@@ -521,3 +521,45 @@ def test_every_reading_refuses_the_same_mode(amb1, rho_ref, tmp_path):
         assert main(["barcode", "--k", "3", "--mode", "bogus",
                      "--out", str(tmp_path), *flags]) == 2
     assert not (tmp_path / "barcode.json").exists()
+
+
+@pytest.mark.parametrize("n, A", [
+    (0, 3.0), (-1, 3.0), (1.5, 3.0), (2.0, 3.0), (True, 3.0), ("1", 3.0),
+    (1, math.nan), (1, math.inf), (1, 0.0), (1, -3.0), (1, "3"), (1, True),
+    (1, None), pytest.param(1, 10 ** 400, id="1-10**400")], ids=repr)
+@pytest.mark.parametrize("mode", ["plain", "equivariant"])
+def test_limit_barcode_refuses_an_n_or_area_that_is_no_number(
+        monkeypatch, n, A, mode):
+    # refused after k and the mode, before any bar: a nan area would
+    # otherwise write "death": NaN, which is not JSON
+    def build(*args):
+        raise AssertionError("a bar was built")
+
+    monkeypatch.setattr(equivar, "_limit_bars", build)
+    with pytest.raises(DomainError, match="as must n, and A a number > 0"):
+        limit_barcode_at_area(n, A, 3, mode)
+    with pytest.raises(NonPrimeK):
+        limit_barcode_at_area(n, A, 9, mode)
+
+
+def test_limit_barcode_bars_of_an_int_area_are_json():
+    bc = limit_barcode_at_area(np.int64(2), 3, 3, "plain", lmax=2)
+    assert Barcode.from_json(bc.to_json()).bars == bc.bars
+    assert [b.degree for b in bc.bars] == [4, 8]
+
+
+@pytest.mark.parametrize("n", [0, -1, 1.5, 2.0, True, "2", None], ids=repr)
+def test_lens_complex_refuses_an_n_that_is_no_positive_integer(n):
+    with pytest.raises(DomainError, match="lens_complex needs n >= 1"):
+        lens_complex(n, 5)
+    assert lens_complex(np.int64(2), 5).homology_ranks("plain") == \
+        {0: 1, 1: 0, 2: 0, 3: 1}
+
+
+@pytest.mark.parametrize("text", [
+    json.dumps({"schema": "gfs/2", "field": 3, "bars": []}),
+    json.dumps({"field": 3, "bars": []}),
+    json.dumps([{"schema": "gfs/1"}]), "3"], ids=repr)
+def test_barcode_from_json_refuses_another_schema(text):
+    with pytest.raises(DomainError, match="unrecognized barcode schema"):
+        Barcode.from_json(text)

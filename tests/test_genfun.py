@@ -617,3 +617,23 @@ def test_domain_point_requires_handle(amb1):
               quad_part=np.zeros((0, 0)))
     with pytest.raises(DomainError):
         g.domain_point(np.zeros(2))
+
+
+def test_one_factor_compositions_are_the_factor(F):
+    assert sharp_k(F, 1) is F
+    assert gf_compose_chain([F]) is F
+
+
+def test_compose_chain_refuses_mixed_or_contact_factors(amb1):
+    g1 = gf_linear_rotation(amb1, [0.8])
+    g2 = gf_linear_rotation(Ambient(n=2), [0.8, 0.3])
+    with pytest.raises(DomainError, match="same base dimension"):
+        gf_compose_chain([g1, g1, g2])
+    lift = contact_lift_gf(g1)
+    with pytest.raises(DomainError, match="symplectic-base factors"):
+        gf_compose_chain([lift, lift, lift])
+
+
+def test_contact_sharp_refuses_a_symplectic_factor(amb1):
+    with pytest.raises(DomainError, match="contact-base factor"):
+        contact_sharp(gf_linear_rotation(amb1, [0.8]), 3)

@@ -435,3 +435,60 @@ def test_certificate_json_matches_json_dumps_on_any_float(A1, A2, A3, a, K):
     for c in (inner, cert):
         assert certificate_json(c) == _dumps_json(c)
         assert certificate_json(c, report) == _dumps_json(c, report)
+
+
+@pytest.mark.parametrize("kw", [
+    dict(A1=True, A2=1), dict(A1=2.5, A2=True), dict(A1="2.5", A2=1.2),
+    dict(A1=2.5, A2=None), dict(A1=np.int64(3), A2=2),
+    pytest.param(dict(A1=10 ** 400, A2=1.2), id="A1=10**400"),
+    pytest.param(dict(A1=2.5, A2=1.2, A3=10 ** 400), id="A3=10**400"),
+    dict(A1=0.45, A2=0.4, A3="0.5"), dict(A1=math.inf, A2=1.2),
+    dict(A1=2.5, A2=math.nan)], ids=repr)
+def test_query_refuses_areas_that_are_no_numbers(kw):
+    with pytest.raises(DomainError, match="areas must be finite"):
+        SqueezeQuery(**kw)
+
+
+@pytest.mark.parametrize("max_prime", [2, 1, -3, 7.5, "7", True, None],
+                         ids=repr)
+def test_query_refuses_a_max_prime_that_is_no_integer_from_three(max_prime):
+    with pytest.raises(DomainError, match="max_prime must be at least 3"):
+        SqueezeQuery(1.5, 1.2, max_prime=max_prime)
+
+
+def test_query_keeps_its_areas_and_an_int_max_prime():
+    q = SqueezeQuery(3, 2, max_prime=np.int64(7))
+    assert type(q.max_prime) is int and q.max_prime == 7
+    assert (q.A1, q.A2) == (3, 2) and type(q.A1) is int
+    assert '"A1": 3,\n' in certificate_json(find_obstruction(q))
+
+
+def test_evidence_refuses_a_none_or_unknown_certificate():
+    amb = Ambient(n=1)
+    with pytest.raises(DomainError, match="requires a certificate"):
+        evidence(SqueezeCertificate(kind="none",
+                                    areas={"A1": 0.5, "A2": 0.4}), amb)
+    with pytest.raises(DomainError, match="no evidence scheme for kind"):
+        evidence(SqueezeCertificate(kind="bogus",
+                                    areas={"A1": 2.5, "A2": 1.7}), amb)
+
+
+def test_validate_refuses_an_unknown_kind():
+    cert = SqueezeCertificate(kind="bogus", K=2, areas={"A1": 2.5, "A2": 1.7})
+    assert validate_certificate(cert) is False
+    assert validate_certificate(SqueezeCertificate(kind="none")) is False
+
+
+def test_conjugated_equal_radii_certificate():
+    # the one conjugated shape without an outer pair: m = 2 rescales
+    # 0.4 to 0.4 / (1 - 0.8) = 2.0000000000000004, an equal-radii pair
+    cert = find_obstruction(SqueezeQuery(0.4, 0.4, 0.45))
+    assert (cert.kind, cert.m, cert.k, cert.l) == ("conjugated", 2, None, None)
+    assert cert.inner.kind == "equalRadii"
+    assert cert.inner.areas == {"A1": 2.0000000000000004,
+                                "A2": 2.0000000000000004}
+    assert validate_certificate(cert) is True
+    report = evidence(cert, Ambient(n=1))
+    assert report["ranks"] == [1, 1, 1]
+    assert report["inclusion_ranks"] == [1, 1]
+    assert report["outer_pair"] == {"k": None, "l": None}

@@ -4,6 +4,7 @@ import dataclasses
 import itertools
 import json
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -11,6 +12,7 @@ import pytest
 
 from gfs import (Ambient, ContactLift, ContactPoint, DomainError, EvenK,
                  LinearRotation, NonMonotoneProfile, RadialMap, RadialProfile,
+                 SqueezeQuery, certificate_json, evidence, find_obstruction,
                  flow, ref_profile, room_transform, shells,
                  translated_chains, verify_chain)
 from gfs import gf_small_map, sympl
@@ -1184,3 +1186,70 @@ def test_shell_values_increase_with_l(n, R):
                     assert t.value > s.value
                     step = t.value - s.value
                     assert t.m * area - 1e-9 <= step <= s.m * area + 1e-9
+
+
+@pytest.mark.parametrize("x", [
+    pytest.param(10**400, id="10**400"), pytest.param(-10**400, id="-10**400"),
+    math.nan, math.inf, -math.inf, True, False, "1", None, [1.0],
+    np.int64(2)])
+def test_number_refuses_and_never_raises(x):
+    assert sympl._number(x) is None
+
+
+def test_number_reads_ints_and_floats_as_floats():
+    for x, want in ((np.float64(1.5), 1.5), (3, 3.0), (-0.0, -0.0),
+                    (2**1023, 2.0**1023), (sys.float_info.max,) * 2):
+        got = sympl._number(x)
+        assert type(got) is float and got == want
+    assert sympl._number(int(sys.float_info.max) + 1) is None
+
+
+def test_ambient_keeps_the_int_and_float_it_read():
+    amb = Ambient(n=np.int64(2), R=np.float64(1.3))
+    assert type(amb.n) is int and type(amb.R) is float
+    assert amb == Ambient(n=2, R=1.3)
+    assert (type(Ambient(n=1, R=2).R), Ambient(n=1, R=2).R) == (float, 2.0)
+    cert = find_obstruction(SqueezeQuery(1.5, 1.2))
+    assert certificate_json(cert, evidence(cert, Ambient(n=np.int64(2)))) == \
+        certificate_json(cert, evidence(cert, Ambient(n=2)))
+
+
+@pytest.mark.parametrize("c", ["-1", None, True, math.nan, -math.inf, 0.0,
+                               1.0, pytest.param(-10**400, id="-10**400")])
+def test_ref_profile_refuses_a_slope_that_is_no_negative_number(c):
+    with pytest.raises(DomainError, match="slope c must be negative"):
+        ref_profile(c, 0.1)
+
+
+@pytest.mark.parametrize("delta", ["0.1", None, True, math.nan, 0.0, 1.0,
+                                   1 - 2 * BLEND_WIDTH])
+def test_ref_profile_refuses_a_delta_that_is_no_number_in_range(delta):
+    with pytest.raises(DomainError, match="delta must lie in"):
+        ref_profile(-1.0, delta)
+
+
+def test_ref_profile_keeps_its_numbers_as_given():
+    rho = ref_profile(-2, 0.25)
+    assert (rho.c, rho.delta) == (-2, 0.25) and type(rho.c) is int
+    assert rho.to_json()["pieces"] == ref_profile(-2.0, 0.25).to_json()["pieces"]
+
+
+@pytest.mark.parametrize("t", ["0.5", True, None, math.nan, math.inf])
+def test_radial_map_refuses_a_time_that_is_no_number(amb1, rho_ref, t):
+    with pytest.raises(DomainError, match="map time t"):
+        RadialMap(amb1, rho_ref, t)
+    assert type(RadialMap(amb1, rho_ref, 1).t) is float
+
+
+def test_linear_rotation_needs_one_angle_per_coordinate():
+    with pytest.raises(DomainError, match="one rotation angle per complex"):
+        LinearRotation(Ambient(n=2), [0.5])
+    with pytest.raises(DomainError, match="one rotation angle per complex"):
+        LinearRotation(Ambient(n=1), [0.5, 0.25])
+
+
+def test_shell_count_refuses_a_ball_too_small_for_its_count(rho_ref):
+    # -rho'(0) k / (pi R^2) is inf at R = 1e-160 and about 3e300 at 1e-150
+    for R in (1e-160, 1e-150):
+        with pytest.raises(DomainError, match="is too small"):
+            sympl.shell_count(Ambient(n=1, R=R), rho_ref, 3)
